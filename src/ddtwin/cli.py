@@ -2,7 +2,7 @@
 
 Every command takes a run manifest naming the input files; all outputs
 land in one directory and are byte-stable across runs with the same
-manifest and seed, so they can serve as regression fixtures.  Exit codes:
+manifest, so they can serve as regression fixtures.  Exit codes:
 0 success, 1 validation or configuration failure (including a search
 budget too small to reach a verdict), 2 proven-infeasible baseline,
 3 internal error.
@@ -32,7 +32,7 @@ from .manifests import FunctionMetadata, parse_constraint_stream
 from .patterns import PatternCatalog, generate_patterns_from_topology, \
     parse_pattern_catalog
 from .scenarios import RiskThresholds, ScenarioSpec, enumerate_scenarios, \
-    evaluate_scenario, parse_scenario_stream, rank_scenarios, \
+    evaluate_scenarios, parse_scenario_stream, rank_scenarios, \
     render_scenario_csv, parse_scenario_csv, render_scenario_table
 from .schedule import Schedule
 from .solver import SolveOpts, SolveOutcome, solve_best_case
@@ -66,7 +66,6 @@ class RunManifest:
     mode: str = "exact"
     budget_nodes: int = 200_000
     scenario_budget_nodes: int | None = None
-    seed: int = 0
     risk: RiskThresholds = field(default_factory=RiskThresholds)
     enumerate_families: bool = True
     small_threshold: int = 10_000
@@ -74,7 +73,6 @@ class RunManifest:
 
 
 def load_run_manifest(path: str | Path, out: str | None = None,
-                      seed: int | None = None,
                       mode: str | None = None) -> RunManifest:
     """Load a ``kind: run`` manifest; flag overrides win over file values."""
     manifest_path = Path(path)
@@ -112,14 +110,24 @@ def load_run_manifest(path: str | Path, out: str | None = None,
             return None
         return base / str(value)
 
+    def integer(section: str, key: str, value) -> int:
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            raise _err(f"run manifest spec.{section}.{key} must be an "
+                       f"integer, got {value!r}") from None
+
     solver = spec.get("solver") or {}
     scenario = spec.get("scenario") or {}
     risk_raw = spec.get("risk") or {}
     defaults = RiskThresholds()
-    risk = RiskThresholds(
-        high=int(risk_raw.get("high", defaults.high)),
-        moderate=int(risk_raw.get("moderate", defaults.moderate)),
-        floor=int(risk_raw.get("floor", defaults.floor)))
+    risk = RiskThresholds(**{
+        key: integer("risk", key, risk_raw.get(key, getattr(defaults, key)))
+        for key in ("high", "moderate", "floor")})
+    lag_sweep = scenario.get("lag_sweep", [])
+    if not isinstance(lag_sweep, list):
+        raise _err(f"run manifest spec.scenario.lag_sweep must be a list, "
+                   f"got {lag_sweep!r}")
 
     out_dir = Path(out) if out is not None else base / str(spec.get("out", "out"))
     manifest = RunManifest(
@@ -131,14 +139,18 @@ def load_run_manifest(path: str | Path, out: str | None = None,
         scenario_files=paths("scenario_files", required=False),
         out=out_dir,
         mode=mode if mode is not None else str(solver.get("mode", "exact")),
-        budget_nodes=int(solver.get("budget_nodes", 200_000)),
-        scenario_budget_nodes=(int(solver["scenario_budget_nodes"])
-                               if "scenario_budget_nodes" in solver else None),
-        seed=seed if seed is not None else int(solver.get("seed", 0)),
+        budget_nodes=integer("solver", "budget_nodes",
+                             solver.get("budget_nodes", 200_000)),
+        scenario_budget_nodes=(
+            integer("solver", "scenario_budget_nodes",
+                    solver["scenario_budget_nodes"])
+            if "scenario_budget_nodes" in solver else None),
         risk=risk,
         enumerate_families=bool(scenario.get("enumerate", True)),
-        small_threshold=int(scenario.get("small_threshold", 10_000)),
-        lag_sweep=tuple(int(v) for v in scenario.get("lag_sweep", [])))
+        small_threshold=integer("scenario", "small_threshold",
+                                scenario.get("small_threshold", 10_000)),
+        lag_sweep=tuple(integer("scenario", "lag_sweep", v)
+                        for v in lag_sweep))
     if manifest.mode not in ("exact", "heuristic"):
         raise _err(f"solver mode must be 'exact' or 'heuristic', "
                    f"got {manifest.mode!r}")
@@ -344,19 +356,10 @@ def cmd_scenarios(manifest: RunManifest) -> int:
             graph, loaded.catalog,
             small_threshold=manifest.small_threshold,
             lag_sweep=manifest.lag_sweep))
-    seen: set[frozenset] = set()
-    unique: list[ScenarioSpec] = []
-    for spec in specs:
-        key = frozenset(spec.injections)
-        if key in seen:
-            continue
-        seen.add(key)
-        unique.append(spec)
-
     opts = _solve_opts(manifest, loaded.deployment, scenario=True)
-    results = [evaluate_scenario(spec, graph, loaded.topology, loaded.catalog,
-                                 opts, manifest.risk, baseline)
-               for spec in unique]
+    results = evaluate_scenarios(specs, graph, loaded.topology,
+                                 loaded.catalog, opts, manifest.risk,
+                                 baseline)
     ranked = rank_scenarios(results, manifest.risk)
     table = render_scenario_table(ranked)
     write_atomic(manifest.out / "scenarios.csv", render_scenario_csv(ranked))
@@ -417,8 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="path to the kind: run manifest")
         cmd.add_argument("--out", default=None,
                          help="output directory (overrides the manifest)")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="seed recorded for generated artifacts")
         cmd.add_argument("--mode", choices=("exact", "heuristic"),
                          default=None, help="solver mode override")
     return parser
@@ -437,7 +438,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         manifest = load_run_manifest(args.manifest, out=args.out,
-                                     seed=args.seed, mode=args.mode)
+                                     mode=args.mode)
         return _COMMANDS[args.command](manifest)
     except DiagnosticError as exc:
         for diag in exc.diagnostics:

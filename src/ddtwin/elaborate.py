@@ -207,6 +207,9 @@ def elaborate(defs: list[FlowDef], entry: str, symbols: SymbolTable,
                                       f"{other_task!r} and {task_id!r}"))
         groups.append((prefix, task_id))
 
+    # every record resolves once, whether or not a flow uses its function
+    allowed = {name: _resolve_patterns(m, catalog, diags)
+               for name, m in meta.items()}
     buffers: dict[str, Buffer] = {}
     task_inputs: dict[str, list[str]] = {t: [] for t in walk.task_order}
     task_outputs: dict[str, list[str]] = {t: [] for t in walk.task_order}
@@ -217,10 +220,9 @@ def elaborate(defs: list[FlowDef], entry: str, symbols: SymbolTable,
             continue
         buf_id = _slot_id(stream, prefix)
         fn_meta = walk.task_meta[task_id]
-        allowed = _resolve_patterns(fn_meta, catalog, diags)
         buffers[buf_id] = Buffer(id=buf_id, size=fn_meta.elementsize,
                                  definer=task_id, observers=(),
-                                 allowed_patterns=allowed,
+                                 allowed_patterns=allowed[fn_meta.name],
                                  labels=walk.streams[stream].labels)
         task_outputs[task_id].append(buf_id)
 
@@ -271,15 +273,17 @@ def elaborate(defs: list[FlowDef], entry: str, symbols: SymbolTable,
 def _resolve_patterns(fn_meta: FunctionMetadata, catalog: PatternCatalog,
                       diags: list[Diagnostic]) -> tuple[str, ...]:
     resolved: list[str] = []
+    missing = False
     for name in fn_meta.available_patterns:
         p = catalog.get(name)
         if p is None:
+            missing = True
             diags.append(error_at(1, 1,
                                   f"function {fn_meta.name!r} lists pattern {name!r} "
                                   f"which is not in the catalog"))
         elif p.name not in resolved:
             resolved.append(p.name)
-    if not resolved and not diags:
+    if not resolved and not missing:
         diags.append(error_at(1, 1,
                               f"function {fn_meta.name!r} has no usable patterns"))
     resolved.sort(key=catalog.index)

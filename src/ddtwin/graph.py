@@ -54,9 +54,6 @@ class TaskGraph:
     bound_constraints: list = field(default_factory=list)
     symbol_values: dict[str, int] = field(default_factory=dict)
 
-    def task_order(self) -> list[str]:
-        return list(self.tasks)
-
     def with_task(self, task: TaskInstance) -> "TaskGraph":
         tasks = dict(self.tasks)
         tasks[task.id] = task
@@ -66,12 +63,6 @@ class TaskGraph:
         buffers = dict(self.buffers)
         buffers[buf.id] = buf
         return replace(self, buffers=buffers)
-
-    def predecessors(self, task_id: str) -> list[str]:
-        out = []
-        for buf_id in self.tasks[task_id].inputs:
-            out.append(self.buffers[buf_id].definer)
-        return out
 
 
 def graph_to_dict(graph: TaskGraph) -> dict:

@@ -30,8 +30,6 @@ class Memory:
     id: str
     level: str
     capacity: int
-    bandwidth: int | None = None
-    latency: int = 0
 
 
 @dataclass(frozen=True)
@@ -45,7 +43,6 @@ class Core:
 class HardwareTopology:
     memories: list[Memory]
     cores: list[Core]
-    clock_hz: int
     pattern_costs: dict[str, tuple[int, int | None]] = field(
         default_factory=lambda: dict(DEFAULT_COST_TABLE))
 
@@ -87,23 +84,54 @@ def _load_yaml_mapping(text: str, what: str) -> dict:
     return raw
 
 
+def _get(entry: dict, key: str, what: str, diags: list, kind: type = int,
+         default=None):
+    """``kind(entry[key])``, or ``default`` when the key is absent.  A
+    missing required key or a value ``kind`` rejects is reported in
+    ``diags`` and gives None."""
+    if key not in entry:
+        if default is None:
+            diags.append(error_at(1, 1, f"{what} is missing {key!r}"))
+        return default
+    try:
+        return kind(entry[key])
+    except (TypeError, ValueError):
+        diags.append(error_at(1, 1, f"{what}: {key!r} must be an integer, "
+                                    f"got {entry[key]!r}"))
+        return None
+
+
 def parse_topology(text: str) -> HardwareTopology:
     raw = _load_yaml_mapping(text, "topology")
     diags = []
     memories: list[Memory] = []
-    for m in raw.get("memories", []):
+    for i, m in enumerate(raw.get("memories", [])):
+        what = f"memory {i + 1}"
+        if not isinstance(m, dict):
+            diags.append(error_at(1, 1, f"{what} must be a mapping"))
+            continue
         level = m.get("level")
         if level not in MEMORY_LEVELS:
             diags.append(error_at(1, 1, f"memory {m.get('id')!r} has unknown level {level!r}"))
             continue
-        memories.append(Memory(id=str(m["id"]), level=level,
-                               capacity=int(m.get("capacity", 0)),
-                               bandwidth=m.get("bandwidth"),
-                               latency=int(m.get("latency", 0))))
+        n = len(diags)
+        mem = Memory(id=_get(m, "id", what, diags, str), level=level,
+                     capacity=_get(m, "capacity", what, diags, default=0))
+        if len(diags) == n:
+            memories.append(mem)
     mem_ids = {m.id for m in memories}
     cores: list[Core] = []
-    for c in raw.get("cores", []):
-        core = Core(id=int(c["id"]), l2=str(c["l2"]), l3=str(c["l3"]))
+    for i, c in enumerate(raw.get("cores", [])):
+        what = f"core {i + 1}"
+        if not isinstance(c, dict):
+            diags.append(error_at(1, 1, f"{what} must be a mapping"))
+            continue
+        n = len(diags)
+        core = Core(id=_get(c, "id", what, diags),
+                    l2=_get(c, "l2", what, diags, str),
+                    l3=_get(c, "l3", what, diags, str))
+        if len(diags) > n:
+            continue
         for ref in (core.l2, core.l3):
             if ref not in mem_ids:
                 diags.append(error_at(1, 1, f"core {core.id} references unknown memory {ref!r}"))
@@ -113,16 +141,19 @@ def parse_topology(text: str) -> HardwareTopology:
 
     costs = dict(DEFAULT_COST_TABLE)
     for klass, entry in (raw.get("pattern_costs") or {}).items():
+        what = f"pattern_costs.{klass}"
         if klass not in DEFAULT_COST_TABLE:
             diags.append(error_at(1, 1, f"pattern_costs names unknown class {klass!r}"))
             continue
-        base = int(entry.get("base", 0))
-        bandwidth = entry.get("bandwidth")
-        costs[klass] = (base, int(bandwidth) if bandwidth is not None else None)
+        if not isinstance(entry, dict):
+            diags.append(error_at(1, 1, f"{what} must be a mapping"))
+            continue
+        costs[klass] = (_get(entry, "base", what, diags, default=0),
+                        _get(entry, "bandwidth", what, diags)
+                        if entry.get("bandwidth") is not None else None)
     if diags:
         raise DiagnosticError(diags)
     return HardwareTopology(memories=memories, cores=cores,
-                            clock_hz=int(raw.get("clock_hz", 2_000_000_000)),
                             pattern_costs=costs)
 
 

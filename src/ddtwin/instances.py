@@ -46,16 +46,13 @@ def random_instance(seed: int, max_tasks: int = 6) -> Instance:
     n_cores = 2
     l2_cap = rng.choice([64_000, 256_000, 1_000_000])
     l3_cap = rng.choice([1_000_000, 4_000_000, 16_000_000])
-    memories = [Memory(id=f"L2_{c}", level="L2", capacity=l2_cap,
-                       bandwidth=64, latency=10) for c in range(n_cores)]
-    memories.append(Memory(id="L3_0", level="L3", capacity=l3_cap,
-                           bandwidth=32, latency=40))
-    memories.append(Memory(id="DDR_0", level="DDR", capacity=1_000_000_000,
-                           bandwidth=16, latency=200))
+    memories = [Memory(id=f"L2_{c}", level="L2", capacity=l2_cap)
+                for c in range(n_cores)]
+    memories.append(Memory(id="L3_0", level="L3", capacity=l3_cap))
+    memories.append(Memory(id="DDR_0", level="DDR", capacity=1_000_000_000))
     topology = HardwareTopology(
         memories=memories,
-        cores=[Core(id=c, l2=f"L2_{c}", l3="L3_0") for c in range(n_cores)],
-        clock_hz=2_000_000_000)
+        cores=[Core(id=c, l2=f"L2_{c}", l3="L3_0") for c in range(n_cores)])
     catalog = generate_patterns_from_topology(topology)
     names = [p.name for p in catalog]
 

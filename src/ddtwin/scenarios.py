@@ -67,7 +67,6 @@ class Injection:
 class ScenarioSpec:
     name: str
     injections: tuple[Injection, ...] = ()
-    baseline_ref: str | None = None
 
 
 @dataclass(frozen=True)
@@ -118,13 +117,7 @@ def resolve_buffer_targets(graph: TaskGraph,
             raise _err(f"injection target {sel!r} matches no buffer "
                        f"or function in the graph")
         out.extend(matched)
-    seen: set[str] = set()
-    unique = []
-    for buf_id in out:
-        if buf_id not in seen:
-            seen.add(buf_id)
-            unique.append(buf_id)
-    return tuple(unique)
+    return tuple(dict.fromkeys(out))
 
 
 def resolve_task_targets(graph: TaskGraph,
@@ -147,13 +140,7 @@ def resolve_task_targets(graph: TaskGraph,
             continue
         raise _err(f"injection target {sel!r} matches no task, function, "
                    f"or task-id prefix in the graph")
-    seen: set[str] = set()
-    unique = []
-    for tid in out:
-        if tid not in seen:
-            seen.add(tid)
-            unique.append(tid)
-    return tuple(unique)
+    return tuple(dict.fromkeys(out))
 
 
 # -- applying injections ----------------------------------------------------
@@ -337,13 +324,20 @@ def evaluate_scenario(spec: ScenarioSpec, graph: TaskGraph,
 def evaluate_scenarios(specs: list[ScenarioSpec], graph: TaskGraph,
                        topology: HardwareTopology, catalog: PatternCatalog,
                        opts: SolveOpts | None = None,
-                       thresholds: RiskThresholds | None = None
+                       thresholds: RiskThresholds | None = None,
+                       baseline: SolveOutcome | None = None
                        ) -> list[ScenarioResult]:
-    """Evaluate every spec against one shared baseline solve."""
+    """Evaluate every spec against one shared baseline solve.
+
+    Specs with the same injection set are solved once, under the first
+    one's name.  ``baseline`` is solved with ``opts`` when not given.
+    """
     opts = opts or SolveOpts()
-    baseline = solve_best_case(graph, topology, catalog, opts)
+    if baseline is None:
+        baseline = solve_best_case(graph, topology, catalog, opts)
     return [evaluate_scenario(spec, graph, topology, catalog, opts,
-                              thresholds, baseline) for spec in specs]
+                              thresholds, baseline)
+            for spec in _unique_specs(specs)]
 
 
 # -- enumeration ------------------------------------------------------------
@@ -420,16 +414,16 @@ def enumerate_scenarios(graph: TaskGraph, catalog: PatternCatalog, *,
     for cap in lag_sweep:
         specs.append(ScenarioSpec(
             f"lag-cap-{cap}", (Injection(START_LAG, value=cap),)))
+    return _unique_specs(specs)
 
-    seen: set[frozenset[Injection]] = set()
-    unique = []
+
+def _unique_specs(specs: list[ScenarioSpec]) -> list[ScenarioSpec]:
+    """``specs`` in order, dropping any whose injection set an earlier
+    spec already has."""
+    first = {}
     for spec in specs:
-        key = frozenset(spec.injections)
-        if key in seen:
-            continue
-        seen.add(key)
-        unique.append(spec)
-    return unique
+        first.setdefault(frozenset(spec.injections), spec)
+    return list(first.values())
 
 
 # -- ranking ----------------------------------------------------------------
@@ -572,9 +566,7 @@ def parse_scenario_stream(text: str) -> list[ScenarioSpec]:
             raise _err(f"{where}: spec.injections must be a list")
         injections = tuple(_parse_injection(entry, where, j)
                            for j, entry in enumerate(raw_injections))
-        baseline_ref = spec.get("baseline")
-        specs.append(ScenarioSpec(str(metadata["name"]), injections,
-                                  baseline_ref))
+        specs.append(ScenarioSpec(str(metadata["name"]), injections))
     return specs
 
 

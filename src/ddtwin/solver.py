@@ -226,29 +226,23 @@ class _Search:
                     continue
                 kept.append(p)
             compat = kept
-        pipes = [p for p in compat if p.klass == "pipeline"]
         nonp = [p for p in compat if p.klass != "pipeline"]
-        self._static_opts[key] = (nonp, pipes)
-        return nonp, pipes
+        self._static_opts[key] = (compat, nonp)
+        return compat, nonp
 
     def _options(self, buf_id: str, core: int, state: _State) -> list[Pattern]:
-        nonp, pipes = self._static_options_for(buf_id, core)
-        out = list(nonp)
-        buf = self.graph.buffers[buf_id]
-        for p in pipes:
-            ok = True
-            for obs in buf.observers:
-                task = self.graph.tasks[obs]
-                if task.allowed_cores is not None and core not in task.allowed_cores:
-                    ok = False
-                    break
-                if state.forced.get(obs, core) != core:
-                    ok = False
-                    break
-            if ok:
-                out.append(p)
-        out.sort(key=lambda p: self.catalog.index(p.name))
-        return out
+        """Catalog-ordered patterns for ``buf_id`` defined on ``core``; the
+        pipeline ones only if no observer is barred from ``core`` or forced
+        elsewhere.  The lists are cached and shared: do not mutate them."""
+        every, nonp = self._static_options_for(buf_id, core)
+        if len(every) == len(nonp):
+            return nonp
+        for obs in self.graph.buffers[buf_id].observers:
+            allowed = self.graph.tasks[obs].allowed_cores
+            if ((allowed is not None and core not in allowed)
+                    or state.forced.get(obs, core) != core):
+                return nonp
+        return every
 
     # -- placement ---------------------------------------------------------
 

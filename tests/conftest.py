@@ -21,16 +21,13 @@ FIXTURES = Path(__file__).resolve().parent.parent / "src" / "ddtwin" / "fixtures
 
 def make_topology(n_cores: int = 2, l2_cap: int = 1_000_000,
                   l3_cap: int = 8_000_000) -> HardwareTopology:
-    mems = [Memory(id=f"L2_{c}", level="L2", capacity=l2_cap,
-                   bandwidth=64, latency=10) for c in range(n_cores)]
-    mems.append(Memory(id="L3_0", level="L3", capacity=l3_cap,
-                       bandwidth=32, latency=40))
-    mems.append(Memory(id="DDR_0", level="DDR", capacity=10**9,
-                       bandwidth=16, latency=200))
+    mems = [Memory(id=f"L2_{c}", level="L2", capacity=l2_cap)
+            for c in range(n_cores)]
+    mems.append(Memory(id="L3_0", level="L3", capacity=l3_cap))
+    mems.append(Memory(id="DDR_0", level="DDR", capacity=10**9))
     return HardwareTopology(
         memories=mems,
-        cores=[Core(id=c, l2=f"L2_{c}", l3="L3_0") for c in range(n_cores)],
-        clock_hz=2_000_000_000)
+        cores=[Core(id=c, l2=f"L2_{c}", l3="L3_0") for c in range(n_cores)])
 
 
 def chain_graph(catalog, runtimes=(100, 200), size: int = 1000,

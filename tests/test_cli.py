@@ -54,12 +54,11 @@ _TOPOLOGY = textwrap.dedent("""\
     memories:
       - {id: c0.l2, level: L2, capacity: 2097152}
       - {id: c1.l2, level: L2, capacity: 2097152}
-      - {id: L3_0, level: L3, capacity: 50331648, bandwidth: 64}
-      - {id: DDR_0, level: DDR, capacity: 8589934592, bandwidth: 16}
+      - {id: L3_0, level: L3, capacity: 50331648}
+      - {id: DDR_0, level: DDR, capacity: 8589934592}
     cores:
       - {id: 0, l2: c0.l2, l3: L3_0}
       - {id: 1, l2: c1.l2, l3: L3_0}
-    clock_hz: 2000000000
 """)
 
 _MANIFEST = textwrap.dedent("""\
@@ -110,6 +109,19 @@ def test_validate_rejects_pattern_missing_from_catalog(tmp_path):
     assert (code, out) == (1, "")
     assert "function 'job' lists pattern 'warp.c_0'" in err
     assert "not in the catalog" in err
+
+
+def test_validate_rejects_unused_record_naming_missing_pattern(tmp_path):
+    # no task runs 'idle', but its record is still checked against the
+    # catalog, once
+    manifest = write_pressure_fixture(tmp_path, 200_000)
+    (tmp_path / "sdk.yaml").write_text(
+        _SDK + "---\n" + _SDK.replace("name: job", "name: idle")
+        .replace("pipeline.c_1.L3_0", "pipeline.c_9.L3_0"))
+    code, out, err = run(["validate", "--manifest", str(manifest)])
+    assert (code, out) == (1, "")
+    assert err.count("function 'idle' lists pattern 'pipeline.c_9.L3_0'") \
+        == 1
 
 
 # -- solve ------------------------------------------------------------------
@@ -314,6 +326,10 @@ def test_usage_errors_exit_2():
 
 # -- manifest loading -------------------------------------------------------
 
+_RUN_SPEC = ("apiVersion: rdsl/v0\nkind: run\nspec:\n  flows: [f]\n"
+             "  constraints: [c]\n  topology: t\n  deployment: d\n")
+
+
 @pytest.mark.parametrize("text,message", [
     ("- just\n- a list\n", "is not a mapping"),
     ("apiVersion: rdsl/v9\nkind: run\nspec: {}\n", "apiVersion"),
@@ -325,6 +341,18 @@ def test_usage_errors_exit_2():
      "  constraints: [c]\n  topology: t\n  deployment: d\n"
      "  solver: {mode: anneal}\n",
      "solver mode must be 'exact' or 'heuristic'"),
+    (_RUN_SPEC + "  solver: {budget_nodes: lots}\n",
+     "spec.solver.budget_nodes must be an integer, got 'lots'"),
+    (_RUN_SPEC + "  solver: {scenario_budget_nodes: [1]}\n",
+     "spec.solver.scenario_budget_nodes must be an integer"),
+    (_RUN_SPEC + "  scenario: {small_threshold: x}\n",
+     "spec.scenario.small_threshold must be an integer"),
+    (_RUN_SPEC + "  scenario: {lag_sweep: [0, y]}\n",
+     "spec.scenario.lag_sweep must be an integer, got 'y'"),
+    (_RUN_SPEC + "  scenario: {lag_sweep: 5}\n",
+     "spec.scenario.lag_sweep must be a list, got 5"),
+    (_RUN_SPEC + "  risk: {moderate: medium}\n",
+     "spec.risk.moderate must be an integer"),
 ])
 def test_manifest_rejects_malformed_documents(tmp_path, text, message):
     path = tmp_path / "manifest.yaml"
@@ -335,11 +363,8 @@ def test_manifest_rejects_malformed_documents(tmp_path, text, message):
 
 def test_manifest_flag_overrides(paper_dir, tmp_path):
     path = paper_dir / "manifest.yaml"
-    loaded = cli.load_run_manifest(path, out=str(tmp_path), seed=7,
-                                   mode="heuristic")
-    assert (loaded.out, loaded.seed, loaded.mode) \
-        == (tmp_path, 7, "heuristic")
+    loaded = cli.load_run_manifest(path, out=str(tmp_path), mode="heuristic")
+    assert (loaded.out, loaded.mode) == (tmp_path, "heuristic")
     defaults = cli.load_run_manifest(path)
     assert defaults.out == paper_dir / "out"
-    assert (defaults.seed, defaults.mode, defaults.budget_nodes) \
-        == (0, "exact", 200_000)
+    assert (defaults.mode, defaults.budget_nodes) == ("exact", 200_000)

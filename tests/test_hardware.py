@@ -9,11 +9,10 @@ from ddtwin.hardware import (DEFAULT_COST_TABLE, parse_deployment,
                              parse_topology)
 
 BASE = """
-clock_hz: 1000000000
 memories:
-  - {id: L2_0, level: L2, capacity: 1000, bandwidth: 32, latency: 4}
-  - {id: L3_0, level: L3, capacity: 8000, bandwidth: 32, latency: 30}
-  - {id: DDR_0, level: DDR, capacity: 100000, bandwidth: 16, latency: 100}
+  - {id: L2_0, level: L2, capacity: 1000}
+  - {id: L3_0, level: L3, capacity: 8000}
+  - {id: DDR_0, level: DDR, capacity: 100000}
 cores:
   - {id: 0, l2: L2_0, l3: L3_0}
 """
@@ -21,7 +20,6 @@ cores:
 
 def test_parse_minimal_topology():
     topo = parse_topology(BASE)
-    assert topo.clock_hz == 1_000_000_000
     assert [c.id for c in topo.cores] == [0]
     assert topo.core(0).l2 == "L2_0"
     assert {m.id: m.level for m in topo.memories} == {
@@ -49,7 +47,6 @@ def test_override_may_drop_bandwidth_term():
 def test_bundled_four_core_slice(paper_dir):
     topo = parse_topology((paper_dir / "topology.yaml").read_text())
     assert len(topo.cores) == 4
-    assert topo.clock_hz == 2_000_000_000
     l3 = next(m for m in topo.memories if m.id == "L3_0")
     assert l3.capacity == 48 * 1024 * 1024
 
@@ -62,6 +59,24 @@ def test_unknown_memory_level_rejected():
 def test_core_referencing_missing_memory_rejected():
     with pytest.raises(DiagnosticError, match="unknown memory 'L3_9'"):
         parse_topology(BASE.replace("l3: L3_0", "l3: L3_9"))
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("{id: 0, l2: L2_0, l3: L3_0}", "{id: 0, l2: L2_0}",
+     "core 1 is missing 'l3'"),
+    ("{id: 0, l2: L2_0", "{id: zero, l2: L2_0",
+     "core 1: 'id' must be an integer, got 'zero'"),
+    ("capacity: 8000", "capacity: lots",
+     "memory 2: 'capacity' must be an integer, got 'lots'"),
+    ("{id: DDR_0, ", "{", "memory 3 is missing 'id'"),
+    ("{id: DDR_0, level: DDR, capacity: 100000}", "7",
+     "memory 3 must be a mapping"),
+    ("cores:\n", "pattern_costs: {L2toL2: {base: x}}\ncores:\n",
+     "pattern_costs.L2toL2: 'base' must be an integer, got 'x'"),
+])
+def test_malformed_memory_or_core_is_diagnosed(old, new, message):
+    with pytest.raises(DiagnosticError, match=message):
+        parse_topology(BASE.replace(old, new))
 
 
 def test_duplicate_core_ids_rejected():

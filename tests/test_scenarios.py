@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 import yaml
 
+from ddtwin import scenarios
 from ddtwin.diagnostics import DiagnosticError
 from ddtwin.elaborate import elaborate
 from ddtwin.flows import SymbolTable, parse_flow_source
@@ -296,6 +297,30 @@ def test_batch_evaluation_shares_one_baseline():
     assert {r.baseline_latency for r in results} == {300}
 
 
+def test_batch_evaluation_solves_a_shared_injection_set_once(monkeypatch):
+    # a scenario-file spec that repeats an enumerated family keeps the
+    # file's name, and the family's injection set is solved only once
+    g = chain_graph(CATALOG)
+    enumerated = enumerate_scenarios(g, CATALOG)
+    assert enumerated[1].name == "evict-fn-fn0"
+    from_file = parse_scenario_stream(scenario_doc(
+        injections=[{"kind": "EVICT_BUFFER", "targets": ["b0"]}]))
+    assert from_file[0].injections == enumerated[1].injections
+    solved = []
+
+    def counting_solve(graph, *args):
+        solved.append(graph)
+        return solve_best_case(graph, *args)
+
+    monkeypatch.setattr(scenarios, "solve_best_case", counting_solve)
+    results = evaluate_scenarios(from_file + enumerated, g, TOPO, CATALOG)
+    assert [r.name for r in results] == [
+        "evict-things", "baseline", "evict-fn-fn1", "evict-small"]
+    assert results[0].latency == 1363
+    # the baseline, then evict-things, evict-fn-fn1 and evict-small
+    assert len(solved) == 4
+
+
 # -- enumeration -----------------------------------------------------------------
 
 def test_enumerated_families_on_a_chain():
@@ -465,13 +490,11 @@ def test_parse_scenario_documents():
     text = scenario_doc(injections=[
         {"kind": "evict_buffer", "targets": "b0"},
         {"kind": "PIN_TASKS", "targets": ["t0"], "cores": [0, 1]},
-        {"kind": "START_LAG", "value": 40}],
-        baseline="other.csv")
+        {"kind": "START_LAG", "value": 40}])
     specs = parse_scenario_stream(text)
     assert len(specs) == 1
     spec = specs[0]
     assert spec.name == "evict-things"
-    assert spec.baseline_ref == "other.csv"
     assert spec.injections == (
         Injection(kind="EVICT_BUFFER", targets=("b0",)),
         Injection(kind="PIN_TASKS", targets=("t0",), cores=frozenset({0, 1})),
