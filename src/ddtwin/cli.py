@@ -117,9 +117,13 @@ def load_run_manifest(path: str | Path, out: str | None = None,
             raise _err(f"run manifest spec.{section}.{key} must be an "
                        f"integer, got {value!r}") from None
 
-    solver = spec.get("solver") or {}
-    scenario = spec.get("scenario") or {}
-    risk_raw = spec.get("risk") or {}
+    def section(key: str) -> dict:
+        value = spec.get(key) or {}
+        if not isinstance(value, dict):
+            raise _err(f"run manifest spec.{key} must be a mapping, got {value!r}")
+        return value
+
+    solver, scenario, risk_raw = map(section, ("solver", "scenario", "risk"))
     defaults = RiskThresholds()
     risk = RiskThresholds(**{
         key: integer("risk", key, risk_raw.get(key, getattr(defaults, key)))

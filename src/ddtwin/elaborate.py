@@ -272,22 +272,16 @@ def elaborate(defs: list[FlowDef], entry: str, symbols: SymbolTable,
 
 def _resolve_patterns(fn_meta: FunctionMetadata, catalog: PatternCatalog,
                       diags: list[Diagnostic]) -> tuple[str, ...]:
-    resolved: list[str] = []
-    missing = False
-    for name in fn_meta.available_patterns:
-        p = catalog.get(name)
-        if p is None:
-            missing = True
-            diags.append(error_at(1, 1,
-                                  f"function {fn_meta.name!r} lists pattern {name!r} "
-                                  f"which is not in the catalog"))
-        elif p.name not in resolved:
-            resolved.append(p.name)
-    if not resolved and not missing:
-        diags.append(error_at(1, 1,
-                              f"function {fn_meta.name!r} has no usable patterns"))
-    resolved.sort(key=catalog.index)
-    return tuple(resolved)
+    """The catalog's own spelling of each pattern ``fn_meta`` lists, once
+    each, in catalog order."""
+    names = fn_meta.available_patterns
+    if not names:
+        diags.append(error_at(1, 1, f"function {fn_meta.name!r} has no usable patterns"))
+    diags.extend(error_at(1, 1, f"function {fn_meta.name!r} lists pattern {name!r} "
+                                f"which is not in the catalog")
+                 for name in names if catalog.get(name) is None)
+    found = {catalog.index(n) for n in names if catalog.get(n) is not None}
+    return tuple(catalog.patterns[i].name for i in sorted(found))
 
 
 def _find_cycle(graph: TaskGraph) -> list[str]:

@@ -101,11 +101,22 @@ def _get(entry: dict, key: str, what: str, diags: list, kind: type = int,
         return None
 
 
+def _section(raw: dict, key: str, kind: type, what: str, diags: list):
+    """``raw[key]`` if it is a ``kind`` (list or dict), else an empty one;
+    a value of another shape is reported in ``diags``."""
+    value = raw.get(key) or kind()
+    if not isinstance(value, kind):
+        shape = "list" if kind is list else "mapping"
+        diags.append(error_at(1, 1, f"{what} {key} must be a {shape}, got {value!r}"))
+        return kind()
+    return value
+
+
 def parse_topology(text: str) -> HardwareTopology:
     raw = _load_yaml_mapping(text, "topology")
     diags = []
     memories: list[Memory] = []
-    for i, m in enumerate(raw.get("memories", [])):
+    for i, m in enumerate(_section(raw, "memories", list, "topology", diags)):
         what = f"memory {i + 1}"
         if not isinstance(m, dict):
             diags.append(error_at(1, 1, f"{what} must be a mapping"))
@@ -121,7 +132,7 @@ def parse_topology(text: str) -> HardwareTopology:
             memories.append(mem)
     mem_ids = {m.id for m in memories}
     cores: list[Core] = []
-    for i, c in enumerate(raw.get("cores", [])):
+    for i, c in enumerate(_section(raw, "cores", list, "topology", diags)):
         what = f"core {i + 1}"
         if not isinstance(c, dict):
             diags.append(error_at(1, 1, f"{what} must be a mapping"))
@@ -140,7 +151,7 @@ def parse_topology(text: str) -> HardwareTopology:
         diags.append(error_at(1, 1, "duplicate core ids in topology"))
 
     costs = dict(DEFAULT_COST_TABLE)
-    for klass, entry in (raw.get("pattern_costs") or {}).items():
+    for klass, entry in _section(raw, "pattern_costs", dict, "topology", diags).items():
         what = f"pattern_costs.{klass}"
         if klass not in DEFAULT_COST_TABLE:
             diags.append(error_at(1, 1, f"pattern_costs names unknown class {klass!r}"))
@@ -161,14 +172,22 @@ def parse_deployment(text: str) -> DeploymentConfig:
     raw = _load_yaml_mapping(text, "deployment")
     if "entry_flow" not in raw:
         raise DiagnosticError([error_at(1, 1, "deployment must name an entry_flow")])
-    symbols = {str(k): int(v) for k, v in (raw.get("symbols") or {}).items()}
-    equation_values = {str(k): int(v) for k, v in (raw.get("equation_values") or {}).items()}
+    diags: list = []
+
+    def integers(key: str) -> dict[str, int]:
+        values = _section(raw, key, dict, "deployment", diags)
+        return {str(k): _get(values, k, f"deployment {key}", diags) for k in values}
+
     lag = raw.get("max_start_lag")
-    return DeploymentConfig(
+    config = DeploymentConfig(
         entry_flow=str(raw["entry_flow"]),
-        symbols=symbols,
-        slot_budget=int(raw.get("slot_budget", 1_000_000)),
-        max_start_lag=int(lag) if lag is not None else None,
-        metadata_files=[str(p) for p in (raw.get("metadata_files") or [])],
-        equation_values=equation_values,
+        symbols=integers("symbols"),
+        slot_budget=_get(raw, "slot_budget", "deployment", diags, default=1_000_000),
+        max_start_lag=None if lag is None else _get(raw, "max_start_lag", "deployment", diags),
+        metadata_files=[str(p) for p in
+                        _section(raw, "metadata_files", list, "deployment", diags)],
+        equation_values=integers("equation_values"),
     )
+    if diags:
+        raise DiagnosticError(diags)
+    return config

@@ -15,6 +15,7 @@ Three kinds exist:
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -167,7 +168,8 @@ def _parse_sdk(name: str, spec: dict, index: int) -> FunctionMetadata:
 # ---------------------------------------------------------------------------
 # Timing equations
 
-_RELOPS = ("<=", ">=", "<", ">", "=")
+_RELOPS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt,
+           "=": operator.eq}
 _TOKEN_RE = re.compile(r"\s*(<=|>=|<|>|=|\+|\*|[A-Za-z_][A-Za-z0-9_]*|\d+)")
 
 
@@ -269,17 +271,7 @@ def evaluate_timing_equation(doc: TimingEquationDoc, assignment: dict[str, int])
     result = True
     left = term_value(sequence[0])
     for i in range(1, len(sequence), 2):
-        op = sequence[i]
         right = term_value(sequence[i + 1])
-        if op == "<":
-            result = result and left < right
-        elif op == "<=":
-            result = result and left <= right
-        elif op == ">":
-            result = result and left > right
-        elif op == ">=":
-            result = result and left >= right
-        else:
-            result = result and left == right
+        result = result and _RELOPS[sequence[i]](left, right)
         left = right
     return result

@@ -161,7 +161,7 @@ def _simulate(order: list[str], kappa: dict[str, int], rho: dict,
         for buf_id in task.outputs:
             buf = graph.buffers[buf_id]
             pattern = rho[buf_id]
-            duration = transfer_cost(pattern.name, buf.size, topology.pattern_costs)
+            duration = transfer_cost(pattern.klass, buf.size, topology.pattern_costs)
             lower = end
             if buf.release is not None:
                 lower = max(lower, buf.release)

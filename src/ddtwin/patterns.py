@@ -13,14 +13,16 @@ exist:
 Catalogs are either parsed from XML (``<patterns>`` root with one
 ``<pattern>`` element per entry) or generated from a hardware topology.
 Pattern names in the wild mix ``.`` and ``_`` separators and letter case
-(``accl3_0`` vs ``accL3_0``), so all lookups go through a canonical token
-form that splits on both separators and merges digit suffixes.
+(``accl3_0`` vs ``accL3_0``); two spellings name one pattern when their
+``canonical_name`` (split on both separators, digit suffixes merged)
+agrees.  ``Pattern.name`` keeps the spelling its source gives.
 
-``Pattern.name`` keeps the spelling its source gives; no display form is
-imposed.  Names taken from two different sources (the XML catalog, an SDK
-manifest, a scenario YAML) are equal when their ``canonical_name`` agrees,
-so compare them through ``PatternCatalog.get`` / ``lookup``, never as raw
-strings.
+A name is parsed once, when its ``Pattern`` is built.  After that only
+``PatternCatalog`` reads names: it interns each spelling, canonicalising
+it the first time it is asked about it, so names from two sources (the XML
+catalog, an SDK manifest, a scenario YAML) are compared through the
+catalog (``get`` / ``lookup`` / ``index``), never as raw strings, and the
+code past it works with the resolved patterns and their positions.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
 from .diagnostics import DiagnosticError, error_at
-
-PATTERN_CLASSES = ("pipeline", "L2toL2", "big_delay")
 
 SHARE_KEYS = ("L2_II", "L2_IO", "L2_OI", "L2_OO",
               "L3_II", "L3_IO", "L3_OI", "L3_OO")
@@ -68,8 +68,8 @@ def pattern_class(name: str) -> str:
     raise DiagnosticError([error_at(1, 1, f"unknown pattern class in name {name!r}")])
 
 
-def _core_hint(name: str) -> int | None:
-    for tok in canonical_name(name):
+def _core_hint(tokens: tuple[str, ...]) -> int | None:
+    for tok in tokens:
         m = re.fullmatch(r"c(\d+)", tok)
         if m:
             return int(m.group(1))
@@ -84,51 +84,50 @@ class Pattern:
     exclusive_define_with: tuple[str, ...] = ()
     shares: dict[str, tuple[str, ...]] = field(default_factory=dict)
     can_observe: tuple[str, ...] = ()
+    # (level, anchor) points its transfers pass; only generated catalogs know them
+    anchors: frozenset[tuple[str, str]] = frozenset()
 
     def __post_init__(self) -> None:
         self.canonical = canonical_name(self.name)
         self.klass = pattern_class(self.name)
-        self.core_hint = _core_hint(self.name)
+        self.core_hint = _core_hint(self.canonical)
         for key in SHARE_KEYS:
             self.shares.setdefault(key, ())
 
 
 class PatternCatalog:
-    """Ordered pattern collection with canonical-name lookup and a
-    precomputed symmetric contention relation."""
+    """Ordered pattern collection that resolves any spelling of a name to
+    its position, with a precomputed symmetric contention relation."""
 
     def __init__(self, patterns: list[Pattern]):
         self.patterns = list(patterns)
         # cores whose pattern sets are isomorphic under relabeling; only the
         # topology generator can certify this, parsed catalogs leave it empty
         self.symmetric_core_groups: tuple[frozenset[int], ...] = ()
-        self._by_canonical: dict[tuple[str, ...], Pattern] = {}
-        self._index: dict[tuple[str, ...], int] = {}
-        diags = []
-        for i, p in enumerate(self.patterns):
-            if p.canonical in self._by_canonical:
-                diags.append(error_at(1, 1, f"duplicate pattern name {p.name!r}"))
-                continue
-            self._by_canonical[p.canonical] = p
-            self._index[p.canonical] = i
-        for p in self.patterns:
-            for member in p.exclusive_define_with + p.can_observe + tuple(
-                    m for key in SHARE_KEYS for m in p.shares[key]):
-                if canonical_name(member) not in self._by_canonical:
-                    diags.append(error_at(1, 1,
-                                          f"pattern {p.name!r} references unknown pattern {member!r}"))
+        # spelling -> catalog position (None: no such pattern), grown by _id;
+        # resolving each pattern's own name seeds it and finds duplicates
+        self._ids: dict[str, int | None] = {}
+        diags = [error_at(1, 1, f"duplicate pattern name {p.name!r}")
+                 for i, p in enumerate(self.patterns) if self._id(p.name) != i]
+
+        def serializing(p: Pattern) -> tuple[str, ...]:
+            return p.exclusive_define_with + tuple(
+                m for key in SHARE_KEYS for m in p.shares[key])
+
+        diags += [error_at(1, 1, f"pattern {p.name!r} references unknown pattern {member!r}")
+                  for p in self.patterns for member in serializing(p) + p.can_observe
+                  if self._id(member) is None]
         if diags:
             raise DiagnosticError(diags)
         # contention closes the declared relations symmetrically: a transfer
-        # pair serializes if either side declares exclusivity or sharing
-        self._contends: dict[tuple[str, ...], set[tuple[str, ...]]] = {
-            p.canonical: set() for p in self.patterns}
-        for p in self.patterns:
-            for member in p.exclusive_define_with + tuple(
-                    m for key in SHARE_KEYS for m in p.shares[key]):
-                other = canonical_name(member)
-                self._contends[p.canonical].add(other)
-                self._contends[other].add(p.canonical)
+        # pair serializes if either side declares exclusivity or sharing.
+        # Bit j of contention[i] is set when positions i and j contend.
+        masks = [0] * len(self.patterns)
+        for i, p in enumerate(self.patterns):
+            for j in map(self._id, serializing(p)):
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+        self.contention: tuple[int, ...] = tuple(masks)
 
     def __len__(self) -> int:
         return len(self.patterns)
@@ -136,24 +135,30 @@ class PatternCatalog:
     def __iter__(self):
         return iter(self.patterns)
 
+    def _id(self, name: str) -> int | None:
+        """Position of the pattern ``name`` spells.  A spelling not seen
+        before is canonicalised once and remembered, resolved or not."""
+        if name not in self._ids:
+            canonical = canonical_name(name)
+            self._ids[name] = next((i for i, p in enumerate(self.patterns)
+                                    if p.canonical == canonical), None)
+        return self._ids[name]
+
     def get(self, name: str) -> Pattern | None:
-        return self._by_canonical.get(canonical_name(name))
+        i = self._id(name)
+        return None if i is None else self.patterns[i]
 
     def lookup(self, name: str) -> Pattern:
-        p = self.get(name)
-        if p is None:
-            raise KeyError(f"pattern {name!r} is not in the catalog")
-        return p
+        return self.patterns[self.index(name)]
 
     def index(self, name: str) -> int:
-        return self._index[canonical_name(name)]
+        i = self._id(name)
+        if i is None:
+            raise KeyError(f"pattern {name!r} is not in the catalog")
+        return i
 
     def contends(self, a: str, b: str) -> bool:
-        return canonical_name(b) in self._contends[canonical_name(a)]
-
-    def contention_set(self, name: str) -> frozenset:
-        """Canonical names of every pattern this one serializes against."""
-        return frozenset(self._contends[canonical_name(name)])
+        return bool(self.contention[self.index(a)] >> self.index(b) & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +270,15 @@ def _anchor_sets(specs: list[dict]) -> list[Pattern]:
         can_observe = tuple(
             q["name"] for q in specs
             if q["defining_memory"] == spec["observing_memory"])
-        p = Pattern(name=spec["name"],
-                    defining_memory=spec["defining_memory"],
-                    observing_memory=spec["observing_memory"],
-                    exclusive_define_with=exclusive,
-                    shares=shares,
-                    can_observe=can_observe)
-        p.anchors = anchors
-        patterns.append(p)
+        patterns.append(Pattern(
+            name=spec["name"],
+            defining_memory=spec["defining_memory"],
+            observing_memory=spec["observing_memory"],
+            exclusive_define_with=exclusive,
+            shares=shares,
+            can_observe=can_observe,
+            anchors=frozenset((level, a) for level, pair in anchors.items()
+                              for a in pair if a is not None)))
     return patterns
 
 
@@ -299,16 +305,12 @@ def generate_patterns_from_topology(topology) -> PatternCatalog:
         l2 = core.l2
         l2_any = f"{m}.l2port"
         for ddr in topology.memories_of_level("DDR"):
-            specs.append({
-                "name": f"big_delay.c_{core.id}.{m}.{ddr.id}.{m}",
-                "defining_memory": m, "observing_memory": m,
-                "anchors": {"L2": (l2, l2_any), "L3": (None, None)},
-            })
-            specs.append({
-                "name": f"big_delay.c_{core.id}.{m}.{ddr.id}.acc{m}",
-                "defining_memory": m, "observing_memory": m,
-                "anchors": {"L2": (l2, l2_any), "L3": (None, None)},
-            })
+            for port in (m, f"acc{m}"):
+                specs.append({
+                    "name": f"big_delay.c_{core.id}.{m}.{ddr.id}.{port}",
+                    "defining_memory": m, "observing_memory": m,
+                    "anchors": {"L2": (l2, l2_any), "L3": (None, None)},
+                })
         specs.append({
             "name": f"pipeline.c_{core.id}.{m}",
             "defining_memory": l2, "observing_memory": l2,
@@ -333,13 +335,13 @@ def generate_patterns_from_topology(topology) -> PatternCatalog:
 # Transfer cost
 
 
-def transfer_cost(pattern_name: str, size: int, cost_table: dict) -> int:
-    """Cycles a transfer of ``size`` bytes takes under the pattern's class.
+def transfer_cost(klass: str, size: int, cost_table: dict) -> int:
+    """Cycles a transfer of ``size`` bytes takes under cost class ``klass``
+    (a ``Pattern.klass``).
 
     cost = base latency + ceil(size / bandwidth); classes without a
     bandwidth entry (pipeline stays in cache) have no size term.
     """
-    klass = pattern_class(pattern_name)
     if klass not in cost_table:
         raise KeyError(f"cost table has no entry for pattern class {klass!r}")
     base, bandwidth = cost_table[klass]

@@ -18,7 +18,7 @@ import yaml
 from .diagnostics import DiagnosticError, error_at
 from .graph import TaskGraph
 from .hardware import HardwareTopology
-from .patterns import PatternCatalog, pattern_class
+from .patterns import PatternCatalog
 from .solver import SolveOpts, SolveOutcome, solve_best_case
 
 EVICT_BUFFER = "EVICT_BUFFER"
@@ -150,7 +150,7 @@ def apply_injections(graph: TaskGraph, injections: tuple[Injection, ...],
     """A copy of ``graph`` with every injection applied, in order."""
     for inj in injections:
         if inj.kind == EVICT_BUFFER:
-            graph = _apply_evict(graph, inj)
+            graph = _apply_evict(graph, inj, catalog)
         elif inj.kind == PIN_TASKS:
             graph = _apply_pin(graph, inj)
         elif inj.kind == START_LAG:
@@ -164,11 +164,12 @@ def apply_injections(graph: TaskGraph, injections: tuple[Injection, ...],
     return graph
 
 
-def _apply_evict(graph: TaskGraph, inj: Injection) -> TaskGraph:
+def _apply_evict(graph: TaskGraph, inj: Injection,
+                 catalog: PatternCatalog) -> TaskGraph:
     for buf_id in resolve_buffer_targets(graph, inj.targets):
         buf = graph.buffers[buf_id]
         kept = tuple(p for p in buf.allowed_patterns
-                     if pattern_class(p) == _DDR_CLASS)
+                     if catalog.lookup(p).klass == _DDR_CLASS)
         if not kept:
             raise _err(f"evicting {buf_id!r} leaves no DDR-capable "
                        f"pattern; it cannot be forced off-chip")
@@ -342,8 +343,8 @@ def evaluate_scenarios(specs: list[ScenarioSpec], graph: TaskGraph,
 
 # -- enumeration ------------------------------------------------------------
 
-def _evictable(graph: TaskGraph, buf_id: str) -> bool:
-    return any(pattern_class(p) == _DDR_CLASS
+def _evictable(graph: TaskGraph, catalog: PatternCatalog, buf_id: str) -> bool:
+    return any(catalog.lookup(p).klass == _DDR_CLASS
                for p in graph.buffers[buf_id].allowed_patterns)
 
 
@@ -367,17 +368,17 @@ def enumerate_scenarios(graph: TaskGraph, catalog: PatternCatalog, *,
 
     functions: list[str] = []
     for task in graph.tasks.values():
-        outputs = [b for b in task.outputs if _evictable(graph, b)]
+        outputs = [b for b in task.outputs if _evictable(graph, catalog, b)]
         if outputs and task.function not in functions:
             functions.append(task.function)
     for fn in sorted(functions):
         targets = tuple(sorted(
             {b for task in graph.tasks.values() if task.function == fn
-             for b in task.outputs if _evictable(graph, b)}))
+             for b in task.outputs if _evictable(graph, catalog, b)}))
         specs.append(ScenarioSpec(
             f"evict-fn-{fn}", (Injection(EVICT_BUFFER, targets=targets),)))
 
-    evictable = sorted(b for b in graph.buffers if _evictable(graph, b))
+    evictable = sorted(b for b in graph.buffers if _evictable(graph, catalog, b))
     small = tuple(b for b in evictable
                   if graph.buffers[b].size < small_threshold)
     large = tuple(b for b in evictable

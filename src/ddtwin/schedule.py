@@ -177,11 +177,11 @@ def check_schedule(schedule: Schedule, graph: TaskGraph,
             out.append(Violation(PATTERN_VIOLATION, buf.id,
                                  f"transfer uses unknown pattern {tr.pattern!r}"))
             continue
-        if pattern.name not in buf.allowed_patterns:
+        if all(catalog.get(n) is not pattern for n in buf.allowed_patterns):
             out.append(Violation(PATTERN_VIOLATION, buf.id,
                                  f"pattern {pattern.name!r} is not available to the "
                                  f"defining function"))
-        expect = transfer_cost(pattern.name, buf.size, topology.pattern_costs)
+        expect = transfer_cost(pattern.klass, buf.size, topology.pattern_costs)
         if tr.duration != expect:
             out.append(Violation(PATTERN_VIOLATION, buf.id,
                                  f"transfer duration {tr.duration} does not match the "

@@ -26,10 +26,11 @@ before it may become the incumbent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
-from .graph import TaskGraph
+from .graph import Buffer, TaskGraph
 from .hardware import HardwareTopology
 from .patterns import Pattern, PatternCatalog, transfer_cost
 from .schedule import (BUFFER_OVERFLOW, DEADLINE_MISS, LAG_VIOLATION,
@@ -60,11 +61,26 @@ class _BudgetExhausted(Exception):
     pass
 
 
+class _Choice(NamedTuple):
+    """One allowed pattern of one buffer, resolved once: its catalog
+    position (search order and contention bit) and its transfer cycles."""
+    pattern: Pattern
+    index: int
+    cost: int
+
+
+class _Move(NamedTuple):
+    """A placed transfer: the chosen pattern and the cycles it occupies."""
+    choice: _Choice
+    start: int
+    end: int
+
+
 @dataclass
 class _State:
     placed: dict[str, tuple[int, int]]
     finish: dict[str, int]
-    transfers: dict[str, Transfer]
+    transfers: dict[str, _Move]
     core_free: dict[int, int]
     forced: dict[str, int]
     used: frozenset[int]
@@ -87,7 +103,6 @@ class _Search:
         self.opts = opts
         self.max_lag = effective_max_start_lag(graph, opts.max_start_lag)
         self.cores = sorted(c.id for c in topology.cores)
-        self.cost_table = topology.pattern_costs
 
         self.best: int | None = None
         self.best_schedule: Schedule | None = None
@@ -100,17 +115,26 @@ class _Search:
             for obs in buf.observers:
                 self.preds[obs].add(buf.definer)
         self.topo_order = self._toposort()
-        self.min_dur = {
-            b.id: min((transfer_cost(name, b.size, self.cost_table)
-                       for name in b.allowed_patterns), default=0)
-            for b in graph.buffers.values()}
+        self.choices = {b.id: self._resolve(b) for b in graph.buffers.values()}
+        self.min_dur = {b: min((c.cost for c in cs), default=0)
+                        for b, cs in self.choices.items()}
         self.down = self._down_ranks()
         self.load_bound = self._static_load_bound()
         self.anchor_base, self.common_anchors = self._anchor_tables()
         self.group_of = self._validated_symmetry()
-        self._static_opts: dict[tuple[str, int], tuple[list[Pattern], list[Pattern]]] = {}
+        self._static_opts = {(b, c): self._static_options_for(b, c)
+                             for b in self.choices for c in self.cores}
 
     # -- precomputation ----------------------------------------------------
+
+    def _resolve(self, buf: Buffer) -> tuple[_Choice, ...]:
+        """``buf``'s allowed names as catalog-ordered choices, one per
+        pattern; a name the catalog does not hold offers no choice."""
+        found = {self.catalog.index(p.name): p for n in buf.allowed_patterns
+                 if (p := self.catalog.get(n)) is not None}
+        return tuple(_Choice(p, i, transfer_cost(p.klass, buf.size,
+                                                 self.topology.pattern_costs))
+                     for i, p in sorted(found.items()))
 
     def _toposort(self) -> list[str]:
         indeg = {t: len(self.preds[t]) for t in self.graph.tasks}
@@ -152,89 +176,58 @@ class _Search:
         """Per-anchor serialization floors.  Patterns touching one anchor
         pairwise contend, so their transfer durations sum; a buffer counts
         toward an anchor only when every allowed pattern touches it."""
-        def anchor_set(p: Pattern) -> frozenset:
-            anchors = getattr(p, "anchors", None)
-            if anchors is None:
-                return frozenset()
-            return frozenset((level, a) for level, pair in anchors.items()
-                             for a in pair if a is not None)
-
-        self._anchor_set_of: dict[str, frozenset] = {
-            p.name: anchor_set(p) for p in self.catalog}
         common: dict[str, frozenset] = {}
-        base: dict[frozenset | tuple, int] = {}
         totals: dict = {}
-        for buf in self.graph.buffers.values():
-            sets = [self._anchor_set_of.get(self.catalog.lookup(n).name, frozenset())
-                    for n in buf.allowed_patterns]
+        for buf_id, choices in self.choices.items():
+            sets = [c.pattern.anchors for c in choices]
             shared = frozenset.intersection(*sets) if sets else frozenset()
-            common[buf.id] = shared
+            common[buf_id] = shared
             for anchor in shared:
-                totals[anchor] = totals.get(anchor, 0) + self.min_dur[buf.id]
+                totals[anchor] = totals.get(anchor, 0) + self.min_dur[buf_id]
         return totals, common
 
     def _validated_symmetry(self) -> dict[int, int]:
         """core id -> symmetry group index, for groups nothing distinguishes."""
         group_of: dict[int, int] = {}
         for gi, group in enumerate(self.catalog.symmetric_core_groups):
-            broken = False
-            for task in self.graph.tasks.values():
-                allowed = task.allowed_cores
-                if allowed is not None and 0 < len(group & allowed) < len(group):
-                    broken = True
-                    break
-            if not broken:
-                for buf in self.graph.buffers.values():
-                    klasses = set()
-                    for c in group:
-                        kl = frozenset(
-                            p.klass for name in buf.allowed_patterns
-                            if (p := self.catalog.get(name)) is not None
-                            and p.core_hint in (None, c))
-                        klasses.add(kl)
-                    if len(klasses) > 1:
-                        broken = True
-                        break
-            if not broken:
-                for c in group:
-                    group_of[c] = gi
+            if any(t.allowed_cores is not None
+                   and 0 < len(group & t.allowed_cores) < len(group)
+                   for t in self.graph.tasks.values()):
+                continue
+            if any(len({frozenset(ch.pattern.klass for ch in choices
+                                  if ch.pattern.core_hint in (None, c))
+                        for c in group}) > 1
+                   for choices in self.choices.values()):
+                continue
+            group_of.update(dict.fromkeys(group, gi))
         return group_of
 
     # -- pattern options ---------------------------------------------------
 
-    def _identical_behavior(self, a: Pattern, b: Pattern, size: int) -> bool:
-        return (transfer_cost(a.name, size, self.cost_table)
-                == transfer_cost(b.name, size, self.cost_table)
-                and self.catalog.contention_set(a.name) == self.catalog.contention_set(b.name)
-                and a.defining_memory == b.defining_memory
-                and a.observing_memory == b.observing_memory)
+    def _identical_behavior(self, a: _Choice, b: _Choice) -> bool:
+        return (a.cost == b.cost
+                and self.catalog.contention[a.index] == self.catalog.contention[b.index]
+                and a.pattern.defining_memory == b.pattern.defining_memory
+                and a.pattern.observing_memory == b.pattern.observing_memory)
 
-    def _static_options_for(self, buf_id: str, core: int):
-        key = (buf_id, core)
-        cached = self._static_opts.get(key)
-        if cached is not None:
-            return cached
-        buf = self.graph.buffers[buf_id]
-        compat = [p for name in buf.allowed_patterns
-                  if (p := self.catalog.get(name)) is not None
-                  and p.core_hint in (None, core)]
-        compat.sort(key=lambda p: self.catalog.index(p.name))
+    def _static_options_for(self, buf_id: str, core: int
+                            ) -> tuple[list[_Choice], list[_Choice]]:
+        compat = [c for c in self.choices[buf_id]
+                  if c.pattern.core_hint in (None, core)]
         if self.opts.dedup_patterns:
-            kept: list[Pattern] = []
-            for p in compat:
-                if any(self._identical_behavior(p, q, buf.size) for q in kept):
-                    continue
-                kept.append(p)
+            kept: list[_Choice] = []
+            for c in compat:
+                if not any(self._identical_behavior(c, k) for k in kept):
+                    kept.append(c)
             compat = kept
-        nonp = [p for p in compat if p.klass != "pipeline"]
-        self._static_opts[key] = (compat, nonp)
+        nonp = [c for c in compat if c.pattern.klass != "pipeline"]
         return compat, nonp
 
-    def _options(self, buf_id: str, core: int, state: _State) -> list[Pattern]:
-        """Catalog-ordered patterns for ``buf_id`` defined on ``core``; the
+    def _options(self, buf_id: str, core: int, state: _State) -> list[_Choice]:
+        """Catalog-ordered choices for ``buf_id`` defined on ``core``; the
         pipeline ones only if no observer is barred from ``core`` or forced
         elsewhere.  The lists are cached and shared: do not mutate them."""
-        every, nonp = self._static_options_for(buf_id, core)
+        every, nonp = self._static_opts[buf_id, core]
         if len(every) == len(nonp):
             return nonp
         for obs in self.graph.buffers[buf_id].observers:
@@ -247,7 +240,7 @@ class _Search:
     # -- placement ---------------------------------------------------------
 
     def _place(self, state: _State, task_id: str, core: int,
-               combo: tuple[Pattern, ...]):
+               combo: tuple[_Choice, ...]):
         task = self.graph.tasks[task_id]
         ready = 0
         for buf_id in task.inputs:
@@ -262,28 +255,24 @@ class _Search:
 
         transfers = dict(state.transfers)
         span = max(state.span, fin)
-        for buf_id, pattern in zip(task.outputs, combo):
+        for buf_id, choice in zip(task.outputs, combo):
             buf = self.graph.buffers[buf_id]
-            duration = transfer_cost(pattern.name, buf.size, self.cost_table)
-            lower = fin if buf.release is None else max(fin, buf.release)
-            u = lower
+            duration = choice.cost
+            u = fin if buf.release is None else max(fin, buf.release)
             if duration > 0:
+                mask = self.catalog.contention[choice.index]
                 moved = True
                 while moved:
                     moved = False
                     for tr in transfers.values():
-                        if tr.duration == 0:
-                            continue
-                        if not self.catalog.contends(pattern.name, tr.pattern):
-                            continue
-                        if u < tr.end and tr.start < u + duration:
+                        if (tr.end > tr.start and mask >> tr.choice.index & 1
+                                and u < tr.end and tr.start < u + duration):
                             u = tr.end
                             moved = True
             end = u + duration
             if buf.avail_deadline is not None and end > buf.avail_deadline:
                 return None, DEADLINE_MISS
-            transfers[buf_id] = Transfer(pattern=pattern.name, start=u,
-                                         duration=duration)
+            transfers[buf_id] = _Move(choice, u, end)
             span = max(span, end)
 
         placed = dict(state.placed)
@@ -293,8 +282,8 @@ class _Search:
         core_free = dict(state.core_free)
         core_free[core] = fin
         forced = state.forced
-        for buf_id, pattern in zip(task.outputs, combo):
-            if pattern.klass == "pipeline":
+        for buf_id, choice in zip(task.outputs, combo):
+            if choice.pattern.klass == "pipeline":
                 if forced is state.forced:
                     forced = dict(state.forced)
                 for obs in self.graph.buffers[buf_id].observers:
@@ -313,7 +302,7 @@ class _Search:
         claims: list[tuple[str, int, int, int]] = []
         for buf_id, tr in state.transfers.items():
             buf = self.graph.buffers[buf_id]
-            pattern = self.catalog.lookup(tr.pattern)
+            pattern = tr.choice.pattern
             born = state.finish[buf.definer]
             last = tr.end
             for obs in buf.observers:
@@ -373,12 +362,10 @@ class _Search:
         if self.anchor_base:
             extras: dict = {}
             for buf_id, tr in state.transfers.items():
-                touched = self._anchor_set_of.get(
-                    self.catalog.lookup(tr.pattern).name, frozenset())
                 shared = self.common_anchors[buf_id]
-                for anchor in touched:
+                for anchor in tr.choice.pattern.anchors:
                     counted = self.min_dur[buf_id] if anchor in shared else 0
-                    extras[anchor] = extras.get(anchor, 0) + tr.duration - counted
+                    extras[anchor] = extras.get(anchor, 0) + tr.choice.cost - counted
             for anchor, basev in self.anchor_base.items():
                 bound = max(bound, basev + extras.get(anchor, 0))
         return bound
@@ -435,7 +422,7 @@ class _Search:
                 continue
             outputs = self.graph.tasks[task_id].outputs
             for core in cands:
-                option_lists: list[list[Pattern]] = []
+                option_lists: list[list[_Choice]] = []
                 dead = False
                 for buf_id in outputs:
                     options = self._options(buf_id, core, state)
@@ -461,8 +448,7 @@ class _Search:
 
     def _leaf(self, state: _State) -> None:
         self.leaves += 1
-        schedule = Schedule(assignments=dict(state.placed),
-                            transfers=dict(state.transfers))
+        schedule = self._schedule(state)
         violations = check_schedule(schedule, self.graph, self.topology,
                                     self.catalog, max_start_lag=self.max_lag)
         if violations:
@@ -495,18 +481,15 @@ class _Search:
             best_child = None
             best_key = None
             for core in self._candidate_cores(task_id, state):
-                combo_pool: list[list[Pattern]] = []
+                combo_pool: list[list[_Choice]] = []
                 dead = False
                 for buf_id in self.graph.tasks[task_id].outputs:
                     options = self._options(buf_id, core, state)
                     if not options:
                         dead = True
                         break
-                    buf = self.graph.buffers[buf_id]
-                    by_cost = sorted(options, key=lambda p: (
-                        transfer_cost(p.name, buf.size, self.cost_table),
-                        self.catalog.index(p.name)))
-                    nonpipe = [p for p in by_cost if p.klass != "pipeline"]
+                    by_cost = sorted(options, key=lambda c: (c.cost, c.index))
+                    nonpipe = [c for c in by_cost if c.pattern.klass != "pipeline"]
                     if ban_colocate and nonpipe:
                         picks = [nonpipe[0]]
                     else:
@@ -521,22 +504,25 @@ class _Search:
                     if child is None:
                         continue
                     rank = child.finish[task_id] if by_finish else child.span
-                    key = (rank, child.span, core,
-                           tuple(self.catalog.index(p.name) for p in combo))
+                    key = (rank, child.span, core, tuple(c.index for c in combo))
                     if best_key is None or key < best_key:
                         best_key = key
                         best_child = child
             if best_child is None:
                 return
             state = best_child
-        schedule = Schedule(assignments=dict(state.placed),
-                            transfers=dict(state.transfers))
+        schedule = self._schedule(state)
         if self.best is not None and state.span >= self.best:
             return
         if not check_schedule(schedule, self.graph, self.topology, self.catalog,
                               max_start_lag=self.max_lag):
             self.best = state.span
             self.best_schedule = schedule
+
+    def _schedule(self, state: _State) -> Schedule:
+        return Schedule(assignments=dict(state.placed), transfers={
+            buf_id: Transfer(tr.choice.pattern.name, tr.start, tr.choice.cost)
+            for buf_id, tr in state.transfers.items()})
 
     def _root(self) -> _State:
         return _State(placed={}, finish={}, transfers={}, core_free={},
@@ -545,10 +531,8 @@ class _Search:
     # -- driver ------------------------------------------------------------
 
     def run(self) -> SolveOutcome:
-        seed_span = None
         self._seed()
-        if self.best is not None:
-            seed_span = self.best
+        seed_span = self.best
 
         complete = False
         if self.opts.mode == "exact":
@@ -556,7 +540,7 @@ class _Search:
                 self._expand(self._root())
                 complete = True
             except _BudgetExhausted:
-                complete = False
+                pass
         elif self.opts.mode != "heuristic":
             raise ValueError(f"unknown solve mode {self.opts.mode!r}")
 
@@ -568,10 +552,7 @@ class _Search:
             "complete": complete,
         }
         if self.best is not None:
-            if complete:
-                status = "optimal"
-            else:
-                status = "feasible"
+            status = "optimal" if complete else "feasible"
             return SolveOutcome(status=status, schedule=self.best_schedule,
                                 makespan=self.best, witness=None, stats=stats)
         if complete:

@@ -306,13 +306,26 @@ def test_missing_input_file_exits_1(tmp_path):
     assert f"input file '{tmp_path / 'flow.rdsl'}' does not exist" in err
 
 
-def test_unexpected_failure_exits_3(tmp_path):
+def test_unexpected_failure_exits_3(tmp_path, monkeypatch):
+    manifest = write_pressure_fixture(tmp_path, 3)
+
+    def broken_solver(*args):
+        raise RuntimeError("solver bug")
+
+    monkeypatch.setattr(cli, "solve_best_case", broken_solver)
+    code, out, err = run(["solve", "--manifest", str(manifest)])
+    assert (code, out) == (3, "")
+    assert err == "internal error: RuntimeError: solver bug\n"
+
+
+def test_non_integer_deployment_symbol_exits_1(tmp_path):
     manifest = write_pressure_fixture(tmp_path, 3)
     (tmp_path / "deployment.yaml").write_text(
         "entry_flow: manyJobs\nslot_budget: 150\nsymbols: {N: four}\n")
     code, out, err = run(["solve", "--manifest", str(manifest)])
-    assert (code, out) == (3, "")
-    assert err.startswith("internal error: ValueError:")
+    assert (code, out) == (1, "")
+    assert err == ("1:1: error: deployment symbols: 'N' must be an integer, "
+                   "got 'four'\n")
 
 
 def test_usage_errors_exit_2():
@@ -353,6 +366,9 @@ _RUN_SPEC = ("apiVersion: rdsl/v0\nkind: run\nspec:\n  flows: [f]\n"
      "spec.scenario.lag_sweep must be a list, got 5"),
     (_RUN_SPEC + "  risk: {moderate: medium}\n",
      "spec.risk.moderate must be an integer"),
+    (_RUN_SPEC + "  solver: 5\n", "spec.solver must be a mapping, got 5"),
+    (_RUN_SPEC + "  scenario: 5\n", "spec.scenario must be a mapping, got 5"),
+    (_RUN_SPEC + "  risk: 5\n", "spec.risk must be a mapping, got 5"),
 ])
 def test_manifest_rejects_malformed_documents(tmp_path, text, message):
     path = tmp_path / "manifest.yaml"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from ddtwin.diagnostics import DiagnosticError
@@ -73,6 +75,11 @@ def test_core_referencing_missing_memory_rejected():
      "memory 3 must be a mapping"),
     ("cores:\n", "pattern_costs: {L2toL2: {base: x}}\ncores:\n",
      "pattern_costs.L2toL2: 'base' must be an integer, got 'x'"),
+    ("memories:\n", "memories: 5\nunused:\n",
+     "topology memories must be a list, got 5"),
+    ("cores:\n", "cores: 5\nunused:\n", "topology cores must be a list, got 5"),
+    ("cores:\n", "pattern_costs: [L2toL2]\ncores:\n",
+     r"topology pattern_costs must be a mapping, got \['L2toL2'\]"),
 ])
 def test_malformed_memory_or_core_is_diagnosed(old, new, message):
     with pytest.raises(DiagnosticError, match=message):
@@ -133,5 +140,19 @@ def test_deployment_requires_entry_flow():
 
 
 def test_deployment_symbol_values_must_be_integers():
-    with pytest.raises(ValueError):
+    with pytest.raises(DiagnosticError,
+                       match="deployment symbols: 'N' must be an integer"):
         parse_deployment("entry_flow: main\nsymbols: {N: hello}\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("equation_values: {A: x}",
+     "deployment equation_values: 'A' must be an integer, got 'x'"),
+    ("slot_budget: soon", "deployment: 'slot_budget' must be an integer"),
+    ("max_start_lag: [1]", "deployment: 'max_start_lag' must be an integer"),
+    ("symbols: 5", "deployment symbols must be a mapping, got 5"),
+    ("metadata_files: 5", "deployment metadata_files must be a list, got 5"),
+])
+def test_malformed_deployment_is_diagnosed(text, message):
+    with pytest.raises(DiagnosticError, match=re.escape(message)):
+        parse_deployment(f"entry_flow: main\n{text}\n")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from ddtwin.graph import Buffer, TaskGraph, TaskInstance
@@ -127,3 +129,27 @@ def test_search_matches_enumeration_on_random_instances():
             assert res.makespan == ref.makespan, f"seed {seed}"
         else:
             assert res.status == "infeasible", f"seed {seed}"
+
+
+def _respelled(graph: TaskGraph) -> TaskGraph:
+    """``graph`` with every allowed pattern name in the dotted spelling
+    (``L2toL2.c.0.L3.0.accL3.0``), which names the same patterns."""
+    for buf in list(graph.buffers.values()):
+        graph = graph.with_buffer(replace(buf, allowed_patterns=tuple(
+            n.replace("_", ".") for n in buf.allowed_patterns)))
+    return graph
+
+
+def test_search_and_enumeration_agree_on_respelled_instances():
+    # names are compared through the catalog, not as strings, so a
+    # spelling other than the catalog's own changes no answer
+    for seed in range(10):
+        inst = random_instance(seed)
+        graph = _respelled(inst.graph)
+        assert graph.buffers != inst.graph.buffers, f"seed {seed}"
+        ref = brute_force_oracle(inst.graph, inst.topology, inst.catalog)
+        assert brute_force_oracle(graph, inst.topology, inst.catalog) == ref
+        res = solve_best_case(graph, inst.topology, inst.catalog)
+        assert (res.status, res.makespan) == (
+            ("optimal", ref.makespan) if ref.feasible else ("infeasible", None)), \
+            f"seed {seed}: {res.witness}"

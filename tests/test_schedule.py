@@ -34,7 +34,7 @@ FAR1 = "big_delay.c_1.L3_0.DDR_0.L3_0"
 
 
 def cost(pattern, size):
-    return transfer_cost(pattern, size, TOPO.pattern_costs)
+    return transfer_cost(CATALOG.lookup(pattern).klass, size, TOPO.pattern_costs)
 
 
 def task(tid, runtime=100, **kw):

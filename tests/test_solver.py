@@ -171,3 +171,23 @@ def test_external_release_delays_the_whole_chain():
     res = solve_best_case(g, TOPO, CATALOG)
     assert res.status == "optimal"
     assert res.makespan == 1300
+
+
+def test_names_resolve_once_at_the_catalog(du_dir, monkeypatch):
+    """Past the catalog, search and checker work with resolved patterns:
+    once the graph is built no name is canonicalised again."""
+    from ddtwin import patterns
+    from ddtwin.cli import build_graph, load_run, load_run_manifest
+
+    loaded = load_run(load_run_manifest(du_dir / "manifest.yaml"))
+    graph = build_graph(loaded)
+    calls = []
+    original = patterns.canonical_name
+    monkeypatch.setattr(patterns, "canonical_name",
+                        lambda name: calls.append(name) or original(name))
+    res = solve_best_case(graph, loaded.topology, loaded.catalog,
+                          SolveOpts(budget_nodes=3000))
+    assert res.schedule is not None
+    assert check_schedule(res.schedule, graph, loaded.topology,
+                          loaded.catalog) == []
+    assert not calls, f"{len(calls)} names canonicalised, first {calls[:3]}"
