@@ -35,7 +35,7 @@ from .scenarios import RiskThresholds, ScenarioSpec, enumerate_scenarios, \
     evaluate_scenarios, parse_scenario_stream, rank_scenarios, \
     render_scenario_csv, parse_scenario_csv, render_scenario_table
 from .schedule import Schedule
-from .solver import SolveOpts, SolveOutcome, solve_best_case
+from .solver import SolveOpts, SolveOutcome, no_verdict, solve_best_case
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -98,6 +98,10 @@ def load_run_manifest(path: str | Path, out: str | None = None,
         entries = spec.get(key) or []
         if isinstance(entries, str):
             entries = [entries]
+        if not isinstance(entries, list) \
+                or not all(isinstance(p, str) for p in entries):
+            raise _err(f"run manifest spec.{key} must be a path or a list "
+                       f"of paths, got {entries!r}")
         if required and not entries:
             raise _err(f"run manifest spec.{key} must list at least one path")
         return [base / p for p in entries]
@@ -113,7 +117,7 @@ def load_run_manifest(path: str | Path, out: str | None = None,
     def integer(section: str, key: str, value) -> int:
         try:
             return int(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise _err(f"run manifest spec.{section}.{key} must be an "
                        f"integer, got {value!r}") from None
 
@@ -331,8 +335,9 @@ def cmd_solve(manifest: RunManifest) -> int:
     opts = _solve_opts(manifest, loaded.deployment)
     outcome = solve_best_case(graph, loaded.topology, loaded.catalog, opts)
     if outcome.status == "unknown":
-        raise _err("search budget exhausted before reaching a verdict; "
-                   "raise solver.budget_nodes in the manifest")
+        raise _err(no_verdict(opts, "search budget exhausted before reaching "
+                                    "a verdict; raise solver.budget_nodes in "
+                                    "the manifest"))
     write_atomic(manifest.out / "schedule.json", outcome_to_json(outcome))
     summary = solve_summary(outcome, graph, loaded.topology)
     write_atomic(manifest.out / "solve_summary.txt", summary)
@@ -351,8 +356,9 @@ def cmd_scenarios(manifest: RunManifest) -> int:
         print(f"baseline infeasible: {baseline.witness}", file=sys.stderr)
         return EXIT_INFEASIBLE
     if baseline.status == "unknown":
-        raise _err("baseline search budget exhausted before reaching a "
-                   "verdict; raise solver.budget_nodes in the manifest")
+        raise _err("baseline " + no_verdict(
+            baseline_opts, "search budget exhausted before reaching a "
+                           "verdict; raise solver.budget_nodes in the manifest"))
 
     specs = list(loaded.scenario_specs)
     if manifest.enumerate_families:

@@ -48,6 +48,7 @@ class HardwareTopology:
 
     def __post_init__(self) -> None:
         self._by_id = {m.id: m for m in self.memories}
+        self._core_by_id = {c.id: c for c in self.cores}
 
     def memory(self, mem_id: str) -> Memory:
         return self._by_id[mem_id]
@@ -56,10 +57,10 @@ class HardwareTopology:
         return [m for m in self.memories if m.level == level]
 
     def core(self, core_id: int) -> Core:
-        for c in self.cores:
-            if c.id == core_id:
-                return c
-        raise KeyError(f"no core {core_id}")
+        try:
+            return self._core_by_id[core_id]
+        except KeyError:
+            raise KeyError(f"no core {core_id}") from None
 
 
 @dataclass
@@ -95,7 +96,7 @@ def _get(entry: dict, key: str, what: str, diags: list, kind: type = int,
         return default
     try:
         return kind(entry[key])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         diags.append(error_at(1, 1, f"{what}: {key!r} must be an integer, "
                                     f"got {entry[key]!r}"))
         return None

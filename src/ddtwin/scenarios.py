@@ -19,7 +19,7 @@ from .diagnostics import DiagnosticError, error_at
 from .graph import TaskGraph
 from .hardware import HardwareTopology
 from .patterns import PatternCatalog
-from .solver import SolveOpts, SolveOutcome, solve_best_case
+from .solver import SolveOpts, SolveOutcome, no_verdict, solve_best_case
 
 EVICT_BUFFER = "EVICT_BUFFER"
 PIN_TASKS = "PIN_TASKS"
@@ -299,8 +299,9 @@ def evaluate_scenario(spec: ScenarioSpec, graph: TaskGraph,
         raise _err(f"baseline is infeasible ({baseline.witness}); "
                    f"scenario deltas are undefined")
     if baseline.status == "unknown":
-        raise _err("baseline search ran out of node budget without a "
-                   "schedule; raise budget_nodes and retry")
+        raise _err("baseline " + no_verdict(
+            opts, "search ran out of node budget without a schedule; "
+                  "raise budget_nodes and retry"))
     base_latency = baseline.makespan
     assert base_latency is not None
 
@@ -314,8 +315,9 @@ def evaluate_scenario(spec: ScenarioSpec, graph: TaskGraph,
         return ScenarioResult(spec.name, None, None, RISK_CERTAIN_FAILURE,
                               base_latency, note=outcome.witness or "")
     if outcome.status == "unknown":
-        raise _err(f"scenario {spec.name!r}: search ran out of node budget "
-                   f"without a schedule; raise budget_nodes and retry")
+        raise _err(f"scenario {spec.name!r}: " + no_verdict(
+            opts, "search ran out of node budget without a schedule; "
+                  "raise budget_nodes and retry"))
     assert outcome.makespan is not None
     delta = latency_delta_pct(outcome.makespan, base_latency)
     return ScenarioResult(spec.name, outcome.makespan, delta,

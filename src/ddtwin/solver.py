@@ -19,9 +19,17 @@ Branching is (frontier task) x (candidate core) x (pattern combo), with
 never-used cores collapsed inside certified symmetry groups and pattern
 options deduplicated when two choices are behaviorally identical (equal
 cost, contention set, and residency memories).  Pruning uses a critical
-path bound, a core load bound, and per-anchor serialization bounds; every
-completed leaf is re-validated with the independent constraint checker
-before it may become the incumbent.
+path bound, a core load bound, per-anchor serialization bounds, and a
+buffer-occupancy check; every completed leaf is re-validated with the
+independent constraint checker before it may become the incumbent.
+
+The occupancy check is incremental.  A memory whose worst-case demand
+(every buffer that may reside there, plus every task's scratch space for
+a core L3) fits its capacity can never overflow, so only the others are
+tracked.  Each search state carries the claims on those memories, copied
+on write: a placement adds its output buffers' claims and its own scratch
+claim and extends its input buffers' claims to its finish, so only the
+memories it touches need a new sweep.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
-from .graph import Buffer, TaskGraph
+from .graph import Buffer, TaskGraph, TaskInstance
 from .hardware import HardwareTopology
 from .patterns import Pattern, PatternCatalog, transfer_cost
 from .schedule import (BUFFER_OVERFLOW, DEADLINE_MISS, LAG_VIOLATION,
@@ -85,6 +93,20 @@ class _State:
     forced: dict[str, int]
     used: frozenset[int]
     span: int
+    # tracked memory -> claim key -> (start, end, size); a buffer's claim
+    # is keyed by its id, a task's scratch claim by (task id,)
+    claims: dict[str, dict]
+
+
+def no_verdict(opts: SolveOpts, exhausted: str) -> str:
+    """Why a solve under ``opts`` ended ``unknown``, worded to follow a
+    subject such as "baseline ".  In exact mode the node budget ran out,
+    which the caller's ``exhausted`` says; heuristic mode runs no search,
+    so there the greedy seed found no schedule."""
+    if opts.mode == "heuristic":
+        return ("greedy seed found no schedule; heuristic mode runs no "
+                "search, so only exact mode can reach a verdict")
+    return exhausted
 
 
 def solve_best_case(graph: TaskGraph, topology: HardwareTopology,
@@ -111,9 +133,11 @@ class _Search:
         self.pruned: dict[str, int] = {}
 
         self.preds: dict[str, set[str]] = {t: set() for t in graph.tasks}
+        self.observed: dict[str, list[str]] = {t: [] for t in graph.tasks}
         for buf in graph.buffers.values():
             for obs in buf.observers:
                 self.preds[obs].add(buf.definer)
+                self.observed[obs].append(buf.id)
         self.topo_order = self._toposort()
         self.choices = {b.id: self._resolve(b) for b in graph.buffers.values()}
         self.min_dur = {b: min((c.cost for c in cs), default=0)
@@ -124,6 +148,9 @@ class _Search:
         self.group_of = self._validated_symmetry()
         self._static_opts = {(b, c): self._static_options_for(b, c)
                              for b in self.choices for c in self.cores}
+        self.l3_of = {c.id: c.l3 for c in topology.cores}
+        self.capacity = {m.id: m.capacity for m in topology.memories}
+        self.tracked = self._tracked_memories()
 
     # -- precomputation ----------------------------------------------------
 
@@ -201,6 +228,23 @@ class _Search:
                 continue
             group_of.update(dict.fromkeys(group, gi))
         return group_of
+
+    def _tracked_memories(self) -> frozenset[str]:
+        """Memories that may overflow: a buffer can claim each memory its
+        choices name at most once, and a task's scratch space any core's
+        L3, so a memory whose summed demand fits its capacity never fills."""
+        demand: dict[str, int] = {}
+        for buf_id, choices in self.choices.items():
+            size = max(self.graph.buffers[buf_id].size, 0)
+            for mem in {m for c in choices for m in (c.pattern.defining_memory,
+                                                     c.pattern.observing_memory)}:
+                demand[mem] = demand.get(mem, 0) + size
+        scratch = sum(t.internalsize for t in self.graph.tasks.values()
+                      if t.internalsize > 0)
+        for l3 in set(self.l3_of.values()):
+            demand[l3] = demand.get(l3, 0) + scratch
+        return frozenset(m for m, d in demand.items()
+                         if m not in self.capacity or d > self.capacity[m])
 
     # -- pattern options ---------------------------------------------------
 
@@ -289,49 +333,70 @@ class _Search:
                 for obs in self.graph.buffers[buf_id].observers:
                     forced[obs] = core
 
+        claims = state.claims
+        if self.tracked:
+            grown = self._grow_claims(state, task, core, start, fin, transfers)
+            if self._overflows(grown):
+                return None, BUFFER_OVERFLOW
+            claims = {**claims, **grown}
         child = _State(placed=placed, finish=finish, transfers=transfers,
                        core_free=core_free, forced=forced,
-                       used=state.used | {core}, span=span)
-        if self._overflows(child):
-            return None, BUFFER_OVERFLOW
+                       used=state.used | {core}, span=span, claims=claims)
         return child, None
 
-    def _overflows(self, state: _State) -> bool:
-        """Occupancy check on the partial schedule.  Claims only grow as
-        more tasks land, so an overflow here dooms every completion."""
-        claims: list[tuple[str, int, int, int]] = []
-        for buf_id, tr in state.transfers.items():
-            buf = self.graph.buffers[buf_id]
-            pattern = tr.choice.pattern
-            born = state.finish[buf.definer]
-            last = tr.end
-            for obs in buf.observers:
-                if obs in state.finish:
-                    last = max(last, state.finish[obs])
-            if pattern.defining_memory == pattern.observing_memory:
-                claims.append((pattern.defining_memory, born, last, buf.size))
-            else:
-                claims.append((pattern.defining_memory, born, tr.end, buf.size))
-                claims.append((pattern.observing_memory, tr.start, last, buf.size))
-        for task_id, (core, start) in state.placed.items():
-            task = self.graph.tasks[task_id]
-            if task.internalsize > 0:
-                claims.append((self.topology.core(core).l3, start,
-                               state.finish[task_id], task.internalsize))
+    def _grow_claims(self, state: _State, task: TaskInstance, core: int,
+                     start: int, fin: int,
+                     transfers: dict[str, _Move]) -> dict[str, dict]:
+        """Copies of the tracked memories' claims that placing ``task``
+        changes, with the changes made: its output buffers' claims and its
+        scratch claim are added, and its input buffers' residency is
+        extended to ``fin``."""
+        tracked = self.tracked
+        grown: dict[str, dict] = {}
 
-        by_mem: dict[str, list[tuple[int, int, int]]] = {}
-        for mem, start, end, size in claims:
-            if end > start:
-                events = by_mem.setdefault(mem, [])
-                events.append((start, 1, size))
-                events.append((end, 0, -size))
-        for mem, events in by_mem.items():
-            capacity = self.topology.memory(mem).capacity
+        def claims_of(mem: str) -> dict:
+            if mem not in grown:
+                grown[mem] = dict(state.claims.get(mem, ()))
+            return grown[mem]
+
+        for buf_id in task.outputs:
+            move = transfers[buf_id]
+            pattern = move.choice.pattern
+            size = self.graph.buffers[buf_id].size
+            # nothing observes a buffer yet when its definer lands
+            if pattern.defining_memory in tracked:
+                claims_of(pattern.defining_memory)[buf_id] = (fin, move.end, size)
+            if (pattern.observing_memory != pattern.defining_memory
+                    and pattern.observing_memory in tracked):
+                claims_of(pattern.observing_memory)[buf_id] = (
+                    move.start, move.end, size)
+        if task.internalsize > 0 and self.l3_of[core] in tracked:
+            claims_of(self.l3_of[core])[(task.id,)] = (start, fin,
+                                                       task.internalsize)
+        for buf_id in self.observed[task.id]:
+            mem = transfers[buf_id].choice.pattern.observing_memory
+            if mem in tracked:
+                born, last, size = grown.get(mem, state.claims[mem])[buf_id]
+                if fin > last:
+                    claims_of(mem)[buf_id] = (born, fin, size)
+        return grown
+
+    def _overflows(self, grown: dict[str, dict]) -> bool:
+        """Occupancy sweep of the memories whose claims a placement grew.
+        The parent state passed this check and claims only grow, so the
+        other memories still fit, and an overflow here dooms every
+        completion."""
+        for mem, claims in grown.items():
+            events: list[tuple[int, int, int]] = []
+            for start, end, size in claims.values():
+                if end > start:
+                    events.append((start, 1, size))
+                    events.append((end, 0, -size))
             events.sort()
             level = 0
             for _, _, delta in events:
                 level += delta
-                if level > capacity:
+                if level > self.capacity[mem]:
                     return True
         return False
 
@@ -526,7 +591,7 @@ class _Search:
 
     def _root(self) -> _State:
         return _State(placed={}, finish={}, transfers={}, core_free={},
-                      forced={}, used=frozenset(), span=0)
+                      forced={}, used=frozenset(), span=0, claims={})
 
     # -- driver ------------------------------------------------------------
 

@@ -7,11 +7,16 @@ Exit code contract: 0 ok, 1 invalid input or an exhausted search budget,
 """
 
 import contextlib
+import copy
 import io
 import json
+import tempfile
 import textwrap
+from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, strategies as st
 
 from ddtwin import cli
 from ddtwin.diagnostics import DiagnosticError
@@ -172,6 +177,17 @@ def test_solve_exhausted_budget_exits_1_not_2(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_solve_heuristic_without_a_schedule_asks_for_exact_mode(tmp_path):
+    # heuristic mode runs no search, so no node budget ran out
+    manifest = write_pressure_fixture(tmp_path, 200_000)
+    code, out, err = run(["solve", "--manifest", str(manifest),
+                          "--mode", "heuristic"])
+    assert (code, out) == (1, "")
+    assert "greedy seed found no schedule" in err
+    assert "only exact mode can reach a verdict" in err
+    assert "budget" not in err
+
+
 def test_solve_same_fixture_with_real_budget_proves_infeasible(tmp_path):
     manifest = write_pressure_fixture(tmp_path, 200_000)
     code, out, err = run(["solve", "--manifest", str(manifest)])
@@ -220,6 +236,16 @@ def test_scenarios_undecided_baseline_exits_1(tmp_path):
     code, out, err = run(["scenarios", "--manifest", str(manifest)])
     assert (code, out) == (1, "")
     assert "baseline search budget exhausted" in err
+
+
+def test_scenarios_heuristic_baseline_without_a_schedule_exits_1(tmp_path):
+    manifest = write_pressure_fixture(tmp_path, 200_000)
+    code, out, err = run(["scenarios", "--manifest", str(manifest),
+                          "--mode", "heuristic"])
+    assert (code, out) == (1, "")
+    assert "baseline greedy seed found no schedule" in err
+    assert "only exact mode can reach a verdict" in err
+    assert "budget" not in err
 
 
 def test_scenarios_rerun_is_byte_identical(du_runs):
@@ -384,3 +410,140 @@ def test_manifest_flag_overrides(paper_dir, tmp_path):
     defaults = cli.load_run_manifest(path)
     assert defaults.out == paper_dir / "out"
     assert (defaults.mode, defaults.budget_nodes) == ("exact", 200_000)
+
+
+# -- malformed front-end documents ----------------------------------------
+
+# the pressure fixture's run manifest, topology and deployment with every
+# optional section present, as documents to corrupt one value at a time
+_DOCS = {
+    "manifest.yaml": {
+        "apiVersion": "rdsl/v0", "kind": "run", "metadata": {"name": "fuzz"},
+        "spec": {"flows": ["flow.rdsl"], "constraints": ["sdk.yaml"],
+                 "topology": "topology.yaml",
+                 "deployment": "deployment.yaml", "out": "out",
+                 "solver": {"mode": "exact", "budget_nodes": 1000,
+                            "scenario_budget_nodes": 100},
+                 "scenario": {"enumerate": True, "small_threshold": 10,
+                              "lag_sweep": [0, 5]},
+                 "risk": {"high": 50, "moderate": 20, "floor": 5}}},
+    "topology.yaml": dict(
+        yaml.safe_load(_TOPOLOGY),
+        pattern_costs={"L2toL2": {"base": 200, "bandwidth": 64}}),
+    "deployment.yaml": {
+        "entry_flow": "manyJobs", "slot_budget": 150, "max_start_lag": 0,
+        "symbols": {"N": 4}, "equation_values": {"E": 1},
+        "metadata_files": []},
+}
+
+
+def _paths(doc, at=()):
+    yield at
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield from _paths(value, at + (key,))
+
+
+def _validate_with(name, path, value):
+    """``ddtwin validate`` on the documents above with the value at
+    ``path`` in document ``name`` replaced by ``value``."""
+    docs = copy.deepcopy(_DOCS)
+    if path:
+        *parents, last = path
+        node = docs[name]
+        for key in parents:
+            node = node[key]
+        node[last] = value
+    else:
+        docs[name] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "flow.rdsl").write_text(_FLOW)
+        (root / "sdk.yaml").write_text(_SDK)
+        for file, doc in docs.items():
+            (root / file).write_text(yaml.safe_dump(doc))
+        return run(["validate", "--manifest", str(root / "manifest.yaml")])
+
+
+def test_uncorrupted_documents_validate():
+    # so that a corrupted set fails for its corruption alone
+    code, out, err = _validate_with("manifest.yaml", ("kind",), "run")
+    assert (code, err) == (0, "")
+
+
+_ANY_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+@given(target=st.sampled_from([(name, path) for name, doc in _DOCS.items()
+                               for path in _paths(doc)]),
+       value=_ANY_VALUE)
+def test_any_corrupted_value_gives_a_diagnostic_not_a_crash(target, value):
+    code, out, err = _validate_with(*target, value)
+    assert code in (0, 1), err
+    assert code == 0 or "error:" in err, err
+
+
+_WORD = st.text(alphabet="abcdefgh", min_size=1, max_size=6)
+_WRONG = {
+    "mapping": st.integers().filter(bool) | _WORD
+    | st.lists(st.integers(), min_size=1, max_size=3),
+    "list": st.integers().filter(bool) | _WORD
+    | st.dictionaries(_WORD, st.integers(), min_size=1, max_size=2),
+    "paths": st.integers().filter(bool)
+    | st.lists(st.integers() | st.none()
+               | st.dictionaries(_WORD, st.integers(), max_size=1),
+               min_size=1, max_size=3),
+    "integer": _WORD | st.sampled_from([float("inf"), float("nan")])
+    | st.lists(st.integers(), min_size=1, max_size=3)
+    | st.dictionaries(_WORD, st.integers(), min_size=1, max_size=2),
+}
+_SLOTS = [
+    ("manifest.yaml", ("spec",), "mapping"),
+    ("manifest.yaml", ("spec", "flows"), "paths"),
+    ("manifest.yaml", ("spec", "constraints"), "paths"),
+    ("manifest.yaml", ("spec", "solver"), "mapping"),
+    ("manifest.yaml", ("spec", "solver", "budget_nodes"), "integer"),
+    ("manifest.yaml", ("spec", "solver", "scenario_budget_nodes"), "integer"),
+    ("manifest.yaml", ("spec", "scenario"), "mapping"),
+    ("manifest.yaml", ("spec", "scenario", "small_threshold"), "integer"),
+    ("manifest.yaml", ("spec", "scenario", "lag_sweep"), "list"),
+    ("manifest.yaml", ("spec", "scenario", "lag_sweep", 1), "integer"),
+    ("manifest.yaml", ("spec", "risk"), "mapping"),
+    ("manifest.yaml", ("spec", "risk", "floor"), "integer"),
+    ("topology.yaml", ("memories",), "list"),
+    ("topology.yaml", ("memories", 0), "mapping"),
+    ("topology.yaml", ("memories", 0, "capacity"), "integer"),
+    ("topology.yaml", ("cores",), "list"),
+    ("topology.yaml", ("cores", 1), "mapping"),
+    ("topology.yaml", ("cores", 1, "id"), "integer"),
+    ("topology.yaml", ("pattern_costs",), "mapping"),
+    ("topology.yaml", ("pattern_costs", "L2toL2"), "mapping"),
+    ("topology.yaml", ("pattern_costs", "L2toL2", "base"), "integer"),
+    ("topology.yaml", ("pattern_costs", "L2toL2", "bandwidth"), "integer"),
+    ("deployment.yaml", ("symbols",), "mapping"),
+    ("deployment.yaml", ("symbols", "N"), "integer"),
+    ("deployment.yaml", ("equation_values",), "mapping"),
+    ("deployment.yaml", ("equation_values", "E"), "integer"),
+    ("deployment.yaml", ("slot_budget",), "integer"),
+    ("deployment.yaml", ("max_start_lag",), "integer"),
+    ("deployment.yaml", ("metadata_files",), "list"),
+]
+
+
+@given(slot=st.sampled_from(_SLOTS), data=st.data())
+def test_wrong_shaped_or_typed_value_exits_1(slot, data):
+    name, path, kind = slot
+    value = data.draw(_WRONG[kind], label="value")
+    code, out, err = _validate_with(name, path, value)
+    assert (code, out) == (1, ""), err
+    assert "error:" in err and "internal error" not in err, err

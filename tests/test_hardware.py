@@ -28,6 +28,12 @@ def test_parse_minimal_topology():
         "L2_0": "L2", "L3_0": "L3", "DDR_0": "DDR"}
 
 
+def test_unknown_core_id_raises_key_error():
+    topo = parse_topology(BASE)
+    with pytest.raises(KeyError, match="no core 1"):
+        topo.core(1)
+
+
 def test_cost_table_defaults_without_overrides():
     assert parse_topology(BASE).pattern_costs == DEFAULT_COST_TABLE
 

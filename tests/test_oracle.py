@@ -153,3 +153,45 @@ def test_search_and_enumeration_agree_on_respelled_instances():
         assert (res.status, res.makespan) == (
             ("optimal", ref.makespan) if ref.feasible else ("infeasible", None)), \
             f"seed {seed}: {res.witness}"
+
+
+def test_search_and_enumeration_agree_at_the_l2_capacity_boundary():
+    # t0 -> t1 -> t2 with t0's output also read by t2: both buffers may
+    # sit in core 0's L2 at once, each as a pipeline (L2 only) or an
+    # L2-to-L3 transfer that leaves the L2 when it lands
+    def diamond(l2_cap):
+        topo = make_topology(2, l2_cap=l2_cap)
+        cat = generate_patterns_from_topology(topo)
+        allowed = ("pipeline.c_0.L3_0", "L2toL2.c_0.L3_0.accL3_0")
+        t = {tid: TaskInstance(id=tid, function=tid, runtime=100,
+                               internalsize=0, inputs=ins, outputs=outs)
+             for tid, ins, outs in (("t0", (), ("b0",)),
+                                    ("t1", ("b0",), ("b1",)),
+                                    ("t2", ("b0", "b1"), ()))}
+        b = {"b0": Buffer(id="b0", size=3000, definer="t0",
+                          observers=("t1", "t2"), allowed_patterns=allowed),
+             "b1": Buffer(id="b1", size=5000, definer="t1",
+                          observers=("t2",), allowed_patterns=allowed)}
+        return TaskGraph(tasks=t, buffers=b, deadline=100_000), topo, cat
+
+    def agree(l2_cap):
+        graph, topo, cat = diamond(l2_cap)
+        ref = brute_force_oracle(graph, topo, cat)
+        res = solve_best_case(graph, topo, cat)
+        assert ref.feasible
+        assert (res.status, res.makespan) == ("optimal", ref.makespan), l2_cap
+        return (ref.makespan, res.stats["nodes"], res.stats["leaves"],
+                res.stats["pruned"].get("BUFFER_OVERFLOW", 0))
+
+    # L2 demand equals capacity: both pipelines fit at once, nothing
+    # overflows and the L2 is never tracked
+    at_demand = agree(8000)
+    assert at_demand == (300, 3, 0, 0)
+    for cap in range(7999, 0, -1):
+        below = agree(cap)
+        if below[0] != at_demand[0]:
+            break
+    # one byte under the sum already forces one buffer out to the L3; the
+    # search prunes both overflowing placements before they reach a leaf
+    # (nodes and leaves as recorded with the full occupancy sweep)
+    assert (cap, below) == (7999, (547, 16, 1, 2))

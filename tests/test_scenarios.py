@@ -274,17 +274,49 @@ def test_infeasible_baseline_is_an_error_not_a_result():
         evaluate_scenario(ScenarioSpec(name="x"), g, TOPO, CATALOG)
 
 
-def test_exhausted_baseline_budget_demands_a_retry():
+def _pipeline_bound_pair(deadline=150, max_start_lag=0):
+    """Two tasks that can only run on core 0; by default neither may queue
+    behind the other, which is infeasible, but neither the greedy seed nor
+    a tiny search budget can tell."""
     from ddtwin.graph import Buffer, TaskGraph, TaskInstance
     tasks = {t: TaskInstance(id=t, function=t, runtime=100, internalsize=0,
                              outputs=(f"b{t}",)) for t in ("a", "b")}
     bufs = {f"b{t}": Buffer(id=f"b{t}", size=100, definer=t,
                             allowed_patterns=("pipeline.c_0.L3_0",))
             for t in ("a", "b")}
-    g = TaskGraph(tasks=tasks, buffers=bufs, deadline=150, max_start_lag=0)
+    return TaskGraph(tasks=tasks, buffers=bufs, deadline=deadline,
+                     max_start_lag=max_start_lag)
+
+
+def test_exhausted_baseline_budget_demands_a_retry():
+    g = _pipeline_bound_pair()
     with pytest.raises(DiagnosticError, match="raise budget_nodes"):
         evaluate_scenario(ScenarioSpec(name="x"), g, TOPO, CATALOG,
                           SolveOpts(budget_nodes=3))
+
+
+def test_heuristic_baseline_without_a_schedule_asks_for_exact_mode():
+    # heuristic mode runs no search, so no node budget ran out
+    g = _pipeline_bound_pair()
+    with pytest.raises(DiagnosticError) as info:
+        evaluate_scenario(ScenarioSpec(name="x"), g, TOPO, CATALOG,
+                          SolveOpts(mode="heuristic"))
+    message = str(info.value)
+    assert "baseline greedy seed found no schedule" in message
+    assert "only exact mode can reach a verdict" in message
+    assert "budget" not in message
+
+
+def test_heuristic_scenario_without_a_schedule_asks_for_exact_mode():
+    # the baseline may queue one task behind the other; the scenario may not
+    g = _pipeline_bound_pair(deadline=1000, max_start_lag=None)
+    spec = ScenarioSpec(name="lag0", injections=(
+        Injection(kind="START_LAG", value=0),))
+    with pytest.raises(DiagnosticError) as info:
+        evaluate_scenario(spec, g, TOPO, CATALOG, SolveOpts(mode="heuristic"))
+    message = str(info.value)
+    assert "scenario 'lag0': greedy seed found no schedule" in message
+    assert "budget" not in message
 
 
 def test_batch_evaluation_shares_one_baseline():

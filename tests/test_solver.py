@@ -7,7 +7,7 @@ import dataclasses
 import pytest
 
 from ddtwin.graph import Buffer, ExternalInput, TaskGraph, TaskInstance
-from ddtwin.instances import random_instance
+from ddtwin.instances import random_instance, tighten_instance
 from ddtwin.patterns import generate_patterns_from_topology
 from ddtwin.schedule import check_schedule
 from ddtwin.solver import SolveOpts, solve_best_case
@@ -191,3 +191,57 @@ def test_names_resolve_once_at_the_catalog(du_dir, monkeypatch):
     assert check_schedule(res.schedule, graph, loaded.topology,
                           loaded.catalog) == []
     assert not calls, f"{len(calls)} names canonicalised, first {calls[:3]}"
+
+
+# (seed, tightened) -> (status, makespan, nodes, prune counts) at a
+# 20,000-node budget, recorded before the occupancy check became
+# incremental; the set includes solves the occupancy check prunes
+OCCUPANCY_GOLDEN = {
+    (1, False): ("optimal", 21585, 3, {"BOUND": 2}),
+    (1, True): ("optimal", 21585, 2, {"BOUND": 1, "PATTERN_VIOLATION": 1}),
+    (2, False): ("optimal", 28527, 5, {"BOUND": 1, "BUFFER_OVERFLOW": 1,
+                                       "PATTERN_VIOLATION": 1}),
+    (2, True): ("optimal", 28527, 5, {"BOUND": 1, "BUFFER_OVERFLOW": 1,
+                                      "PATTERN_VIOLATION": 1}),
+    (6, False): ("optimal", 34488, 9, {"BOUND": 3, "DEADLINE_MISS": 1,
+                                       "PATTERN_VIOLATION": 2}),
+    (6, True): ("optimal", 37613, 9, {"BOUND": 3, "DEADLINE_MISS": 1,
+                                      "PATTERN_VIOLATION": 2}),
+    (8, False): ("infeasible", None, 4, {"BUFFER_OVERFLOW": 1,
+                                         "PATTERN_VIOLATION": 1}),
+    (11, True): ("infeasible", None, 4, {"DEADLINE_MISS": 3}),
+    (15, False): ("infeasible", None, 65, {"BUFFER_OVERFLOW": 18,
+                                           "DEADLINE_MISS": 10,
+                                           "PATTERN_VIOLATION": 6}),
+    (32, True): ("infeasible", None, 7, {"BUFFER_OVERFLOW": 2,
+                                         "DEADLINE_MISS": 4}),
+    (51, False): ("optimal", 54003, 208, {"BOUND": 42, "BUFFER_OVERFLOW": 35,
+                                          "DEADLINE_MISS": 16,
+                                          "PATTERN_VIOLATION": 24}),
+    (51, True): ("infeasible", None, 110, {"BUFFER_OVERFLOW": 31,
+                                           "PATTERN_VIOLATION": 26}),
+    (54, True): ("optimal", 46048, 119, {"BOUND": 22, "BUFFER_OVERFLOW": 6,
+                                         "PATTERN_VIOLATION": 25}),
+    (66, True): ("optimal", 34749, 169, {"BOUND": 6, "BUFFER_OVERFLOW": 25,
+                                         "DEADLINE_MISS": 41,
+                                         "PATTERN_VIOLATION": 53}),
+    (100, False): ("infeasible", None, 199, {"BUFFER_OVERFLOW": 72,
+                                             "PATTERN_VIOLATION": 45}),
+}
+
+
+def test_occupancy_verdicts_match_the_recorded_search():
+    """Search order, node counts and every prune reason are pinned, so
+    an occupancy check that prunes more or less than the full sweep it
+    replaced shows here, not only in the final answer."""
+    assert sum(pruned.get("BUFFER_OVERFLOW", 0)
+               for *_, pruned in OCCUPANCY_GOLDEN.values()) > 0
+    for (seed, tightened), expected in OCCUPANCY_GOLDEN.items():
+        inst = random_instance(seed)
+        if tightened:
+            inst = tighten_instance(inst, seed)
+        res = solve_best_case(inst.graph, inst.topology, inst.catalog,
+                              SolveOpts(budget_nodes=20_000))
+        got = (res.status, res.makespan, res.stats["nodes"],
+               res.stats["pruned"])
+        assert got == expected, f"seed {seed}, tightened {tightened}"
