@@ -19,9 +19,9 @@ import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-
 from .diagnostics import DiagnosticError, error_at
+from .documents import envelope, integer, list_of, load_document, section, \
+    typed
 from .elaborate import bind_timing, check_static, elaborate
 from .flows import FlowDef, SymbolTable, collect_labels, parse_flow_source, \
     validate_flows
@@ -42,8 +42,9 @@ EXIT_INVALID = 1
 EXIT_INFEASIBLE = 2
 EXIT_INTERNAL = 3
 
-_API_VERSION = "rdsl/v0"
 _REPORT_NAME = "report.csv"
+_EXHAUSTED = ("search budget exhausted before reaching a verdict; raise "
+              "solver.budget_nodes in the manifest")
 
 
 def _err(message: str) -> DiagnosticError:
@@ -79,63 +80,38 @@ def load_run_manifest(path: str | Path, out: str | None = None,
     if not manifest_path.is_file():
         raise _err(f"manifest {str(manifest_path)!r} does not exist")
     base = manifest_path.resolve().parent
-    try:
-        raw = yaml.safe_load(manifest_path.read_text())
-    except yaml.YAMLError as exc:
-        raise _err(f"YAML parse error in {manifest_path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise _err(f"run manifest {manifest_path} is not a mapping")
-    if raw.get("apiVersion") != _API_VERSION:
-        raise _err(f"run manifest has unsupported apiVersion "
-                   f"{raw.get('apiVersion')!r} (expected {_API_VERSION!r})")
-    if raw.get("kind") != "run":
-        raise _err(f"expected kind 'run', got {raw.get('kind')!r}")
-    spec = raw.get("spec")
-    if not isinstance(spec, dict):
-        raise _err("run manifest spec must be a mapping")
+    raw = load_document(manifest_path.read_text(), str(manifest_path))
+    _, spec = envelope(raw, ("run",), "run manifest")
+    where = "run manifest spec"
 
     def paths(key: str, required: bool) -> list[Path]:
         entries = spec.get(key) or []
         if isinstance(entries, str):
             entries = [entries]
-        if not isinstance(entries, list) \
-                or not all(isinstance(p, str) for p in entries):
-            raise _err(f"run manifest spec.{key} must be a path or a list "
-                       f"of paths, got {entries!r}")
+        list_of(entries, str, f"{where}.{key}")
         if required and not entries:
-            raise _err(f"run manifest spec.{key} must list at least one path")
+            raise _err(f"{where}.{key} must list at least one path")
         return [base / p for p in entries]
 
     def one_path(key: str, required: bool) -> Path | None:
         value = spec.get(key)
         if value is None:
             if required:
-                raise _err(f"run manifest spec.{key} is required")
+                raise _err(f"{where}.{key} is required")
             return None
         return base / str(value)
 
-    def integer(section: str, key: str, value) -> int:
-        try:
-            return int(value)
-        except (TypeError, ValueError, OverflowError):
-            raise _err(f"run manifest spec.{section}.{key} must be an "
-                       f"integer, got {value!r}") from None
+    solver, scenario, risk_raw = (section(spec, key, dict, f"{where}.{key}")
+                                  for key in ("solver", "scenario", "risk"))
 
-    def section(key: str) -> dict:
-        value = spec.get(key) or {}
-        if not isinstance(value, dict):
-            raise _err(f"run manifest spec.{key} must be a mapping, got {value!r}")
-        return value
+    def number(part: str, values: dict, key: str, default) -> int:
+        return integer(values.get(key, default), f"{where}.{part}.{key}")
 
-    solver, scenario, risk_raw = map(section, ("solver", "scenario", "risk"))
     defaults = RiskThresholds()
-    risk = RiskThresholds(**{
-        key: integer("risk", key, risk_raw.get(key, getattr(defaults, key)))
-        for key in ("high", "moderate", "floor")})
-    lag_sweep = scenario.get("lag_sweep", [])
-    if not isinstance(lag_sweep, list):
-        raise _err(f"run manifest spec.scenario.lag_sweep must be a list, "
-                   f"got {lag_sweep!r}")
+    risk = RiskThresholds(**{key: number("risk", risk_raw, key,
+                                         getattr(defaults, key))
+                             for key in ("high", "moderate", "floor")})
+    lag_where = f"{where}.scenario.lag_sweep"
 
     out_dir = Path(out) if out is not None else base / str(spec.get("out", "out"))
     manifest = RunManifest(
@@ -147,18 +123,16 @@ def load_run_manifest(path: str | Path, out: str | None = None,
         scenario_files=paths("scenario_files", required=False),
         out=out_dir,
         mode=mode if mode is not None else str(solver.get("mode", "exact")),
-        budget_nodes=integer("solver", "budget_nodes",
-                             solver.get("budget_nodes", 200_000)),
+        budget_nodes=number("solver", solver, "budget_nodes", 200_000),
         scenario_budget_nodes=(
-            integer("solver", "scenario_budget_nodes",
-                    solver["scenario_budget_nodes"])
+            number("solver", solver, "scenario_budget_nodes", None)
             if "scenario_budget_nodes" in solver else None),
         risk=risk,
-        enumerate_families=bool(scenario.get("enumerate", True)),
-        small_threshold=integer("scenario", "small_threshold",
-                                scenario.get("small_threshold", 10_000)),
-        lag_sweep=tuple(integer("scenario", "lag_sweep", v)
-                        for v in lag_sweep))
+        enumerate_families=typed(scenario.get("enumerate", True), bool,
+                                 f"{where}.scenario.enumerate"),
+        small_threshold=number("scenario", scenario, "small_threshold", 10_000),
+        lag_sweep=tuple(integer(v, lag_where) for v in
+                        section(scenario, "lag_sweep", list, lag_where)))
     if manifest.mode not in ("exact", "heuristic"):
         raise _err(f"solver mode must be 'exact' or 'heuristic', "
                    f"got {manifest.mode!r}")
@@ -214,6 +188,13 @@ def load_run(manifest: RunManifest) -> LoadedRun:
         catalog = parse_pattern_catalog(_read(manifest.patterns))
     else:
         catalog = generate_patterns_from_topology(topology)
+    known = {m.id for m in topology.memories}
+    stray = [error_at(1, 1, f"pattern {p.name!r} names memory {mem!r}, which "
+                            f"the topology does not define")
+             for p in catalog
+             for mem in sorted({p.defining_memory, p.observing_memory} - known)]
+    if stray:
+        raise DiagnosticError(stray)
 
     scenario_specs: list[ScenarioSpec] = []
     for path in manifest.scenario_files:
@@ -298,9 +279,6 @@ def solve_summary(outcome: SolveOutcome, graph: TaskGraph,
                          f"({count[core_id]} tasks)")
     elif outcome.status == "infeasible":
         lines.append(f"witness: {outcome.witness}")
-    else:
-        lines.append("search budget exhausted before reaching a verdict; "
-                     "raise solver.budget_nodes")
     return "\n".join(lines) + "\n"
 
 
@@ -335,9 +313,7 @@ def cmd_solve(manifest: RunManifest) -> int:
     opts = _solve_opts(manifest, loaded.deployment)
     outcome = solve_best_case(graph, loaded.topology, loaded.catalog, opts)
     if outcome.status == "unknown":
-        raise _err(no_verdict(opts, "search budget exhausted before reaching "
-                                    "a verdict; raise solver.budget_nodes in "
-                                    "the manifest"))
+        raise _err(no_verdict(opts, _EXHAUSTED))
     write_atomic(manifest.out / "schedule.json", outcome_to_json(outcome))
     summary = solve_summary(outcome, graph, loaded.topology)
     write_atomic(manifest.out / "solve_summary.txt", summary)
@@ -356,9 +332,7 @@ def cmd_scenarios(manifest: RunManifest) -> int:
         print(f"baseline infeasible: {baseline.witness}", file=sys.stderr)
         return EXIT_INFEASIBLE
     if baseline.status == "unknown":
-        raise _err("baseline " + no_verdict(
-            baseline_opts, "search budget exhausted before reaching a "
-                           "verdict; raise solver.budget_nodes in the manifest"))
+        raise _err("baseline " + no_verdict(baseline_opts, _EXHAUSTED))
 
     specs = list(loaded.scenario_specs)
     if manifest.enumerate_families:

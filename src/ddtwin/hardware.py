@@ -3,16 +3,21 @@
 Both are single-document YAML files.  The topology names memories and
 cores and optionally overrides the per-class transfer cost table; the
 deployment pins symbolic constants, the slot budget, the entry flow, and
-scheduler-wide knobs like the maximum start lag.
+scheduler-wide limits such as the maximum start lag.
+
+Both are read through ``documents``: every integer field (a capacity, a
+core id, a cost, a symbol value, the slot budget, the start lag) must be
+written as an integer, and a string, float or boolean there is an error,
+never truncated or coerced.  Every diagnostic is collected before any is
+raised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import yaml
-
 from .diagnostics import DiagnosticError, error_at
+from .documents import integer, load_document, section, typed
 
 MEMORY_LEVELS = ("L2", "L3", "DDR")
 
@@ -73,54 +78,42 @@ class DeploymentConfig:
     equation_values: dict[str, int] = field(default_factory=dict)
 
 
-def _load_yaml_mapping(text: str, what: str) -> dict:
+def _collect(diags: list, read, *args):
+    """``read(*args)``, or None with its diagnostics added to ``diags``."""
     try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        line = (mark.line + 1) if mark else 1
-        raise DiagnosticError([error_at(line, 1, f"YAML parse error in {what}: {exc}")]) from exc
-    if not isinstance(raw, dict):
-        raise DiagnosticError([error_at(1, 1, f"{what} must be a YAML mapping")])
-    return raw
+        return read(*args)
+    except DiagnosticError as exc:
+        diags.extend(exc.diagnostics)
+        return None
 
 
 def _get(entry: dict, key: str, what: str, diags: list, kind: type = int,
          default=None):
-    """``kind(entry[key])``, or ``default`` when the key is absent.  A
-    missing required key or a value ``kind`` rejects is reported in
-    ``diags`` and gives None."""
+    """``entry[key]`` as an integer (as text if ``kind`` is str), or
+    ``default`` when the key is absent.  A missing required key or a
+    non-integer is reported in ``diags`` and gives None."""
     if key not in entry:
         if default is None:
             diags.append(error_at(1, 1, f"{what} is missing {key!r}"))
         return default
-    try:
-        return kind(entry[key])
-    except (TypeError, ValueError, OverflowError):
-        diags.append(error_at(1, 1, f"{what}: {key!r} must be an integer, "
-                                    f"got {entry[key]!r}"))
-        return None
+    if kind is str:
+        return str(entry[key])
+    return _collect(diags, integer, entry[key], f"{what}: {key!r}")
 
 
 def _section(raw: dict, key: str, kind: type, what: str, diags: list):
     """``raw[key]`` if it is a ``kind`` (list or dict), else an empty one;
     a value of another shape is reported in ``diags``."""
-    value = raw.get(key) or kind()
-    if not isinstance(value, kind):
-        shape = "list" if kind is list else "mapping"
-        diags.append(error_at(1, 1, f"{what} {key} must be a {shape}, got {value!r}"))
-        return kind()
-    return value
+    return _collect(diags, section, raw, key, kind, f"{what} {key}") or kind()
 
 
 def parse_topology(text: str) -> HardwareTopology:
-    raw = _load_yaml_mapping(text, "topology")
+    raw = typed(load_document(text, "topology"), dict, "topology")
     diags = []
     memories: list[Memory] = []
     for i, m in enumerate(_section(raw, "memories", list, "topology", diags)):
         what = f"memory {i + 1}"
-        if not isinstance(m, dict):
-            diags.append(error_at(1, 1, f"{what} must be a mapping"))
+        if _collect(diags, typed, m, dict, what) is None:
             continue
         level = m.get("level")
         if level not in MEMORY_LEVELS:
@@ -135,8 +128,7 @@ def parse_topology(text: str) -> HardwareTopology:
     cores: list[Core] = []
     for i, c in enumerate(_section(raw, "cores", list, "topology", diags)):
         what = f"core {i + 1}"
-        if not isinstance(c, dict):
-            diags.append(error_at(1, 1, f"{what} must be a mapping"))
+        if _collect(diags, typed, c, dict, what) is None:
             continue
         n = len(diags)
         core = Core(id=_get(c, "id", what, diags),
@@ -157,8 +149,7 @@ def parse_topology(text: str) -> HardwareTopology:
         if klass not in DEFAULT_COST_TABLE:
             diags.append(error_at(1, 1, f"pattern_costs names unknown class {klass!r}"))
             continue
-        if not isinstance(entry, dict):
-            diags.append(error_at(1, 1, f"{what} must be a mapping"))
+        if _collect(diags, typed, entry, dict, what) is None:
             continue
         costs[klass] = (_get(entry, "base", what, diags, default=0),
                         _get(entry, "bandwidth", what, diags)
@@ -170,7 +161,7 @@ def parse_topology(text: str) -> HardwareTopology:
 
 
 def parse_deployment(text: str) -> DeploymentConfig:
-    raw = _load_yaml_mapping(text, "deployment")
+    raw = typed(load_document(text, "deployment"), dict, "deployment")
     if "entry_flow" not in raw:
         raise DiagnosticError([error_at(1, 1, "deployment must name an entry_flow")])
     diags: list = []

@@ -19,11 +19,9 @@ import operator
 import re
 from dataclasses import dataclass, field
 
-import yaml
+from .diagnostics import DiagnosticError, fail
+from .documents import Document, integer, list_of, read_stream
 
-from .diagnostics import DiagnosticError, error_at
-
-API_VERSION = "rdsl/v0"
 _OPS = ("equal", "le", "ge")
 
 
@@ -56,22 +54,20 @@ class FunctionMetadata:
 ConstraintDoc = TimingEqualityDoc | TimingEquationDoc | FunctionMetadata
 
 
-def _doc_error(index: int, message: str) -> DiagnosticError:
-    return DiagnosticError([error_at(index + 1, 1, f"document {index + 1}: {message}")])
+def _doc_error(doc: Document, message: str) -> DiagnosticError:
+    return fail(doc.line, 1, f"{doc.where}: {message}")
 
 
-def _require(raw: dict, key: str, index: int):
-    if key not in raw:
-        raise _doc_error(index, f"missing required field {key!r}")
-    return raw[key]
+def _require(doc: Document, key: str):
+    if key not in doc.spec:
+        raise _doc_error(doc, f"missing required field {key!r}")
+    return doc.spec[key]
 
 
-def _require_int(raw: dict, key: str, index: int, positive: bool = True) -> int:
-    value = _require(raw, key, index)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _doc_error(index, f"field {key!r} must be an integer, got {value!r}")
-    if positive and value <= 0:
-        raise _doc_error(index, f"field {key!r} must be positive, got {value}")
+def _require_int(doc: Document, key: str) -> int:
+    value = integer(_require(doc, key), f"{doc.where}: field {key!r}", doc.line)
+    if value <= 0:
+        raise _doc_error(doc, f"field {key!r} must be positive, got {value}")
     return value
 
 
@@ -81,87 +77,57 @@ def parse_constraint_stream(text: str) -> list[ConstraintDoc]:
     Unknown kinds, missing fields, bad units, and non-positive sizes or
     runtimes are rejected.  Document order is preserved.
     """
-    try:
-        raw_docs = list(yaml.safe_load_all(text))
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        line = (mark.line + 1) if mark else 1
-        col = (mark.column + 1) if mark else 1
-        raise DiagnosticError([error_at(line, col, f"YAML parse error: {exc}")]) from exc
-
-    docs: list[ConstraintDoc] = []
-    for i, raw in enumerate(raw_docs):
-        if raw is None:
-            continue
-        if not isinstance(raw, dict):
-            raise _doc_error(i, "document is not a mapping")
-        version = _require(raw, "apiVersion", i)
-        if version != API_VERSION:
-            raise _doc_error(i, f"unsupported apiVersion {version!r} (expected {API_VERSION!r})")
-        kind = _require(raw, "kind", i)
-        metadata = _require(raw, "metadata", i)
-        if not isinstance(metadata, dict) or "name" not in metadata:
-            raise _doc_error(i, "metadata.name is required")
-        name = str(metadata["name"])
-        spec = _require(raw, "spec", i)
-        if not isinstance(spec, dict):
-            raise _doc_error(i, "spec must be a mapping")
-
-        if kind == "timing equality":
-            docs.append(_parse_equality(name, spec, i))
-        elif kind == "timing equation":
-            docs.append(_parse_equation(name, spec, i))
-        elif kind == "SDK":
-            docs.append(_parse_sdk(name, spec, i))
-        else:
-            raise _doc_error(i, f"unknown kind {kind!r}")
-    return docs
+    parsers = {"timing equality": _parse_equality,
+               "timing equation": _parse_equation, "SDK": _parse_sdk}
+    return [parsers[doc.kind](doc)
+            for doc in read_stream(text, "constraint stream", tuple(parsers))]
 
 
-def _check_unit(spec: dict, index: int) -> str:
-    unit = spec.get("unit", "clock")
+def _check_unit(doc: Document) -> str:
+    unit = doc.spec.get("unit", "clock")
     if unit != "clock":
-        raise _doc_error(index, f"unsupported unit {unit!r} (only 'clock' cycles are supported)")
+        raise _doc_error(doc, f"unsupported unit {unit!r} (only 'clock' cycles are supported)")
     return unit
 
 
-def _parse_equality(name: str, spec: dict, index: int) -> TimingEqualityDoc:
-    variable = _require(spec, "variable_name", index)
-    op = _require(spec, "constraint", index)
+def _parse_equality(doc: Document) -> TimingEqualityDoc:
+    variable = _require(doc, "variable_name")
+    op = _require(doc, "constraint")
     if op not in _OPS:
-        raise _doc_error(index, f"constraint must be one of {_OPS}, got {op!r}")
-    value = _require_int(spec, "value", index)
-    return TimingEqualityDoc(name=name, variable_name=str(variable), op=op,
-                             value=value, unit=_check_unit(spec, index))
+        raise _doc_error(doc, f"constraint must be one of {_OPS}, got {op!r}")
+    return TimingEqualityDoc(name=doc.name, variable_name=str(variable), op=op,
+                             value=_require_int(doc, "value"),
+                             unit=_check_unit(doc))
 
 
-def _parse_equation(name: str, spec: dict, index: int) -> TimingEquationDoc:
-    equation = str(_require(spec, "equation", index))
-    bindings = {str(k): str(v) for k, v in spec.items() if k not in ("equation", "unit")}
-    doc = TimingEquationDoc(name=name, equation=equation, bindings=bindings,
-                            unit=_check_unit(spec, index))
+def _parse_equation(doc: Document) -> TimingEquationDoc:
+    equation = str(_require(doc, "equation"))
+    bindings = {str(k): str(v) for k, v in doc.spec.items()
+                if k not in ("equation", "unit")}
+    parsed = TimingEquationDoc(name=doc.name, equation=equation,
+                               bindings=bindings, unit=_check_unit(doc))
     # parse now so malformed equations and unbound placeholders fail early
-    terms, _ = _parse_equation_text(doc)
+    terms, _ = _parse_equation_text(parsed)
     for placeholder in terms:
         if placeholder not in bindings:
-            raise _doc_error(index, f"placeholder {placeholder!r} in equation has no spec binding")
-    return doc
+            raise _doc_error(doc, f"placeholder {placeholder!r} in equation has no spec binding")
+    return parsed
 
 
-def _parse_sdk(name: str, spec: dict, index: int) -> FunctionMetadata:
-    patterns = spec.get("available patterns", spec.get("available_patterns"))
+def _parse_sdk(doc: Document) -> FunctionMetadata:
+    patterns = doc.spec.get("available patterns",
+                            doc.spec.get("available_patterns"))
     if patterns is None:
-        raise _doc_error(index, "missing required field 'available patterns'")
-    if not isinstance(patterns, list) or not all(isinstance(p, str) for p in patterns):
-        raise _doc_error(index, "'available patterns' must be a list of pattern names")
+        raise _doc_error(doc, "missing required field 'available patterns'")
+    list_of(patterns, str, f"{doc.where}: 'available patterns'", doc.line)
     if not patterns:
-        raise _doc_error(index, "'available patterns' must not be empty")
+        raise _doc_error(doc, "'available patterns' must not be empty")
     return FunctionMetadata(
-        name=name,
+        name=doc.name,
         available_patterns=tuple(patterns),
-        elementsize=_require_int(spec, "elementsize", index),
-        internalsize=_require_int(spec, "internalsize", index),
-        runtime=_require_int(spec, "runtime", index),
+        elementsize=_require_int(doc, "elementsize"),
+        internalsize=_require_int(doc, "internalsize"),
+        runtime=_require_int(doc, "runtime"),
     )
 
 
@@ -180,8 +146,7 @@ def _tokenize_equation(text: str) -> list[str]:
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             if text[pos:].strip():
-                raise DiagnosticError([error_at(1, pos + 1,
-                                                f"bad equation syntax near {text[pos:].strip()!r}")])
+                raise fail(1, pos + 1, f"bad equation syntax near {text[pos:].strip()!r}")
             break
         tokens.append(m.group(1))
         pos = m.end()
@@ -196,7 +161,7 @@ def _parse_equation_text(doc: TimingEquationDoc) -> tuple[set[str], list]:
     """
     tokens = _tokenize_equation(doc.equation)
     if not tokens:
-        raise DiagnosticError([error_at(1, 1, f"equation of {doc.name!r} is empty")])
+        raise fail(1, 1, f"equation of {doc.name!r} is empty")
     placeholders: set[str] = set()
     sequence: list = []
     term: list[tuple[int, str | None]] = []
@@ -204,7 +169,7 @@ def _parse_equation_text(doc: TimingEquationDoc) -> tuple[set[str], list]:
 
     def close_factor() -> None:
         if not factor:
-            raise DiagnosticError([error_at(1, 1, f"dangling operator in equation of {doc.name!r}")])
+            raise fail(1, 1, f"dangling operator in equation of {doc.name!r}")
         coeff = 1
         symbol: str | None = None
         for tok in factor:
@@ -214,8 +179,7 @@ def _parse_equation_text(doc: TimingEquationDoc) -> tuple[set[str], list]:
                 symbol = tok
                 placeholders.add(tok)
             else:
-                raise DiagnosticError([error_at(1, 1,
-                                                f"non-linear product in equation of {doc.name!r}")])
+                raise fail(1, 1, f"non-linear product in equation of {doc.name!r}")
         term.append((coeff, symbol))
         factor.clear()
 
@@ -232,14 +196,12 @@ def _parse_equation_text(doc: TimingEquationDoc) -> tuple[set[str], list]:
             close_factor()
         elif tok == "*":
             if not factor:
-                raise DiagnosticError([error_at(1, 1,
-                                                f"dangling '*' in equation of {doc.name!r}")])
+                raise fail(1, 1, f"dangling '*' in equation of {doc.name!r}")
         else:
             factor.append(tok)
     close_term()
     if len(sequence) < 3 or len(sequence) % 2 == 0:
-        raise DiagnosticError([error_at(1, 1,
-                                        f"equation of {doc.name!r} needs at least one relation")])
+        raise fail(1, 1, f"equation of {doc.name!r} needs at least one relation")
     return placeholders, sequence
 
 

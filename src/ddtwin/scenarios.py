@@ -13,9 +13,8 @@ import csv
 import io
 from dataclasses import dataclass, replace
 
-import yaml
-
-from .diagnostics import DiagnosticError, error_at
+from .diagnostics import DiagnosticError, error_at, fail
+from .documents import integer, list_of, read_stream, section, typed
 from .graph import TaskGraph
 from .hardware import HardwareTopology
 from .patterns import PatternCatalog
@@ -531,77 +530,39 @@ def render_scenario_table(results: list[ScenarioResult]) -> str:
 
 # -- scenario manifests -----------------------------------------------------
 
-_API_VERSION = "rdsl/v0"
-
-
 def parse_scenario_stream(text: str) -> list[ScenarioSpec]:
     """Parse a multi-document YAML stream of ``kind: scenario`` documents."""
-    try:
-        raw_docs = list(yaml.safe_load_all(text))
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        line = (mark.line + 1) if mark else 1
-        col = (mark.column + 1) if mark else 1
-        raise DiagnosticError(
-            [error_at(line, col, f"YAML parse error: {exc}")]) from exc
-
     specs = []
-    for i, raw in enumerate(raw_docs):
-        if raw is None:
-            continue
-        where = f"document {i + 1}"
-        if not isinstance(raw, dict):
-            raise _err(f"{where}: document is not a mapping")
-        if raw.get("apiVersion") != _API_VERSION:
-            raise _err(f"{where}: unsupported apiVersion "
-                       f"{raw.get('apiVersion')!r} (expected {_API_VERSION!r})")
-        if raw.get("kind") != "scenario":
-            raise _err(f"{where}: expected kind 'scenario', "
-                       f"got {raw.get('kind')!r}")
-        metadata = raw.get("metadata")
-        if not isinstance(metadata, dict) or "name" not in metadata:
-            raise _err(f"{where}: metadata.name is required")
-        spec = raw.get("spec")
-        if not isinstance(spec, dict):
-            raise _err(f"{where}: spec must be a mapping")
-        raw_injections = spec.get("injections", [])
-        if not isinstance(raw_injections, list):
-            raise _err(f"{where}: spec.injections must be a list")
-        injections = tuple(_parse_injection(entry, where, j)
-                           for j, entry in enumerate(raw_injections))
-        specs.append(ScenarioSpec(str(metadata["name"]), injections))
+    for doc in read_stream(text, "scenario stream", ("scenario",)):
+        raw_injections = section(doc.spec, "injections", list,
+                                 f"{doc.where}: spec.injections", doc.line)
+        injections = tuple(
+            _parse_injection(entry, f"{doc.where}, injection {j + 1}", doc.line)
+            for j, entry in enumerate(raw_injections))
+        specs.append(ScenarioSpec(doc.name, injections))
     return specs
 
 
-def _parse_injection(entry, where: str, index: int) -> Injection:
-    at = f"{where}, injection {index + 1}"
-    if not isinstance(entry, dict):
-        raise _err(f"{at}: injection must be a mapping")
+def _parse_injection(entry, at: str, line: int) -> Injection:
+    typed(entry, dict, at, line)
     kind = str(entry.get("kind", "")).upper()
     if kind not in INJECTION_KINDS:
-        raise _err(f"{at}: unknown injection kind {entry.get('kind')!r}")
+        raise fail(line, 1, f"{at}: unknown injection kind {entry.get('kind')!r}")
     targets = entry.get("targets", [])
     if isinstance(targets, str):
         targets = [targets]
-    if not isinstance(targets, list) or not all(isinstance(t, str)
-                                                for t in targets):
-        raise _err(f"{at}: targets must be a string list")
+    list_of(targets, str, f"{at}: targets", line)
     cores = entry.get("cores")
     if cores is not None:
-        if (not isinstance(cores, list)
-                or not all(isinstance(c, int) and not isinstance(c, bool)
-                           for c in cores)):
-            raise _err(f"{at}: cores must be an integer list")
-        cores = frozenset(cores)
+        cores = frozenset(list_of(cores, int, f"{at}: cores", line))
     value = entry.get("value")
-    if value is not None and (isinstance(value, bool)
-                              or not isinstance(value, int)):
-        raise _err(f"{at}: value must be an integer")
+    if value is not None:
+        integer(value, f"{at}: value", line)
 
     if kind in (EVICT_BUFFER, PIN_TASKS, ADD_FLOW) and not targets:
-        raise _err(f"{at}: {kind} requires targets")
+        raise fail(line, 1, f"{at}: {kind} requires targets")
     if kind == PIN_TASKS and cores is None:
-        raise _err(f"{at}: PIN_TASKS requires cores")
+        raise fail(line, 1, f"{at}: PIN_TASKS requires cores")
     if kind in (START_LAG, TIGHTEN_DEADLINE) and value is None:
-        raise _err(f"{at}: {kind} requires a value")
+        raise fail(line, 1, f"{at}: {kind} requires a value")
     return Injection(kind, tuple(targets), cores, value)

@@ -281,6 +281,14 @@ class _Search:
                 return nonp
         return every
 
+    def _option_lists(self, task_id: str, core: int,
+                      state: _State) -> list[list[_Choice]] | None:
+        """Each output buffer's options for ``task_id`` placed on ``core``,
+        in output order; None when some buffer has none there."""
+        option_lists = [self._options(buf_id, core, state)
+                        for buf_id in self.graph.tasks[task_id].outputs]
+        return option_lists if all(option_lists) else None
+
     # -- placement ---------------------------------------------------------
 
     def _place(self, state: _State, task_id: str, core: int,
@@ -485,17 +493,9 @@ class _Search:
             if not cands:
                 self._note(PATTERN_VIOLATION)
                 continue
-            outputs = self.graph.tasks[task_id].outputs
             for core in cands:
-                option_lists: list[list[_Choice]] = []
-                dead = False
-                for buf_id in outputs:
-                    options = self._options(buf_id, core, state)
-                    if not options:
-                        dead = True
-                        break
-                    option_lists.append(options)
-                if dead:
+                option_lists = self._option_lists(task_id, core, state)
+                if option_lists is None:
                     self._note(PATTERN_VIOLATION)
                     continue
                 for combo in product(*option_lists):
@@ -538,6 +538,15 @@ class _Search:
                 self._seed_pass(by_finish, ban_colocate)
 
     def _seed_pass(self, by_finish: bool, ban_colocate: bool) -> None:
+        def picks(options: list[_Choice]) -> list[_Choice]:
+            # the cheapest choice and the cheapest non-pipeline one, or
+            # only the latter when co-location is banned
+            by_cost = sorted(options, key=lambda c: (c.cost, c.index))
+            nonpipe = [c for c in by_cost if c.pattern.klass != "pipeline"]
+            if ban_colocate and nonpipe:
+                return nonpipe[:1]
+            return by_cost[:1] + [c for c in nonpipe[:1] if c is not by_cost[0]]
+
         order = sorted(self.graph.tasks, key=lambda t: (-self.down[t], t))
         state = self._root()
         for task_id in order:
@@ -546,25 +555,10 @@ class _Search:
             best_child = None
             best_key = None
             for core in self._candidate_cores(task_id, state):
-                combo_pool: list[list[_Choice]] = []
-                dead = False
-                for buf_id in self.graph.tasks[task_id].outputs:
-                    options = self._options(buf_id, core, state)
-                    if not options:
-                        dead = True
-                        break
-                    by_cost = sorted(options, key=lambda c: (c.cost, c.index))
-                    nonpipe = [c for c in by_cost if c.pattern.klass != "pipeline"]
-                    if ban_colocate and nonpipe:
-                        picks = [nonpipe[0]]
-                    else:
-                        picks = [by_cost[0]]
-                        if nonpipe and nonpipe[0] is not picks[0]:
-                            picks.append(nonpipe[0])
-                    combo_pool.append(picks)
-                if dead:
+                option_lists = self._option_lists(task_id, core, state)
+                if option_lists is None:
                     continue
-                for combo in product(*combo_pool):
+                for combo in product(*map(picks, option_lists)):
                     child, _ = self._place(state, task_id, core, combo)
                     if child is None:
                         continue

@@ -10,6 +10,7 @@ import contextlib
 import copy
 import io
 import json
+import shutil
 import tempfile
 import textwrap
 from pathlib import Path
@@ -114,6 +115,21 @@ def test_validate_rejects_pattern_missing_from_catalog(tmp_path):
     assert (code, out) == (1, "")
     assert "function 'job' lists pattern 'warp.c_0'" in err
     assert "not in the catalog" in err
+
+
+def test_validate_rejects_catalog_memory_missing_from_topology(paper_dir,
+                                                              tmp_path):
+    shutil.copytree(paper_dir, tmp_path / "paper", ignore=shutil.ignore_patterns("out"))
+    catalog = tmp_path / "paper" / "patterns.xml"
+    entry = ('<pattern name="L2toL2.c_0.L3_0.accL3_0">\n'
+             '    <defining_memory>c0.l2</defining_memory>')
+    catalog.write_text(catalog.read_text().replace(
+        entry, entry.replace("c0.l2", "c9.l2")))
+    code, out, err = run(["validate", "--manifest",
+                          str(tmp_path / "paper" / "manifest.yaml")])
+    assert (code, out) == (1, "")
+    assert err == ("1:1: error: pattern 'L2toL2.c_0.L3_0.accL3_0' names memory "
+                   "'c9.l2', which the topology does not define\n")
 
 
 def test_validate_rejects_unused_record_naming_missing_pattern(tmp_path):
@@ -382,6 +398,12 @@ _RUN_SPEC = ("apiVersion: rdsl/v0\nkind: run\nspec:\n  flows: [f]\n"
      "solver mode must be 'exact' or 'heuristic'"),
     (_RUN_SPEC + "  solver: {budget_nodes: lots}\n",
      "spec.solver.budget_nodes must be an integer, got 'lots'"),
+    (_RUN_SPEC + "  solver: {budget_nodes: true}\n",
+     "spec.solver.budget_nodes must be an integer, got True"),
+    (_RUN_SPEC + "  scenario: {small_threshold: 1.5}\n",
+     r"spec.scenario.small_threshold must be an integer, got 1\.5"),
+    (_RUN_SPEC + "  scenario: {enumerate: \"no\"}\n",
+     "spec.scenario.enumerate must be a boolean, got 'no'"),
     (_RUN_SPEC + "  solver: {scenario_budget_nodes: [1]}\n",
      "spec.solver.scenario_budget_nodes must be an integer"),
     (_RUN_SPEC + "  scenario: {small_threshold: x}\n",

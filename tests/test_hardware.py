@@ -76,6 +76,8 @@ def test_core_referencing_missing_memory_rejected():
      "core 1: 'id' must be an integer, got 'zero'"),
     ("capacity: 8000", "capacity: lots",
      "memory 2: 'capacity' must be an integer, got 'lots'"),
+    ("capacity: 8000", "capacity: 0.5",
+     r"memory 2: 'capacity' must be an integer, got 0\.5"),
     ("{id: DDR_0, ", "{", "memory 3 is missing 'id'"),
     ("{id: DDR_0, level: DDR, capacity: 100000}", "7",
      "memory 3 must be a mapping"),
@@ -117,14 +119,14 @@ def test_topology_yaml_syntax_error_is_diagnosed():
 def test_parse_deployment_full():
     dep = parse_deployment("""
 entry_flow: main
-symbols: {N: "4", M: 2}
+symbols: {N: 4, M: 2}
 equation_values: {A: 3}
 slot_budget: 500000
 max_start_lag: 100
 metadata_files: [a.yaml, b.yaml]
 """)
     assert dep.entry_flow == "main"
-    assert dep.symbols == {"N": 4, "M": 2}      # values coerced to int
+    assert dep.symbols == {"N": 4, "M": 2}
     assert dep.equation_values == {"A": 3}
     assert dep.slot_budget == 500_000
     assert dep.max_start_lag == 100
@@ -156,6 +158,9 @@ def test_deployment_symbol_values_must_be_integers():
      "deployment equation_values: 'A' must be an integer, got 'x'"),
     ("slot_budget: soon", "deployment: 'slot_budget' must be an integer"),
     ("max_start_lag: [1]", "deployment: 'max_start_lag' must be an integer"),
+    ("slot_budget: 150.9", "deployment: 'slot_budget' must be an integer, got 150.9"),
+    ('max_start_lag: "7"', "deployment: 'max_start_lag' must be an integer, got '7'"),
+    ("symbols: {N: true}", "deployment symbols: 'N' must be an integer, got True"),
     ("symbols: 5", "deployment symbols must be a mapping, got 5"),
     ("metadata_files: 5", "deployment metadata_files must be a list, got 5"),
 ])

@@ -82,8 +82,10 @@ def test_wrong_api_version_rejected():
 def test_document_index_in_errors():
     good = _doc(variable_name="x", constraint="equal", value=5, unit="clock")
     bad = "apiVersion: rdsl/v0\nkind: timing equality\nmetadata: {name: y}\nspec: {}\n"
-    with pytest.raises(DiagnosticError, match="document 2"):
+    with pytest.raises(DiagnosticError, match="document 2") as exc:
         parse_constraint_stream(good + "---\n" + bad)
+    # the line after the first document and its "---"
+    assert exc.value.diagnostics[0].line == good.count("\n") + 2
 
 
 def test_equation_symbols():

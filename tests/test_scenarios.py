@@ -563,5 +563,6 @@ def test_scenario_stream_validation(text, msg):
 def test_second_document_errors_name_their_position():
     text = scenario_doc(injections=[]) + "---\n" + \
         scenario_doc(injections=[]).replace("kind: scenario", "kind: event")
-    with pytest.raises(DiagnosticError, match="document 2"):
+    with pytest.raises(DiagnosticError, match="document 2") as exc:
         parse_scenario_stream(text)
+    assert exc.value.diagnostics[0].line == scenario_doc(injections=[]).count("\n") + 2
