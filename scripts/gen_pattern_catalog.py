@@ -12,6 +12,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
+
+# run from a checkout without installing: its src comes first
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ddtwin.hardware import parse_topology
 from ddtwin.patterns import generate_patterns_from_topology, \

@@ -15,6 +15,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
+
+# run from a checkout without installing: its src comes first
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ddtwin.instances import random_instance, tighten_instance
 from ddtwin.oracle import brute_force_oracle

@@ -23,8 +23,7 @@ from .diagnostics import DiagnosticError, error_at
 from .documents import envelope, integer, list_of, load_document, section, \
     typed
 from .elaborate import bind_timing, check_static, elaborate
-from .flows import FlowDef, SymbolTable, collect_labels, parse_flow_source, \
-    validate_flows
+from .flows import FlowDef, SymbolTable, collect_labels, parse_flow_source
 from .graph import TaskGraph, graph_to_json
 from .hardware import DeploymentConfig, HardwareTopology, parse_deployment, \
     parse_topology
@@ -163,7 +162,8 @@ def load_run(manifest: RunManifest) -> LoadedRun:
     """Parse every input the manifest names.
 
     Raises DiagnosticError on the first file that fails; later stages
-    (elaboration, solving) never reparse.
+    (elaboration, solving) never reparse.  The flows are parsed here but
+    checked by ``build_graph``, whose elaboration validates them.
     """
     deployment = parse_deployment(_read(manifest.deployment))
     symbols = SymbolTable(dict(deployment.symbols))
@@ -171,7 +171,6 @@ def load_run(manifest: RunManifest) -> LoadedRun:
     defs: list[FlowDef] = []
     for path in manifest.flows:
         defs.extend(parse_flow_source(_read(path)))
-    defs = validate_flows(defs, symbols)
     labels = collect_labels(defs)
 
     docs = []

@@ -10,6 +10,13 @@ slice overlaps (one index tuple is a prefix of the other).
 Leaf functions have no flow definition, so binding direction follows the
 formal name: ``*_in`` observes, ``*_out`` defines.  Bindings against the
 parameters of a nested flow take their direction from the declaration.
+
+``elaborate`` runs ``flows.validate_flows`` first, so each rule that needs
+only the flow definitions and the symbol table is checked once, at its
+source position, before anything expands.  What is checked here needs the
+expansion or the SDK metadata: nesting depth, metadata for each leaf
+function, the slot bookkeeping (a slot defined twice, observed but never
+defined, or an input stream written), pattern names and dependency cycles.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 
 from .diagnostics import Diagnostic, DiagnosticError, error_at
-from .flows import FlowDef, StreamRef, SymbolTable
+from .flows import FlowDef, StreamRef, SymbolTable, validate_flows
 from .graph import Buffer, ExternalInput, TaskGraph, TaskInstance
 from .manifests import (FunctionMetadata, TimingEqualityDoc, TimingEquationDoc,
                         equation_symbols)
@@ -29,10 +36,8 @@ UNBOUNDED_DEADLINE = 10**15
 
 @dataclass
 class _FlatStream:
-    name: str
-    rank: int
     external: bool
-    labels: tuple[str, ...] = ()
+    labels: tuple[str, ...]
 
 
 @dataclass
@@ -46,8 +51,8 @@ class _Walk:
     streams: dict[str, _FlatStream] = field(default_factory=dict)
     definitions: list[tuple[str, tuple[int, ...], str]] = field(default_factory=list)
     observations: list[tuple[str, tuple[int, ...], str]] = field(default_factory=list)
+    # leaf task id -> its function's metadata, in expansion order
     task_meta: dict[str, FunctionMetadata] = field(default_factory=dict)
-    task_order: list[str] = field(default_factory=list)
     diags: list[Diagnostic] = field(default_factory=list)
 
 
@@ -56,26 +61,12 @@ def _slot_id(stream: str, idx: tuple[int, ...]) -> str:
 
 
 def _resolve_ref(ref: StreamRef, env: dict[str, int], actuals: dict[str, _SlotRef],
-                 path: str, walk: _Walk) -> _SlotRef | None:
-    indices: list[int] = []
-    for idx in ref.indices:
-        if isinstance(idx, int):
-            indices.append(idx)
-        elif idx in env:
-            indices.append(env[idx])
-        else:
-            walk.diags.append(error_at(ref.line, ref.column,
-                                       f"index {idx!r} is not an iterator variable"))
-            return None
+                 path: str) -> _SlotRef:
+    indices = tuple(i if isinstance(i, int) else env[i] for i in ref.indices)
     if ref.stream in actuals:
         base = actuals[ref.stream]
-        return _SlotRef(base.stream, base.prefix + tuple(indices))
-    flat = path + ref.stream
-    if flat not in walk.streams:
-        walk.diags.append(error_at(ref.line, ref.column,
-                                   f"unresolved stream {ref.stream!r}"))
-        return None
-    return _SlotRef(flat, tuple(indices))
+        return _SlotRef(base.stream, base.prefix + indices)
+    return _SlotRef(path + ref.stream, indices)
 
 
 def _expand_flow(flow: FlowDef, path: str, actuals: dict[str, _SlotRef],
@@ -86,76 +77,34 @@ def _expand_flow(flow: FlowDef, path: str, actuals: dict[str, _SlotRef],
                                    f"flow nesting exceeds depth 32 at {flow.name!r} (recursive flows?)"))
         return
     for decl in flow.internals:
-        flat = path + decl.name
-        walk.streams[flat] = _FlatStream(name=flat, rank=decl.rank, external=False,
-                                         labels=tuple(decl.labels))
+        walk.streams[path + decl.name] = _FlatStream(False, tuple(decl.labels))
 
     for inst in flow.instantiations:
-        ranges: list[range] = []
-        ok = True
-        for it in inst.iterators:
-            lo = symbols.resolve(it.lower)
-            hi = symbols.resolve(it.upper)
-            if lo is None or hi is None or lo <= 0 or hi < lo:
-                walk.diags.append(error_at(it.line, it.column,
-                                           f"iterator {it.var!r} has unresolvable or empty range "
-                                           f"{it.lower}:{it.upper}"))
-                ok = False
-        if not ok:
+        callee = flows.get(inst.callee)
+        fn_meta = meta.get(inst.callee)
+        if callee is None and fn_meta is None:
+            walk.diags.append(error_at(inst.line, inst.column,
+                                       f"no SDK metadata for function {inst.callee!r}"))
             continue
-        for it in inst.iterators:
-            ranges.append(range(symbols.resolve(it.lower), symbols.resolve(it.upper) + 1))
-
+        ranges = [range(symbols.resolve(it.lower), symbols.resolve(it.upper) + 1)
+                  for it in inst.iterators]
         for values in itertools.product(*ranges):
             env = {it.var: v for it, v in zip(inst.iterators, values)}
             tag = inst.callee
             if env:
                 tag += "[" + ",".join(f"{it.var}={env[it.var]}" for it in inst.iterators) + "]"
-            resolved: dict[str, _SlotRef] = {}
-            for b in inst.bindings:
-                slot = _resolve_ref(b.actual, env, actuals, path, walk)
-                if slot is not None:
-                    resolved[b.formal] = slot
-
-            callee = flows.get(inst.callee)
+            resolved = {b.formal: _resolve_ref(b.actual, env, actuals, path)
+                        for b in inst.bindings}
             if callee is not None:
-                params = {d.name: d for d in callee.params}
-                for name in params:
-                    if name not in resolved:
-                        walk.diags.append(error_at(inst.line, inst.column,
-                                                   f"instantiation of {inst.callee!r} leaves "
-                                                   f"parameter {name!r} unbound"))
-                for name in resolved:
-                    if name not in params:
-                        walk.diags.append(error_at(inst.line, inst.column,
-                                                   f"{inst.callee!r} has no parameter {name!r}"))
-                if all(name in resolved for name in params):
-                    _expand_flow(callee, path + tag + "/", resolved, flows, meta,
-                                 symbols, walk, depth + 1)
-                continue
-
-            # leaf function: direction from the formal name suffix
-            fn_meta = meta.get(inst.callee)
-            if fn_meta is None:
-                walk.diags.append(error_at(inst.line, inst.column,
-                                           f"no SDK metadata for function {inst.callee!r}"))
+                _expand_flow(callee, path + tag + "/", resolved, flows, meta,
+                             symbols, walk, depth + 1)
                 continue
             task_id = path + tag
             walk.task_meta[task_id] = fn_meta
-            walk.task_order.append(task_id)
-            for b in inst.bindings:
-                if b.formal not in resolved:
-                    continue
-                slot = resolved[b.formal]
-                if b.formal.endswith("_out"):
-                    walk.definitions.append((slot.stream, slot.prefix, task_id))
-                elif b.formal.endswith("_in"):
-                    walk.observations.append((slot.stream, slot.prefix, task_id))
-                else:
-                    walk.diags.append(error_at(b.line, b.column,
-                                               f"cannot infer direction of formal {b.formal!r} "
-                                               f"on leaf function {inst.callee!r}; use an _in or "
-                                               f"_out suffix"))
+            # leaf function: direction from the formal name suffix
+            for formal, slot in resolved.items():
+                side = walk.definitions if formal.endswith("_out") else walk.observations
+                side.append((slot.stream, slot.prefix, task_id))
 
 
 def _prefix_overlap(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -168,10 +117,13 @@ def elaborate(defs: list[FlowDef], entry: str, symbols: SymbolTable,
               slot_budget: int = UNBOUNDED_DEADLINE) -> TaskGraph:
     """Expand the entry flow into a TaskGraph.
 
-    Raises DiagnosticError on unresolved references, double definitions,
-    statically read-before-written streams, missing function metadata,
-    pattern names absent from the catalog, and dependency cycles.
+    Runs ``validate_flows`` first, so raises DiagnosticError on every flow
+    problem it reports; then on an undefined entry flow, nesting deeper
+    than 32, missing function metadata, double definitions, statically
+    read-before-written streams, writes to input streams, pattern names
+    absent from the catalog, and dependency cycles.
     """
+    validate_flows(defs, symbols)
     flows = {f.name: f for f in defs}
     meta = {m.name: m for m in metadata}
     if entry not in flows:
@@ -181,9 +133,8 @@ def elaborate(defs: list[FlowDef], entry: str, symbols: SymbolTable,
     walk = _Walk()
     actuals: dict[str, _SlotRef] = {}
     for decl in entry_flow.params:
-        walk.streams[decl.name] = _FlatStream(name=decl.name, rank=decl.rank,
-                                              external=decl.direction == "in",
-                                              labels=tuple(decl.labels))
+        walk.streams[decl.name] = _FlatStream(decl.direction == "in",
+                                              tuple(decl.labels))
         actuals[decl.name] = _SlotRef(decl.name, ())
     _expand_flow(entry_flow, "", actuals, flows, meta, symbols, walk, 0)
     if walk.diags:
@@ -211,9 +162,9 @@ def elaborate(defs: list[FlowDef], entry: str, symbols: SymbolTable,
     allowed = {name: _resolve_patterns(m, catalog, diags)
                for name, m in meta.items()}
     buffers: dict[str, Buffer] = {}
-    task_inputs: dict[str, list[str]] = {t: [] for t in walk.task_order}
-    task_outputs: dict[str, list[str]] = {t: [] for t in walk.task_order}
-    task_external: dict[str, list[ExternalInput]] = {t: [] for t in walk.task_order}
+    task_inputs: dict[str, list[str]] = {t: [] for t in walk.task_meta}
+    task_outputs: dict[str, list[str]] = {t: [] for t in walk.task_meta}
+    task_external: dict[str, list[ExternalInput]] = {t: [] for t in walk.task_meta}
 
     for stream, prefix, task_id in walk.definitions:
         if walk.streams[stream].external:
@@ -252,8 +203,7 @@ def elaborate(defs: list[FlowDef], entry: str, symbols: SymbolTable,
         buffers[buf_id] = replace(buffers[buf_id], observers=tuple(observers))
 
     tasks: dict[str, TaskInstance] = {}
-    for task_id in walk.task_order:
-        fn_meta = walk.task_meta[task_id]
+    for task_id, fn_meta in walk.task_meta.items():
         tasks[task_id] = TaskInstance(
             id=task_id, function=fn_meta.name, runtime=fn_meta.runtime,
             internalsize=fn_meta.internalsize,
@@ -285,6 +235,8 @@ def _resolve_patterns(fn_meta: FunctionMetadata, catalog: PatternCatalog,
 
 
 def _find_cycle(graph: TaskGraph) -> list[str]:
+    """One dependency cycle, closed (its first task ends it too) and in
+    dependency order; empty when there is none."""
     indegree = {t: 0 for t in graph.tasks}
     for buf in graph.buffers.values():
         for obs in buf.observers:
@@ -301,7 +253,21 @@ def _find_cycle(graph: TaskGraph) -> list[str]:
                     queue.append(obs)
     if seen == len(graph.tasks):
         return []
-    return sorted(t for t, d in indegree.items() if d > 0)[:8]
+    # every task Kahn's pass left has a predecessor it left too, so walking
+    # back from one must close a loop
+    stuck = {t for t, d in indegree.items() if d > 0}
+    preds: dict[str, set[str]] = {t: set() for t in stuck}
+    for buf in graph.buffers.values():
+        for obs in buf.observers:
+            if obs in stuck and buf.definer in stuck:
+                preds[obs].add(buf.definer)
+    walked: dict[str, int] = {}
+    task_id = min(stuck)
+    while task_id not in walked:
+        walked[task_id] = len(walked)
+        task_id = min(preds[task_id])
+    loop = list(walked)[walked[task_id]:] + [task_id]
+    return loop[::-1]
 
 
 # ---------------------------------------------------------------------------

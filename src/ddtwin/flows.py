@@ -103,12 +103,6 @@ class FlowDef:
     line: int = 0
     column: int = 0
 
-    def streams(self) -> dict[str, StreamDecl]:
-        out: dict[str, StreamDecl] = {}
-        for decl in self.params + self.internals:
-            out[decl.name] = decl
-        return out
-
 
 @dataclass
 class SymbolTable:
@@ -375,8 +369,13 @@ def _resolve_positive(value: int | str, symbols: SymbolTable, line: int,
 
 def validate_flows(defs: list[FlowDef], symbols: SymbolTable) -> list[FlowDef]:
     """Cross-check every flow: reference resolution, shape arities, iterator
-    ranges, and direction placement.  Returns the defs unchanged on success,
-    raises DiagnosticError listing every problem otherwise.
+    ranges, and direction placement.  Each instantiation of a flow must bind
+    every parameter of it, and each formal bound on a leaf function (a
+    callee that is not a flow) needs an ``_in`` or ``_out`` suffix.  Every
+    problem is reported once, at its declaration, instantiation or binding,
+    however many times elaboration would expand it.  Returns the defs
+    unchanged on success, raises DiagnosticError listing every problem
+    otherwise.
     """
     diags: list[Diagnostic] = []
     by_name = {f.name: f for f in defs}
@@ -419,16 +418,21 @@ def validate_flows(defs: list[FlowDef], symbols: SymbolTable) -> list[FlowDef]:
 
             formals: set[str] = set()
             callee = by_name.get(inst.callee)
+            params = [d.name for d in callee.params] if callee is not None else []
             for b in inst.bindings:
                 if b.formal in formals:
                     diags.append(error_at(b.line, b.column,
                                           f"formal {b.formal!r} bound twice in {inst.callee!r}"))
                 formals.add(b.formal)
-                if callee is not None:
-                    params = {d.name for d in callee.params}
-                    if b.formal not in params:
-                        diags.append(error_at(b.line, b.column,
-                                              f"{inst.callee!r} has no parameter {b.formal!r}"))
+                if callee is not None and b.formal not in params:
+                    diags.append(error_at(b.line, b.column,
+                                          f"{inst.callee!r} has no parameter {b.formal!r}"))
+                elif callee is None and not b.formal.endswith(("_in", "_out")):
+                    # a leaf function has no declaration to take direction from
+                    diags.append(error_at(b.line, b.column,
+                                          f"cannot infer direction of formal {b.formal!r} "
+                                          f"on leaf function {inst.callee!r}; use an _in or "
+                                          f"_out suffix"))
                 decl = streams.get(b.actual.stream)
                 if decl is None:
                     diags.append(error_at(b.actual.line, b.actual.column,
@@ -444,6 +448,10 @@ def validate_flows(defs: list[FlowDef], symbols: SymbolTable) -> list[FlowDef]:
                         diags.append(error_at(b.actual.line, b.actual.column,
                                               f"index {idx!r} is not an iterator of this "
                                               f"instantiation"))
+            diags.extend(error_at(inst.line, inst.column,
+                                  f"instantiation of {inst.callee!r} leaves parameter "
+                                  f"{name!r} unbound")
+                         for name in params if name not in formals)
 
     if diags:
         raise DiagnosticError(diags)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .graph import Buffer, TaskGraph, TaskInstance
 from .hardware import HardwareTopology
@@ -87,11 +87,9 @@ class _Move(NamedTuple):
 @dataclass
 class _State:
     placed: dict[str, tuple[int, int]]
-    finish: dict[str, int]
     transfers: dict[str, _Move]
-    core_free: dict[int, int]
+    core_free: dict[int, int]        # the cores in use, each to its last finish
     forced: dict[str, int]
-    used: frozenset[int]
     span: int
     # tracked memory -> claim key -> (start, end, size); a buffer's claim
     # is keyed by its id, a task's scratch claim by (task id,)
@@ -281,14 +279,6 @@ class _Search:
                 return nonp
         return every
 
-    def _option_lists(self, task_id: str, core: int,
-                      state: _State) -> list[list[_Choice]] | None:
-        """Each output buffer's options for ``task_id`` placed on ``core``,
-        in output order; None when some buffer has none there."""
-        option_lists = [self._options(buf_id, core, state)
-                        for buf_id in self.graph.tasks[task_id].outputs]
-        return option_lists if all(option_lists) else None
-
     # -- placement ---------------------------------------------------------
 
     def _place(self, state: _State, task_id: str, core: int,
@@ -329,8 +319,6 @@ class _Search:
 
         placed = dict(state.placed)
         placed[task_id] = (core, start)
-        finish = dict(state.finish)
-        finish[task_id] = fin
         core_free = dict(state.core_free)
         core_free[core] = fin
         forced = state.forced
@@ -347,9 +335,8 @@ class _Search:
             if self._overflows(grown):
                 return None, BUFFER_OVERFLOW
             claims = {**claims, **grown}
-        child = _State(placed=placed, finish=finish, transfers=transfers,
-                       core_free=core_free, forced=forced,
-                       used=state.used | {core}, span=span, claims=claims)
+        child = _State(placed=placed, transfers=transfers, core_free=core_free,
+                       forced=forced, span=span, claims=claims)
         return child, None
 
     def _grow_claims(self, state: _State, task: TaskInstance, core: int,
@@ -452,16 +439,39 @@ class _Search:
         forced = state.forced.get(task_id)
         if forced is not None:
             cands = [c for c in cands if c == forced]
+        # never-used cores of one symmetry group are interchangeable, so
+        # keep the first (least) of them
         kept: list[int] = []
+        groups: set[int] = set()
         for c in cands:
-            if c in state.used or c not in self.group_of:
+            group = self.group_of.get(c)
+            if c in state.core_free or group is None:
                 kept.append(c)
-                continue
-            peers = [d for d in cands if d not in state.used
-                     and self.group_of.get(d) == self.group_of[c]]
-            if c == min(peers):
+            elif group not in groups:
+                groups.add(group)
                 kept.append(c)
         return kept
+
+    def _children(self, state: _State, task_id: str,
+                  narrow: Callable[[list[_Choice]], list[_Choice]] | None = None,
+                  ) -> Iterator[tuple[int | None, tuple[_Choice, ...]]]:
+        """Each (core, pattern combo) placing ``task_id`` may try, in search
+        order, with ``narrow`` applied to each output buffer's options.
+        Yields ``(None, ())`` once if no core is a candidate, and once for
+        each candidate core where some output buffer has no option."""
+        cores = self._candidate_cores(task_id, state)
+        if not cores:
+            yield None, ()
+        outputs = self.graph.tasks[task_id].outputs
+        for core in cores:
+            option_lists = [self._options(buf_id, core, state) for buf_id in outputs]
+            if not all(option_lists):
+                yield None, ()
+                continue
+            if narrow is not None:
+                option_lists = map(narrow, option_lists)
+            for combo in product(*option_lists):
+                yield core, combo
 
     def _frontier(self, state: _State) -> list[str]:
         return sorted(t for t in self.graph.tasks
@@ -489,27 +499,21 @@ class _Search:
             self._leaf(state)
             return
         for task_id in self._frontier(state):
-            cands = self._candidate_cores(task_id, state)
-            if not cands:
-                self._note(PATTERN_VIOLATION)
-                continue
-            for core in cands:
-                option_lists = self._option_lists(task_id, core, state)
-                if option_lists is None:
+            for core, combo in self._children(state, task_id):
+                if core is None:
                     self._note(PATTERN_VIOLATION)
                     continue
-                for combo in product(*option_lists):
-                    self._spend()
-                    child, reason = self._place(state, task_id, core, combo)
-                    if child is None:
-                        self._note(reason)
-                        continue
-                    lb = self._lower_bound(child)
-                    if lb > self._cap():
-                        self._note(DEADLINE_MISS if lb > self.graph.deadline
-                                   else PRUNE_BOUND)
-                        continue
-                    self._expand(child)
+                self._spend()
+                child, reason = self._place(state, task_id, core, combo)
+                if child is None:
+                    self._note(reason)
+                    continue
+                lb = self._lower_bound(child)
+                if lb > self._cap():
+                    self._note(DEADLINE_MISS if lb > self.graph.deadline
+                               else PRUNE_BOUND)
+                    continue
+                self._expand(child)
 
     def _leaf(self, state: _State) -> None:
         self.leaves += 1
@@ -554,19 +558,17 @@ class _Search:
                 return
             best_child = None
             best_key = None
-            for core in self._candidate_cores(task_id, state):
-                option_lists = self._option_lists(task_id, core, state)
-                if option_lists is None:
+            for core, combo in self._children(state, task_id, picks):
+                if core is None:
                     continue
-                for combo in product(*map(picks, option_lists)):
-                    child, _ = self._place(state, task_id, core, combo)
-                    if child is None:
-                        continue
-                    rank = child.finish[task_id] if by_finish else child.span
-                    key = (rank, child.span, core, tuple(c.index for c in combo))
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best_child = child
+                child, _ = self._place(state, task_id, core, combo)
+                if child is None:
+                    continue
+                rank = child.core_free[core] if by_finish else child.span
+                key = (rank, child.span, core, tuple(c.index for c in combo))
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best_child = child
             if best_child is None:
                 return
             state = best_child
@@ -584,8 +586,8 @@ class _Search:
             for buf_id, tr in state.transfers.items()})
 
     def _root(self) -> _State:
-        return _State(placed={}, finish={}, transfers={}, core_free={},
-                      forced={}, used=frozenset(), span=0, claims={})
+        return _State(placed={}, transfers={}, core_free={}, forced={},
+                      span=0, claims={})
 
     # -- driver ------------------------------------------------------------
 

@@ -190,6 +190,16 @@ Flow main
 
 leafA[data = x]
 """, metadata=[md("leafA")])
+    # once, at the binding, however many times the range expands it
+    with pytest.raises(DiagnosticError) as err:
+        expand("""\
+Flow main
+    x : stream[3]
+
+leafA[i = 1:3, data = x[i]]
+""", metadata=[md("leafA")])
+    assert [(d.line, d.column) for d in err.value.diagnostics] == [(4, 16)]
+    assert "cannot infer direction of formal 'data'" in str(err.value)
 
 
 def test_double_definition_across_index_groups():
@@ -202,6 +212,14 @@ Flow main
 
 leafA[i = 1:1, q_out = m[i]]
 leafB[w_out = m[1]]
+""")
+    # elaborate validates the flows it is given
+    with pytest.raises(DiagnosticError, match="index 'k'"):
+        expand("""\
+Flow main
+    m : stream[2]
+
+leafA[i = 1:1, q_out = m[k]]
 """)
 
 
@@ -218,6 +236,22 @@ leafB[x_in = a, y_out = b]
 """)
 
 
+def test_dependency_cycle_names_only_tasks_on_it():
+    # aa waits on the cycle without being on it
+    with pytest.raises(DiagnosticError,
+                       match=r"dependency cycle through tasks: yy -> zz -> yy$"):
+        expand("""\
+Flow main
+    a : stream
+    b : stream
+    c : stream
+
+yy[x_in = b, y_out = a]
+zz[x_in = a, y_out = b]
+aa[x_in = a, y_out = c]
+""", metadata=[md("yy"), md("zz"), md("aa")])
+
+
 def test_unbound_flow_parameter():
     with pytest.raises(DiagnosticError, match="leaves parameter 'r' unbound"):
         expand("""\
@@ -231,6 +265,21 @@ Flow sub
 
 leafA[t_out = r]
 """, metadata=[md("leafA")])
+    # once, at the instantiation, however many times the range expands it
+    with pytest.raises(DiagnosticError) as err:
+        expand("""\
+Flow main
+    out : stream
+
+sub[i = 1:3]
+
+Flow sub
+    r : stream
+
+leafA[t_out = r]
+""", metadata=[md("leafA")])
+    assert [(d.line, d.column) for d in err.value.diagnostics] == [(4, 1)]
+    assert "leaves parameter 'r' unbound" in str(err.value)
 
 
 @given(n=st.integers(min_value=1, max_value=4),
