@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .diagnostics import DiagnosticError, error_at
-from .documents import envelope, integer, list_of, load_document, section, \
-    typed
+from .documents import envelope, integer, list_of, load_document, section
 from .elaborate import bind_timing, check_static, elaborate
 from .flows import FlowDef, SymbolTable, collect_labels, parse_flow_source
 from .graph import TaskGraph, graph_to_json
@@ -30,7 +29,7 @@ from .hardware import DeploymentConfig, HardwareTopology, parse_deployment, \
 from .manifests import FunctionMetadata, parse_constraint_stream
 from .patterns import PatternCatalog, generate_patterns_from_topology, \
     parse_pattern_catalog
-from .scenarios import RiskThresholds, ScenarioSpec, enumerate_scenarios, \
+from .scenarios import ScenarioSpec, enumerate_scenarios, \
     evaluate_scenarios, parse_scenario_stream, rank_scenarios, \
     render_scenario_csv, parse_scenario_csv, render_scenario_table
 from .schedule import Schedule
@@ -54,7 +53,8 @@ def _err(message: str) -> DiagnosticError:
 
 @dataclass
 class RunManifest:
-    """Paths and knobs for one pipeline run; paths are absolute."""
+    """The input files, output directory and solver settings of one
+    pipeline run; paths are absolute."""
 
     flows: list[Path]
     constraints: list[Path]
@@ -66,10 +66,6 @@ class RunManifest:
     mode: str = "exact"
     budget_nodes: int = 200_000
     scenario_budget_nodes: int | None = None
-    risk: RiskThresholds = field(default_factory=RiskThresholds)
-    enumerate_families: bool = True
-    small_threshold: int = 10_000
-    lag_sweep: tuple[int, ...] = ()
 
 
 def load_run_manifest(path: str | Path, out: str | None = None,
@@ -100,17 +96,15 @@ def load_run_manifest(path: str | Path, out: str | None = None,
             return None
         return base / str(value)
 
-    solver, scenario, risk_raw = (section(spec, key, dict, f"{where}.{key}")
-                                  for key in ("solver", "scenario", "risk"))
+    solver = section(spec, "solver", dict, f"{where}.solver")
 
-    def number(part: str, values: dict, key: str, default) -> int:
-        return integer(values.get(key, default), f"{where}.{part}.{key}")
-
-    defaults = RiskThresholds()
-    risk = RiskThresholds(**{key: number("risk", risk_raw, key,
-                                         getattr(defaults, key))
-                             for key in ("high", "moderate", "floor")})
-    lag_where = f"{where}.scenario.lag_sweep"
+    def budget(key: str, default: int | None) -> int | None:
+        if key not in solver:
+            return default
+        value = integer(solver[key], f"{where}.solver.{key}")
+        if value < 1:
+            raise _err(f"{where}.solver.{key} must be at least 1, got {value}")
+        return value
 
     out_dir = Path(out) if out is not None else base / str(spec.get("out", "out"))
     manifest = RunManifest(
@@ -122,16 +116,8 @@ def load_run_manifest(path: str | Path, out: str | None = None,
         scenario_files=paths("scenario_files", required=False),
         out=out_dir,
         mode=mode if mode is not None else str(solver.get("mode", "exact")),
-        budget_nodes=number("solver", solver, "budget_nodes", 200_000),
-        scenario_budget_nodes=(
-            number("solver", solver, "scenario_budget_nodes", None)
-            if "scenario_budget_nodes" in solver else None),
-        risk=risk,
-        enumerate_families=typed(scenario.get("enumerate", True), bool,
-                                 f"{where}.scenario.enumerate"),
-        small_threshold=number("scenario", scenario, "small_threshold", 10_000),
-        lag_sweep=tuple(integer(v, lag_where) for v in
-                        section(scenario, "lag_sweep", list, lag_where)))
+        budget_nodes=budget("budget_nodes", 200_000),
+        scenario_budget_nodes=budget("scenario_budget_nodes", None))
     if manifest.mode not in ("exact", "heuristic"):
         raise _err(f"solver mode must be 'exact' or 'heuristic', "
                    f"got {manifest.mode!r}")
@@ -333,17 +319,11 @@ def cmd_scenarios(manifest: RunManifest) -> int:
     if baseline.status == "unknown":
         raise _err("baseline " + no_verdict(baseline_opts, _EXHAUSTED))
 
-    specs = list(loaded.scenario_specs)
-    if manifest.enumerate_families:
-        specs.extend(enumerate_scenarios(
-            graph, loaded.catalog,
-            small_threshold=manifest.small_threshold,
-            lag_sweep=manifest.lag_sweep))
+    specs = loaded.scenario_specs + enumerate_scenarios(graph, loaded.catalog)
     opts = _solve_opts(manifest, loaded.deployment, scenario=True)
     results = evaluate_scenarios(specs, graph, loaded.topology,
-                                 loaded.catalog, opts, manifest.risk,
-                                 baseline)
-    ranked = rank_scenarios(results, manifest.risk)
+                                 loaded.catalog, opts, baseline)
+    ranked = rank_scenarios(results)
     table = render_scenario_table(ranked)
     write_atomic(manifest.out / "scenarios.csv", render_scenario_csv(ranked))
     write_atomic(manifest.out / "scenarios.txt", table)

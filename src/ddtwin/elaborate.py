@@ -13,10 +13,12 @@ parameters of a nested flow take their direction from the declaration.
 
 ``elaborate`` runs ``flows.validate_flows`` first, so each rule that needs
 only the flow definitions and the symbol table is checked once, at its
-source position, before anything expands.  What is checked here needs the
-expansion or the SDK metadata: nesting depth, metadata for each leaf
-function, the slot bookkeeping (a slot defined twice, observed but never
-defined, or an input stream written), pattern names and dependency cycles.
+source position, before anything expands; that includes recursion, so
+expansion always ends.  What is checked here needs the expansion or the
+SDK metadata: metadata for each leaf function, instances that two
+instantiations would both name, the slot bookkeeping (a slot defined
+twice, observed but never defined, or an input stream written), pattern
+names and dependency cycles.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ class _Walk:
     observations: list[tuple[str, tuple[int, ...], str]] = field(default_factory=list)
     # leaf task id -> its function's metadata, in expansion order
     task_meta: dict[str, FunctionMetadata] = field(default_factory=dict)
+    # every leaf task id and sub-flow path, without its trailing "/"
+    instances: set[str] = field(default_factory=set)
     diags: list[Diagnostic] = field(default_factory=list)
 
 
@@ -71,11 +75,7 @@ def _resolve_ref(ref: StreamRef, env: dict[str, int], actuals: dict[str, _SlotRe
 
 def _expand_flow(flow: FlowDef, path: str, actuals: dict[str, _SlotRef],
                  flows: dict[str, FlowDef], meta: dict[str, FunctionMetadata],
-                 symbols: SymbolTable, walk: _Walk, depth: int) -> None:
-    if depth > 32:
-        walk.diags.append(error_at(flow.line, flow.column,
-                                   f"flow nesting exceeds depth 32 at {flow.name!r} (recursive flows?)"))
-        return
+                 symbols: SymbolTable, walk: _Walk) -> None:
     for decl in flow.internals:
         walk.streams[path + decl.name] = _FlatStream(False, tuple(decl.labels))
 
@@ -93,11 +93,17 @@ def _expand_flow(flow: FlowDef, path: str, actuals: dict[str, _SlotRef],
             tag = inst.callee
             if env:
                 tag += "[" + ",".join(f"{it.var}={env[it.var]}" for it in inst.iterators) + "]"
+            if path + tag in walk.instances:
+                walk.diags.append(error_at(inst.line, inst.column,
+                                           f"instantiation of {inst.callee!r} repeats instance "
+                                           f"{tag!r} of flow {flow.name!r}"))
+                break
+            walk.instances.add(path + tag)
             resolved = {b.formal: _resolve_ref(b.actual, env, actuals, path)
                         for b in inst.bindings}
             if callee is not None:
                 _expand_flow(callee, path + tag + "/", resolved, flows, meta,
-                             symbols, walk, depth + 1)
+                             symbols, walk)
                 continue
             task_id = path + tag
             walk.task_meta[task_id] = fn_meta
@@ -118,10 +124,10 @@ def elaborate(defs: list[FlowDef], entry: str, symbols: SymbolTable,
     """Expand the entry flow into a TaskGraph.
 
     Runs ``validate_flows`` first, so raises DiagnosticError on every flow
-    problem it reports; then on an undefined entry flow, nesting deeper
-    than 32, missing function metadata, double definitions, statically
-    read-before-written streams, writes to input streams, pattern names
-    absent from the catalog, and dependency cycles.
+    problem it reports; then on an undefined entry flow, missing function
+    metadata, two instantiations naming one instance, double definitions,
+    statically read-before-written streams, writes to input streams,
+    pattern names absent from the catalog, and dependency cycles.
     """
     validate_flows(defs, symbols)
     flows = {f.name: f for f in defs}
@@ -136,9 +142,10 @@ def elaborate(defs: list[FlowDef], entry: str, symbols: SymbolTable,
         walk.streams[decl.name] = _FlatStream(decl.direction == "in",
                                               tuple(decl.labels))
         actuals[decl.name] = _SlotRef(decl.name, ())
-    _expand_flow(entry_flow, "", actuals, flows, meta, symbols, walk, 0)
+    _expand_flow(entry_flow, "", actuals, flows, meta, symbols, walk)
     if walk.diags:
-        raise DiagnosticError(walk.diags)
+        # a sub-flow expanded many times repeats its diagnostics verbatim
+        raise DiagnosticError(list(dict.fromkeys(walk.diags)))
 
     diags: list[Diagnostic] = []
 

@@ -371,7 +371,8 @@ def validate_flows(defs: list[FlowDef], symbols: SymbolTable) -> list[FlowDef]:
     """Cross-check every flow: reference resolution, shape arities, iterator
     ranges, and direction placement.  Each instantiation of a flow must bind
     every parameter of it, and each formal bound on a leaf function (a
-    callee that is not a flow) needs an ``_in`` or ``_out`` suffix.  Every
+    callee that is not a flow) needs an ``_in`` or ``_out`` suffix.  No
+    flow may instantiate itself, directly or through other flows.  Every
     problem is reported once, at its declaration, instantiation or binding,
     however many times elaboration would expand it.  Returns the defs
     unchanged on success, raises DiagnosticError listing every problem
@@ -452,6 +453,26 @@ def validate_flows(defs: list[FlowDef], symbols: SymbolTable) -> list[FlowDef]:
                                   f"instantiation of {inst.callee!r} leaves parameter "
                                   f"{name!r} unbound")
                          for name in params if name not in formals)
+
+    # a flow that reaches itself through its instantiations would expand
+    # forever; a depth-first walk meets each instantiation once and reports
+    # each cycle at the instantiation that closes it
+    done: set[str] = set()
+
+    def walk(flow: FlowDef, trail: list[str]) -> None:
+        for inst in flow.instantiations:
+            if inst.callee in trail:
+                cycle = trail[trail.index(inst.callee):] + [inst.callee]
+                diags.append(error_at(inst.line, inst.column,
+                                      f"flow {inst.callee!r} instantiates itself: "
+                                      + " -> ".join(cycle)))
+            elif inst.callee in by_name and inst.callee not in done:
+                walk(by_name[inst.callee], trail + [inst.callee])
+        done.add(flow.name)
+
+    for flow in defs:
+        if flow.name not in done:
+            walk(flow, [flow.name])
 
     if diags:
         raise DiagnosticError(diags)

@@ -78,18 +78,18 @@ class ScenarioResult:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class RiskThresholds:
-    high: int = 50
-    moderate: int = 15
-    floor: int = 5                 # deltas under this are not worth testing
+HIGH_RISK_PCT = 50
+MODERATE_RISK_PCT = 15
+FLOOR_PCT = 5                      # deltas under this are not worth testing
+SMALL_BUFFER_BYTES = 10_000        # the evict-small / evict-large split
 
-    def classify(self, delta_pct: int) -> str:
-        if delta_pct >= self.high:
-            return RISK_HIGH
-        if delta_pct >= self.moderate:
-            return RISK_MODERATE
-        return RISK_LOW
+
+def classify_risk(delta_pct: int) -> str:
+    if delta_pct >= HIGH_RISK_PCT:
+        return RISK_HIGH
+    if delta_pct >= MODERATE_RISK_PCT:
+        return RISK_MODERATE
+    return RISK_LOW
 
 
 def latency_delta_pct(latency: int, baseline: int) -> int:
@@ -281,7 +281,6 @@ def _clone_subgraph(graph: TaskGraph, prefix: str, copies: int) -> TaskGraph:
 def evaluate_scenario(spec: ScenarioSpec, graph: TaskGraph,
                       topology: HardwareTopology, catalog: PatternCatalog,
                       opts: SolveOpts | None = None,
-                      thresholds: RiskThresholds | None = None,
                       baseline: SolveOutcome | None = None) -> ScenarioResult:
     """Solve the injected graph and grade the latency movement.
 
@@ -291,7 +290,6 @@ def evaluate_scenario(spec: ScenarioSpec, graph: TaskGraph,
     reports nothing about feasibility either way.
     """
     opts = opts or SolveOpts()
-    thresholds = thresholds or RiskThresholds()
     if baseline is None:
         baseline = solve_best_case(graph, topology, catalog, opts)
     if baseline.status == "infeasible":
@@ -306,7 +304,7 @@ def evaluate_scenario(spec: ScenarioSpec, graph: TaskGraph,
 
     if not spec.injections:
         return ScenarioResult(spec.name, base_latency, 0,
-                              thresholds.classify(0), base_latency)
+                              classify_risk(0), base_latency)
 
     injected = apply_injections(graph, spec.injections, catalog)
     outcome = solve_best_case(injected, topology, catalog, opts)
@@ -320,13 +318,12 @@ def evaluate_scenario(spec: ScenarioSpec, graph: TaskGraph,
     assert outcome.makespan is not None
     delta = latency_delta_pct(outcome.makespan, base_latency)
     return ScenarioResult(spec.name, outcome.makespan, delta,
-                          thresholds.classify(delta), base_latency)
+                          classify_risk(delta), base_latency)
 
 
 def evaluate_scenarios(specs: list[ScenarioSpec], graph: TaskGraph,
                        topology: HardwareTopology, catalog: PatternCatalog,
                        opts: SolveOpts | None = None,
-                       thresholds: RiskThresholds | None = None,
                        baseline: SolveOutcome | None = None
                        ) -> list[ScenarioResult]:
     """Evaluate every spec against one shared baseline solve.
@@ -337,8 +334,7 @@ def evaluate_scenarios(specs: list[ScenarioSpec], graph: TaskGraph,
     opts = opts or SolveOpts()
     if baseline is None:
         baseline = solve_best_case(graph, topology, catalog, opts)
-    return [evaluate_scenario(spec, graph, topology, catalog, opts,
-                              thresholds, baseline)
+    return [evaluate_scenario(spec, graph, topology, catalog, opts, baseline)
             for spec in _unique_specs(specs)]
 
 
@@ -349,19 +345,18 @@ def _evictable(graph: TaskGraph, catalog: PatternCatalog, buf_id: str) -> bool:
                for p in graph.buffers[buf_id].allowed_patterns)
 
 
-def enumerate_scenarios(graph: TaskGraph, catalog: PatternCatalog, *,
-                        small_threshold: int = 10_000,
-                        lag_sweep: tuple[int, ...] = ()
+def enumerate_scenarios(graph: TaskGraph, catalog: PatternCatalog
                         ) -> list[ScenarioSpec]:
     """Standard scenario families for a graph.
 
     Families: the baseline, one output eviction per leaf function, the
-    small / large / combined size-band evictions, one added flow copy per
-    cloneable top-level instance group, and a start-lag cap sweep.  Only
-    buffers with a DDR-capable pattern are targeted and only flows that
-    share no buffers with the rest of the graph are cloned, so every
-    enumerated scenario evaluates without configuration errors.
-    Duplicates by injection-set equality keep the first name.
+    small / large / combined size-band evictions (split at
+    ``SMALL_BUFFER_BYTES``), and one added flow copy per cloneable
+    top-level instance group.  Only buffers with a DDR-capable pattern are
+    targeted and only flows that share no buffers with the rest of the
+    graph are cloned, so every enumerated scenario evaluates without
+    configuration errors.  Duplicates by injection-set equality keep the
+    first name.
     """
     if not graph.tasks:
         return []
@@ -381,9 +376,9 @@ def enumerate_scenarios(graph: TaskGraph, catalog: PatternCatalog, *,
 
     evictable = sorted(b for b in graph.buffers if _evictable(graph, catalog, b))
     small = tuple(b for b in evictable
-                  if graph.buffers[b].size < small_threshold)
+                  if graph.buffers[b].size < SMALL_BUFFER_BYTES)
     large = tuple(b for b in evictable
-                  if graph.buffers[b].size >= small_threshold)
+                  if graph.buffers[b].size >= SMALL_BUFFER_BYTES)
     if small:
         specs.append(ScenarioSpec(
             "evict-small", (Injection(EVICT_BUFFER, targets=small),)))
@@ -412,10 +407,6 @@ def enumerate_scenarios(graph: TaskGraph, catalog: PatternCatalog, *,
         specs.append(ScenarioSpec(
             f"add-flow-{callee}",
             (Injection(ADD_FLOW, targets=(first,), value=1),)))
-
-    for cap in lag_sweep:
-        specs.append(ScenarioSpec(
-            f"lag-cap-{cap}", (Injection(START_LAG, value=cap),)))
     return _unique_specs(specs)
 
 
@@ -430,12 +421,9 @@ def _unique_specs(specs: list[ScenarioSpec]) -> list[ScenarioSpec]:
 
 # -- ranking ----------------------------------------------------------------
 
-def rank_scenarios(results: list[ScenarioResult],
-                   thresholds: RiskThresholds | None = None
-                   ) -> list[ScenarioResult]:
+def rank_scenarios(results: list[ScenarioResult]) -> list[ScenarioResult]:
     """Certain failures first (by name), then descending delta with name
-    ties; feasible deltas under the floor are marked not recommended."""
-    thresholds = thresholds or RiskThresholds()
+    ties; feasible deltas under ``FLOOR_PCT`` are marked not recommended."""
     results = list(results)
     if not results:
         return []
@@ -450,7 +438,7 @@ def rank_scenarios(results: list[ScenarioResult],
     ranked = []
     for res in failures + rest:
         if (res.risk != RISK_CERTAIN_FAILURE
-                and res.delta_pct < thresholds.floor):
+                and res.delta_pct < FLOOR_PCT):
             res = replace(res, note="not recommended")
         ranked.append(res)
     return ranked

@@ -237,3 +237,11 @@ def test_gate7_scenario_reruns_are_byte_identical(du_runs):
     first, second = du_runs
     assert first["exit"] == second["exit"] == 0
     assert first["csv"] == second["csv"]
+
+
+def test_shipped_du_analog_sample_matches_a_fresh_run(du_runs, du_dir):
+    """The committed ``out/`` sample is what the shipped manifest
+    produces, byte for byte."""
+    run = du_runs[0]
+    assert run["csv"] == (du_dir / "out" / "scenarios.csv").read_bytes()
+    assert run["table"] == (du_dir / "out" / "scenarios.txt").read_text()

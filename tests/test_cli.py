@@ -400,23 +400,13 @@ _RUN_SPEC = ("apiVersion: rdsl/v0\nkind: run\nspec:\n  flows: [f]\n"
      "spec.solver.budget_nodes must be an integer, got 'lots'"),
     (_RUN_SPEC + "  solver: {budget_nodes: true}\n",
      "spec.solver.budget_nodes must be an integer, got True"),
-    (_RUN_SPEC + "  scenario: {small_threshold: 1.5}\n",
-     r"spec.scenario.small_threshold must be an integer, got 1\.5"),
-    (_RUN_SPEC + "  scenario: {enumerate: \"no\"}\n",
-     "spec.scenario.enumerate must be a boolean, got 'no'"),
     (_RUN_SPEC + "  solver: {scenario_budget_nodes: [1]}\n",
      "spec.solver.scenario_budget_nodes must be an integer"),
-    (_RUN_SPEC + "  scenario: {small_threshold: x}\n",
-     "spec.scenario.small_threshold must be an integer"),
-    (_RUN_SPEC + "  scenario: {lag_sweep: [0, y]}\n",
-     "spec.scenario.lag_sweep must be an integer, got 'y'"),
-    (_RUN_SPEC + "  scenario: {lag_sweep: 5}\n",
-     "spec.scenario.lag_sweep must be a list, got 5"),
-    (_RUN_SPEC + "  risk: {moderate: medium}\n",
-     "spec.risk.moderate must be an integer"),
+    (_RUN_SPEC + "  solver: {budget_nodes: -5}\n",
+     "spec.solver.budget_nodes must be at least 1, got -5"),
+    (_RUN_SPEC + "  solver: {scenario_budget_nodes: 0}\n",
+     "spec.solver.scenario_budget_nodes must be at least 1, got 0"),
     (_RUN_SPEC + "  solver: 5\n", "spec.solver must be a mapping, got 5"),
-    (_RUN_SPEC + "  scenario: 5\n", "spec.scenario must be a mapping, got 5"),
-    (_RUN_SPEC + "  risk: 5\n", "spec.risk must be a mapping, got 5"),
 ])
 def test_manifest_rejects_malformed_documents(tmp_path, text, message):
     path = tmp_path / "manifest.yaml"
@@ -445,10 +435,7 @@ _DOCS = {
                  "topology": "topology.yaml",
                  "deployment": "deployment.yaml", "out": "out",
                  "solver": {"mode": "exact", "budget_nodes": 1000,
-                            "scenario_budget_nodes": 100},
-                 "scenario": {"enumerate": True, "small_threshold": 10,
-                              "lag_sweep": [0, 5]},
-                 "risk": {"high": 50, "moderate": 20, "floor": 5}}},
+                            "scenario_budget_nodes": 100}}},
     "topology.yaml": dict(
         yaml.safe_load(_TOPOLOGY),
         pattern_costs={"L2toL2": {"base": 200, "bandwidth": 64}}),
@@ -536,12 +523,6 @@ _SLOTS = [
     ("manifest.yaml", ("spec", "solver"), "mapping"),
     ("manifest.yaml", ("spec", "solver", "budget_nodes"), "integer"),
     ("manifest.yaml", ("spec", "solver", "scenario_budget_nodes"), "integer"),
-    ("manifest.yaml", ("spec", "scenario"), "mapping"),
-    ("manifest.yaml", ("spec", "scenario", "small_threshold"), "integer"),
-    ("manifest.yaml", ("spec", "scenario", "lag_sweep"), "list"),
-    ("manifest.yaml", ("spec", "scenario", "lag_sweep", 1), "integer"),
-    ("manifest.yaml", ("spec", "risk"), "mapping"),
-    ("manifest.yaml", ("spec", "risk", "floor"), "integer"),
     ("topology.yaml", ("memories",), "list"),
     ("topology.yaml", ("memories", 0), "mapping"),
     ("topology.yaml", ("memories", 0, "capacity"), "integer"),

@@ -282,6 +282,42 @@ leafA[t_out = r]
     assert "leaves parameter 'r' unbound" in str(err.value)
 
 
+def test_repeated_instance_is_reported_not_merged():
+    # the same id for two leaf tasks would merge them into one
+    with pytest.raises(DiagnosticError) as err:
+        expand("""\
+Flow main
+    x : stream
+    y : stream
+
+leafA[out_out = x]
+leafA[out_out = y]
+""")
+    assert [(d.line, d.column) for d in err.value.diagnostics] == [(6, 1)]
+    assert "repeats instance 'leafA' of flow 'main'" in str(err.value)
+    # overlapping ranges of a sub-flow, once however often it expands
+    with pytest.raises(DiagnosticError) as err:
+        expand("""\
+Flow main
+    out : stream[2][3]
+
+mid[k = 1:2, s = out[k]]
+
+Flow mid
+    s : stream[3]
+
+sub[i = 1:2, r = s[i]]
+sub[i = 2:3, r = s[i]]
+
+Flow sub
+    r : stream
+
+leafA[t_out = r]
+""", metadata=[md("leafA")])
+    assert [(d.line, d.column) for d in err.value.diagnostics] == [(10, 1)]
+    assert "repeats instance 'sub[i=2]' of flow 'mid'" in str(err.value)
+
+
 @given(n=st.integers(min_value=1, max_value=4),
        m=st.integers(min_value=1, max_value=4))
 def test_expansion_count_is_product_of_ranges(n, m):

@@ -162,6 +162,23 @@ def test_validate_rejects_unknown_symbol():
         validate_flows(parse_flow_source(BASIC), SymbolTable({}))
 
 
+_SELF = "flow 'loop' instantiates itself: loop -> loop"
+
+
+@pytest.mark.parametrize("src,diagnostic", [
+    ("Flow loop\n  x : stream\n\nloop[x = x]\n", (4, 1, _SELF)),
+    # the ranged spelling would double the expansion at every level
+    ("Flow loop\n  x : stream\n\nloop[i = 1:2, x = x]\n", (4, 1, _SELF)),
+    ("Flow a\n  x : stream\n\nb[y = x]\n\nFlow b\n  y : stream\n\na[x = y]\n",
+     (9, 1, "flow 'a' instantiates itself: a -> b -> a")),
+])
+def test_recursive_flow_reported_once_at_its_instantiation(src, diagnostic):
+    with pytest.raises(DiagnosticError) as err:
+        validate_flows(parse_flow_source(src), SymbolTable({}))
+    assert [(d.line, d.column, d.message) for d in err.value.diagnostics] \
+        == [diagnostic]
+
+
 def _shape(defs):
     """Projection of the AST that ignores source positions."""
     out = []

@@ -11,8 +11,9 @@ from ddtwin.elaborate import elaborate
 from ddtwin.flows import SymbolTable, parse_flow_source
 from ddtwin.manifests import FunctionMetadata
 from ddtwin.patterns import generate_patterns_from_topology
-from ddtwin.scenarios import (CSV_HEADER, Injection, RiskThresholds,
-                              ScenarioResult, ScenarioSpec, apply_injections,
+from ddtwin.scenarios import (CSV_HEADER, FLOOR_PCT, HIGH_RISK_PCT,
+                              MODERATE_RISK_PCT, Injection, ScenarioResult,
+                              ScenarioSpec, apply_injections, classify_risk,
                               enumerate_scenarios, evaluate_scenario,
                               evaluate_scenarios, latency_delta_pct,
                               parse_scenario_csv, parse_scenario_stream,
@@ -73,14 +74,13 @@ def test_published_latency_ladder_deltas():
 
 
 def test_risk_classification_boundaries():
-    t = RiskThresholds()
-    assert (t.high, t.moderate, t.floor) == (50, 15, 5)
-    assert t.classify(50) == "HIGH"
-    assert t.classify(49) == "MODERATE"
-    assert t.classify(15) == "MODERATE"
-    assert t.classify(14) == "LOW"
-    assert t.classify(0) == "LOW"
-    assert t.classify(-20) == "LOW"
+    assert (HIGH_RISK_PCT, MODERATE_RISK_PCT, FLOOR_PCT) == (50, 15, 5)
+    assert classify_risk(50) == "HIGH"
+    assert classify_risk(49) == "MODERATE"
+    assert classify_risk(15) == "MODERATE"
+    assert classify_risk(14) == "LOW"
+    assert classify_risk(0) == "LOW"
+    assert classify_risk(-20) == "LOW"
 
 
 # -- injections ------------------------------------------------------------------
@@ -254,7 +254,7 @@ def test_shared_baseline_matches_a_fresh_solve():
     spec = ScenarioSpec(name="evict-b0", injections=(
         Injection(kind="EVICT_BUFFER", targets=("b0",)),))
     base = solve_best_case(g, TOPO, CATALOG)
-    assert evaluate_scenario(spec, g, TOPO, CATALOG, None, None, base) \
+    assert evaluate_scenario(spec, g, TOPO, CATALOG, None, base) \
         == evaluate_scenario(spec, g, TOPO, CATALOG)
 
 
@@ -374,10 +374,9 @@ small[t_in = m, u_out = out]
 """
     g = expand(src, None, [md("big", elementsize=50_000),
                            md("small", elementsize=200)])
-    specs = enumerate_scenarios(g, CATALOG, lag_sweep=(0, 100))
+    specs = enumerate_scenarios(g, CATALOG)
     assert [s.name for s in specs] == [
-        "baseline", "evict-fn-big", "evict-fn-small", "evict-combined",
-        "lag-cap-0", "lag-cap-100"]
+        "baseline", "evict-fn-big", "evict-fn-small", "evict-combined"]
 
 
 def test_enumeration_offers_closed_groups_for_cloning():
