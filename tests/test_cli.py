@@ -415,6 +415,17 @@ def test_manifest_rejects_malformed_documents(tmp_path, text, message):
         cli.load_run_manifest(path)
 
 
+def test_manifest_ignores_retired_scenario_and_risk_sections(tmp_path):
+    # scenario and risk settings are constants now; an older manifest that
+    # still carries them, even malformed, loads like one without them
+    plain = tmp_path / "plain.yaml"
+    plain.write_text(_RUN_SPEC)
+    legacy = tmp_path / "legacy.yaml"
+    legacy.write_text(_RUN_SPEC + "  scenario: {small_threshold: x}\n"
+                      "  risk: 5\n")
+    assert cli.load_run_manifest(legacy) == cli.load_run_manifest(plain)
+
+
 def test_manifest_flag_overrides(paper_dir, tmp_path):
     path = paper_dir / "manifest.yaml"
     loaded = cli.load_run_manifest(path, out=str(tmp_path), mode="heuristic")

@@ -318,6 +318,19 @@ leafA[t_out = r]
     assert "repeats instance 'sub[i=2]' of flow 'mid'" in str(err.value)
 
 
+def test_acyclic_nesting_deeper_than_32_levels_elaborates():
+    # only a cycle is refused; a long chain of distinct flows expands
+    levels = 40
+    parts = [f"Flow main\n    x : stream\n\nf1[s = x]\n"]
+    for k in range(1, levels):
+        parts.append(f"Flow f{k}\n    s : stream\n\nf{k + 1}[s = s]\n")
+    parts.append(f"Flow f{levels}\n    s : stream\n\nleafA[t_out = s]\n")
+    g = expand("\n".join(parts), metadata=[md("leafA")])
+    assert len(g.tasks) == 1
+    (task_id,) = g.tasks
+    assert task_id.endswith("leafA")
+
+
 @given(n=st.integers(min_value=1, max_value=4),
        m=st.integers(min_value=1, max_value=4))
 def test_expansion_count_is_product_of_ranges(n, m):
