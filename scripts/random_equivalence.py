@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Cross-check the branch-and-bound search against the exhaustive
-reference on seeded random instances, and optionally check that
-tightening constraints never improves the best case.
+reference on seeded random instances, and on the same seeds' instances
+with a cloned task, and optionally check that tightening constraints
+never improves the best case.
 
 Every instance stays inside the reference scheduler's enumeration
 bounds, so disagreement is a bug in one of the two routes, not noise.
@@ -20,17 +21,19 @@ from pathlib import Path
 # run from a checkout without installing: its src comes first
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from ddtwin.instances import random_instance, tighten_instance
+from ddtwin.instances import (random_instance, replicated_instance,
+                              tighten_instance)
 from ddtwin.oracle import brute_force_oracle
 from ddtwin.solver import SolveOpts, solve_best_case
 
 
-def check_equivalence(n_instances: int, seed: int, budget: int) -> int:
+def check_equivalence(generate, n_instances: int, seed: int,
+                      budget: int) -> int:
     failures = 0
     feasible = 0
     t0 = time.time()
     for k in range(n_instances):
-        inst = random_instance(seed + k)
+        inst = generate(seed + k)
         ref = brute_force_oracle(inst.graph, inst.topology, inst.catalog)
         out = solve_best_case(inst.graph, inst.topology, inst.catalog,
                               SolveOpts(budget_nodes=budget))
@@ -43,10 +46,10 @@ def check_equivalence(n_instances: int, seed: int, budget: int) -> int:
             feasible += 1
         if not ok:
             failures += 1
-            print(f"MISMATCH seed={seed + k}: reference {label}, "
-                  f"search {out.status} {out.makespan}")
+            print(f"MISMATCH {generate.__name__} seed={seed + k}: reference "
+                  f"{label}, search {out.status} {out.makespan}")
     dt = time.time() - t0
-    print(f"{n_instances} instances ({feasible} feasible), "
+    print(f"{generate.__name__}: {n_instances} instances ({feasible} feasible), "
           f"{failures} mismatches, {dt:.1f}s")
     return failures
 
@@ -86,7 +89,10 @@ def main() -> int:
     args = ap.parse_args()
     if args.monotonic:
         return 1 if check_monotonic(args.pairs, args.seed, args.budget) else 0
-    return 1 if check_equivalence(args.instances, args.seed, args.budget) else 0
+    failures = sum(check_equivalence(generate, args.instances, args.seed,
+                                     args.budget)
+                   for generate in (random_instance, replicated_instance))
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -33,6 +33,10 @@ from .diagnostics import Diagnostic, DiagnosticError, error_at, fail
 
 DIRECTIONS = ("in", "out", "internal")
 
+# flows nested deeper than this are refused: elaboration recurses once per
+# level, and no RAN description comes near it
+MAX_FLOW_NESTING = 256
+
 # ---------------------------------------------------------------------------
 # AST
 
@@ -372,7 +376,8 @@ def validate_flows(defs: list[FlowDef], symbols: SymbolTable) -> list[FlowDef]:
     ranges, and direction placement.  Each instantiation of a flow must bind
     every parameter of it, and each formal bound on a leaf function (a
     callee that is not a flow) needs an ``_in`` or ``_out`` suffix.  No
-    flow may instantiate itself, directly or through other flows.  Every
+    flow may instantiate itself, directly or through other flows, and no
+    chain of nested flows may be more than ``MAX_FLOW_NESTING`` deep.  Every
     problem is reported once, at its declaration, instantiation or binding,
     however many times elaboration would expand it.  Returns the defs
     unchanged on success, raises DiagnosticError listing every problem
@@ -456,23 +461,44 @@ def validate_flows(defs: list[FlowDef], symbols: SymbolTable) -> list[FlowDef]:
 
     # a flow that reaches itself through its instantiations would expand
     # forever; a depth-first walk meets each instantiation once and reports
-    # each cycle at the instantiation that closes it
+    # each cycle at the instantiation that closes it.  The walk keeps its
+    # own stack, so deep nesting cannot exhaust Python's.
     done: set[str] = set()
-
-    def walk(flow: FlowDef, trail: list[str]) -> None:
-        for inst in flow.instantiations:
-            if inst.callee in trail:
+    finished: list[FlowDef] = []
+    for root in defs:
+        if root.name in done:
+            continue
+        trail = [root.name]
+        stack = [iter(root.instantiations)]
+        while stack:
+            inst = next(stack[-1], None)
+            if inst is None:
+                stack.pop()
+                done.add(trail[-1])
+                finished.append(by_name[trail.pop()])
+            elif inst.callee in trail:
                 cycle = trail[trail.index(inst.callee):] + [inst.callee]
                 diags.append(error_at(inst.line, inst.column,
                                       f"flow {inst.callee!r} instantiates itself: "
                                       + " -> ".join(cycle)))
             elif inst.callee in by_name and inst.callee not in done:
-                walk(by_name[inst.callee], trail + [inst.callee])
-        done.add(flow.name)
+                trail.append(inst.callee)
+                stack.append(iter(by_name[inst.callee].instantiations))
 
-    for flow in defs:
-        if flow.name not in done:
-            walk(flow, [flow.name])
+    # callers finish after their callees, so the reversed finishing order
+    # fixes each flow's deepest level before its instantiations are read;
+    # an instantiation against that order closes a cycle, reported above
+    rank = {f.name: i for i, f in enumerate(reversed(finished))}
+    level = dict.fromkeys(rank, 1)
+    for flow in reversed(finished):
+        for inst in flow.instantiations:
+            if rank.get(inst.callee, -1) <= rank[flow.name]:
+                continue
+            if level[flow.name] == MAX_FLOW_NESTING:
+                diags.append(error_at(inst.line, inst.column,
+                                      f"instantiation of {inst.callee!r} nests flows "
+                                      f"more than {MAX_FLOW_NESTING} levels deep"))
+            level[inst.callee] = max(level[inst.callee], level[flow.name] + 1)
 
     if diags:
         raise DiagnosticError(diags)

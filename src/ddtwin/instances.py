@@ -122,6 +122,60 @@ def random_instance(seed: int, max_tasks: int = 6) -> Instance:
     return Instance(graph=graph, topology=topology, catalog=catalog)
 
 
+def replicated_instance(seed: int) -> Instance:
+    """``random_instance(seed, max_tasks=4)`` with one task cloned once or
+    twice.  A clone has the task's inputs, runtime and constraints, its
+    external inputs under other stream names, and output buffers like the
+    task's, read by the same observers, so the task and its clones are
+    interchangeable.  Clones are dropped while the reference's enumeration
+    would exceed ``MAX_ORACLE_COMBOS``."""
+    inst = random_instance(seed, max_tasks=4)
+    rng = random.Random(f"replicated-{seed}")
+    original = inst.graph.tasks[rng.choice(sorted(inst.graph.tasks))]
+    n_cores = len(inst.topology.cores)
+    for copies in range(rng.randint(1, 2), 0, -1):
+        graph = inst.graph
+        for k in range(1, copies + 1):
+            graph = _with_clone(graph, original, f"c{k}")
+        if _oracle_combos(graph, n_cores) <= MAX_ORACLE_COMBOS:
+            return replace(inst, graph=graph)
+    return inst
+
+
+def _with_clone(graph: TaskGraph, task: TaskInstance, suffix: str) -> TaskGraph:
+    """``graph`` plus a copy of ``task`` named ``task.id + suffix``, whose
+    outputs (named the same way) have the originals' observers."""
+    clone_id = task.id + suffix
+    for buf_id in task.inputs:
+        buf = graph.buffers[buf_id]
+        graph = graph.with_buffer(replace(buf, observers=buf.observers + (clone_id,)))
+    for buf_id in task.outputs:
+        buf = graph.buffers[buf_id]
+        graph = graph.with_buffer(replace(buf, id=buf_id + suffix,
+                                          definer=clone_id))
+        for obs in buf.observers:
+            reader = graph.tasks[obs]
+            graph = graph.with_task(replace(
+                reader, inputs=reader.inputs + (buf_id + suffix,)))
+    return graph.with_task(replace(
+        task, id=clone_id, outputs=tuple(b + suffix for b in task.outputs),
+        external_inputs=tuple(replace(e, stream=e.stream + suffix)
+                              for e in task.external_inputs)))
+
+
+def _oracle_combos(graph: TaskGraph, n_cores: int) -> int:
+    """(order, core map, pattern map) combinations the reference enumerates
+    for ``graph``, at most."""
+    index = {t: i for i, t in enumerate(graph.tasks)}
+    preds = [0] * len(index)
+    total = n_cores ** len(index)
+    for buf in graph.buffers.values():
+        total *= len(buf.allowed_patterns)
+        for obs in buf.observers:
+            preds[index[obs]] |= 1 << index[buf.definer]
+    return _count_orders(len(index), preds) * total
+
+
 TIGHTEN_OPS = ("deadline", "patterns", "cores", "lag", "size", "runtime")
 
 

@@ -30,6 +30,23 @@ tracked.  Each search state carries the claims on those memories, copied
 on write: a placement adds its output buffers' claims and its own scratch
 claim and extends its input buffers' claims to its finish, so only the
 memories it touches need a new sweep.
+
+Interchangeable tasks are placed in id order.  Two tasks are
+interchangeable when they agree on runtime, scratch size, start lag,
+allowed cores, the set of input buffers and the multiset of external
+releases, and output by output on size, resolved pattern choices,
+observer set, release, availability deadline and labels.  Swapping two
+such tasks, and their output buffers position by position, maps the
+instance onto itself: every placement rule, every bound and every check
+reads only those attributes, and labels are among them because they bind
+the symbols of the timing equations.  So the swap maps each schedule to
+one with the same makespan and the same violations, and for any order
+the search could take some relabelling of a class places its members in
+id order.  The frontier therefore offers a member only once the member
+before it is placed.  This composes with collapsing never-used cores in a
+group: relabelling cores never reorders tasks, and the task order never
+names a core, so the two reductions keep one representative of each
+combined relabelling.
 """
 
 from __future__ import annotations
@@ -144,6 +161,7 @@ class _Search:
         self.load_bound = self._static_load_bound()
         self.anchor_base, self.common_anchors = self._anchor_tables()
         self.group_of = self._validated_symmetry()
+        self.gates = self._frontier_gates()
         self._static_opts = {(b, c): self._static_options_for(b, c)
                              for b in self.choices for c in self.cores}
         self.l3_of = {c.id: c.l3 for c in topology.cores}
@@ -226,6 +244,36 @@ class _Search:
                 continue
             group_of.update(dict.fromkeys(group, gi))
         return group_of
+
+    def _signature(self, task: TaskInstance) -> tuple:
+        """What a swap of ``task`` with another task, and of their output
+        buffers position by position, must preserve; tasks with equal
+        signatures are interchangeable.  Stream names of external inputs
+        are left out: only checker messages read them."""
+        outputs = tuple((b.size, tuple(c.index for c in self.choices[b.id]),
+                         frozenset(b.observers), b.release, b.avail_deadline,
+                         b.labels)
+                        for b in map(self.graph.buffers.__getitem__, task.outputs))
+        return (task.runtime, task.internalsize, task.min_start_lag,
+                task.allowed_cores, frozenset(task.inputs),
+                tuple(sorted(e.release for e in task.external_inputs)),
+                outputs)
+
+    def _frontier_gates(self) -> list[tuple[str, tuple[str, ...]]]:
+        """Every task in id order, with the tasks that must be placed before
+        it may enter the frontier: its predecessors and, for all but the
+        first member of a class of interchangeable tasks, the member before
+        it."""
+        last: dict[tuple, str] = {}
+        gates = []
+        for t in sorted(self.graph.tasks):
+            after = set(self.preds[t])
+            key = self._signature(self.graph.tasks[t])
+            if key in last:
+                after.add(last[key])
+            last[key] = t
+            gates.append((t, tuple(after)))
+        return gates
 
     def _tracked_memories(self) -> frozenset[str]:
         """Memories that may overflow: a buffer can claim each memory its
@@ -474,9 +522,9 @@ class _Search:
                 yield core, combo
 
     def _frontier(self, state: _State) -> list[str]:
-        return sorted(t for t in self.graph.tasks
-                      if t not in state.placed
-                      and all(p in state.placed for p in self.preds[t]))
+        placed = state.placed
+        return [t for t, after in self.gates
+                if t not in placed and all(p in placed for p in after)]
 
     def _note(self, reason: str) -> None:
         self.pruned[reason] = self.pruned.get(reason, 0) + 1

@@ -33,7 +33,9 @@ def run(argv):
 
 # Four independent jobs, two cores, a 150-cycle slot, and zero start lag:
 # at least two jobs must queue on one core, so the deployment is
-# infeasible, but a 3-node budget stops the search before it can say so.
+# infeasible, but a 1-node budget stops the search before it can say so.
+# The jobs are interchangeable, so the search places them in one order
+# only and proves infeasibility within 3 nodes.
 _FLOW = textwrap.dedent("""\
     Flow manyJobs
       tin : stream {type = in}
@@ -117,6 +119,21 @@ def test_validate_rejects_pattern_missing_from_catalog(tmp_path):
     assert "not in the catalog" in err
 
 
+def test_validate_refuses_deep_flow_nesting_with_a_diagnostic(tmp_path):
+    # 1,200 nested flows: a diagnostic and exit 1, not a RecursionError
+    manifest = write_pressure_fixture(tmp_path, 200_000)
+    parts = ["Flow manyJobs\n  tin : stream {type = in}\n\nf1[s = tin]\n"]
+    parts += [f"Flow f{k}\n  s : stream\n\nf{k + 1}[s = s]\n"
+              for k in range(1, 1200)]
+    parts.append("Flow f1200\n  s : stream\n\nob : stream\n"
+                 "job[t_in = s, o_out = ob]\n")
+    (tmp_path / "flow.rdsl").write_text("\n".join(parts))
+    code, out, err = run(["validate", "--manifest", str(manifest)])
+    assert (code, out) == (1, "")
+    assert err == ("1279:1: error: instantiation of 'f256' nests "
+                   "flows more than 256 levels deep\n")
+
+
 def test_validate_rejects_catalog_memory_missing_from_topology(paper_dir,
                                                               tmp_path):
     shutil.copytree(paper_dir, tmp_path / "paper", ignore=shutil.ignore_patterns("out"))
@@ -185,12 +202,20 @@ def test_solve_proven_infeasible_exits_2(trivial_dir, tmp_path):
 
 def test_solve_exhausted_budget_exits_1_not_2(tmp_path):
     # An undecided search must never masquerade as a proof either way.
-    manifest = write_pressure_fixture(tmp_path, 3)
+    manifest = write_pressure_fixture(tmp_path, 1)
     code, out, err = run(["solve", "--manifest", str(manifest)])
     assert (code, out) == (1, "")
     assert "search budget exhausted before reaching a verdict" in err
     assert "raise solver.budget_nodes" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_solve_interchangeable_jobs_prove_infeasible_within_3_nodes(tmp_path):
+    # the four jobs are placed in id order only, so 3 nodes settle it
+    manifest = write_pressure_fixture(tmp_path, 3)
+    code, out, err = run(["solve", "--manifest", str(manifest)])
+    assert (code, err) == (2, "")
+    assert out == "status: infeasible\nwitness: DEADLINE_MISS\n"
 
 
 def test_solve_heuristic_without_a_schedule_asks_for_exact_mode(tmp_path):
@@ -248,7 +273,7 @@ def test_scenarios_infeasible_baseline_exits_2(tmp_path):
 
 
 def test_scenarios_undecided_baseline_exits_1(tmp_path):
-    manifest = write_pressure_fixture(tmp_path, 3)
+    manifest = write_pressure_fixture(tmp_path, 1)
     code, out, err = run(["scenarios", "--manifest", str(manifest)])
     assert (code, out) == (1, "")
     assert "baseline search budget exhausted" in err

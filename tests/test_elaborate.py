@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from ddtwin.diagnostics import DiagnosticError
 from ddtwin.elaborate import check_static, elaborate
-from ddtwin.flows import SymbolTable, parse_flow_source
+from ddtwin.flows import MAX_FLOW_NESTING, SymbolTable, parse_flow_source
 from ddtwin.graph import ExternalInput, graph_from_json, graph_to_json
 from ddtwin.hardware import parse_deployment
 from ddtwin.manifests import FunctionMetadata, parse_constraint_stream
@@ -329,6 +329,31 @@ def test_acyclic_nesting_deeper_than_32_levels_elaborates():
     assert len(g.tasks) == 1
     (task_id,) = g.tasks
     assert task_id.endswith("leafA")
+
+
+def _chain(levels):
+    """``main`` over ``levels - 1`` nested flows down to one leaf; the
+    instantiation in the flow at level k sits on line 5k - 1."""
+    parts = ["Flow main\n    x : stream\n\nf1[s = x]\n"]
+    for k in range(1, levels - 1):
+        parts.append(f"Flow f{k}\n    s : stream\n\nf{k + 1}[s = s]\n")
+    parts.append(f"Flow f{levels - 1}\n    s : stream\n\nleafA[t_out = s]\n")
+    return "\n".join(parts)
+
+
+def test_nesting_up_to_the_limit_elaborates():
+    g = expand(_chain(MAX_FLOW_NESTING), metadata=[md("leafA")])
+    assert len(g.tasks) == 1
+
+
+@pytest.mark.parametrize("levels", [MAX_FLOW_NESTING + 1, 1200])
+def test_nesting_past_the_limit_is_refused_where_it_passes(levels):
+    with pytest.raises(DiagnosticError) as err:
+        expand(_chain(levels), metadata=[md("leafA")])
+    assert [(d.line, d.column, d.message) for d in err.value.diagnostics] == [
+        (5 * MAX_FLOW_NESTING - 1, 1,
+         f"instantiation of 'f{MAX_FLOW_NESTING}' nests flows more than "
+         f"{MAX_FLOW_NESTING} levels deep")]
 
 
 @given(n=st.integers(min_value=1, max_value=4),

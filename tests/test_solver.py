@@ -10,7 +10,7 @@ from ddtwin.graph import Buffer, ExternalInput, TaskGraph, TaskInstance
 from ddtwin.instances import random_instance, tighten_instance
 from ddtwin.patterns import generate_patterns_from_topology
 from ddtwin.schedule import check_schedule
-from ddtwin.solver import SolveOpts, solve_best_case
+from ddtwin.solver import SolveOpts, _Search, solve_best_case
 from conftest import chain_graph, make_topology
 
 TOPO = make_topology(2)
@@ -245,3 +245,91 @@ def test_occupancy_verdicts_match_the_recorded_search():
         got = (res.status, res.makespan, res.stats["nodes"],
                res.stats["pruned"])
         assert got == expected, f"seed {seed}, tightened {tightened}"
+
+
+# -- interchangeable tasks ------------------------------------------------------
+
+def twins() -> TaskGraph:
+    """``src`` feeds ``a`` and ``b``, which ``sink`` reads; ``a`` and ``b``
+    differ only in the stream names of their external inputs, so they are
+    interchangeable.  ``spare`` stands apart, for the variants to wire in."""
+    pair = [task(t, inputs=("bs",), outputs=("b" + t,), internalsize=500,
+                 external_inputs=(ExternalInput(f"port_{t}", 200),))
+            for t in "ab"]
+    outputs = [buf("b" + t, t, size=4000, observers=("sink",),
+                   labels=("ready",), release=10, avail_deadline=90_000)
+               for t in "ab"]
+    tasks = [task("src", outputs=("bs",)), *pair,
+             task("sink", inputs=("ba", "bb")), task("spare", outputs=("bx",))]
+    buffers = [buf("bs", "src", observers=("a", "b")), *outputs,
+               buf("bx", "spare")]
+    return TaskGraph(tasks={t.id: t for t in tasks},
+                     buffers={b.id: b for b in buffers}, deadline=100_000)
+
+
+def b_task(**changes):
+    return lambda g: g.with_task(dataclasses.replace(g.tasks["b"], **changes))
+
+
+def b_output(**changes):
+    return lambda g: g.with_buffer(dataclasses.replace(g.buffers["bb"], **changes))
+
+
+def b_reads_spare(g):
+    g = g.with_buffer(dataclasses.replace(g.buffers["bx"], observers=("b",)))
+    return b_task(inputs=("bs", "bx"))(g)
+
+
+def spare_reads_b(g):
+    g = b_output(observers=("sink", "spare"))(g)
+    return g.with_task(dataclasses.replace(g.tasks["spare"], inputs=("bb",)))
+
+
+def enabled_after(graph):
+    """task -> the tasks the frontier waits for beyond its predecessors."""
+    search = _Search(graph, TOPO, CATALOG, SolveOpts())
+    return {t: set(after) - search.preds[t] for t, after in search.gates
+            if set(after) - search.preds[t]}
+
+
+def test_interchangeable_tasks_enter_the_frontier_in_id_order():
+    assert enabled_after(twins()) == {"b": {"a"}}
+    # input order and stream names are not part of the instance
+    g = b_task(external_inputs=(ExternalInput("elsewhere", 200),))(twins())
+    g = g.with_task(dataclasses.replace(g.tasks["sink"], inputs=("bb", "ba")))
+    assert enabled_after(g) == {"b": {"a"}}
+
+
+@pytest.mark.parametrize("variant", [
+    b_task(runtime=101),
+    b_task(internalsize=501),
+    b_task(min_start_lag=5),
+    b_task(allowed_cores=frozenset({0})),
+    b_reads_spare,
+    b_task(external_inputs=(ExternalInput("port_b", 201),)),
+    b_task(external_inputs=(ExternalInput("port_b", 200),) * 2),
+    b_output(size=4001),
+    b_output(allowed_patterns=tuple(p.name for p in CATALOG.patterns)[1:]),
+    spare_reads_b,
+    b_output(release=11),
+    b_output(avail_deadline=90_001),
+    b_output(labels=("late",)),
+], ids=["runtime", "internalsize", "min_start_lag", "allowed_cores", "inputs",
+        "external_release", "external_count", "size", "patterns", "observers",
+        "release", "avail_deadline", "labels"])
+def test_one_differing_attribute_keeps_tasks_apart(variant):
+    assert enabled_after(variant(twins())) == {}
+
+
+def test_paper_proof_baseline_closes_within_3000_nodes(paper_dir):
+    # three interchangeable per-antenna tasks: one order instead of 3!
+    from ddtwin.cli import build_graph, load_run, load_run_manifest
+    from ddtwin.flows import SymbolTable
+
+    loaded = load_run(load_run_manifest(paper_dir / "manifest.yaml"))
+    loaded = dataclasses.replace(loaded, symbols=SymbolTable(
+        {**loaded.symbols.entries, "MAX_NUM_RX_ANT": 3, "AVG_NUM_SRS_UE": 1}))
+    res = solve_best_case(build_graph(loaded), loaded.topology, loaded.catalog,
+                          SolveOpts(budget_nodes=200_000))
+    assert (res.status, res.makespan) == ("optimal", 10476)
+    assert res.stats["nodes"] <= 3000
