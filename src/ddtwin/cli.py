@@ -29,7 +29,7 @@ from .hardware import DeploymentConfig, HardwareTopology, parse_deployment, \
 from .manifests import FunctionMetadata, parse_constraint_stream
 from .patterns import PatternCatalog, generate_patterns_from_topology, \
     parse_pattern_catalog
-from .scenarios import ScenarioSpec, enumerate_scenarios, \
+from .scenarios import PIN_TASKS, ScenarioSpec, enumerate_scenarios, \
     evaluate_scenarios, parse_scenario_stream, rank_scenarios, \
     render_scenario_csv, parse_scenario_csv, render_scenario_table
 from .schedule import Schedule
@@ -184,6 +184,15 @@ def load_run(manifest: RunManifest) -> LoadedRun:
     scenario_specs: list[ScenarioSpec] = []
     for path in manifest.scenario_files:
         scenario_specs.extend(parse_scenario_stream(_read(path)))
+    # a pin that misses a task's own allowed cores is a legitimate
+    # infeasible scenario; a pin to a core that does not exist is an error
+    cores = {c.id for c in topology.cores}
+    stray = [error_at(1, 1, f"scenario {spec.name!r} pins tasks to core "
+                            f"{core}, which the topology does not define")
+             for spec in scenario_specs for inj in spec.injections
+             if inj.kind == PIN_TASKS for core in sorted(inj.cores - cores)]
+    if stray:
+        raise DiagnosticError(stray)
     return LoadedRun(manifest, defs, symbols, metadata, timing_docs, labels,
                      topology, catalog, deployment, scenario_specs)
 

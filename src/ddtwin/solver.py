@@ -31,6 +31,28 @@ on write: a placement adds its output buffers' claims and its own scratch
 claim and extends its input buffers' claims to its finish, so only the
 memories it touches need a new sweep.
 
+The bound is incremental too.  Each search state carries the earliest
+finish of every unplaced task, each anchor's transfer cycles beyond its
+static floor, and ``floor``, the largest critical-path or anchor term seen
+on the way down.  A child that placed task ``x`` recomputes the estimates
+of ``x``'s descendants only, and the anchors its transfers touch.  That
+equals a full recompute because no term ever falls: placing ``x`` leaves
+every other task's estimate unchanged, a descendant's estimate can only
+rise (a placed input's end is at least the estimate it replaces), anchor
+loads only grow, and ``x``'s own old term, its estimated start plus its
+downward rank, is covered by each observer's new term, or by the span
+when no task observes ``x``'s outputs.  So the parent's floor never
+exceeds the child's full bound, and the maximum of it and the recomputed
+terms is that bound.
+
+A transfer's earliest contention-free start is found in one scan of the
+placed transfers sorted by start: an interval that contends and ends
+after the candidate start moves the start to its end, and the scan stops
+at the first interval starting after the candidate's end.  The start only
+moves forward, so an interval already passed ends at or before it and
+cannot block again; the result is the least contention-free start, the
+same slot that rescanning until nothing moves reaches.
+
 Interchangeable tasks are placed in id order.  Two tasks are
 interchangeable when they agree on runtime, scratch size, start lag,
 allowed cores, the set of input buffers and the multiset of external
@@ -51,9 +73,10 @@ combined relabelling.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .graph import Buffer, TaskGraph, TaskInstance
 from .hardware import HardwareTopology
@@ -111,6 +134,26 @@ class _State:
     # tracked memory -> claim key -> (start, end, size); a buffer's claim
     # is keyed by its id, a task's scratch claim by (task id,)
     claims: dict[str, dict]
+    # (start, end, catalog index) of the non-empty transfers, by start
+    busy: tuple[tuple[int, int, int], ...]
+    # The search bound, brought up to date by ``_Search._lower_bound``;
+    # ``_place`` hands the parent's on, so a seed state's are stale.
+    est_fin: dict[str, int]          # unplaced task -> earliest finish
+    loads: dict                      # anchor -> transfer cycles beyond its base
+    floor: int                       # critical-path and anchor terms, max
+
+
+def _earliest_fit(busy: tuple[tuple[int, int, int], ...], mask: int, u: int,
+                  duration: int) -> int:
+    """The earliest start from ``u`` at which ``duration`` cycles overlap
+    no interval of ``busy``, sorted by start, whose catalog index is set
+    in ``mask``."""
+    for start, end, index in busy:
+        if start >= u + duration:
+            break
+        if end > u and mask >> index & 1:
+            u = end
+    return u
 
 
 def no_verdict(opts: SolveOpts, exhausted: str) -> str:
@@ -159,7 +202,9 @@ class _Search:
                         for b, cs in self.choices.items()}
         self.down = self._down_ranks()
         self.load_bound = self._static_load_bound()
-        self.anchor_base, self.common_anchors = self._anchor_tables()
+        self.anchor_base, self.anchor_extra = self._anchor_tables()
+        self.estimates = self._estimate_terms()
+        self.descendants = self._descendants()
         self.group_of = self._validated_symmetry()
         self.gates = self._frontier_gates()
         self._static_opts = {(b, c): self._static_options_for(b, c)
@@ -218,16 +263,54 @@ class _Search:
     def _anchor_tables(self):
         """Per-anchor serialization floors.  Patterns touching one anchor
         pairwise contend, so their transfer durations sum; a buffer counts
-        toward an anchor only when every allowed pattern touches it."""
+        toward an anchor only when every allowed pattern touches it.  Also
+        returns, per (buffer, catalog index), the cycles a transfer adds to
+        each floored anchor beyond what the floor already counts, where it
+        adds any."""
+        base: dict = {}
         common: dict[str, frozenset] = {}
-        totals: dict = {}
         for buf_id, choices in self.choices.items():
             sets = [c.pattern.anchors for c in choices]
-            shared = frozenset.intersection(*sets) if sets else frozenset()
-            common[buf_id] = shared
-            for anchor in shared:
-                totals[anchor] = totals.get(anchor, 0) + self.min_dur[buf_id]
-        return totals, common
+            common[buf_id] = frozenset.intersection(*sets) if sets else frozenset()
+            for anchor in common[buf_id]:
+                base[anchor] = base.get(anchor, 0) + self.min_dur[buf_id]
+        extra = {}
+        for buf_id, choices in self.choices.items():
+            for c in choices:
+                adds = []
+                for anchor in c.pattern.anchors & base.keys():
+                    counted = self.min_dur[buf_id] if anchor in common[buf_id] else 0
+                    if c.cost > counted:
+                        adds.append((anchor, c.cost - counted))
+                if adds:
+                    extra[buf_id, c.index] = tuple(adds)
+        return base, extra
+
+    def _estimate_terms(self) -> dict[str, tuple]:
+        """task -> what its critical-path estimate reads: its inputs as
+        (buffer, definer, least transfer cycles), its latest external
+        release, its start lag, its runtime and its downward rank."""
+        terms = {}
+        for t, task in self.graph.tasks.items():
+            inputs = tuple((b, self.graph.buffers[b].definer, self.min_dur[b])
+                           for b in task.inputs)
+            release = max((e.release for e in task.external_inputs), default=0)
+            terms[t] = (inputs, release, task.min_start_lag, task.runtime,
+                        self.down[t])
+        return terms
+
+    def _descendants(self) -> dict[str, tuple[str, ...]]:
+        """task -> every task that reads its outputs, directly or not, in
+        topological order."""
+        descendants = {}
+        for i, t in enumerate(self.topo_order):
+            reached, below = {t}, []
+            for s in self.topo_order[i + 1:]:
+                if not self.preds[s].isdisjoint(reached):
+                    reached.add(s)
+                    below.append(s)
+            descendants[t] = tuple(below)
+        return descendants
 
     def _validated_symmetry(self) -> dict[int, int]:
         """core id -> symmetry group index, for groups nothing distinguishes."""
@@ -344,25 +427,23 @@ class _Search:
         fin = start + task.runtime
 
         transfers = dict(state.transfers)
+        busy = state.busy
         span = max(state.span, fin)
         for buf_id, choice in zip(task.outputs, combo):
             buf = self.graph.buffers[buf_id]
             duration = choice.cost
             u = fin if buf.release is None else max(fin, buf.release)
             if duration > 0:
-                mask = self.catalog.contention[choice.index]
-                moved = True
-                while moved:
-                    moved = False
-                    for tr in transfers.values():
-                        if (tr.end > tr.start and mask >> tr.choice.index & 1
-                                and u < tr.end and tr.start < u + duration):
-                            u = tr.end
-                            moved = True
+                u = _earliest_fit(busy, self.catalog.contention[choice.index],
+                                  u, duration)
             end = u + duration
             if buf.avail_deadline is not None and end > buf.avail_deadline:
                 return None, DEADLINE_MISS
             transfers[buf_id] = _Move(choice, u, end)
+            if duration > 0:
+                interval = (u, end, choice.index)
+                i = bisect(busy, interval)
+                busy = busy[:i] + (interval,) + busy[i:]
             span = max(span, end)
 
         placed = dict(state.placed)
@@ -384,7 +465,9 @@ class _Search:
                 return None, BUFFER_OVERFLOW
             claims = {**claims, **grown}
         child = _State(placed=placed, transfers=transfers, core_free=core_free,
-                       forced=forced, span=span, claims=claims)
+                       forced=forced, span=span, claims=claims, busy=busy,
+                       est_fin=state.est_fin, loads=state.loads,
+                       floor=state.floor)
         return child, None
 
     def _grow_claims(self, state: _State, task: TaskInstance, core: int,
@@ -445,38 +528,44 @@ class _Search:
 
     # -- bounds ------------------------------------------------------------
 
-    def _lower_bound(self, state: _State) -> int:
-        bound = max(state.span, self.load_bound)
+    def _lower_bound(self, state: _State, task_id: str) -> int:
+        """Bound every completion of ``state``, which ``_place`` made by
+        placing ``task_id`` in a state whose bound is up to date, and bring
+        ``state``'s bound up to date: the estimates of ``task_id``'s
+        descendants and the loads of the anchors its transfers touch."""
+        est_fin = dict(state.est_fin)
+        del est_fin[task_id]
+        floor = self._propagate(self.descendants[task_id], state.transfers,
+                                est_fin, state.floor)
+        loads = state.loads
+        for buf_id in self.graph.tasks[task_id].outputs:
+            extra = self.anchor_extra.get(
+                (buf_id, state.transfers[buf_id].choice.index), ())
+            if extra and loads is state.loads:
+                loads = dict(loads)
+            for anchor, cycles in extra:
+                loads[anchor] = loads.get(anchor, 0) + cycles
+                floor = max(floor, self.anchor_base[anchor] + loads[anchor])
+        state.est_fin, state.loads, state.floor = est_fin, loads, floor
+        return max(state.span, self.load_bound, floor)
 
-        est_fin: dict[str, int] = {}
-        for t in self.topo_order:
-            if t in state.placed:
-                continue
-            task = self.graph.tasks[t]
-            est = 0
-            for buf_id in task.inputs:
-                tr = state.transfers.get(buf_id)
-                if tr is not None:
-                    est = max(est, tr.end)
-                else:
-                    definer = self.graph.buffers[buf_id].definer
-                    est = max(est, est_fin[definer] + self.min_dur[buf_id])
-            for ext in task.external_inputs:
-                est = max(est, ext.release)
-            est += task.min_start_lag
-            est_fin[t] = est + task.runtime
-            bound = max(bound, est + self.down[t])
-
-        if self.anchor_base:
-            extras: dict = {}
-            for buf_id, tr in state.transfers.items():
-                shared = self.common_anchors[buf_id]
-                for anchor in tr.choice.pattern.anchors:
-                    counted = self.min_dur[buf_id] if anchor in shared else 0
-                    extras[anchor] = extras.get(anchor, 0) + tr.choice.cost - counted
-            for anchor, basev in self.anchor_base.items():
-                bound = max(bound, basev + extras.get(anchor, 0))
-        return bound
+    def _propagate(self, tasks: Iterable[str], transfers: dict[str, _Move],
+                   est_fin: dict[str, int], floor: int) -> int:
+        """Recompute the earliest finish of ``tasks``, unplaced and in
+        topological order, into ``est_fin``; return ``floor`` raised by
+        each one's earliest start plus downward rank."""
+        for t in tasks:
+            inputs, est, lag, runtime, down = self.estimates[t]
+            for buf_id, definer, min_dur in inputs:
+                tr = transfers.get(buf_id)
+                ready = tr.end if tr is not None else est_fin[definer] + min_dur
+                if ready > est:
+                    est = ready
+            est += lag
+            est_fin[t] = est + runtime
+            if est + down > floor:
+                floor = est + down
+        return floor
 
     # -- branching ---------------------------------------------------------
 
@@ -556,7 +645,7 @@ class _Search:
                 if child is None:
                     self._note(reason)
                     continue
-                lb = self._lower_bound(child)
+                lb = self._lower_bound(child, task_id)
                 if lb > self._cap():
                     self._note(DEADLINE_MISS if lb > self.graph.deadline
                                else PRUNE_BOUND)
@@ -634,8 +723,12 @@ class _Search:
             for buf_id, tr in state.transfers.items()})
 
     def _root(self) -> _State:
+        est_fin: dict[str, int] = {}
+        floor = self._propagate(self.topo_order, {}, est_fin,
+                                max(self.anchor_base.values(), default=0))
         return _State(placed={}, transfers={}, core_free={}, forced={},
-                      span=0, claims={})
+                      span=0, claims={}, busy=(), est_fin=est_fin, loads={},
+                      floor=floor)
 
     # -- driver ------------------------------------------------------------
 

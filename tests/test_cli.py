@@ -162,6 +162,27 @@ def test_validate_rejects_unused_record_naming_missing_pattern(tmp_path):
         == 1
 
 
+@pytest.mark.parametrize("command", ["validate", "scenarios"])
+def test_pin_to_a_core_the_topology_lacks_exits_1(paper_dir, tmp_path, command):
+    # a pin to a core outside a task's own allowed cores is an infeasible
+    # scenario, but a core that does not exist is a mistake in the input
+    shutil.copytree(paper_dir, tmp_path / "paper", ignore=shutil.ignore_patterns("out"))
+    (tmp_path / "paper" / "pin.yaml").write_text(yaml.safe_dump({
+        "apiVersion": "rdsl/v0", "kind": "scenario",
+        "metadata": {"name": "pin-far"},
+        "spec": {"injections": [{"kind": "PIN_TASKS", "cores": [3, 99],
+                                 "targets": ["sendSrsChest_to_MAC_flow"]}]}}))
+    manifest = tmp_path / "paper" / "manifest.yaml"
+    manifest.write_text(manifest.read_text().replace(
+        "  out: out\n", "  out: out\n  scenario_files: [pin.yaml]\n"))
+    code, out, err = run([command, "--manifest", str(manifest),
+                          "--out", str(tmp_path / "out")])
+    assert (code, out) == (1, "")
+    assert err == ("1:1: error: scenario 'pin-far' pins tasks to core 99, "
+                   "which the topology does not define\n")
+    assert not (tmp_path / "out" / "scenarios.csv").exists()
+
+
 # -- solve ------------------------------------------------------------------
 
 def test_solve_trivial_writes_schedule_and_summary(trivial_dir, tmp_path):

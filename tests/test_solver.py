@@ -5,12 +5,13 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ddtwin.graph import Buffer, ExternalInput, TaskGraph, TaskInstance
 from ddtwin.instances import random_instance, tighten_instance
 from ddtwin.patterns import generate_patterns_from_topology
 from ddtwin.schedule import check_schedule
-from ddtwin.solver import SolveOpts, _Search, solve_best_case
+from ddtwin.solver import SolveOpts, _earliest_fit, _Search, solve_best_case
 from conftest import chain_graph, make_topology
 
 TOPO = make_topology(2)
@@ -333,3 +334,152 @@ def test_paper_proof_baseline_closes_within_3000_nodes(paper_dir):
                           SolveOpts(budget_nodes=200_000))
     assert (res.status, res.makespan) == ("optimal", 10476)
     assert res.stats["nodes"] <= 3000
+
+
+# -- incremental bound and one-pass contention fit -------------------------------
+
+def full_bound(search, state):
+    """The search bound recomputed from scratch, as the search once did at
+    every child: (span, load bound, critical-path term, anchor term)."""
+    graph = search.graph
+    path = 0
+    est_fin = {}
+    for t in search.topo_order:
+        if t in state.placed:
+            continue
+        task = graph.tasks[t]
+        est = 0
+        for buf_id in task.inputs:
+            tr = state.transfers.get(buf_id)
+            if tr is not None:
+                est = max(est, tr.end)
+            else:
+                definer = graph.buffers[buf_id].definer
+                est = max(est, est_fin[definer] + search.min_dur[buf_id])
+        for ext in task.external_inputs:
+            est = max(est, ext.release)
+        est += task.min_start_lag
+        est_fin[t] = est + task.runtime
+        path = max(path, est + search.down[t])
+
+    anchor = 0
+    if search.anchor_base:
+        extras = {}
+        for buf_id, tr in state.transfers.items():
+            choices = search.choices[buf_id]
+            shared = frozenset.intersection(*(c.pattern.anchors for c in choices))
+            for a in tr.choice.pattern.anchors:
+                counted = search.min_dur[buf_id] if a in shared else 0
+                extras[a] = extras.get(a, 0) + tr.choice.cost - counted
+        anchor = max(base + extras.get(a, 0)
+                     for a, base in search.anchor_base.items())
+    return state.span, search.load_bound, path, anchor
+
+
+@pytest.fixture
+def checked_bounds(monkeypatch):
+    """Makes every bound the search takes assert equality with
+    ``full_bound``; yields how often each term alone set the bound."""
+    binding = {"path": 0, "anchor": 0, "checked": 0}
+    original = _Search._lower_bound
+
+    def checked(self, state, task_id):
+        got = original(self, state, task_id)
+        span, load, path, anchor = full_bound(self, state)
+        assert got == max(span, load, path, anchor), task_id
+        binding["checked"] += 1
+        binding["path"] += path > max(span, load, anchor)
+        binding["anchor"] += anchor > max(span, load, path)
+        return got
+
+    monkeypatch.setattr(_Search, "_lower_bound", checked)
+    return binding
+
+
+def du_analog_solves(du_dir, budget_nodes=1000):
+    """(scenario name, outcome) for the du_analog baseline and each
+    enumerated scenario, as ``ddtwin scenarios`` solves them."""
+    from ddtwin.cli import build_graph, load_run, load_run_manifest
+    from ddtwin.scenarios import apply_injections, enumerate_scenarios
+
+    loaded = load_run(load_run_manifest(du_dir / "manifest.yaml"))
+    graph = build_graph(loaded)
+    return [(spec.name, solve_best_case(
+                apply_injections(graph, spec.injections, loaded.catalog),
+                loaded.topology, loaded.catalog,
+                SolveOpts(budget_nodes=budget_nodes)))
+            for spec in enumerate_scenarios(graph, loaded.catalog)]
+
+
+def test_incremental_bound_equals_a_full_recompute_on_du_analog(
+        du_dir, checked_bounds):
+    assert len(du_analog_solves(du_dir)) == 12
+    assert checked_bounds["checked"] == 10_341
+    assert checked_bounds["anchor"] > 0
+
+
+def test_incremental_bound_equals_a_full_recompute_on_random_instances(
+        checked_bounds):
+    from ddtwin.instances import replicated_instance
+
+    for seed in range(120):
+        inst = random_instance(seed)
+        for inst in (inst, tighten_instance(inst, seed),
+                     replicated_instance(seed)):
+            solve_best_case(inst.graph, inst.topology, inst.catalog,
+                            SolveOpts(budget_nodes=20_000))
+    assert checked_bounds["path"] > 0
+
+
+# (scenario, status, makespan, nodes, prune counts) of every du_analog solve
+# at 1,000 nodes, recorded before the bound became incremental; the answers
+# are all greedy seeds, so only these counts show a bound that prunes
+# differently
+DU_ANALOG_SEARCH = [
+    ("baseline", "feasible", 242251, 1001, {"BOUND": 733}),
+    ("evict-fn-dlBeamGen", "feasible", 226676, 1001, {"BOUND": 771}),
+    ("evict-fn-dlConfig", "feasible", 382475, 1001, {"BOUND": 732}),
+    ("evict-fn-dlFhOut", "feasible", 279576, 1001, {"BOUND": 698}),
+    ("evict-fn-dlPdschSym", "feasible", 321000, 1001, {"BOUND": 517}),
+    ("evict-fn-dlPdschTb", "feasible", 246013, 1001, {"BOUND": 763}),
+    ("evict-fn-dlSymCtl", "feasible", 264001, 1001, {"BOUND": 743}),
+    ("evict-fn-dlTti", "feasible", 261720, 1001, {"BOUND": 713}),
+    ("evict-small", "feasible", 295676, 1001, {"BOUND": 795}),
+    ("evict-large", "feasible", 669325, 1001, {"BOUND": 630}),
+    ("evict-combined", "feasible", 736875, 1001, {"BOUND": 713}),
+    ("add-flow-dlFlow", "feasible", 305251, 1001, {"BOUND": 883}),
+]
+
+
+def test_du_analog_search_statistics_are_pinned(du_dir):
+    got = [(name, res.status, res.makespan, res.stats["nodes"],
+            res.stats["pruned"]) for name, res in du_analog_solves(du_dir)]
+    assert got == DU_ANALOG_SEARCH
+    assert sum(pruned["BOUND"] for *_, pruned in got) == 8691
+
+
+def fixpoint_fit(busy, mask, u, duration):
+    """The contention loop the one-pass fit replaced: move past any
+    contending interval that overlaps, until nothing moves."""
+    moved = True
+    while moved:
+        moved = False
+        for start, end, index in busy:
+            if (end > start and mask >> index & 1
+                    and u < end and start < u + duration):
+                u = end
+                moved = True
+    return u
+
+
+# small ranges, so that intervals often touch, abut and share a start
+@settings(max_examples=500)
+@given(intervals=st.lists(st.tuples(st.integers(0, 40), st.integers(1, 12),
+                                    st.integers(0, 3)), max_size=10),
+       mask=st.integers(0, 15), u=st.integers(0, 50),
+       duration=st.integers(1, 12))
+def test_one_pass_fit_lands_where_the_fixpoint_loop_does(intervals, mask, u,
+                                                         duration):
+    busy = [(start, start + length, index) for start, length, index in intervals]
+    assert (_earliest_fit(tuple(sorted(busy)), mask, u, duration)
+            == fixpoint_fit(busy, mask, u, duration))
