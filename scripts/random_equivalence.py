@@ -2,7 +2,8 @@
 """Cross-check the branch-and-bound search against the exhaustive
 reference on seeded random instances, and on the same seeds' instances
 with a cloned task, and optionally check that tightening constraints
-never improves the best case.
+never improves the best case, and that the relaxed instance's proven
+optimum, given to the tightened solve as its floor, changes no verdict.
 
 Every instance stays inside the reference scheduler's enumeration
 bounds, so disagreement is a bug in one of the two routes, not noise.
@@ -14,6 +15,7 @@ bounds, so disagreement is a bug in one of the two routes, not noise.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -56,6 +58,7 @@ def check_equivalence(generate, n_instances: int, seed: int,
 
 def check_monotonic(n_pairs: int, seed: int, budget: int) -> int:
     failures = 0
+    floored_pairs = 0
     t0 = time.time()
     opts = SolveOpts(budget_nodes=budget)
     for k in range(n_pairs):
@@ -73,8 +76,19 @@ def check_monotonic(n_pairs: int, seed: int, budget: int) -> int:
             failures += 1
             print(f"MONOTONICITY seed={seed + k}: best case improved "
                   f"{a.makespan} -> {b.makespan} under tightening")
+        if a.status == "optimal":
+            floored_pairs += 1
+            floored = solve_best_case(
+                tight.graph, tight.topology, tight.catalog,
+                dataclasses.replace(opts, floor=a.makespan))
+            if (floored.status, floored.makespan) != (b.status, b.makespan):
+                failures += 1
+                print(f"FLOOR seed={seed + k}: floor {a.makespan} turned "
+                      f"{b.status} {b.makespan} into {floored.status} "
+                      f"{floored.makespan}")
     dt = time.time() - t0
-    print(f"{n_pairs} pairs, {failures} violations, {dt:.1f}s")
+    print(f"{n_pairs} pairs ({floored_pairs} also solved with a floor), "
+          f"{failures} violations, {dt:.1f}s")
     return failures
 
 

@@ -1,10 +1,16 @@
 """What-if scenario engine: constraint injections over an elaborated graph.
 
-A scenario bundles a set of monotone tightenings (evict buffers to DDR,
-pin tasks to cores, cap scheduling slack, clone a flow, shrink the slot)
+A scenario bundles a set of constraint injections (evict buffers to DDR,
+pin tasks to cores, cap scheduling slack, shrink the slot, clone a flow)
 and reports how the best-case latency moves against a baseline solve.
-Injections only ever remove options, so a feasible scenario's latency is
-bounded below by the baseline and every delta is non-negative.
+All but the flow clone only remove options: each schedule of the
+injected graph is a schedule of the baseline graph with the same timing,
+so the scenario's optimum is at least the baseline's.  A delta is
+therefore non-negative only when the baseline is proven.  When the node
+budget cut the baseline's search short, a delta may be negative: the
+shipped du_analog ``evict-fn-dlBeamGen`` row is -6%, because that
+scenario's search found a schedule that the baseline's search missed.  A
+cloned flow adds work, and no such bound holds for it.
 """
 
 from __future__ import annotations
@@ -28,6 +34,10 @@ TIGHTEN_DEADLINE = "TIGHTEN_DEADLINE"
 
 INJECTION_KINDS = (EVICT_BUFFER, PIN_TASKS, START_LAG, ADD_FLOW,
                    TIGHTEN_DEADLINE)
+# the kinds that only remove options: no schedule of the injected graph
+# beats the baseline's optimum
+NARROWING_KINDS = frozenset((EVICT_BUFFER, PIN_TASKS, START_LAG,
+                             TIGHTEN_DEADLINE))
 
 RISK_HIGH = "HIGH"
 RISK_MODERATE = "MODERATE"
@@ -284,8 +294,14 @@ def evaluate_scenario(spec: ScenarioSpec, graph: TaskGraph,
                       baseline: SolveOutcome | None = None) -> ScenarioResult:
     """Solve the injected graph and grade the latency movement.
 
-    ``baseline`` lets callers reuse one baseline solve across scenarios;
-    it must come from the same graph, topology, catalog, and options.
+    ``baseline`` lets callers reuse one baseline solve across scenarios.
+    It must come from the same graph, topology and catalog, solved with
+    the same ``max_start_lag``; the node budgets may differ.  When it is
+    proven optimal and every injection of ``spec`` only removes options,
+    its makespan is the scenario solve's floor (``SolveOpts.floor``): no
+    schedule of the injected graph beats it, so the floor changes no
+    verdict, and a scenario whose seed reaches it or whose deadline lies
+    below it closes at the search's root.
     A budget-exhausted search is an error, never a verdict: "unknown"
     reports nothing about feasibility either way.
     """
@@ -306,6 +322,9 @@ def evaluate_scenario(spec: ScenarioSpec, graph: TaskGraph,
         return ScenarioResult(spec.name, base_latency, 0,
                               classify_risk(0), base_latency)
 
+    if baseline.status == "optimal" and all(
+            inj.kind in NARROWING_KINDS for inj in spec.injections):
+        opts = replace(opts, floor=base_latency)
     injected = apply_injections(graph, spec.injections, catalog)
     outcome = solve_best_case(injected, topology, catalog, opts)
     if outcome.status == "infeasible":

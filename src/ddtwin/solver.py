@@ -45,6 +45,27 @@ when no task observes ``x``'s outputs.  So the parent's floor never
 exceeds the child's full bound, and the maximum of it and the recomputed
 terms is that bound.
 
+A caller may hand the search a floor, ``SolveOpts.floor``: a makespan it
+has proven no schedule of the instance beats, such as the proven optimum
+of an instance whose schedules include all of this one's, each timed the
+same way.  The root's bound starts at the floor and every state hands it
+on with the rest of the bound.  That prunes nothing the search needs:
+every schedule below a child has a makespan at least the child's bound
+and at least the floor, so when the larger of the two exceeds the cap,
+no such schedule could become the incumbent or meet the deadline.  A
+floor above the deadline thus proves the instance infeasible at the
+root, and an incumbent equal to the floor is proven optimal there.
+
+Each child is built in three steps.  ``_time`` times it and checks it:
+the task's start, its transfers and the occupancy of the tracked
+memories.  ``_bound`` bounds it from its parent's state.  Only a child
+that survives the bound is built into a state by ``_commit``, which
+copies the placement, core and forcing maps.  The checks and the bound
+run in the same order as when every child was built in full first, and
+the bound reads nothing that ``_commit`` makes, so every node count,
+prune reason and incumbent is as before; only pruned children's copies
+are saved.
+
 A transfer's earliest contention-free start is found in one scan of the
 placed transfers sorted by start: an interval that contends and ends
 after the candidate start moves the start to its end, and the scan stops
@@ -93,7 +114,8 @@ class SolveOpts:
     mode: str = "exact"              # "exact" or "heuristic" (seed only)
     budget_nodes: int = 200_000
     max_start_lag: int | None = None
-    dedup_patterns: bool = True
+    # a makespan no schedule of the instance beats, known from elsewhere
+    floor: int = 0
 
 
 @dataclass
@@ -124,6 +146,20 @@ class _Move(NamedTuple):
     end: int
 
 
+class _Timed(NamedTuple):
+    """A child timed and checked but not yet built: what ``_bound`` reads
+    and ``_commit`` keeps.  ``grown`` holds the copies of the tracked
+    memories' claims that the placement changed, or ``None`` when no
+    memory is tracked."""
+    core: int
+    start: int
+    fin: int
+    span: int
+    transfers: dict[str, _Move]
+    busy: tuple[tuple[int, int, int], ...]
+    grown: dict[str, dict] | None
+
+
 @dataclass
 class _State:
     placed: dict[str, tuple[int, int]]
@@ -136,11 +172,11 @@ class _State:
     claims: dict[str, dict]
     # (start, end, catalog index) of the non-empty transfers, by start
     busy: tuple[tuple[int, int, int], ...]
-    # The search bound, brought up to date by ``_Search._lower_bound``;
-    # ``_place`` hands the parent's on, so a seed state's are stale.
+    # The search bound, brought up to date by ``_Search._bound``; the
+    # seed commits without bounding, so a seed state's are stale.
     est_fin: dict[str, int]          # unplaced task -> earliest finish
     loads: dict                      # anchor -> transfer cycles beyond its base
-    floor: int                       # critical-path and anchor terms, max
+    floor: int                       # max of path, anchor, given floors
 
 
 def _earliest_fit(busy: tuple[tuple[int, int, int], ...], mask: int, u: int,
@@ -385,14 +421,11 @@ class _Search:
 
     def _static_options_for(self, buf_id: str, core: int
                             ) -> tuple[list[_Choice], list[_Choice]]:
-        compat = [c for c in self.choices[buf_id]
-                  if c.pattern.core_hint in (None, core)]
-        if self.opts.dedup_patterns:
-            kept: list[_Choice] = []
-            for c in compat:
-                if not any(self._identical_behavior(c, k) for k in kept):
-                    kept.append(c)
-            compat = kept
+        compat: list[_Choice] = []
+        for c in self.choices[buf_id]:
+            if (c.pattern.core_hint in (None, core)
+                    and not any(self._identical_behavior(c, k) for k in compat)):
+                compat.append(c)
         nonp = [c for c in compat if c.pattern.klass != "pipeline"]
         return compat, nonp
 
@@ -412,8 +445,12 @@ class _Search:
 
     # -- placement ---------------------------------------------------------
 
-    def _place(self, state: _State, task_id: str, core: int,
-               combo: tuple[_Choice, ...]):
+    def _time(self, state: _State, task_id: str, core: int,
+              combo: tuple[_Choice, ...]) -> tuple[_Timed | None, str | None]:
+        """Time placing ``task_id`` on ``core`` with ``combo`` after
+        ``state`` and check it: the task's start and finish, its output
+        transfers, and the occupancy of the tracked memories.  Returns the
+        timed child, or ``None`` and the reason it breaks a constraint."""
         task = self.graph.tasks[task_id]
         ready = 0
         for buf_id in task.inputs:
@@ -446,29 +483,38 @@ class _Search:
                 busy = busy[:i] + (interval,) + busy[i:]
             span = max(span, end)
 
-        placed = dict(state.placed)
-        placed[task_id] = (core, start)
-        core_free = dict(state.core_free)
-        core_free[core] = fin
-        forced = state.forced
-        for buf_id, choice in zip(task.outputs, combo):
-            if choice.pattern.klass == "pipeline":
-                if forced is state.forced:
-                    forced = dict(state.forced)
-                for obs in self.graph.buffers[buf_id].observers:
-                    forced[obs] = core
-
-        claims = state.claims
+        grown = None
         if self.tracked:
             grown = self._grow_claims(state, task, core, start, fin, transfers)
             if self._overflows(grown):
                 return None, BUFFER_OVERFLOW
-            claims = {**claims, **grown}
-        child = _State(placed=placed, transfers=transfers, core_free=core_free,
-                       forced=forced, span=span, claims=claims, busy=busy,
-                       est_fin=state.est_fin, loads=state.loads,
-                       floor=state.floor)
-        return child, None
+        return _Timed(core, start, fin, span, transfers, busy, grown), None
+
+    def _commit(self, state: _State, task_id: str, timed: _Timed,
+                carried: tuple[dict, dict, int] | None = None) -> _State:
+        """The child state of ``state`` that ``timed`` describes.  Its bound
+        state is ``carried``, as ``_bound`` returned it, or else the
+        parent's, which is then stale."""
+        placed = dict(state.placed)
+        placed[task_id] = (timed.core, timed.start)
+        core_free = dict(state.core_free)
+        core_free[timed.core] = timed.fin
+        forced = state.forced
+        for buf_id in self.graph.tasks[task_id].outputs:
+            if timed.transfers[buf_id].choice.pattern.klass == "pipeline":
+                if forced is state.forced:
+                    forced = dict(state.forced)
+                for obs in self.graph.buffers[buf_id].observers:
+                    forced[obs] = timed.core
+        claims = state.claims
+        if timed.grown is not None:
+            claims = {**claims, **timed.grown}
+        est_fin, loads, floor = carried or (state.est_fin, state.loads,
+                                            state.floor)
+        return _State(placed=placed, transfers=timed.transfers,
+                      core_free=core_free, forced=forced, span=timed.span,
+                      claims=claims, busy=timed.busy, est_fin=est_fin,
+                      loads=loads, floor=floor)
 
     def _grow_claims(self, state: _State, task: TaskInstance, core: int,
                      start: int, fin: int,
@@ -528,26 +574,28 @@ class _Search:
 
     # -- bounds ------------------------------------------------------------
 
-    def _lower_bound(self, state: _State, task_id: str) -> int:
-        """Bound every completion of ``state``, which ``_place`` made by
-        placing ``task_id`` in a state whose bound is up to date, and bring
-        ``state``'s bound up to date: the estimates of ``task_id``'s
-        descendants and the loads of the anchors its transfers touch."""
+    def _bound(self, state: _State, task_id: str, timed: _Timed
+               ) -> tuple[int, tuple[dict, dict, int]]:
+        """Bound every completion of the child that ``timed`` makes by
+        placing ``task_id`` after ``state``, whose bound is up to date.
+        Also returns the child's bound state for ``_commit``: the estimates
+        of ``task_id``'s descendants and the loads of the anchors its
+        transfers touch, brought up to date."""
+        transfers = timed.transfers
         est_fin = dict(state.est_fin)
         del est_fin[task_id]
-        floor = self._propagate(self.descendants[task_id], state.transfers,
+        floor = self._propagate(self.descendants[task_id], transfers,
                                 est_fin, state.floor)
         loads = state.loads
         for buf_id in self.graph.tasks[task_id].outputs:
             extra = self.anchor_extra.get(
-                (buf_id, state.transfers[buf_id].choice.index), ())
+                (buf_id, transfers[buf_id].choice.index), ())
             if extra and loads is state.loads:
                 loads = dict(loads)
             for anchor, cycles in extra:
                 loads[anchor] = loads.get(anchor, 0) + cycles
                 floor = max(floor, self.anchor_base[anchor] + loads[anchor])
-        state.est_fin, state.loads, state.floor = est_fin, loads, floor
-        return max(state.span, self.load_bound, floor)
+        return max(timed.span, self.load_bound, floor), (est_fin, loads, floor)
 
     def _propagate(self, tasks: Iterable[str], transfers: dict[str, _Move],
                    est_fin: dict[str, int], floor: int) -> int:
@@ -641,16 +689,16 @@ class _Search:
                     self._note(PATTERN_VIOLATION)
                     continue
                 self._spend()
-                child, reason = self._place(state, task_id, core, combo)
-                if child is None:
+                timed, reason = self._time(state, task_id, core, combo)
+                if timed is None:
                     self._note(reason)
                     continue
-                lb = self._lower_bound(child, task_id)
+                lb, carried = self._bound(state, task_id, timed)
                 if lb > self._cap():
                     self._note(DEADLINE_MISS if lb > self.graph.deadline
                                else PRUNE_BOUND)
                     continue
-                self._expand(child)
+                self._expand(self._commit(state, task_id, timed, carried))
 
     def _leaf(self, state: _State) -> None:
         self.leaves += 1
@@ -693,22 +741,22 @@ class _Search:
         for task_id in order:
             if any(p not in state.placed for p in self.preds[task_id]):
                 return
-            best_child = None
+            best = None
             best_key = None
             for core, combo in self._children(state, task_id, picks):
                 if core is None:
                     continue
-                child, _ = self._place(state, task_id, core, combo)
-                if child is None:
+                timed, _ = self._time(state, task_id, core, combo)
+                if timed is None:
                     continue
-                rank = child.core_free[core] if by_finish else child.span
-                key = (rank, child.span, core, tuple(c.index for c in combo))
+                rank = timed.fin if by_finish else timed.span
+                key = (rank, timed.span, core, tuple(c.index for c in combo))
                 if best_key is None or key < best_key:
                     best_key = key
-                    best_child = child
-            if best_child is None:
+                    best = timed
+            if best is None:
                 return
-            state = best_child
+            state = self._commit(state, task_id, best)
         schedule = self._schedule(state)
         if self.best is not None and state.span >= self.best:
             return
@@ -728,7 +776,7 @@ class _Search:
                                 max(self.anchor_base.values(), default=0))
         return _State(placed={}, transfers={}, core_free={}, forced={},
                       span=0, claims={}, busy=(), est_fin=est_fin, loads={},
-                      floor=floor)
+                      floor=max(floor, self.opts.floor))
 
     # -- driver ------------------------------------------------------------
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 import yaml
 
@@ -351,6 +353,130 @@ def test_batch_evaluation_solves_a_shared_injection_set_once(monkeypatch):
     assert results[0].latency == 1363
     # the baseline, then evict-things, evict-fn-fn1 and evict-small
     assert len(solved) == 4
+
+
+# -- the baseline floor -----------------------------------------------------------
+
+def recording_solve(monkeypatch):
+    """Routes the scenario engine's solves through a recorder; returns the
+    list of (floor, outcome) pairs it fills, one per solve."""
+    solves = []
+
+    def record(graph, topology, catalog, opts=None):
+        outcome = solve_best_case(graph, topology, catalog, opts)
+        solves.append(((opts or SolveOpts()).floor, outcome))
+        return outcome
+
+    monkeypatch.setattr(scenarios, "solve_best_case", record)
+    return solves
+
+
+def narrowing_specs(graph, topology, catalog, makespan):
+    """Enumerated evictions, each task pinned to each core, lag caps, a
+    deadline just below and at ``makespan``, and one mixed spec."""
+    specs = [s for s in enumerate_scenarios(graph, catalog) if s.injections]
+    for tid in sorted(graph.tasks):
+        for core in topology.cores:
+            specs.append(ScenarioSpec(f"pin-{tid}-{core.id}", (Injection(
+                scenarios.PIN_TASKS, (tid,), frozenset({core.id})),)))
+    for lag in (0, 2_000):
+        specs.append(ScenarioSpec(f"lag-{lag}", (Injection(
+            scenarios.START_LAG, value=lag),)))
+    for deadline in (makespan - 1, makespan):
+        specs.append(ScenarioSpec(f"deadline-{deadline}", (Injection(
+            scenarios.TIGHTEN_DEADLINE, value=deadline),)))
+    first = sorted(graph.tasks)[0]
+    specs.append(ScenarioSpec("mixed", (
+        Injection(scenarios.PIN_TASKS, (first,), frozenset({0})),
+        Injection(scenarios.START_LAG, value=1_000),
+        Injection(scenarios.TIGHTEN_DEADLINE, value=makespan + 1_000))))
+    return specs
+
+
+def test_a_proven_baseline_floors_narrowing_scenarios_without_moving_them(
+        monkeypatch):
+    from ddtwin.instances import random_instance, replicated_instance
+    from ddtwin.oracle import brute_force_oracle
+
+    solves = recording_solve(monkeypatch)
+    checked = infeasible = 0
+    for seed in range(30):
+        for inst in (random_instance(seed), replicated_instance(seed)):
+            graph, topology, catalog = inst.graph, inst.topology, inst.catalog
+            baseline = solve_best_case(graph, topology, catalog)
+            if baseline.status != "optimal":
+                continue
+            for spec in narrowing_specs(graph, topology, catalog,
+                                        baseline.makespan):
+                solves.clear()
+                evaluate_scenario(spec, graph, topology, catalog,
+                                  baseline=baseline)
+                [(floor, floored)] = solves
+                assert floor == baseline.makespan
+                injected = apply_injections(graph, spec.injections, catalog)
+                plain = solve_best_case(injected, topology, catalog)
+                ref = brute_force_oracle(injected, topology, catalog)
+                where = f"seed {seed}, {spec.name}"
+                assert floored.status == plain.status, where
+                assert floored.makespan == plain.makespan, where
+                assert floored.status in ("optimal", "infeasible"), where
+                assert ref.feasible == (floored.status == "optimal"), where
+                assert ref.makespan == floored.makespan, where
+                checked += 1
+                infeasible += floored.status == "infeasible"
+    assert checked > 100 and infeasible > 0
+
+
+def test_added_flows_and_unproven_baselines_get_no_floor(monkeypatch):
+    g = expand(NESTED, {"N": 2}, [md("leafA"), md("leafB")])
+    add_flow = next(s for s in enumerate_scenarios(g, CATALOG)
+                    if s.name == "add-flow-sub")
+    evict = ScenarioSpec("evict-leafA", (
+        Injection(kind="EVICT_BUFFER", targets=("leafA",)),))
+    solves = recording_solve(monkeypatch)
+    baseline = solve_best_case(g, TOPO, CATALOG)
+    assert baseline.status == "optimal"
+    evaluate_scenario(add_flow, g, TOPO, CATALOG, baseline=baseline)
+    evaluate_scenario(evict, g, TOPO, CATALOG, baseline=baseline)
+    unproven = dataclasses.replace(baseline, status="feasible")
+    evaluate_scenario(evict, g, TOPO, CATALOG, baseline=unproven)
+    assert [floor for floor, _ in solves] == [0, baseline.makespan, 0]
+
+
+@pytest.mark.parametrize("injection", [
+    {"kind": "TIGHTEN_DEADLINE", "value": 10_000},
+    {"kind": "TIGHTEN_DEADLINE", "value": 10_400},
+    {"kind": "PIN_TASKS", "cores": [3],
+     "targets": ["srsChestProc_perUE_perRxAnt_flow[i=1,j=1]"]},
+    {"kind": "PIN_TASKS", "cores": [3],
+     "targets": ["srsChestProc_perUE_perRxAnt_flow[i=1,j=3]"]},
+    {"kind": "START_LAG", "value": 0},
+    {"kind": "START_LAG", "value": 5_000},
+])
+def test_a_proven_baseline_closes_paper_scenarios_in_one_level(
+        paper_dir, monkeypatch, injection):
+    # each repeated the baseline's proof, 2,555 nodes or more, unfloored
+    from ddtwin.cli import build_graph, load_run, load_run_manifest
+    from ddtwin.flows import SymbolTable
+
+    loaded = load_run(load_run_manifest(paper_dir / "manifest.yaml"))
+    loaded = dataclasses.replace(loaded, symbols=SymbolTable(
+        {"MAX_NUM_RX_ANT": 3, "AVG_NUM_SRS_UE": 1}))
+    graph = build_graph(loaded)
+    opts = SolveOpts(max_start_lag=loaded.deployment.max_start_lag)
+    baseline = solve_best_case(graph, loaded.topology, loaded.catalog, opts)
+    assert (baseline.status, baseline.makespan) == ("optimal", 10_476)
+    [spec] = parse_scenario_stream(scenario_doc(injections=[injection]))
+    solves = recording_solve(monkeypatch)
+    result = evaluate_scenario(spec, graph, loaded.topology, loaded.catalog,
+                               opts, baseline)
+    [(floor, outcome)] = solves
+    assert floor == 10_476
+    assert outcome.stats["nodes"] <= 200
+    if injection["kind"] == "TIGHTEN_DEADLINE":
+        assert (result.latency, result.note) == (None, "DEADLINE_MISS")
+    else:
+        assert (outcome.status, result.latency) == ("optimal", 10_476)
 
 
 # -- enumeration -----------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -151,17 +152,6 @@ def test_solve_is_deterministic():
         assert a.makespan == b.makespan
         assert a.schedule == b.schedule
         assert a.stats == b.stats
-
-
-def test_pattern_dedup_does_not_change_the_optimum():
-    for seed in range(12):
-        inst = random_instance(seed)
-        on = solve_best_case(inst.graph, inst.topology, inst.catalog,
-                             SolveOpts(dedup_patterns=True))
-        off = solve_best_case(inst.graph, inst.topology, inst.catalog,
-                              SolveOpts(dedup_patterns=False))
-        assert on.status == off.status, f"seed {seed}"
-        assert on.makespan == off.makespan, f"seed {seed}"
 
 
 def test_external_release_delays_the_whole_chain():
@@ -381,18 +371,20 @@ def checked_bounds(monkeypatch):
     """Makes every bound the search takes assert equality with
     ``full_bound``; yields how often each term alone set the bound."""
     binding = {"path": 0, "anchor": 0, "checked": 0}
-    original = _Search._lower_bound
+    original = _Search._bound
 
-    def checked(self, state, task_id):
-        got = original(self, state, task_id)
-        span, load, path, anchor = full_bound(self, state)
+    def checked(self, state, task_id, timed):
+        got, carried = original(self, state, task_id, timed)
+        child = SimpleNamespace(placed={**state.placed, task_id: None},
+                                transfers=timed.transfers, span=timed.span)
+        span, load, path, anchor = full_bound(self, child)
         assert got == max(span, load, path, anchor), task_id
         binding["checked"] += 1
         binding["path"] += path > max(span, load, anchor)
         binding["anchor"] += anchor > max(span, load, path)
-        return got
+        return got, carried
 
-    monkeypatch.setattr(_Search, "_lower_bound", checked)
+    monkeypatch.setattr(_Search, "_bound", checked)
     return binding
 
 
