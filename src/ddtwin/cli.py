@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .diagnostics import DiagnosticError, error_at
@@ -29,9 +29,10 @@ from .hardware import DeploymentConfig, HardwareTopology, parse_deployment, \
 from .manifests import FunctionMetadata, parse_constraint_stream
 from .patterns import PatternCatalog, generate_patterns_from_topology, \
     parse_pattern_catalog
-from .scenarios import PIN_TASKS, ScenarioSpec, enumerate_scenarios, \
-    evaluate_scenarios, parse_scenario_stream, rank_scenarios, \
-    render_scenario_csv, parse_scenario_csv, render_scenario_table
+from .scenarios import PIN_TASKS, ScenarioSpec, apply_injections, \
+    enumerate_scenarios, evaluate_scenarios, parse_scenario_csv, \
+    parse_scenario_stream, rank_scenarios, render_scenario_csv, \
+    render_scenario_table
 from .schedule import Schedule
 from .solver import SolveOpts, SolveOutcome, no_verdict, solve_best_case
 
@@ -201,17 +202,16 @@ def build_graph(loaded: LoadedRun) -> TaskGraph:
     graph = elaborate(loaded.defs, loaded.deployment.entry_flow,
                       loaded.symbols, loaded.metadata, loaded.catalog,
                       slot_budget=loaded.deployment.slot_budget)
-    return bind_timing(graph, loaded.timing_docs, loaded.labels,
-                       loaded.deployment.equation_values)
+    graph = bind_timing(graph, loaded.timing_docs, loaded.labels,
+                        loaded.deployment.equation_values)
+    return replace(graph, max_start_lag=loaded.deployment.max_start_lag)
 
 
-def _solve_opts(manifest: RunManifest, deployment: DeploymentConfig,
-                scenario: bool = False) -> SolveOpts:
+def _solve_opts(manifest: RunManifest, scenario: bool = False) -> SolveOpts:
     budget = manifest.budget_nodes
     if scenario and manifest.scenario_budget_nodes is not None:
         budget = manifest.scenario_budget_nodes
-    return SolveOpts(mode=manifest.mode, budget_nodes=budget,
-                     max_start_lag=deployment.max_start_lag)
+    return SolveOpts(mode=manifest.mode, budget_nodes=budget)
 
 
 # -- output helpers ---------------------------------------------------------
@@ -286,6 +286,15 @@ def cmd_validate(manifest: RunManifest) -> int:
         print(f"error: {finding.kind}: {finding.message}", file=sys.stderr)
     if findings:
         return EXIT_INVALID
+    refused = []
+    for spec in loaded.scenario_specs:     # as ``scenarios`` applies them
+        try:
+            apply_injections(graph, spec.injections, loaded.catalog)
+        except DiagnosticError as exc:
+            refused += [replace(d, message=f"scenario {spec.name!r}: {d.message}")
+                        for d in exc.diagnostics]
+    if refused:
+        raise DiagnosticError(refused)
     print(f"ok: {len(graph.tasks)} tasks, {len(graph.buffers)} buffers, "
           f"{len(loaded.catalog.patterns)} patterns")
     return EXIT_OK
@@ -304,7 +313,7 @@ def cmd_elaborate(manifest: RunManifest) -> int:
 def cmd_solve(manifest: RunManifest) -> int:
     loaded = load_run(manifest)
     graph = build_graph(loaded)
-    opts = _solve_opts(manifest, loaded.deployment)
+    opts = _solve_opts(manifest)
     outcome = solve_best_case(graph, loaded.topology, loaded.catalog, opts)
     if outcome.status == "unknown":
         raise _err(no_verdict(opts, _EXHAUSTED))
@@ -319,7 +328,7 @@ def cmd_solve(manifest: RunManifest) -> int:
 def cmd_scenarios(manifest: RunManifest) -> int:
     loaded = load_run(manifest)
     graph = build_graph(loaded)
-    baseline_opts = _solve_opts(manifest, loaded.deployment)
+    baseline_opts = _solve_opts(manifest)
     baseline = solve_best_case(graph, loaded.topology, loaded.catalog,
                                baseline_opts)
     if baseline.status == "infeasible":
@@ -329,7 +338,7 @@ def cmd_scenarios(manifest: RunManifest) -> int:
         raise _err("baseline " + no_verdict(baseline_opts, _EXHAUSTED))
 
     specs = loaded.scenario_specs + enumerate_scenarios(graph, loaded.catalog)
-    opts = _solve_opts(manifest, loaded.deployment, scenario=True)
+    opts = _solve_opts(manifest, scenario=True)
     results = evaluate_scenarios(specs, graph, loaded.topology,
                                  loaded.catalog, opts, baseline)
     ranked = rank_scenarios(results)

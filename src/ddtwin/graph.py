@@ -110,46 +110,6 @@ def graph_to_dict(graph: TaskGraph) -> dict:
     }
 
 
-def graph_from_dict(data: dict) -> TaskGraph:
-    from .manifests import TimingEquationDoc
-
-    tasks = {}
-    for t in data.get("tasks", []):
-        cores = t.get("allowed_cores")
-        tasks[t["id"]] = TaskInstance(
-            id=t["id"], function=t["function"], runtime=t["runtime"],
-            internalsize=t.get("internalsize", 0),
-            inputs=tuple(t.get("inputs", ())),
-            outputs=tuple(t.get("outputs", ())),
-            allowed_cores=frozenset(cores) if cores is not None else None,
-            external_inputs=tuple(ExternalInput(e["stream"], e.get("release", 0))
-                                  for e in t.get("external_inputs", ())),
-            min_start_lag=t.get("min_start_lag", 0),
-        )
-    buffers = {}
-    for b in data.get("buffers", []):
-        buffers[b["id"]] = Buffer(
-            id=b["id"], size=b["size"], definer=b["definer"],
-            observers=tuple(b.get("observers", ())),
-            allowed_patterns=tuple(b.get("allowed_patterns", ())),
-            labels=tuple(b.get("labels", ())),
-            release=b.get("release"),
-            avail_deadline=b.get("avail_deadline"),
-        )
-    constraints = [TimingEquationDoc(name=c["name"], equation=c["equation"],
-                                     bindings=dict(c.get("bindings", {})),
-                                     unit=c.get("unit", "clock"))
-                   for c in data.get("bound_constraints", [])]
-    return TaskGraph(tasks=tasks, buffers=buffers,
-                     deadline=data.get("deadline", 0),
-                     max_start_lag=data.get("max_start_lag"),
-                     bound_constraints=constraints,
-                     symbol_values=dict(data.get("symbol_values", {})))
-
-
 def graph_to_json(graph: TaskGraph) -> str:
     return json.dumps(graph_to_dict(graph), indent=2, sort_keys=False) + "\n"
 
-
-def graph_from_json(text: str) -> TaskGraph:
-    return graph_from_dict(json.loads(text))

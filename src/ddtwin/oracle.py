@@ -68,14 +68,8 @@ def _pattern_ok(pattern, definer_core: int, observer_cores: list[int]) -> bool:
 
 
 def brute_force_oracle(graph: TaskGraph, topology: HardwareTopology,
-                       catalog: PatternCatalog,
-                       max_start_lag: int | None = None) -> OracleResult:
+                       catalog: PatternCatalog) -> OracleResult:
     """True minimum makespan by full enumeration, or infeasible."""
-    if graph.max_start_lag is not None:
-        if max_start_lag is None:
-            max_start_lag = graph.max_start_lag
-        else:
-            max_start_lag = min(max_start_lag, graph.max_start_lag)
     if len(graph.tasks) > MAX_TASKS:
         raise ValueError(f"oracle refuses {len(graph.tasks)} tasks (max {MAX_TASKS})")
     if len(topology.cores) > MAX_CORES:
@@ -121,8 +115,7 @@ def brute_force_oracle(graph: TaskGraph, topology: HardwareTopology,
             rho = dict(zip(buf_ids, patterns))
             for order in orders:
                 explored += 1
-                span = _simulate(order, kappa, rho, graph, topology, catalog,
-                                 max_start_lag)
+                span = _simulate(order, kappa, rho, graph, topology, catalog)
                 if span is not None and (best is None or span < best):
                     best = span
 
@@ -133,7 +126,7 @@ def brute_force_oracle(graph: TaskGraph, topology: HardwareTopology,
 
 def _simulate(order: list[str], kappa: dict[str, int], rho: dict,
               graph: TaskGraph, topology: HardwareTopology,
-              catalog: PatternCatalog, max_start_lag: int | None) -> int | None:
+              catalog: PatternCatalog) -> int | None:
     """Greedy replay of one combination; None when any constraint breaks."""
     core_free: dict[int, int] = {}
     finish: dict[str, int] = {}
@@ -152,7 +145,7 @@ def _simulate(order: list[str], kappa: dict[str, int], rho: dict,
             ready = max(ready, ext.release)
         earliest = ready + task.min_start_lag
         start = max(earliest, core_free.get(kappa[task_id], 0))
-        if max_start_lag is not None and start > earliest + max_start_lag:
+        if graph.max_start_lag is not None and start > earliest + graph.max_start_lag:
             return None
         end = start + task.runtime
         core_free[kappa[task_id]] = end

@@ -295,13 +295,13 @@ def evaluate_scenario(spec: ScenarioSpec, graph: TaskGraph,
     """Solve the injected graph and grade the latency movement.
 
     ``baseline`` lets callers reuse one baseline solve across scenarios.
-    It must come from the same graph, topology and catalog, solved with
-    the same ``max_start_lag``; the node budgets may differ.  When it is
+    It must come from the same graph (which carries the start-lag cap),
+    topology and catalog; the node budgets may differ.  When it is
     proven optimal and every injection of ``spec`` only removes options,
     its makespan is the scenario solve's floor (``SolveOpts.floor``): no
     schedule of the injected graph beats it, so the floor changes no
-    verdict, and a scenario whose seed reaches it or whose deadline lies
-    below it closes at the search's root.
+    verdict.  A scenario whose seed reaches it closes with no search node,
+    one whose deadline lies below it at the search's root.
     A budget-exhausted search is an error, never a verdict: "unknown"
     reports nothing about feasibility either way.
     """

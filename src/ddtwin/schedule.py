@@ -22,7 +22,6 @@ from .manifests import equation_symbols, evaluate_timing_equation
 from .patterns import PatternCatalog, transfer_cost
 
 READ_BEFORE_WRITE = "READ_BEFORE_WRITE"
-WRITE_BEFORE_READ = "WRITE_BEFORE_READ"
 BUFFER_OVERFLOW = "BUFFER_OVERFLOW"
 DEADLINE_MISS = "DEADLINE_MISS"
 CORE_OVERLAP = "CORE_OVERLAP"
@@ -32,9 +31,8 @@ TRANSFER_CONTENTION = "TRANSFER_CONTENTION"
 TIMING_CONSTRAINT = "TIMING_CONSTRAINT"
 
 VIOLATION_KINDS = (
-    READ_BEFORE_WRITE, WRITE_BEFORE_READ, BUFFER_OVERFLOW, DEADLINE_MISS,
-    CORE_OVERLAP, PATTERN_VIOLATION, LAG_VIOLATION, TRANSFER_CONTENTION,
-    TIMING_CONSTRAINT,
+    READ_BEFORE_WRITE, BUFFER_OVERFLOW, DEADLINE_MISS, CORE_OVERLAP,
+    PATTERN_VIOLATION, LAG_VIOLATION, TRANSFER_CONTENTION, TIMING_CONSTRAINT,
 )
 
 
@@ -129,8 +127,7 @@ def _overlap(a_start: int, a_end: int, b_start: int, b_end: int) -> bool:
 
 def check_schedule(schedule: Schedule, graph: TaskGraph,
                    topology: HardwareTopology, catalog: PatternCatalog,
-                   max_start_lag: int | None = None,
-                   wraparound: bool = False) -> list[Violation]:
+                   max_start_lag: int | None = None) -> list[Violation]:
     """Replay a complete schedule and report every violated constraint.
 
     Raises ValueError for structurally incomplete schedules (a task with
@@ -256,18 +253,6 @@ def check_schedule(schedule: Schedule, graph: TaskGraph,
                 out.append(Violation(LAG_VIOLATION, task.id,
                                      f"starts at {start}, more than {max_start_lag} past "
                                      f"readiness {ready[task.id]}", start))
-
-    # single-slot overwrite under periodic wraparound: the next period's
-    # definition lands exactly one period after this one's start
-    if wraparound:
-        for buf in graph.buffers.values():
-            definer_start = schedule.start_of(buf.definer)
-            for obs in buf.observers:
-                if finish[obs] > definer_start + graph.deadline:
-                    out.append(Violation(WRITE_BEFORE_READ, buf.id,
-                                         f"observer {obs!r} still reading at {finish[obs]} "
-                                         f"when the next period overwrites at "
-                                         f"{definer_start + graph.deadline}", finish[obs]))
 
     out.extend(_check_residency(schedule, graph, topology, catalog, finish))
 

@@ -54,7 +54,7 @@ every schedule below a child has a makespan at least the child's bound
 and at least the floor, so when the larger of the two exceeds the cap,
 no such schedule could become the incumbent or meet the deadline.  A
 floor above the deadline thus proves the instance infeasible at the
-root, and an incumbent equal to the floor is proven optimal there.
+root, and a seed at the floor is proven optimal before any node.
 
 Each child is built in three steps.  ``_time`` times it and checks it:
 the task's start, its transfers and the occupancy of the tracked
@@ -113,7 +113,7 @@ PRUNE_BOUND = "BOUND"
 class SolveOpts:
     mode: str = "exact"              # "exact" or "heuristic" (seed only)
     budget_nodes: int = 200_000
-    max_start_lag: int | None = None
+    max_start_lag: int | None = None  # unset: the cap travels in the graph
     # a makespan no schedule of the instance beats, known from elsewhere
     floor: int = 0
 
@@ -787,7 +787,10 @@ class _Search:
         complete = False
         if self.opts.mode == "exact":
             try:
-                self._expand(self._root())
+                # a seed at the caller's floor is optimal: nothing beats it
+                if not (self.opts.floor > 0 and self.best is not None
+                        and self.best <= self.opts.floor):
+                    self._expand(self._root())
                 complete = True
             except _BudgetExhausted:
                 pass

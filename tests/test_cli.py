@@ -21,7 +21,7 @@ from hypothesis import given, strategies as st
 
 from ddtwin import cli
 from ddtwin.diagnostics import DiagnosticError
-from ddtwin.graph import graph_from_json
+from ddtwin.graph import graph_to_json
 
 
 def run(argv):
@@ -183,6 +183,33 @@ def test_pin_to_a_core_the_topology_lacks_exits_1(paper_dir, tmp_path, command):
     assert not (tmp_path / "out" / "scenarios.csv").exists()
 
 
+@pytest.mark.parametrize("injection, message", [
+    ({"kind": "START_LAG", "value": -1},
+     "START_LAG requires a non-negative cycle cap"),
+    ({"kind": "PIN_TASKS", "cores": [], "targets": ["measureBlock"]},
+     "PIN_TASKS requires a non-empty core set"),
+    ({"kind": "PIN_TASKS", "cores": [0], "targets": ["nothere"]},
+     "injection target 'nothere' matches no task, function, or task-id "
+     "prefix in the graph"),
+], ids=["negative-lag", "no-cores", "unmatched-target"])
+def test_validate_refuses_what_scenarios_refuses_and_names_the_scenario(
+        trivial_dir, tmp_path, injection, message):
+    shutil.copytree(trivial_dir, tmp_path / "trivial",
+                    ignore=shutil.ignore_patterns("out*"))
+    (tmp_path / "trivial" / "bad.yaml").write_text(yaml.safe_dump({
+        "apiVersion": "rdsl/v0", "kind": "scenario",
+        "metadata": {"name": "bad-one"}, "spec": {"injections": [injection]}}))
+    manifest = tmp_path / "trivial" / "manifest.yaml"
+    manifest.write_text(manifest.read_text() + "  scenario_files: [bad.yaml]\n")
+    code, out, err = run(["validate", "--manifest", str(manifest)])
+    assert (code, out) == (1, "")
+    assert err == f"1:1: error: scenario 'bad-one': {message}\n"
+    code, out, err = run(["scenarios", "--manifest", str(manifest),
+                          "--out", str(tmp_path / "out")])
+    assert (code, out) == (1, "")
+    assert message in err
+
+
 # -- solve ------------------------------------------------------------------
 
 def test_solve_trivial_writes_schedule_and_summary(trivial_dir, tmp_path):
@@ -266,9 +293,17 @@ def test_elaborate_dump_round_trips(paper_dir, tmp_path):
     assert (code, err) == (0, "")
     assert out == (f"elaborated 10 tasks, 18 buffers, deadline 1,000,000 "
                    f"-> {tmp_path / 'graph.json'}\n")
-    dumped = graph_from_json((tmp_path / "graph.json").read_text())
     loaded = cli.load_run(cli.load_run_manifest(manifest))
-    assert dumped == cli.build_graph(loaded)
+    assert (tmp_path / "graph.json").read_text() == \
+        graph_to_json(cli.build_graph(loaded))
+
+
+def test_elaborate_dump_carries_the_deployment_lag_cap(tmp_path):
+    manifest = write_pressure_fixture(tmp_path, 200_000)
+    code, _, err = run(["elaborate", "--manifest", str(manifest)])
+    assert (code, err) == (0, "")
+    dumped = json.loads((tmp_path / "out" / "graph.json").read_text())
+    assert dumped["max_start_lag"] == 0
 
 
 # -- scenarios --------------------------------------------------------------

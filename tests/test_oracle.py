@@ -63,13 +63,12 @@ def test_infeasibility_never_reports_a_makespan():
     assert res == type(res)(False, None, 0)
 
 
-def _independent_pair(topo, patterns, max_start_lag=None):
+def _independent_pair(topo, patterns):
     tasks = {t: TaskInstance(id=t, function=t, runtime=100, internalsize=0,
                              outputs=(f"b{t}",)) for t in ("a", "b")}
     bufs = {f"b{t}": Buffer(id=f"b{t}", size=100, definer=t,
                             allowed_patterns=patterns) for t in ("a", "b")}
-    return TaskGraph(tasks=tasks, buffers=bufs, deadline=10_000,
-                     max_start_lag=max_start_lag)
+    return TaskGraph(tasks=tasks, buffers=bufs, deadline=10_000)
 
 
 def test_lag_cap_applies_to_queueing():
@@ -77,15 +76,8 @@ def test_lag_cap_applies_to_queueing():
     cat1 = generate_patterns_from_topology(topo1)
     g = _independent_pair(topo1, ("pipeline.c_0.L3_0",))
     assert brute_force_oracle(g, topo1, cat1).makespan == 200
-    assert not brute_force_oracle(g, topo1, cat1, max_start_lag=0).feasible
-
-
-def test_graph_lag_cap_combines_with_the_argument():
-    topo1 = make_topology(1)
-    cat1 = generate_patterns_from_topology(topo1)
-    g = _independent_pair(topo1, ("pipeline.c_0.L3_0",), max_start_lag=0)
-    assert not brute_force_oracle(g, topo1, cat1).feasible
-    assert not brute_force_oracle(g, topo1, cat1, max_start_lag=500).feasible
+    assert not brute_force_oracle(replace(g, max_start_lag=0), topo1,
+                                  cat1).feasible
 
 
 # -- enumeration guard rails ---------------------------------------------------

@@ -16,9 +16,9 @@ from ddtwin.patterns import generate_patterns_from_topology, transfer_cost
 from ddtwin.schedule import (BUFFER_OVERFLOW, CORE_OVERLAP, DEADLINE_MISS,
                              LAG_VIOLATION, PATTERN_VIOLATION,
                              READ_BEFORE_WRITE, TIMING_CONSTRAINT,
-                             TRANSFER_CONTENTION, WRITE_BEFORE_READ,
-                             Schedule, Transfer, check_schedule,
-                             compute_ready_times, effective_max_start_lag)
+                             TRANSFER_CONTENTION, Schedule, Transfer,
+                             check_schedule, compute_ready_times,
+                             effective_max_start_lag)
 from ddtwin.solver import SolveOpts, solve_best_case
 from conftest import make_topology
 
@@ -271,25 +271,6 @@ def test_zero_duration_transfers_never_contend():
     s = sched({"t0": (0, 0), "t1": (1, 0)},
               {"b0": (PIPE0, 100, 0), "b1": (PIPE1, 100, 0)})
     assert check_schedule(s, g, TOPO, CATALOG) == []
-
-
-def test_periodic_overwrite_needs_wraparound_mode():
-    # latency exceeds one period: t1 is still reading b0 when the next
-    # period's definition lands (definer start + period)
-    dur = cost(NEAR0, 1000)
-    g = graph([task("t0", 100, outputs=("b0",)),
-               task("t1", 200, inputs=("b0",), outputs=("b1",))],
-              [buf("b0", "t0", observers=("t1",)), buf("b1", "t1")],
-              deadline=400)
-    s = sched({"t0": (0, 0), "t1": (1, 100 + dur)},
-              {"b0": (NEAR0, 100, dur),
-               "b1": (PIPE1, 300 + dur, 0)})
-    plain = check_schedule(s, g, TOPO, CATALOG)
-    assert kinds(plain) == {DEADLINE_MISS}    # over budget either way
-    wrapped = check_schedule(s, g, TOPO, CATALOG, wraparound=True)
-    assert kinds(wrapped) == {DEADLINE_MISS, WRITE_BEFORE_READ}
-    breach = [v for v in wrapped if v.kind == WRITE_BEFORE_READ][0]
-    assert breach.subject == "b0"
 
 
 def test_two_resident_buffers_exceeding_shared_memory():

@@ -312,18 +312,31 @@ def test_one_differing_attribute_keeps_tasks_apart(variant):
     assert enabled_after(variant(twins())) == {}
 
 
-def test_paper_proof_baseline_closes_within_3000_nodes(paper_dir):
-    # three interchangeable per-antenna tasks: one order instead of 3!
+def solve_paper_3x1(paper_dir, **opts):
+    """The paper fixture at 3 antennas and 1 UE, solved with ``opts``."""
     from ddtwin.cli import build_graph, load_run, load_run_manifest
     from ddtwin.flows import SymbolTable
 
     loaded = load_run(load_run_manifest(paper_dir / "manifest.yaml"))
     loaded = dataclasses.replace(loaded, symbols=SymbolTable(
         {**loaded.symbols.entries, "MAX_NUM_RX_ANT": 3, "AVG_NUM_SRS_UE": 1}))
-    res = solve_best_case(build_graph(loaded), loaded.topology, loaded.catalog,
-                          SolveOpts(budget_nodes=200_000))
+    return solve_best_case(build_graph(loaded), loaded.topology, loaded.catalog,
+                           SolveOpts(budget_nodes=200_000, **opts))
+
+
+def test_paper_proof_baseline_closes_within_3000_nodes(paper_dir):
+    # three interchangeable per-antenna tasks: one order instead of 3!
+    res = solve_paper_3x1(paper_dir)
     assert (res.status, res.makespan) == ("optimal", 10476)
     assert res.stats["nodes"] <= 3000
+
+
+def test_a_seed_at_the_given_floor_closes_without_a_node(paper_dir):
+    # the seed already reaches the proven optimum, so nothing can beat it
+    res = solve_paper_3x1(paper_dir, floor=10476)
+    assert (res.status, res.makespan) == ("optimal", 10476)
+    assert res.stats["seed_makespan"] == 10476
+    assert (res.stats["nodes"], res.stats["complete"]) == (0, True)
 
 
 # -- incremental bound and one-pass contention fit -------------------------------
