@@ -29,7 +29,7 @@ from .hardware import DeploymentConfig, HardwareTopology, parse_deployment, \
 from .manifests import FunctionMetadata, parse_constraint_stream
 from .patterns import PatternCatalog, generate_patterns_from_topology, \
     parse_pattern_catalog
-from .scenarios import PIN_TASKS, ScenarioSpec, apply_injections, \
+from .scenarios import PIN_TASKS, ScenarioSpec, apply_scenario, \
     enumerate_scenarios, evaluate_scenarios, parse_scenario_csv, \
     parse_scenario_stream, rank_scenarios, render_scenario_csv, \
     render_scenario_table
@@ -289,10 +289,9 @@ def cmd_validate(manifest: RunManifest) -> int:
     refused = []
     for spec in loaded.scenario_specs:     # as ``scenarios`` applies them
         try:
-            apply_injections(graph, spec.injections, loaded.catalog)
+            apply_scenario(spec, graph, loaded.catalog)
         except DiagnosticError as exc:
-            refused += [replace(d, message=f"scenario {spec.name!r}: {d.message}")
-                        for d in exc.diagnostics]
+            refused += exc.diagnostics
     if refused:
         raise DiagnosticError(refused)
     print(f"ok: {len(graph.tasks)} tasks, {len(graph.buffers)} buffers, "

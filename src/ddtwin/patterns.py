@@ -84,8 +84,6 @@ class Pattern:
     exclusive_define_with: tuple[str, ...] = ()
     shares: dict[str, tuple[str, ...]] = field(default_factory=dict)
     can_observe: tuple[str, ...] = ()
-    # (level, anchor) points its transfers pass; only generated catalogs know them
-    anchors: frozenset[tuple[str, str]] = frozenset()
 
     def __post_init__(self) -> None:
         self.canonical = canonical_name(self.name)
@@ -97,7 +95,8 @@ class Pattern:
 
 class PatternCatalog:
     """Ordered pattern collection that resolves any spelling of a name to
-    its position, with a precomputed symmetric contention relation."""
+    its position, with a precomputed symmetric contention relation and the
+    anchors derived from it, the same for parsed and generated catalogs."""
 
     def __init__(self, patterns: list[Pattern]):
         self.patterns = list(patterns)
@@ -128,6 +127,14 @@ class PatternCatalog:
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
         self.contention: tuple[int, ...] = tuple(masks)
+        # position -> the anchors its transfers pass.  An anchor is a
+        # maximal clique of self-contending patterns: any two transfers
+        # through it, of one pattern or of two, never overlap.
+        anchors: list[set[int]] = [set() for _ in self.patterns]
+        for a, clique in enumerate(_maximal_cliques(masks)):
+            for i in _bits(clique):
+                anchors[i].add(a)
+        self.anchors: tuple[frozenset[int], ...] = tuple(map(frozenset, anchors))
 
     def __len__(self) -> int:
         return len(self.patterns)
@@ -159,6 +166,42 @@ class PatternCatalog:
 
     def contends(self, a: str, b: str) -> bool:
         return bool(self.contention[self.index(a)] >> self.index(b) & 1)
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, least first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _maximal_cliques(adjacency: list[int]) -> list[int]:
+    """Every maximal clique, as a bit mask, of the graph on the vertices
+    whose own bit is set in their row of ``adjacency``, ordered by mask.
+    Bron-Kerbosch with pivoting (Tomita et al., TCS 2006), on bit masks
+    and with an explicit stack."""
+    n = len(adjacency)
+    vertices = sum(1 << v for v in range(n) if adjacency[v] >> v & 1)
+    neighbours = [adjacency[v] & vertices & ~(1 << v) for v in range(n)]
+    cliques = []
+    stack = [(0, vertices, 0)]
+    while stack:
+        clique, candidates, excluded = stack.pop()
+        if not candidates:
+            if not excluded:
+                cliques.append(clique)
+            continue
+        pivot = max(_bits(candidates | excluded),
+                    key=lambda u: (candidates & neighbours[u]).bit_count())
+        for v in _bits(candidates & ~neighbours[pivot]):
+            stack.append((clique | 1 << v, candidates & neighbours[v],
+                          excluded & neighbours[v]))
+            candidates &= ~(1 << v)
+            excluded |= 1 << v
+    return sorted(cliques)
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +319,7 @@ def _anchor_sets(specs: list[dict]) -> list[Pattern]:
             observing_memory=spec["observing_memory"],
             exclusive_define_with=exclusive,
             shares=shares,
-            can_observe=can_observe,
-            anchors=frozenset((level, a) for level, pair in anchors.items()
-                              for a in pair if a is not None)))
+            can_observe=can_observe))
     return patterns
 
 

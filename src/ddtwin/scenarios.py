@@ -173,6 +173,18 @@ def apply_injections(graph: TaskGraph, injections: tuple[Injection, ...],
     return graph
 
 
+def apply_scenario(spec: ScenarioSpec, graph: TaskGraph,
+                   catalog: PatternCatalog) -> TaskGraph:
+    """``graph`` with ``spec``'s injections applied; each diagnostic of a
+    refusal names the scenario."""
+    try:
+        return apply_injections(graph, spec.injections, catalog)
+    except DiagnosticError as exc:
+        raise DiagnosticError([
+            replace(d, message=f"scenario {spec.name!r}: {d.message}")
+            for d in exc.diagnostics]) from exc
+
+
 def _apply_evict(graph: TaskGraph, inj: Injection,
                  catalog: PatternCatalog) -> TaskGraph:
     for buf_id in resolve_buffer_targets(graph, inj.targets):
@@ -325,7 +337,7 @@ def evaluate_scenario(spec: ScenarioSpec, graph: TaskGraph,
     if baseline.status == "optimal" and all(
             inj.kind in NARROWING_KINDS for inj in spec.injections):
         opts = replace(opts, floor=base_latency)
-    injected = apply_injections(graph, spec.injections, catalog)
+    injected = apply_scenario(spec, graph, catalog)
     outcome = solve_best_case(injected, topology, catalog, opts)
     if outcome.status == "infeasible":
         return ScenarioResult(spec.name, None, None, RISK_CERTAIN_FAILURE,

@@ -19,9 +19,10 @@ Branching is (frontier task) x (candidate core) x (pattern combo), with
 never-used cores collapsed inside certified symmetry groups and pattern
 options deduplicated when two choices are behaviorally identical (equal
 cost, contention set, and residency memories).  Pruning uses a critical
-path bound, a core load bound, per-anchor serialization bounds, and a
-buffer-occupancy check; every completed leaf is re-validated with the
-independent constraint checker before it may become the incumbent.
+path bound, a core load bound, per-anchor serialization bounds, two
+terms taken once at the root, and a buffer-occupancy check; every
+completed leaf is re-validated with the independent constraint checker
+before it may become the incumbent.
 
 The occupancy check is incremental.  A memory whose worst-case demand
 (every buffer that may reside there, plus every task's scratch space for
@@ -55,6 +56,34 @@ and at least the floor, so when the larger of the two exceeds the cap,
 no such schedule could become the incumbent or meet the deadline.  A
 floor above the deadline thus proves the instance infeasible at the
 root, and a seed at the floor is proven optimal before any node.
+
+The root raises its floor by two terms, computed once from the root's
+estimates and handed down with the rest of the floor; every schedule of
+the instance obeys them, so they prune nothing the search needs either.
+An anchor is a maximal clique of self-contending patterns in the
+catalog's contention relation (``PatternCatalog.anchors``).  Every placed
+transfer is kept clear of each contending one, and every member of an
+anchor contends with itself and with every other member, so no two
+non-empty transfers through one anchor overlap.  The *head-body-tail*
+term (Carlier, EJOR 1987) takes, per anchor, the buffers whose every
+choice passes it.  Their transfers run one after another; none starts
+before the least head (the definer's earliest finish, raised to the
+buffer's release); together they last at least the sum of their least
+durations; and once the last one ends, the observers of its buffer need
+at least the least tail (a buffer's largest observer downward rank, or 0
+without observers).  The *pipeline-or-pay* term covers a task ``j`` with
+two or more input definers, whose input buffers each have a non-pipeline
+choice and whose non-pipeline choices of two different buffers always
+contend.  ``pipeline`` puts a buffer's definer and observers on one core,
+so each definer either runs on ``j``'s core or sends every buffer to ``j``
+by a non-pipeline transfer.  The k definers on ``j``'s core run back to
+back, none starting before the least earliest start; the others'
+transfers run back to back, none starting before the least earliest
+finish.  ``j`` can start only after both and its start lag, so the least
+over k of the later of the two, plus the lag and ``j``'s downward rank,
+bounds the makespan.  Zero-cycle transfers overlap freely, but they add
+nothing to either sum.  When the root's bound already reaches the seed's
+makespan, the seed is optimal and no node is searched.
 
 Each child is built in three steps.  ``_time`` times it and checks it:
 the task's start, its transfers and the occupancy of the tracked
@@ -96,7 +125,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .graph import Buffer, TaskGraph, TaskInstance
@@ -176,7 +205,7 @@ class _State:
     # seed commits without bounding, so a seed state's are stale.
     est_fin: dict[str, int]          # unplaced task -> earliest finish
     loads: dict                      # anchor -> transfer cycles beyond its base
-    floor: int                       # max of path, anchor, given floors
+    floor: int                       # max of path, anchor, root, given floors
 
 
 def _earliest_fit(busy: tuple[tuple[int, int, int], ...], mask: int, u: int,
@@ -238,8 +267,10 @@ class _Search:
                         for b, cs in self.choices.items()}
         self.down = self._down_ranks()
         self.load_bound = self._static_load_bound()
-        self.anchor_base, self.anchor_extra = self._anchor_tables()
+        self.anchor_base, self.anchor_extra, self.anchor_members = \
+            self._anchor_tables()
         self.estimates = self._estimate_terms()
+        self.joins = self._join_tables()
         self.descendants = self._descendants()
         self.group_of = self._validated_symmetry()
         self.gates = self._frontier_gates()
@@ -297,30 +328,36 @@ class _Search:
         return -(-total // len(self.cores))
 
     def _anchor_tables(self):
-        """Per-anchor serialization floors.  Patterns touching one anchor
-        pairwise contend, so their transfer durations sum; a buffer counts
-        toward an anchor only when every allowed pattern touches it.  Also
-        returns, per (buffer, catalog index), the cycles a transfer adds to
-        each floored anchor beyond what the floor already counts, where it
-        adds any."""
-        base: dict = {}
+        """Per-anchor serialization floors.  Transfers through one anchor
+        never overlap, so their durations sum; a buffer counts toward an
+        anchor only when every allowed pattern passes it.  Also returns,
+        per (buffer, catalog index), the cycles a transfer adds to each
+        floored anchor beyond what the floor already counts, where it adds
+        any, and per anchor the (definer, release, tail) of each buffer
+        the floor counts, for the head-body-tail term."""
+        base: dict[int, int] = {}
+        members: dict[int, list[tuple[str, int, int]]] = {}
         common: dict[str, frozenset] = {}
         for buf_id, choices in self.choices.items():
-            sets = [c.pattern.anchors for c in choices]
+            sets = [self.catalog.anchors[c.index] for c in choices]
             common[buf_id] = frozenset.intersection(*sets) if sets else frozenset()
+            buf = self.graph.buffers[buf_id]
+            tail = max((self.down[o] for o in buf.observers), default=0)
             for anchor in common[buf_id]:
                 base[anchor] = base.get(anchor, 0) + self.min_dur[buf_id]
+                members.setdefault(anchor, []).append(
+                    (buf.definer, buf.release or 0, tail))
         extra = {}
         for buf_id, choices in self.choices.items():
             for c in choices:
                 adds = []
-                for anchor in c.pattern.anchors & base.keys():
+                for anchor in self.catalog.anchors[c.index] & base.keys():
                     counted = self.min_dur[buf_id] if anchor in common[buf_id] else 0
                     if c.cost > counted:
                         adds.append((anchor, c.cost - counted))
                 if adds:
                     extra[buf_id, c.index] = tuple(adds)
-        return base, extra
+        return base, extra, members
 
     def _estimate_terms(self) -> dict[str, tuple]:
         """task -> what its critical-path estimate reads: its inputs as
@@ -334,6 +371,42 @@ class _Search:
             terms[t] = (inputs, release, task.min_start_lag, task.runtime,
                         self.down[t])
         return terms
+
+    def _join_tables(self) -> dict[str, tuple]:
+        """task -> (its input definers, the prefix sums of their runtimes
+        and of their least non-pipeline transfer cycles into it, each
+        smallest first), for every task the pipeline-or-pay term covers:
+        one with two or more input definers whose input buffers each have
+        a non-pipeline choice, any two such choices of two of them
+        contending.  That test reads, per buffer, the mask of its
+        non-pipeline positions and the mask of the positions that contend
+        with all of them."""
+        everyone = (1 << len(self.catalog)) - 1
+        nonp: dict[str, tuple[int, int, int]] = {}
+        for buf_id, choices in self.choices.items():
+            paying = [c for c in choices if c.pattern.klass != "pipeline"]
+            if paying:
+                rivals = everyone
+                for c in paying:
+                    rivals &= self.catalog.contention[c.index]
+                nonp[buf_id] = (sum(1 << c.index for c in paying), rivals,
+                                min(c.cost for c in paying))
+        joins = {}
+        for t, task in self.graph.tasks.items():
+            inputs = tuple(dict.fromkeys(task.inputs))
+            if not all(b in nonp for b in inputs) or any(
+                    nonp[a][0] & ~nonp[b][1]
+                    for a in inputs for b in inputs if a != b):
+                continue
+            paid: dict[str, int] = {}
+            for buf_id in inputs:
+                definer = self.graph.buffers[buf_id].definer
+                paid[definer] = paid.get(definer, 0) + nonp[buf_id][2]
+            if len(paid) >= 2:
+                runtimes = sorted(self.graph.tasks[d].runtime for d in paid)
+                joins[t] = (tuple(paid), tuple(accumulate(runtimes, initial=0)),
+                            tuple(accumulate(sorted(paid.values()), initial=0)))
+        return joins
 
     def _descendants(self) -> dict[str, tuple[str, ...]]:
         """task -> every task that reads its outputs, directly or not, in
@@ -714,7 +787,7 @@ class _Search:
 
     # -- seeding -----------------------------------------------------------
 
-    def _seed(self) -> None:
+    def _seed(self, root: _State) -> None:
         """List scheduling by upward rank, run under a small portfolio of
         greedy policies; a pass only becomes the incumbent if the independent
         checker accepts it and it beats anything found so far.
@@ -724,9 +797,10 @@ class _Search:
         trades transfer cost against core parallelism."""
         for by_finish in (True, False):
             for ban_colocate in (False, True):
-                self._seed_pass(by_finish, ban_colocate)
+                self._seed_pass(root, by_finish, ban_colocate)
 
-    def _seed_pass(self, by_finish: bool, ban_colocate: bool) -> None:
+    def _seed_pass(self, root: _State, by_finish: bool,
+                   ban_colocate: bool) -> None:
         def picks(options: list[_Choice]) -> list[_Choice]:
             # the cheapest choice and the cheapest non-pipeline one, or
             # only the latter when co-location is banned
@@ -737,7 +811,7 @@ class _Search:
             return by_cost[:1] + [c for c in nonpipe[:1] if c is not by_cost[0]]
 
         order = sorted(self.graph.tasks, key=lambda t: (-self.down[t], t))
-        state = self._root()
+        state = root
         for task_id in order:
             if any(p not in state.placed for p in self.preds[task_id]):
                 return
@@ -772,25 +846,57 @@ class _Search:
 
     def _root(self) -> _State:
         est_fin: dict[str, int] = {}
-        floor = self._propagate(self.topo_order, {}, est_fin,
-                                max(self.anchor_base.values(), default=0))
+        floor = self._propagate(self.topo_order, {}, est_fin, self.opts.floor)
         return _State(placed={}, transfers={}, core_free={}, forced={},
                       span=0, claims={}, busy=(), est_fin=est_fin, loads={},
-                      floor=max(floor, self.opts.floor))
+                      floor=max(floor, self._head_body_tail(est_fin),
+                                self._pipeline_or_pay(est_fin)))
+
+    def _head_body_tail(self, est_fin: dict[str, int]) -> int:
+        """The largest anchor term: per anchor, the least head of the
+        buffers its floor counts (the definer's earliest finish, raised to
+        the release), plus the floor, plus their least tail."""
+        term = 0
+        for anchor, members in self.anchor_members.items():
+            head = min(max(est_fin[definer], release)
+                       for definer, release, _ in members)
+            tail = min(tail for *_, tail in members)
+            term = max(term, head + self.anchor_base[anchor] + tail)
+        return term
+
+    def _pipeline_or_pay(self, est_fin: dict[str, int]) -> int:
+        """The largest join term: per task in ``joins``, the least over k
+        of its input definers sharing its core of the later of two readies,
+        the k shortest definers run back to back and the other definers'
+        cheapest transfers run back to back, plus its start lag and its
+        downward rank."""
+        term = 0
+        for t, (definers, runs, costs) in self.joins.items():
+            start = min(est_fin[d] - self.graph.tasks[d].runtime
+                        for d in definers)
+            fin = min(est_fin[d] for d in definers)
+            n = len(definers)
+            ready = min(max(start + runs[k] if k else 0,
+                            fin + costs[n - k] if k < n else 0)
+                        for k in range(n + 1))
+            _, _, lag, _, down = self.estimates[t]
+            term = max(term, ready + lag + down)
+        return term
 
     # -- driver ------------------------------------------------------------
 
     def run(self) -> SolveOutcome:
-        self._seed()
+        root = self._root()
+        self._seed(root)
         seed_span = self.best
+        lower_bound = max(root.floor, self.load_bound)
 
         complete = False
         if self.opts.mode == "exact":
             try:
-                # a seed at the caller's floor is optimal: nothing beats it
-                if not (self.opts.floor > 0 and self.best is not None
-                        and self.best <= self.opts.floor):
-                    self._expand(self._root())
+                # a seed at the root's bound is optimal: nothing beats it
+                if self.best is None or self.best > lower_bound:
+                    self._expand(root)
                 complete = True
             except _BudgetExhausted:
                 pass
@@ -803,6 +909,7 @@ class _Search:
             "pruned": dict(sorted(self.pruned.items())),
             "seed_makespan": seed_span,
             "complete": complete,
+            "lower_bound": lower_bound,
         }
         if self.best is not None:
             status = "optimal" if complete else "feasible"

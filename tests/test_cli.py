@@ -207,7 +207,7 @@ def test_validate_refuses_what_scenarios_refuses_and_names_the_scenario(
     code, out, err = run(["scenarios", "--manifest", str(manifest),
                           "--out", str(tmp_path / "out")])
     assert (code, out) == (1, "")
-    assert message in err
+    assert err == f"1:1: error: scenario 'bad-one': {message}\n"
 
 
 # -- solve ------------------------------------------------------------------

@@ -193,9 +193,10 @@ def test_search_and_enumeration_agree_at_the_l2_capacity_boundary():
                 res.stats["pruned"].get("BUFFER_OVERFLOW", 0))
 
     # L2 demand equals capacity: both pipelines fit at once, nothing
-    # overflows and the L2 is never tracked
+    # overflows and the L2 is never tracked; the seed meets the root bound,
+    # so no node is searched
     at_demand = agree(8000)
-    assert at_demand == (300, 3, 0, 0)
+    assert at_demand == (300, 0, 0, 0)
     for cap in range(7999, 0, -1):
         below = agree(cap)
         if below[0] != at_demand[0]:

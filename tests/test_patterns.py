@@ -119,6 +119,22 @@ def test_serialize_parse_round_trip():
         assert set(p.can_observe) == set(q.can_observe)
 
 
+def test_anchors_survive_the_xml_round_trip(du_dir):
+    from ddtwin.hardware import parse_topology
+
+    topo = parse_topology((du_dir / "topology.yaml").read_text())
+    cat = generate_patterns_from_topology(topo)
+    again = parse_pattern_catalog(serialize_pattern_catalog(cat))
+    assert again.anchors == cat.anchors
+    # per core, its four patterns; and every non-pipeline pattern, which all
+    # deliver through the slice's one L2 port
+    cliques = {frozenset(p.name for p, mine in zip(cat, cat.anchors) if a in mine)
+               for a in set().union(*cat.anchors)}
+    assert cliques == {frozenset(n for n in FIG6_NAMES if ".c_%d." % c in n)
+                       for c in range(4)} | {
+        frozenset(n for n in FIG6_NAMES if not n.startswith("pipeline"))}
+
+
 def test_dangling_member_rejected_by_name():
     cat = generate_patterns_from_topology(make_topology(1))
     specs = [Pattern(name=p.name, defining_memory=p.defining_memory,

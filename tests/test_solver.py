@@ -53,12 +53,20 @@ def test_chain_solves_to_known_optimum():
     assert check_schedule(res.schedule, g, TOPO, CATALOG) == []
 
 
+def one_core_pair():
+    """Two tasks that must run on core 0, one after the other, with no cap
+    on start lag: the seed finds the optimum, 200 cycles, but the root
+    bound is 100."""
+    return dataclasses.replace(pipeline_bound_pair(deadline=1000),
+                               max_start_lag=None)
+
+
 def test_seed_incumbent_survives_budget_exhaustion():
-    g = chain_graph(CATALOG)
-    res = solve_best_case(g, TOPO, CATALOG,
+    res = solve_best_case(one_core_pair(), TOPO, CATALOG,
                           SolveOpts(mode="exact", budget_nodes=1))
     assert res.status == "feasible"       # found, but optimality unproven
-    assert res.makespan == 300
+    assert res.makespan == 200
+    assert res.stats["lower_bound"] == 100
     assert res.witness is None
 
 
@@ -186,10 +194,11 @@ def test_names_resolve_once_at_the_catalog(du_dir, monkeypatch):
 
 # (seed, tightened) -> (status, makespan, nodes, prune counts) at a
 # 20,000-node budget, recorded before the occupancy check became
-# incremental; the set includes solves the occupancy check prunes
+# incremental; the set includes solves the occupancy check prunes.  In
+# both seed-1 solves the seed meets the root bound, so no node is searched.
 OCCUPANCY_GOLDEN = {
-    (1, False): ("optimal", 21585, 3, {"BOUND": 2}),
-    (1, True): ("optimal", 21585, 2, {"BOUND": 1, "PATTERN_VIOLATION": 1}),
+    (1, False): ("optimal", 21585, 0, {}),
+    (1, True): ("optimal", 21585, 0, {}),
     (2, False): ("optimal", 28527, 5, {"BOUND": 1, "BUFFER_OVERFLOW": 1,
                                        "PATTERN_VIOLATION": 1}),
     (2, True): ("optimal", 28527, 5, {"BOUND": 1, "BUFFER_OVERFLOW": 1,
@@ -312,16 +321,23 @@ def test_one_differing_attribute_keeps_tasks_apart(variant):
     assert enabled_after(variant(twins())) == {}
 
 
-def solve_paper_3x1(paper_dir, **opts):
-    """The paper fixture at 3 antennas and 1 UE, solved with ``opts``."""
-    from ddtwin.cli import build_graph, load_run, load_run_manifest
+def load_paper_3x1(paper_dir):
+    """The paper fixture at 3 antennas and 1 UE."""
+    from ddtwin.cli import load_run, load_run_manifest
     from ddtwin.flows import SymbolTable
 
     loaded = load_run(load_run_manifest(paper_dir / "manifest.yaml"))
-    loaded = dataclasses.replace(loaded, symbols=SymbolTable(
+    return dataclasses.replace(loaded, symbols=SymbolTable(
         {**loaded.symbols.entries, "MAX_NUM_RX_ANT": 3, "AVG_NUM_SRS_UE": 1}))
+
+
+def solve_paper_3x1(paper_dir):
+    """The paper fixture at 3 antennas and 1 UE, solved."""
+    from ddtwin.cli import build_graph
+
+    loaded = load_paper_3x1(paper_dir)
     return solve_best_case(build_graph(loaded), loaded.topology, loaded.catalog,
-                           SolveOpts(budget_nodes=200_000, **opts))
+                           SolveOpts(budget_nodes=200_000))
 
 
 def test_paper_proof_baseline_closes_within_3000_nodes(paper_dir):
@@ -331,19 +347,104 @@ def test_paper_proof_baseline_closes_within_3000_nodes(paper_dir):
     assert res.stats["nodes"] <= 3000
 
 
-def test_a_seed_at_the_given_floor_closes_without_a_node(paper_dir):
-    # the seed already reaches the proven optimum, so nothing can beat it
-    res = solve_paper_3x1(paper_dir, floor=10476)
-    assert (res.status, res.makespan) == ("optimal", 10476)
-    assert res.stats["seed_makespan"] == 10476
+def test_a_seed_at_the_given_floor_closes_without_a_node():
+    # the seed already reaches the proven optimum, so nothing can beat it;
+    # without the floor, only a search shows that
+    assert solve_best_case(one_core_pair(), TOPO, CATALOG).stats["nodes"] > 0
+    res = solve_best_case(one_core_pair(), TOPO, CATALOG, SolveOpts(floor=200))
+    assert (res.status, res.makespan) == ("optimal", 200)
+    assert (res.stats["seed_makespan"], res.stats["lower_bound"]) == (200, 200)
     assert (res.stats["nodes"], res.stats["complete"]) == (0, True)
+
+
+# -- root terms ------------------------------------------------------------------
+
+def old_root_bound(search):
+    """The root bound without the head-body-tail and pipeline-or-pay terms:
+    the critical path, the anchor floors and the load bound."""
+    return max(search._propagate(search.topo_order, {}, {},
+                                 max(search.anchor_base.values(), default=0)),
+               search.load_bound)
+
+
+def test_root_terms_never_exceed_the_enumerated_optimum():
+    from ddtwin.instances import replicated_instance
+    from ddtwin.oracle import brute_force_oracle
+
+    raised = {"head_body_tail": 0, "pipeline_or_pay": 0}
+    for seed in range(150):
+        for inst in (random_instance(seed), replicated_instance(seed)):
+            ref = brute_force_oracle(inst.graph, inst.topology, inst.catalog)
+            if not ref.feasible:
+                continue
+            search = _Search(inst.graph, inst.topology, inst.catalog, SolveOpts())
+            root = search._root()
+            assert max(root.floor, search.load_bound) <= ref.makespan, seed
+            old = old_root_bound(search)
+            raised["head_body_tail"] += search._head_body_tail(root.est_fin) > old
+            raised["pipeline_or_pay"] += search._pipeline_or_pay(root.est_fin) > old
+    # each term alone lifts some root bound, so neither check is vacuous
+    assert all(raised.values()), raised
+
+
+def test_pipeline_or_pay_covers_only_joins_whose_transfers_contend():
+    from ddtwin.hardware import Core, HardwareTopology, Memory
+
+    def joins(topology, routes):
+        # a and b each send j one buffer, over the one route it allows
+        catalog = generate_patterns_from_topology(topology)
+        g = TaskGraph(
+            tasks={t.id: t for t in (task("a", outputs=("ba",)),
+                                     task("b", outputs=("bb",)),
+                                     task("j", inputs=("ba", "bb")))},
+            buffers={b.id: b for b in (
+                buf("ba", "a", observers=("j",), allowed_patterns=routes[:1]),
+                buf("bb", "b", observers=("j",), allowed_patterns=routes[1:]))},
+            deadline=100_000)
+        return set(_Search(g, topology, catalog, SolveOpts()).joins)
+
+    assert joins(TOPO, ("L2toL2.c_0.L3_0.accL3_0",
+                        "L2toL2.c_1.L3_0.accL3_0")) == {"j"}
+    # through two slices, the two transfers may overlap
+    two_slices = HardwareTopology(
+        memories=[Memory("L2_0", "L2", 10**6), Memory("L2_1", "L2", 10**6),
+                  Memory("L3_0", "L3", 10**7), Memory("L3_1", "L3", 10**7),
+                  Memory("DDR_0", "DDR", 10**9)],
+        cores=[Core(0, "L2_0", "L3_0"), Core(1, "L2_1", "L3_1")])
+    assert joins(two_slices, ("L2toL2.c_0.L3_0.accL3_0",
+                              "L2toL2.c_1.L3_1.accL3_1")) == set()
+
+
+def test_paper_3x1_rows_close_at_the_root(paper_dir):
+    # each seed already holds the optimum, and the two root terms lift the
+    # bound to it.  The baseline's join term: one of the three definers
+    # shares the join's core, the other two pay a 1,138-cycle transfer each,
+    # back to back after 5,200, so the 3,000-cycle join is ready at 7,476.
+    got = {name: (res.status, res.makespan, res.stats["nodes"],
+                  res.stats["lower_bound"])
+           for name, res in enumerated_solves(load_paper_3x1(paper_dir),
+                                              budget_nodes=200_000)}
+    assert got == {
+        "baseline": ("optimal", 10476, 0, 10476),
+        "evict-fn-sendSrsChest_to_MAC_flow": ("optimal", 12976, 0, 12976),
+        "evict-fn-srsChestProc_perUE_perRxAnt_flow": ("optimal", 33700, 0, 33700),
+        "evict-large": ("optimal", 36200, 0, 36200),
+    }
 
 
 # -- incremental bound and one-pass contention fit -------------------------------
 
-def full_bound(search, state):
+def root_terms(search):
+    """The head-body-tail and pipeline-or-pay terms, which the search
+    takes once, at its root."""
+    est_fin = search._root().est_fin
+    return max(search._head_body_tail(est_fin), search._pipeline_or_pay(est_fin))
+
+
+def full_bound(search, state, root):
     """The search bound recomputed from scratch, as the search once did at
-    every child: (span, load bound, critical-path term, anchor term)."""
+    every child: (span, load bound, critical-path term, anchor term, root
+    terms), the last given as ``root``, constant within a search."""
     graph = search.graph
     path = 0
     est_fin = {}
@@ -367,34 +468,83 @@ def full_bound(search, state):
 
     anchor = 0
     if search.anchor_base:
+        anchors = search.catalog.anchors
         extras = {}
         for buf_id, tr in state.transfers.items():
             choices = search.choices[buf_id]
-            shared = frozenset.intersection(*(c.pattern.anchors for c in choices))
-            for a in tr.choice.pattern.anchors:
+            shared = frozenset.intersection(*(anchors[c.index] for c in choices))
+            for a in anchors[tr.choice.index]:
                 counted = search.min_dur[buf_id] if a in shared else 0
                 extras[a] = extras.get(a, 0) + tr.choice.cost - counted
         anchor = max(base + extras.get(a, 0)
                      for a, base in search.anchor_base.items())
-    return state.span, search.load_bound, path, anchor
+    return state.span, search.load_bound, path, anchor, root
+
+
+def declared_anchors(pattern, topology):
+    """The (level, anchor) points the topology generator once declared for a
+    pattern: its core's L2; unless it is a pipeline, its slice's shared L2
+    port; and for L2toL2, the slice."""
+    core = topology.core(pattern.core_hint)
+    points = {("L2", core.l2)}
+    if pattern.klass != "pipeline":
+        points.add(("L2", f"{core.l3}.l2port"))
+    if pattern.klass == "L2toL2":
+        points.add(("L3", core.l3))
+    return frozenset(points)
+
+
+def members(anchors, a):
+    """The catalog positions whose anchor sets hold ``a``."""
+    return frozenset(i for i, mine in enumerate(anchors) if a in mine)
+
+
+def test_derived_anchors_floor_du_analog_as_the_declared_ones_did(du_dir):
+    from ddtwin.cli import build_graph, load_run, load_run_manifest
+    from ddtwin.scenarios import apply_injections, enumerate_scenarios
+
+    loaded = load_run(load_run_manifest(du_dir / "manifest.yaml"))
+    graph, catalog = build_graph(loaded), loaded.catalog
+    declared = [declared_anchors(p, loaded.topology) for p in catalog]
+    # the slice anchor lies inside the L2-port clique, so it floors less
+    slice_, port = ("L3", "L3_0"), ("L2", "L3_0.l2port")
+    assert members(declared, slice_) < members(declared, port)
+    floored = 0
+    for spec in enumerate_scenarios(graph, catalog):
+        search = _Search(apply_injections(graph, spec.injections, catalog),
+                         loaded.topology, catalog, SolveOpts())
+        old = {}
+        for buf_id, choices in search.choices.items():
+            for a in frozenset.intersection(*(declared[c.index] for c in choices)):
+                old[a] = old.get(a, 0) + search.min_dur[buf_id]
+        assert old.pop(slice_, 0) <= old.get(port, 0), spec.name
+        assert {members(catalog.anchors, a): base
+                for a, base in search.anchor_base.items()} == {
+            members(declared, a): base for a, base in old.items()}, spec.name
+        floored += any(search.anchor_base.values())
+    assert floored > 0
 
 
 @pytest.fixture
 def checked_bounds(monkeypatch):
     """Makes every bound the search takes assert equality with
     ``full_bound``; yields how often each term alone set the bound."""
-    binding = {"path": 0, "anchor": 0, "checked": 0}
+    binding = {"path": 0, "anchor": 0, "root": 0, "checked": 0}
     original = _Search._bound
+    roots = {}
 
     def checked(self, state, task_id, timed):
         got, carried = original(self, state, task_id, timed)
         child = SimpleNamespace(placed={**state.placed, task_id: None},
                                 transfers=timed.transfers, span=timed.span)
-        span, load, path, anchor = full_bound(self, child)
-        assert got == max(span, load, path, anchor), task_id
+        if self not in roots:
+            roots[self] = root_terms(self)
+        span, load, path, anchor, root = full_bound(self, child, roots[self])
+        assert got == max(span, load, path, anchor, root), task_id
         binding["checked"] += 1
-        binding["path"] += path > max(span, load, anchor)
-        binding["anchor"] += anchor > max(span, load, path)
+        binding["path"] += path > max(span, load, anchor, root)
+        binding["anchor"] += anchor > max(span, load, path, root)
+        binding["root"] += root > max(span, load, path, anchor)
         return got, carried
 
     monkeypatch.setattr(_Search, "_bound", checked)
@@ -404,10 +554,18 @@ def checked_bounds(monkeypatch):
 def du_analog_solves(du_dir, budget_nodes=1000):
     """(scenario name, outcome) for the du_analog baseline and each
     enumerated scenario, as ``ddtwin scenarios`` solves them."""
-    from ddtwin.cli import build_graph, load_run, load_run_manifest
+    from ddtwin.cli import load_run, load_run_manifest
+
+    return enumerated_solves(load_run(load_run_manifest(du_dir / "manifest.yaml")),
+                             budget_nodes)
+
+
+def enumerated_solves(loaded, budget_nodes):
+    """(scenario name, outcome) for the baseline and each enumerated
+    scenario of a loaded run, each solved on its own."""
+    from ddtwin.cli import build_graph
     from ddtwin.scenarios import apply_injections, enumerate_scenarios
 
-    loaded = load_run(load_run_manifest(du_dir / "manifest.yaml"))
     graph = build_graph(loaded)
     return [(spec.name, solve_best_case(
                 apply_injections(graph, spec.injections, loaded.catalog),
