@@ -1,8 +1,10 @@
 """The one reader behind the YAML front ends: the run manifest, topology,
 deployment, constraint and SDK manifests, and scenario documents.
 
-A YAML syntax error becomes a diagnostic at the parser's line and column,
-and each document of a stream keeps its first line for its diagnostics.
+YAML is read with ``_LOADER``: libyaml's ``yaml.CSafeLoader`` where PyYAML
+has it, else ``yaml.SafeLoader``.  A syntax error becomes a diagnostic at
+the parser's line and column, worded by libyaml when it is present, and
+each document of a stream keeps its first line for its diagnostics.
 A versioned document is a mapping with ``apiVersion: rdsl/v0``, a kind
 its reader accepts, and a ``spec`` mapping.  A typed field is taken as
 written, never coerced: an integer is an ``int`` that is not a ``bool``,
@@ -20,6 +22,7 @@ import yaml
 from .diagnostics import DiagnosticError, fail
 
 API_VERSION = "rdsl/v0"
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 _NAMES = {int: "an integer", bool: "a boolean", str: "a string",
           list: "a list", dict: "a mapping"}
@@ -42,7 +45,7 @@ def _syntax_error(exc: yaml.YAMLError, what: str) -> DiagnosticError:
 def load_document(text: str, what: str):
     """The single YAML document in ``text``; ``what`` names it."""
     try:
-        return yaml.safe_load(text)
+        return yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise _syntax_error(exc, what) from exc
 
@@ -66,7 +69,7 @@ def read_stream(text: str, what: str,
                 kinds: tuple[str, ...]) -> list[Document]:
     """The non-empty documents of a multi-document stream, in order, each
     a versioned document with a ``metadata.name``."""
-    loader = yaml.SafeLoader(text)
+    loader = _LOADER(text)
     raws = []
     try:
         while loader.check_node():         # as yaml.load_all, keeping nodes

@@ -486,21 +486,16 @@ class _Search:
 
     # -- pattern options ---------------------------------------------------
 
-    def _identical_behavior(self, a: _Choice, b: _Choice) -> bool:
-        return (a.cost == b.cost
-                and self.catalog.contention[a.index] == self.catalog.contention[b.index]
-                and a.pattern.defining_memory == b.pattern.defining_memory
-                and a.pattern.observing_memory == b.pattern.observing_memory)
-
     def _static_options_for(self, buf_id: str, core: int
                             ) -> tuple[list[_Choice], list[_Choice]]:
-        compat: list[_Choice] = []
+        kept: dict[tuple, _Choice] = {}    # the first of each behaviour
         for c in self.choices[buf_id]:
-            if (c.pattern.core_hint in (None, core)
-                    and not any(self._identical_behavior(c, k) for k in compat)):
-                compat.append(c)
-        nonp = [c for c in compat if c.pattern.klass != "pipeline"]
-        return compat, nonp
+            if c.pattern.core_hint in (None, core):
+                kept.setdefault((c.cost, self.catalog.contention[c.index],
+                                 c.pattern.defining_memory,
+                                 c.pattern.observing_memory), c)
+        compat = list(kept.values())
+        return compat, [c for c in compat if c.pattern.klass != "pipeline"]
 
     def _options(self, buf_id: str, core: int, state: _State) -> list[_Choice]:
         """Catalog-ordered choices for ``buf_id`` defined on ``core``; the
@@ -787,17 +782,20 @@ class _Search:
 
     # -- seeding -----------------------------------------------------------
 
-    def _seed(self, root: _State) -> None:
+    def _seed(self, root: _State, bound: int) -> None:
         """List scheduling by upward rank, run under a small portfolio of
         greedy policies; a pass only becomes the incumbent if the independent
         checker accepts it and it beats anything found so far.
 
         finish-time keys spread load across cores, span keys keep chains
         local; allowing or banning zero-cost co-location patterns in a pass
-        trades transfer cost against core parallelism."""
+        trades transfer cost against core parallelism.  Once the incumbent
+        meets ``bound``, the root's lower bound, no pass runs: nothing beats
+        the bound, and a pass replaces only an incumbent it strictly beats."""
         for by_finish in (True, False):
             for ban_colocate in (False, True):
-                self._seed_pass(root, by_finish, ban_colocate)
+                if self.best is None or self.best > bound:
+                    self._seed_pass(root, by_finish, ban_colocate)
 
     def _seed_pass(self, root: _State, by_finish: bool,
                    ban_colocate: bool) -> None:
@@ -887,9 +885,9 @@ class _Search:
 
     def run(self) -> SolveOutcome:
         root = self._root()
-        self._seed(root)
-        seed_span = self.best
         lower_bound = max(root.floor, self.load_bound)
+        self._seed(root, lower_bound)
+        seed_span = self.best
 
         complete = False
         if self.opts.mode == "exact":

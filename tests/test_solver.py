@@ -10,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from ddtwin.graph import Buffer, ExternalInput, TaskGraph, TaskInstance
 from ddtwin.instances import random_instance, tighten_instance
-from ddtwin.patterns import generate_patterns_from_topology
+from ddtwin.patterns import (Pattern, PatternCatalog,
+                             generate_patterns_from_topology)
 from ddtwin.schedule import check_schedule
 from ddtwin.solver import SolveOpts, _earliest_fit, _Search, solve_best_case
-from conftest import chain_graph, make_topology
+from conftest import FIXTURES, chain_graph, make_topology
 
 TOPO = make_topology(2)
 CATALOG = generate_patterns_from_topology(TOPO)
@@ -430,6 +431,111 @@ def test_paper_3x1_rows_close_at_the_root(paper_dir):
         "evict-fn-srsChestProc_perUE_perRxAnt_flow": ("optimal", 33700, 0, 33700),
         "evict-large": ("optimal", 36200, 0, 36200),
     }
+
+
+# -- seed portfolio and pattern options ------------------------------------------
+
+class EveryPassSearch(_Search):
+    """The search with a seed portfolio that runs all four passes."""
+
+    def _seed(self, root, bound):
+        for by_finish in (True, False):
+            for ban_colocate in (False, True):
+                self._seed_pass(root, by_finish, ban_colocate)
+
+
+def counted_seed_passes(monkeypatch):
+    passes = []
+    original = _Search._seed_pass
+    monkeypatch.setattr(_Search, "_seed_pass",
+                        lambda self, *args: passes.append(args)
+                        or original(self, *args))
+    return passes
+
+
+@pytest.mark.parametrize("mode", ["exact", "heuristic"])
+def test_the_seed_portfolio_stops_at_the_root_bound(paper_dir, monkeypatch,
+                                                    mode):
+    from ddtwin.cli import build_graph
+
+    # the first pass finds 10,476, the root bound, so none follows it
+    loaded = load_paper_3x1(paper_dir)
+    args = (build_graph(loaded), loaded.topology, loaded.catalog,
+            SolveOpts(mode=mode, budget_nodes=200_000))
+    passes = counted_seed_passes(monkeypatch)
+    res = solve_best_case(*args)
+    assert len(passes) == 1
+    assert (res.stats["seed_makespan"], res.stats["lower_bound"]) == (10476, 10476)
+    every = EveryPassSearch(*args).run()
+    assert len(passes) == 5
+    assert ((res.status, res.makespan, res.schedule, res.stats)
+            == (every.status, every.makespan, every.schedule, every.stats))
+
+
+def test_a_seed_above_the_root_bound_runs_every_pass(monkeypatch):
+    passes = counted_seed_passes(monkeypatch)
+    res = solve_best_case(one_core_pair(), TOPO, CATALOG,
+                          SolveOpts(mode="heuristic"))
+    assert (res.makespan, res.stats["lower_bound"]) == (200, 100)
+    assert len(passes) == 4
+
+
+def pairwise_options(search, buf_id, core):
+    """``_static_opts[buf_id, core]`` as the pairwise scan the one-pass
+    dedup replaced built it: a choice is kept unless it matches a kept one
+    in cost, contention and both memories."""
+    def identical(a, b):
+        return (a.cost == b.cost
+                and search.catalog.contention[a.index]
+                == search.catalog.contention[b.index]
+                and a.pattern.defining_memory == b.pattern.defining_memory
+                and a.pattern.observing_memory == b.pattern.observing_memory)
+
+    compat = []
+    for c in search.choices[buf_id]:
+        if (c.pattern.core_hint in (None, core)
+                and not any(identical(c, k) for k in compat)):
+            compat.append(c)
+    return compat, [c for c in compat if c.pattern.klass != "pipeline"]
+
+
+@pytest.mark.parametrize("fixture", ["du_analog", "paper"])
+def test_option_dedup_keeps_what_the_pairwise_scan_kept(fixture):
+    from ddtwin.cli import build_graph, load_run, load_run_manifest
+
+    loaded = load_run(load_run_manifest(FIXTURES / fixture / "manifest.yaml"))
+    search = _Search(build_graph(loaded), loaded.topology, loaded.catalog,
+                     SolveOpts())
+    assert search._static_opts == {key: pairwise_options(search, *key)
+                                   for key in search._static_opts}
+    compatible = sum(c.pattern.core_hint in (None, core)
+                     for buf_id, core in search._static_opts
+                     for c in search.choices[buf_id])
+    kept = sum(len(every) for every, _ in search._static_opts.values())
+    assert compatible - kept == 72
+
+
+def test_option_dedup_keeps_choices_that_differ_in_one_respect():
+    # b behaves as a does; each later pattern differs from a in one respect:
+    # defining memory, observing memory, contention, cost
+    patterns = [Pattern("L2toL2.a", "L2_0", "L2_1"),
+                Pattern("L2toL2.b", "L2_0", "L2_1"),
+                Pattern("L2toL2.c", "L3_0", "L2_1"),
+                Pattern("L2toL2.d", "L2_0", "L3_0"),
+                Pattern("L2toL2.e", "L2_0", "L2_1",
+                        exclusive_define_with=("L2toL2.e",)),
+                Pattern("big_delay.f", "L2_0", "L2_1")]
+    graph = TaskGraph(
+        tasks={t.id: t for t in (task("a", outputs=("x",)),
+                                 task("b", inputs=("x",)))},
+        buffers={"x": buf("x", "a", observers=("b",),
+                          allowed_patterns=tuple(p.name for p in patterns))},
+        deadline=10_000)
+    search = _Search(graph, TOPO, PatternCatalog(patterns), SolveOpts())
+    every, nonp = search._static_opts["x", 0]
+    assert [c.pattern.name for c in every] == [
+        "L2toL2.a", "L2toL2.c", "L2toL2.d", "L2toL2.e", "big_delay.f"]
+    assert (every, nonp) == pairwise_options(search, "x", 0)
 
 
 # -- incremental bound and one-pass contention fit -------------------------------
