@@ -103,11 +103,12 @@ class PatternCatalog:
         # cores whose pattern sets are isomorphic under relabeling; only the
         # topology generator can certify this, parsed catalogs leave it empty
         self.symmetric_core_groups: tuple[frozenset[int], ...] = ()
-        # spelling -> catalog position (None: no such pattern), grown by _id;
-        # resolving each pattern's own name seeds it and finds duplicates
+        # spelling -> catalog position (None: no such pattern), grown by
+        # position; resolving each pattern's own name seeds it and finds
+        # duplicates
         self._ids: dict[str, int | None] = {}
         diags = [error_at(1, 1, f"duplicate pattern name {p.name!r}")
-                 for i, p in enumerate(self.patterns) if self._id(p.name) != i]
+                 for i, p in enumerate(self.patterns) if self.position(p.name) != i]
 
         def serializing(p: Pattern) -> tuple[str, ...]:
             return p.exclusive_define_with + tuple(
@@ -115,7 +116,7 @@ class PatternCatalog:
 
         diags += [error_at(1, 1, f"pattern {p.name!r} references unknown pattern {member!r}")
                   for p in self.patterns for member in serializing(p) + p.can_observe
-                  if self._id(member) is None]
+                  if self.position(member) is None]
         if diags:
             raise DiagnosticError(diags)
         # contention closes the declared relations symmetrically: a transfer
@@ -123,7 +124,7 @@ class PatternCatalog:
         # Bit j of contention[i] is set when positions i and j contend.
         masks = [0] * len(self.patterns)
         for i, p in enumerate(self.patterns):
-            for j in map(self._id, serializing(p)):
+            for j in map(self.position, serializing(p)):
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
         self.contention: tuple[int, ...] = tuple(masks)
@@ -142,7 +143,7 @@ class PatternCatalog:
     def __iter__(self):
         return iter(self.patterns)
 
-    def _id(self, name: str) -> int | None:
+    def position(self, name: str) -> int | None:
         """Position of the pattern ``name`` spells.  A spelling not seen
         before is canonicalised once and remembered, resolved or not."""
         if name not in self._ids:
@@ -152,14 +153,14 @@ class PatternCatalog:
         return self._ids[name]
 
     def get(self, name: str) -> Pattern | None:
-        i = self._id(name)
+        i = self.position(name)
         return None if i is None else self.patterns[i]
 
     def lookup(self, name: str) -> Pattern:
         return self.patterns[self.index(name)]
 
     def index(self, name: str) -> int:
-        i = self._id(name)
+        i = self.position(name)
         if i is None:
             raise KeyError(f"pattern {name!r} is not in the catalog")
         return i

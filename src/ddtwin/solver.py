@@ -24,13 +24,17 @@ terms taken once at the root, and a buffer-occupancy check; every
 completed leaf is re-validated with the independent constraint checker
 before it may become the incumbent.
 
-The occupancy check is incremental.  A memory whose worst-case demand
+The occupancy check reads totals.  A memory whose worst-case demand
 (every buffer that may reside there, plus every task's scratch space for
 a core L3) fits its capacity can never overflow, so only the others are
-tracked.  Each search state carries the claims on those memories, copied
-on write: a placement adds its output buffers' claims and its own scratch
-claim and extends its input buffers' claims to its finish, so only the
-memories it touches need a new sweep.
+tracked.  Each search state carries each tracked memory's claim total,
+the summed size of its claims; extending a claim to an observer's finish
+adds nothing to it.  A memory never holds more than its total, so a
+child sweeps only the memories it touches whose total exceeds capacity,
+on their claims rebuilt from its placements and transfers: the claims an
+incrementally grown copy would hold.  The parent passed the check and
+nothing else changed, so the verdict is that of sweeping every memory
+the placement grew.
 
 The bound is incremental too.  Each search state carries the earliest
 finish of every unplaced task, each anchor's transfer cycles beyond its
@@ -85,15 +89,19 @@ bounds the makespan.  Zero-cycle transfers overlap freely, but they add
 nothing to either sum.  When the root's bound already reaches the seed's
 makespan, the seed is optimal and no node is searched.
 
-Each child is built in three steps.  ``_time`` times it and checks it:
-the task's start, its transfers and the occupancy of the tracked
-memories.  ``_bound`` bounds it from its parent's state.  Only a child
-that survives the bound is built into a state by ``_commit``, which
-copies the placement, core and forcing maps.  The checks and the bound
-run in the same order as when every child was built in full first, and
-the bound reads nothing that ``_commit`` makes, so every node count,
-prune reason and incumbent is as before; only pruned children's copies
-are saved.
+Each child is built in three steps, and a pruned one costs only the
+first two.  ``_time`` times and checks it: the task's start, its *moves*
+(its own output transfers, fitted against the parent's) and the
+occupancy.  ``_bound`` writes the estimates of the task's descendants
+into a small overlay by a plan fixed per task before the search (an
+input the task defines is read from its moves, one a descendant defines
+from the overlay, any other from the parent's transfer or estimate) and
+bounds the child.  ``_commit`` builds only a survivor: it merges the
+moves and the overlay into copies of the parent's maps and adds the
+tasks the placement unlocks to the frontier, the unplaced tasks whose
+gates are all placed.  Each check and the bound read what a child built
+in full would hold, in the same order, so every node count, prune reason
+and incumbent is as before.
 
 A transfer's earliest contention-free start is found in one scan of the
 placed transfers sorted by start: an interval that contends and ends
@@ -101,7 +109,10 @@ after the candidate start moves the start to its end, and the scan stops
 at the first interval starting after the candidate's end.  The start only
 moves forward, so an interval already passed ends at or before it and
 cannot block again; the result is the least contention-free start, the
-same slot that rescanning until nothing moves reaches.
+same slot that rescanning until nothing moves reaches.  No transfer lasts
+longer than the costliest choice of any buffer, so the scan skips the
+intervals that start more than that before the candidate: they have
+ended by then.
 
 Interchangeable tasks are placed in id order.  Two tasks are
 interchangeable when they agree on runtime, scratch size, start lag,
@@ -123,10 +134,10 @@ combined relabelling.
 
 from __future__ import annotations
 
-from bisect import bisect
+from bisect import bisect, insort
 from dataclasses import dataclass
 from itertools import accumulate, product
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .graph import Buffer, TaskGraph, TaskInstance
 from .hardware import HardwareTopology
@@ -177,16 +188,15 @@ class _Move(NamedTuple):
 
 class _Timed(NamedTuple):
     """A child timed and checked but not yet built: what ``_bound`` reads
-    and ``_commit`` keeps.  ``grown`` holds the copies of the tracked
-    memories' claims that the placement changed, or ``None`` when no
-    memory is tracked."""
+    and ``_commit`` keeps.  ``moves`` holds the task's own output
+    transfers; ``claims`` and ``full`` are the child's, as in ``_State``."""
     core: int
     start: int
     fin: int
     span: int
-    transfers: dict[str, _Move]
-    busy: tuple[tuple[int, int, int], ...]
-    grown: dict[str, dict] | None
+    moves: dict[str, _Move]
+    claims: dict[str, int]
+    full: frozenset[str]
 
 
 @dataclass
@@ -196,29 +206,40 @@ class _State:
     core_free: dict[int, int]        # the cores in use, each to its last finish
     forced: dict[str, int]
     span: int
-    # tracked memory -> claim key -> (start, end, size); a buffer's claim
-    # is keyed by its id, a task's scratch claim by (task id,)
-    claims: dict[str, dict]
+    # tracked memory -> the summed size of the claims on it
+    claims: dict[str, int]
+    full: frozenset[str]             # the memories whose total exceeds capacity
     # (start, end, catalog index) of the non-empty transfers, by start
     busy: tuple[tuple[int, int, int], ...]
-    # The search bound, brought up to date by ``_Search._bound``; the
-    # seed commits without bounding, so a seed state's are stale.
+    # The frontier and the search bound (see ``_Search._bound``), which
+    # only the search brings up to date; a seed state's are stale.
+    frontier: tuple[str, ...]        # the tasks to place next, in id order
     est_fin: dict[str, int]          # unplaced task -> earliest finish
     loads: dict                      # anchor -> transfer cycles beyond its base
     floor: int                       # max of path, anchor, root, given floors
 
 
 def _earliest_fit(busy: tuple[tuple[int, int, int], ...], mask: int, u: int,
-                  duration: int) -> int:
+                  duration: int, longest: int | None = None) -> int:
     """The earliest start from ``u`` at which ``duration`` cycles overlap
     no interval of ``busy``, sorted by start, whose catalog index is set
-    in ``mask``."""
+    in ``mask``.  When no interval lasts more than ``longest`` cycles, one
+    that starts ``longest`` cycles before ``u`` has ended by ``u`` and the
+    scan starts past those."""
+    if longest is not None:
+        busy = busy[bisect(busy, (u - longest,)):]
     for start, end, index in busy:
         if start >= u + duration:
             break
         if end > u and mask >> index & 1:
             u = end
     return u
+
+
+def _inserted(busy: tuple[tuple[int, int, int], ...],
+              interval: tuple[int, int, int]) -> tuple[tuple[int, int, int], ...]:
+    i = bisect(busy, interval)
+    return busy[:i] + (interval,) + busy[i:]
 
 
 def no_verdict(opts: SolveOpts, exhausted: str) -> str:
@@ -248,6 +269,9 @@ class _Search:
         self.opts = opts
         self.max_lag = effective_max_start_lag(graph, opts.max_start_lag)
         self.cores = sorted(c.id for c in topology.cores)
+        self.allowed = {t: [c for c in self.cores if task.allowed_cores is None
+                            or c in task.allowed_cores]
+                        for t, task in graph.tasks.items()}
 
         self.best: int | None = None
         self.best_schedule: Schedule | None = None
@@ -265,31 +289,46 @@ class _Search:
         self.choices = {b.id: self._resolve(b) for b in graph.buffers.values()}
         self.min_dur = {b: min((c.cost for c in cs), default=0)
                         for b, cs in self.choices.items()}
+        self.longest = max((c.cost for cs in self.choices.values() for c in cs),
+                           default=0)
         self.down = self._down_ranks()
-        self.load_bound = self._static_load_bound()
+        total = sum(t.runtime for t in graph.tasks.values())
+        self.load_bound = -(-total // len(self.cores)) if self.cores else 0
         self.anchor_base, self.anchor_extra, self.anchor_members = \
             self._anchor_tables()
         self.estimates = self._estimate_terms()
         self.joins = self._join_tables()
-        self.descendants = self._descendants()
+        self.plans = {t: self._plan(t, self._descendants(i))
+                      for i, t in enumerate(self.topo_order)}
         self.group_of = self._validated_symmetry()
         self.gates = self._frontier_gates()
+        # task -> each task gated on it, with all that task's gates
+        self.unlocks: dict[str, list[tuple[str, frozenset[str]]]] = {
+            t: [] for t in graph.tasks}
+        for t, after in self.gates:
+            for p in after:
+                self.unlocks[p].append((t, frozenset(after)))
         self._static_opts = {(b, c): self._static_options_for(b, c)
                              for b in self.choices for c in self.cores}
         self.l3_of = {c.id: c.l3 for c in topology.cores}
         self.capacity = {m.id: m.capacity for m in topology.memories}
         self.tracked = self._tracked_memories()
+        # catalog index -> the tracked memories a transfer of it claims
+        self.claimed = [tuple(m for m in dict.fromkeys((p.defining_memory,
+                                                        p.observing_memory))
+                              if m in self.tracked) for p in catalog]
 
     # -- precomputation ----------------------------------------------------
 
     def _resolve(self, buf: Buffer) -> tuple[_Choice, ...]:
         """``buf``'s allowed names as catalog-ordered choices, one per
         pattern; a name the catalog does not hold offers no choice."""
-        found = {self.catalog.index(p.name): p for n in buf.allowed_patterns
-                 if (p := self.catalog.get(n)) is not None}
-        return tuple(_Choice(p, i, transfer_cost(p.klass, buf.size,
-                                                 self.topology.pattern_costs))
-                     for i, p in sorted(found.items()))
+        found = sorted({i for n in buf.allowed_patterns
+                        if (i := self.catalog.position(n)) is not None})
+        patterns = self.catalog.patterns
+        return tuple(_Choice(patterns[i], i, transfer_cost(
+                         patterns[i].klass, buf.size, self.topology.pattern_costs))
+                     for i in found)
 
     def _toposort(self) -> list[str]:
         indeg = {t: len(self.preds[t]) for t in self.graph.tasks}
@@ -320,12 +359,6 @@ class _Search:
                 tail = max(tail, self.min_dur[buf_id] + obs_tail)
             down[t] = task.runtime + tail
         return down
-
-    def _static_load_bound(self) -> int:
-        total = sum(t.runtime for t in self.graph.tasks.values())
-        if not self.cores:
-            return 0
-        return -(-total // len(self.cores))
 
     def _anchor_tables(self):
         """Per-anchor serialization floors.  Transfers through one anchor
@@ -408,18 +441,39 @@ class _Search:
                             tuple(accumulate(sorted(paid.values()), initial=0)))
         return joins
 
-    def _descendants(self) -> dict[str, tuple[str, ...]]:
-        """task -> every task that reads its outputs, directly or not, in
-        topological order."""
-        descendants = {}
-        for i, t in enumerate(self.topo_order):
-            reached, below = {t}, []
-            for s in self.topo_order[i + 1:]:
-                if not self.preds[s].isdisjoint(reached):
-                    reached.add(s)
-                    below.append(s)
-            descendants[t] = tuple(below)
-        return descendants
+    def _descendants(self, i: int) -> list[str]:
+        """Every task that reads the outputs of the ``i``-th task in
+        topological order, directly or not, in topological order."""
+        reached, below = {self.topo_order[i]}, []
+        for s in self.topo_order[i + 1:]:
+            if not self.preds[s].isdisjoint(reached):
+                reached.add(s)
+                below.append(s)
+        return below
+
+    def _plan(self, placed: str | None, tasks: list[str]) -> tuple:
+        """How ``_estimate`` recomputes the earliest finish of ``tasks``,
+        in topological order, once ``placed`` is placed (``None`` at the
+        root): per task, its latest external release, its start lag plus
+        its runtime and plus its downward rank, the input buffers
+        ``placed`` defines, the (definer, least transfer cycles) of those
+        a task in ``tasks`` defines, and the (buffer, definer, least
+        transfer cycles) of the rest."""
+        planned = set(tasks)
+        plan = []
+        for t in tasks:
+            inputs, release, lag, runtime, down = self.estimates[t]
+            own, below, other = [], [], []
+            for b, d, m in inputs:
+                if d == placed:
+                    own.append(b)
+                elif d in planned:
+                    below.append((d, m))
+                else:
+                    other.append((b, d, m))
+            plan.append((t, release, lag + runtime, lag + down, tuple(own),
+                         tuple(below), tuple(other)))
+        return tuple(plan)
 
     def _validated_symmetry(self) -> dict[int, int]:
         """core id -> symmetry group index, for groups nothing distinguishes."""
@@ -520,124 +574,162 @@ class _Search:
         transfers, and the occupancy of the tracked memories.  Returns the
         timed child, or ``None`` and the reason it breaks a constraint."""
         task = self.graph.tasks[task_id]
+        transfers = state.transfers
         ready = 0
         for buf_id in task.inputs:
-            ready = max(ready, state.transfers[buf_id].end)
+            end = transfers[buf_id].end
+            if end > ready:
+                ready = end
         for ext in task.external_inputs:
-            ready = max(ready, ext.release)
+            if ext.release > ready:
+                ready = ext.release
         earliest = ready + task.min_start_lag
-        start = max(earliest, state.core_free.get(core, 0))
+        start = state.core_free.get(core, 0)
+        if start < earliest:
+            start = earliest
         if self.max_lag is not None and start > earliest + self.max_lag:
             return None, LAG_VIOLATION
         fin = start + task.runtime
 
-        transfers = dict(state.transfers)
+        buffers = self.graph.buffers
+        moves: dict[str, _Move] = {}
         busy = state.busy
-        span = max(state.span, fin)
+        span = state.span if state.span > fin else fin
+        fitted = len(task.outputs) > 1   # later outputs fit around earlier ones
         for buf_id, choice in zip(task.outputs, combo):
-            buf = self.graph.buffers[buf_id]
+            buf = buffers[buf_id]
             duration = choice.cost
-            u = fin if buf.release is None else max(fin, buf.release)
+            u = fin
+            if buf.release is not None and buf.release > u:
+                u = buf.release
             if duration > 0:
                 u = _earliest_fit(busy, self.catalog.contention[choice.index],
-                                  u, duration)
+                                  u, duration, self.longest)
             end = u + duration
             if buf.avail_deadline is not None and end > buf.avail_deadline:
                 return None, DEADLINE_MISS
-            transfers[buf_id] = _Move(choice, u, end)
-            if duration > 0:
-                interval = (u, end, choice.index)
-                i = bisect(busy, interval)
-                busy = busy[:i] + (interval,) + busy[i:]
-            span = max(span, end)
+            moves[buf_id] = _Move(choice, u, end)
+            if fitted and duration > 0:
+                busy = _inserted(busy, (u, end, choice.index))
+            if end > span:
+                span = end
 
-        grown = None
+        claims, full = state.claims, state.full
         if self.tracked:
-            grown = self._grow_claims(state, task, core, start, fin, transfers)
-            if self._overflows(grown):
+            claims, full = self._occupy(state, task, core, start, moves)
+            if claims is None:
                 return None, BUFFER_OVERFLOW
-        return _Timed(core, start, fin, span, transfers, busy, grown), None
+        return _Timed(core, start, fin, span, moves, claims, full), None
 
     def _commit(self, state: _State, task_id: str, timed: _Timed,
                 carried: tuple[dict, dict, int] | None = None) -> _State:
         """The child state of ``state`` that ``timed`` describes.  Its bound
-        state is ``carried``, as ``_bound`` returned it, or else the
-        parent's, which is then stale."""
+        state is ``carried``, as ``_bound`` returned it, and its frontier
+        gains the tasks that placing ``task_id`` unlocks; without
+        ``carried`` both are the parent's, and then stale."""
         placed = dict(state.placed)
         placed[task_id] = (timed.core, timed.start)
+        transfers = {**state.transfers, **timed.moves}
+        busy = state.busy
+        for move in timed.moves.values():
+            if move.choice.cost > 0:
+                busy = _inserted(busy, (move.start, move.end, move.choice.index))
         core_free = dict(state.core_free)
         core_free[timed.core] = timed.fin
         forced = state.forced
-        for buf_id in self.graph.tasks[task_id].outputs:
-            if timed.transfers[buf_id].choice.pattern.klass == "pipeline":
+        for buf_id, move in timed.moves.items():
+            if move.choice.pattern.klass == "pipeline":
                 if forced is state.forced:
                     forced = dict(state.forced)
                 for obs in self.graph.buffers[buf_id].observers:
                     forced[obs] = timed.core
-        claims = state.claims
-        if timed.grown is not None:
-            claims = {**claims, **timed.grown}
-        est_fin, loads, floor = carried or (state.est_fin, state.loads,
-                                            state.floor)
-        return _State(placed=placed, transfers=timed.transfers,
-                      core_free=core_free, forced=forced, span=timed.span,
-                      claims=claims, busy=timed.busy, est_fin=est_fin,
-                      loads=loads, floor=floor)
+        frontier, est_fin = state.frontier, state.est_fin
+        loads, floor = state.loads, state.floor
+        if carried is not None:
+            overlay, loads, floor = carried
+            est_fin = {**est_fin, **overlay}
+            del est_fin[task_id]
+            frontier = list(frontier)
+            frontier.remove(task_id)
+            for t, after in self.unlocks[task_id]:
+                if placed.keys() >= after:
+                    insort(frontier, t)
+            frontier = tuple(frontier)
+        return _State(placed=placed, transfers=transfers, core_free=core_free,
+                      forced=forced, span=timed.span, claims=timed.claims,
+                      full=timed.full, busy=busy, frontier=frontier,
+                      est_fin=est_fin, loads=loads, floor=floor)
 
-    def _grow_claims(self, state: _State, task: TaskInstance, core: int,
-                     start: int, fin: int,
-                     transfers: dict[str, _Move]) -> dict[str, dict]:
-        """Copies of the tracked memories' claims that placing ``task``
-        changes, with the changes made: its output buffers' claims and its
-        scratch claim are added, and its input buffers' residency is
-        extended to ``fin``."""
-        tracked = self.tracked
-        grown: dict[str, dict] = {}
+    def _occupy(self, state: _State, task: TaskInstance, core: int,
+                start: int, moves: dict[str, _Move]
+                ) -> tuple[dict[str, int] | None, frozenset[str]]:
+        """The tracked memories' claim totals once ``task`` is placed on
+        ``core`` at ``start`` with ``moves``, or ``None`` when that
+        overflows a memory, and the memories whose total exceeds their
+        capacity.  The placement adds its output buffers' claims and its
+        scratch claim and extends its input buffers' claims; of the
+        memories it touches, those over capacity are swept."""
+        totals, full = state.claims.copy(), state.full
+        touched = []
+        for b, move in moves.items():
+            size = max(self.graph.buffers[b].size, 0)
+            for mem in self.claimed[move.choice.index]:
+                totals[mem] = totals.get(mem, 0) + size
+                touched.append(mem)
+        mem = self.l3_of[core]
+        if task.internalsize > 0 and mem in self.tracked:
+            totals[mem] = totals.get(mem, 0) + task.internalsize
+            touched.append(mem)
+        for mem in touched:
+            if totals[mem] > self.capacity[mem] and mem not in full:
+                full |= {mem}
+        if full:
+            touched += (state.transfers[b].choice.pattern.observing_memory
+                        for b in self.observed[task.id])
+            placed = {**state.placed, task.id: (core, start)}
+            transfers = {**state.transfers, **moves}
+            if any(self._overflows(mem, placed, transfers)
+                   for mem in sorted(full.intersection(touched))):
+                return None, full
+        return totals, full
 
-        def claims_of(mem: str) -> dict:
-            if mem not in grown:
-                grown[mem] = dict(state.claims.get(mem, ()))
-            return grown[mem]
-
-        for buf_id in task.outputs:
-            move = transfers[buf_id]
+    def _overflows(self, mem: str, placed: dict[str, tuple[int, int]],
+                   transfers: dict[str, _Move]) -> bool:
+        """Occupancy sweep of ``mem`` in a state that places ``placed``
+        with ``transfers``.  A buffer claims its defining memory from its
+        definer's finish and its observing memory from its transfer's
+        start, until the transfer ends and, in the observing memory, its
+        placed observers finish; a task's scratch claims its core's L3
+        while it runs."""
+        tasks = self.graph.tasks
+        claims = [(start, start + tasks[t].runtime, tasks[t].internalsize)
+                  for t, (core, start) in placed.items()
+                  if tasks[t].internalsize > 0 and self.l3_of[core] == mem]
+        for buf_id, move in transfers.items():
             pattern = move.choice.pattern
-            size = self.graph.buffers[buf_id].size
-            # nothing observes a buffer yet when its definer lands
-            if pattern.defining_memory in tracked:
-                claims_of(pattern.defining_memory)[buf_id] = (fin, move.end, size)
-            if (pattern.observing_memory != pattern.defining_memory
-                    and pattern.observing_memory in tracked):
-                claims_of(pattern.observing_memory)[buf_id] = (
-                    move.start, move.end, size)
-        if task.internalsize > 0 and self.l3_of[core] in tracked:
-            claims_of(self.l3_of[core])[(task.id,)] = (start, fin,
-                                                       task.internalsize)
-        for buf_id in self.observed[task.id]:
-            mem = transfers[buf_id].choice.pattern.observing_memory
-            if mem in tracked:
-                born, last, size = grown.get(mem, state.claims[mem])[buf_id]
-                if fin > last:
-                    claims_of(mem)[buf_id] = (born, fin, size)
-        return grown
-
-    def _overflows(self, grown: dict[str, dict]) -> bool:
-        """Occupancy sweep of the memories whose claims a placement grew.
-        The parent state passed this check and claims only grow, so the
-        other memories still fit, and an overflow here dooms every
-        completion."""
-        for mem, claims in grown.items():
-            events: list[tuple[int, int, int]] = []
-            for start, end, size in claims.values():
-                if end > start:
-                    events.append((start, 1, size))
-                    events.append((end, 0, -size))
-            events.sort()
-            level = 0
-            for _, _, delta in events:
-                level += delta
-                if level > self.capacity[mem]:
-                    return True
+            if mem != pattern.defining_memory and mem != pattern.observing_memory:
+                continue
+            buf = self.graph.buffers[buf_id]
+            end = move.end
+            if mem == pattern.observing_memory:
+                for obs in buf.observers:
+                    if obs in placed:
+                        end = max(end, placed[obs][1] + tasks[obs].runtime)
+            start = move.start
+            if mem == pattern.defining_memory:
+                start = placed[buf.definer][1] + tasks[buf.definer].runtime
+            claims.append((start, end, buf.size))
+        events: list[tuple[int, int, int]] = []
+        for start, end, size in claims:
+            if end > start:
+                events.append((start, 1, size))
+                events.append((end, 0, -size))
+        events.sort()
+        level = 0
+        for _, _, delta in events:
+            level += delta
+            if level > self.capacity[mem]:
+                return True
         return False
 
     # -- bounds ------------------------------------------------------------
@@ -649,49 +741,54 @@ class _Search:
         Also returns the child's bound state for ``_commit``: the estimates
         of ``task_id``'s descendants and the loads of the anchors its
         transfers touch, brought up to date."""
-        transfers = timed.transfers
-        est_fin = dict(state.est_fin)
-        del est_fin[task_id]
-        floor = self._propagate(self.descendants[task_id], transfers,
-                                est_fin, state.floor)
+        overlay, floor = self._estimate(self.plans[task_id], timed.moves,
+                                        state.transfers, state.est_fin,
+                                        state.floor)
         loads = state.loads
-        for buf_id in self.graph.tasks[task_id].outputs:
-            extra = self.anchor_extra.get(
-                (buf_id, transfers[buf_id].choice.index), ())
+        for buf_id, move in timed.moves.items():
+            extra = self.anchor_extra.get((buf_id, move.choice.index), ())
             if extra and loads is state.loads:
                 loads = dict(loads)
             for anchor, cycles in extra:
                 loads[anchor] = loads.get(anchor, 0) + cycles
                 floor = max(floor, self.anchor_base[anchor] + loads[anchor])
-        return max(timed.span, self.load_bound, floor), (est_fin, loads, floor)
+        return max(timed.span, self.load_bound, floor), (overlay, loads, floor)
 
-    def _propagate(self, tasks: Iterable[str], transfers: dict[str, _Move],
-                   est_fin: dict[str, int], floor: int) -> int:
-        """Recompute the earliest finish of ``tasks``, unplaced and in
-        topological order, into ``est_fin``; return ``floor`` raised by
-        each one's earliest start plus downward rank."""
-        for t in tasks:
-            inputs, est, lag, runtime, down = self.estimates[t]
-            for buf_id, definer, min_dur in inputs:
+    @staticmethod
+    def _estimate(plan: tuple, moves: dict[str, _Move],
+                  transfers: dict[str, _Move], est_fin: dict[str, int],
+                  floor: int) -> tuple[dict[str, int], int]:
+        """The earliest finish of each task of ``plan`` (see ``_plan``),
+        read from ``moves``, from the estimates already made, or from
+        ``transfers`` or else ``est_fin``; also ``floor`` raised by each
+        task's earliest start plus downward rank."""
+        overlay: dict[str, int] = {}
+        for t, est, to_finish, to_end, own, below, other in plan:
+            for buf_id in own:
+                end = moves[buf_id].end
+                if end > est:
+                    est = end
+            for definer, min_dur in below:
+                ready = overlay[definer] + min_dur
+                if ready > est:
+                    est = ready
+            for buf_id, definer, min_dur in other:
                 tr = transfers.get(buf_id)
                 ready = tr.end if tr is not None else est_fin[definer] + min_dur
                 if ready > est:
                     est = ready
-            est += lag
-            est_fin[t] = est + runtime
-            if est + down > floor:
-                floor = est + down
-        return floor
+            overlay[t] = est + to_finish
+            if est + to_end > floor:
+                floor = est + to_end
+        return overlay, floor
 
     # -- branching ---------------------------------------------------------
 
     def _candidate_cores(self, task_id: str, state: _State) -> list[int]:
-        task = self.graph.tasks[task_id]
-        cands = [c for c in self.cores
-                 if task.allowed_cores is None or c in task.allowed_cores]
+        cands = self.allowed[task_id]
         forced = state.forced.get(task_id)
         if forced is not None:
-            cands = [c for c in cands if c == forced]
+            cands = [forced] if forced in cands else []
         # never-used cores of one symmetry group are interchangeable, so
         # keep the first (least) of them
         kept: list[int] = []
@@ -726,47 +823,42 @@ class _Search:
             for combo in product(*option_lists):
                 yield core, combo
 
-    def _frontier(self, state: _State) -> list[str]:
-        placed = state.placed
-        return [t for t, after in self.gates
-                if t not in placed and all(p in placed for p in after)]
-
-    def _note(self, reason: str) -> None:
-        self.pruned[reason] = self.pruned.get(reason, 0) + 1
-
     def _cap(self) -> int:
         if self.best is None:
             return self.graph.deadline
         return min(self.graph.deadline, self.best - 1)
 
-    def _spend(self) -> None:
+    def _expand(self, state: _State) -> None:
         # budget counts every attempted placement, not just entered states,
         # so runtime scales with the cap even in very wide trees
+        budget = self.opts.budget_nodes
         self.nodes += 1
-        if self.nodes > self.opts.budget_nodes:
+        if self.nodes > budget:
             raise _BudgetExhausted()
-
-    def _expand(self, state: _State) -> None:
-        self._spend()
         if len(state.placed) == len(self.graph.tasks):
             self._leaf(state)
             return
-        for task_id in self._frontier(state):
+        pruned = self.pruned
+        deadline = self.graph.deadline
+        cap = self._cap()
+        for task_id in state.frontier:
             for core, combo in self._children(state, task_id):
                 if core is None:
-                    self._note(PATTERN_VIOLATION)
-                    continue
-                self._spend()
-                timed, reason = self._time(state, task_id, core, combo)
-                if timed is None:
-                    self._note(reason)
-                    continue
-                lb, carried = self._bound(state, task_id, timed)
-                if lb > self._cap():
-                    self._note(DEADLINE_MISS if lb > self.graph.deadline
-                               else PRUNE_BOUND)
-                    continue
-                self._expand(self._commit(state, task_id, timed, carried))
+                    reason = PATTERN_VIOLATION
+                else:
+                    self.nodes += 1
+                    if self.nodes > budget:
+                        raise _BudgetExhausted()
+                    timed, reason = self._time(state, task_id, core, combo)
+                    if timed is not None:
+                        lb, carried = self._bound(state, task_id, timed)
+                        if lb <= cap:
+                            self._expand(self._commit(state, task_id, timed,
+                                                      carried))
+                            cap = self._cap()
+                            continue
+                        reason = DEADLINE_MISS if lb > deadline else PRUNE_BOUND
+                pruned[reason] = pruned.get(reason, 0) + 1
 
     def _leaf(self, state: _State) -> None:
         self.leaves += 1
@@ -774,7 +866,8 @@ class _Search:
         violations = check_schedule(schedule, self.graph, self.topology,
                                     self.catalog, max_start_lag=self.max_lag)
         if violations:
-            self._note(violations[0].kind)
+            kind = violations[0].kind
+            self.pruned[kind] = self.pruned.get(kind, 0) + 1
             return
         if self.best is None or state.span < self.best:
             self.best = state.span
@@ -843,10 +936,13 @@ class _Search:
             for buf_id, tr in state.transfers.items()})
 
     def _root(self) -> _State:
-        est_fin: dict[str, int] = {}
-        floor = self._propagate(self.topo_order, {}, est_fin, self.opts.floor)
+        est_fin, floor = self._estimate(
+            self._plan(None, self.topo_order), {}, {}, {},
+            self.opts.floor)
         return _State(placed={}, transfers={}, core_free={}, forced={},
-                      span=0, claims={}, busy=(), est_fin=est_fin, loads={},
+                      span=0, claims={}, full=frozenset(), busy=(),
+                      frontier=tuple(t for t, after in self.gates if not after),
+                      est_fin=est_fin, loads={},
                       floor=max(floor, self._head_body_tail(est_fin),
                                 self._pipeline_or_pay(est_fin)))
 

@@ -12,7 +12,7 @@ from ddtwin.graph import Buffer, ExternalInput, TaskGraph, TaskInstance
 from ddtwin.instances import random_instance, tighten_instance
 from ddtwin.patterns import (Pattern, PatternCatalog,
                              generate_patterns_from_topology)
-from ddtwin.schedule import check_schedule
+from ddtwin.schedule import BUFFER_OVERFLOW, check_schedule
 from ddtwin.solver import SolveOpts, _earliest_fit, _Search, solve_best_case
 from conftest import FIXTURES, chain_graph, make_topology
 
@@ -363,9 +363,9 @@ def test_a_seed_at_the_given_floor_closes_without_a_node():
 def old_root_bound(search):
     """The root bound without the head-body-tail and pipeline-or-pay terms:
     the critical path, the anchor floors and the load bound."""
-    return max(search._propagate(search.topo_order, {}, {},
-                                 max(search.anchor_base.values(), default=0)),
-               search.load_bound)
+    root = SimpleNamespace(placed={}, transfers={}, span=0)
+    _, load, path, anchor, _ = full_bound(search, root, 0)
+    return max(load, path, anchor)
 
 
 def test_root_terms_never_exceed_the_enumerated_optimum():
@@ -642,7 +642,8 @@ def checked_bounds(monkeypatch):
     def checked(self, state, task_id, timed):
         got, carried = original(self, state, task_id, timed)
         child = SimpleNamespace(placed={**state.placed, task_id: None},
-                                transfers=timed.transfers, span=timed.span)
+                                transfers={**state.transfers, **timed.moves},
+                                span=timed.span)
         if self not in roots:
             roots[self] = root_terms(self)
         span, load, path, anchor, root = full_bound(self, child, roots[self])
@@ -727,6 +728,106 @@ def test_du_analog_search_statistics_are_pinned(du_dir):
     assert sum(pruned["BOUND"] for *_, pruned in got) == 8691
 
 
+# -- occupancy by claim totals ---------------------------------------------------
+
+def grown_claims(search, placed, transfers):
+    """tracked memory -> claim key -> (start, end, size) of a state that
+    places ``placed``, in the order it lists them, with ``transfers``,
+    grown placement by placement as the search once grew each child's:
+    a placement adds its output buffers' claims and its scratch claim and
+    extends the claims of the buffers it observes to its finish."""
+    graph, tracked = search.graph, search.tracked
+    claims = {}
+    for task_id, (core, start) in placed.items():
+        task = graph.tasks[task_id]
+        fin = start + task.runtime
+        for buf_id in task.outputs:
+            move, size = transfers[buf_id], graph.buffers[buf_id].size
+            pattern = move.choice.pattern
+            if pattern.defining_memory in tracked:
+                claims.setdefault(pattern.defining_memory, {})[buf_id] = (
+                    fin, move.end, size)
+            if (pattern.observing_memory != pattern.defining_memory
+                    and pattern.observing_memory in tracked):
+                claims.setdefault(pattern.observing_memory, {})[buf_id] = (
+                    move.start, move.end, size)
+        l3 = search.topology.core(core).l3
+        if task.internalsize > 0 and l3 in tracked:
+            claims.setdefault(l3, {})[(task_id,)] = (start, fin,
+                                                     task.internalsize)
+        for buf in graph.buffers.values():
+            if task_id not in buf.observers:
+                continue
+            mem = transfers[buf.id].choice.pattern.observing_memory
+            if mem in tracked:
+                born, last, size = claims[mem][buf.id]
+                claims[mem][buf.id] = (born, max(last, fin), size)
+    return claims
+
+
+def sweep_overflows(search, claims):
+    """Whether any memory's claims ever sum past its capacity."""
+    for mem, by_key in claims.items():
+        events = sorted(event for start, end, size in by_key.values()
+                        if end > start
+                        for event in ((start, 1, size), (end, 0, -size)))
+        level = 0
+        for _, _, delta in events:
+            level += delta
+            if level > search.topology.memory(mem).capacity:
+                return True
+    return False
+
+
+@pytest.fixture
+def checked_occupancy(monkeypatch):
+    """Makes every child the search times whose occupancy is checked
+    assert that its BUFFER_OVERFLOW verdict equals a from-scratch sweep
+    of every tracked memory; yields how many children were checked and
+    how many of them overflow."""
+    seen = {"checked": 0, "overflows": 0}
+    original = _Search._time
+
+    def checked(self, state, task_id, core, combo):
+        timed, reason = original(self, state, task_id, core, combo)
+        if self.tracked and reason in (None, BUFFER_OVERFLOW):
+            # with no memory tracked the child is timed the same way and
+            # only the occupancy check is left out
+            tracked, self.tracked = self.tracked, frozenset()
+            try:
+                bare, _ = original(self, state, task_id, core, combo)
+            finally:
+                self.tracked = tracked
+            child = grown_claims(self, {**state.placed,
+                                        task_id: (bare.core, bare.start)},
+                                 {**state.transfers, **bare.moves})
+            overflows = sweep_overflows(self, child)
+            assert (reason == BUFFER_OVERFLOW) == overflows, task_id
+            seen["checked"] += 1
+            seen["overflows"] += overflows
+        return timed, reason
+
+    monkeypatch.setattr(_Search, "_time", checked)
+    return seen
+
+
+def test_occupancy_by_totals_matches_a_full_sweep(du_dir, checked_occupancy):
+    for seed, tightened in OCCUPANCY_GOLDEN:
+        inst = random_instance(seed)
+        if tightened:
+            inst = tighten_instance(inst, seed)
+        solve_best_case(inst.graph, inst.topology, inst.catalog,
+                        SolveOpts(budget_nodes=20_000))
+    assert checked_occupancy["overflows"] > 0
+    for seed in range(120):
+        inst = random_instance(seed)
+        for inst in (inst, tighten_instance(inst, seed)):
+            solve_best_case(inst.graph, inst.topology, inst.catalog,
+                            SolveOpts(budget_nodes=20_000))
+    assert len(du_analog_solves(du_dir)) == 12
+    assert checked_occupancy["checked"] > 10_000
+
+
 def fixpoint_fit(busy, mask, u, duration):
     """The contention loop the one-pass fit replaced: move past any
     contending interval that overlaps, until nothing moves."""
@@ -752,3 +853,17 @@ def test_one_pass_fit_lands_where_the_fixpoint_loop_does(intervals, mask, u,
     busy = [(start, start + length, index) for start, length, index in intervals]
     assert (_earliest_fit(tuple(sorted(busy)), mask, u, duration)
             == fixpoint_fit(busy, mask, u, duration))
+
+
+@settings(max_examples=500)
+@given(intervals=st.lists(st.tuples(st.integers(0, 40), st.integers(1, 12),
+                                    st.integers(0, 3)), max_size=10),
+       mask=st.integers(0, 15), u=st.integers(0, 50),
+       duration=st.integers(1, 12), slack=st.integers(0, 3))
+def test_a_fit_given_the_longest_interval_lands_where_the_full_scan_does(
+        intervals, mask, u, duration, slack):
+    busy = tuple(sorted((start, start + length, index)
+                        for start, length, index in intervals))
+    longest = max((length for _, length, _ in intervals), default=0) + slack
+    assert (_earliest_fit(busy, mask, u, duration, longest)
+            == _earliest_fit(busy, mask, u, duration))
