@@ -6,6 +6,12 @@ manifest, so they can serve as regression fixtures.  Exit codes:
 0 success, 1 validation or configuration failure (including a search
 budget too small to reach a verdict), 2 proven-infeasible baseline,
 3 internal error.
+
+``scenarios`` refuses, then gates, then solves.  It applies every
+scenario spec first and reports every refusal (exit 1) before any solve,
+so malformed input exits 1 even where the baseline would be infeasible.
+It then solves the baseline once and stops unless it has a schedule;
+only then does it solve the scenarios, each against that baseline.
 """
 
 from __future__ import annotations
@@ -29,8 +35,8 @@ from .hardware import DeploymentConfig, HardwareTopology, parse_deployment, \
 from .manifests import FunctionMetadata, parse_constraint_stream
 from .patterns import PatternCatalog, generate_patterns_from_topology, \
     parse_pattern_catalog
-from .scenarios import PIN_TASKS, ScenarioSpec, apply_scenario, \
-    enumerate_scenarios, evaluate_scenarios, parse_scenario_csv, \
+from .scenarios import PIN_TASKS, ScenarioSpec, apply_scenarios, \
+    enumerate_scenarios, evaluate_scenario, parse_scenario_csv, \
     parse_scenario_stream, rank_scenarios, render_scenario_csv, \
     render_scenario_table
 from .schedule import Schedule
@@ -286,14 +292,7 @@ def cmd_validate(manifest: RunManifest) -> int:
         print(f"error: {finding.kind}: {finding.message}", file=sys.stderr)
     if findings:
         return EXIT_INVALID
-    refused = []
-    for spec in loaded.scenario_specs:     # as ``scenarios`` applies them
-        try:
-            apply_scenario(spec, graph, loaded.catalog)
-        except DiagnosticError as exc:
-            refused += exc.diagnostics
-    if refused:
-        raise DiagnosticError(refused)
+    apply_scenarios(loaded.scenario_specs, graph, loaded.catalog)
     print(f"ok: {len(graph.tasks)} tasks, {len(graph.buffers)} buffers, "
           f"{len(loaded.catalog.patterns)} patterns")
     return EXIT_OK
@@ -327,6 +326,9 @@ def cmd_solve(manifest: RunManifest) -> int:
 def cmd_scenarios(manifest: RunManifest) -> int:
     loaded = load_run(manifest)
     graph = build_graph(loaded)
+    applied = apply_scenarios(
+        loaded.scenario_specs + enumerate_scenarios(graph, loaded.catalog),
+        graph, loaded.catalog)
     baseline_opts = _solve_opts(manifest)
     baseline = solve_best_case(graph, loaded.topology, loaded.catalog,
                                baseline_opts)
@@ -336,11 +338,11 @@ def cmd_scenarios(manifest: RunManifest) -> int:
     if baseline.status == "unknown":
         raise _err("baseline " + no_verdict(baseline_opts, _EXHAUSTED))
 
-    specs = loaded.scenario_specs + enumerate_scenarios(graph, loaded.catalog)
     opts = _solve_opts(manifest, scenario=True)
-    results = evaluate_scenarios(specs, graph, loaded.topology,
-                                 loaded.catalog, opts, baseline)
-    ranked = rank_scenarios(results)
+    ranked = rank_scenarios([
+        evaluate_scenario(spec, injected, loaded.topology, loaded.catalog,
+                          opts, baseline)
+        for spec, injected in applied])
     table = render_scenario_table(ranked)
     write_atomic(manifest.out / "scenarios.csv", render_scenario_csv(ranked))
     write_atomic(manifest.out / "scenarios.txt", table)

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field, replace
 from .diagnostics import Diagnostic, DiagnosticError, error_at
 from .flows import FlowDef, StreamRef, SymbolTable, validate_flows
 from .graph import Buffer, ExternalInput, TaskGraph, TaskInstance
+from .hardware import HardwareTopology
 from .manifests import (FunctionMetadata, TimingEqualityDoc, TimingEquationDoc,
                         equation_symbols)
 from .patterns import PatternCatalog
@@ -400,38 +401,18 @@ class Finding:
     message: str
 
 
-def check_static(graph: TaskGraph, topology=None) -> list[Finding]:
+def check_static(graph: TaskGraph,
+                 topology: HardwareTopology) -> list[Finding]:
     """Non-fatal whole-graph checks; returns findings instead of raising."""
     findings: list[Finding] = []
-
-    for task in graph.tasks.values():
-        for buf_id in task.inputs:
-            if buf_id not in graph.buffers:
-                findings.append(Finding("undefined_observed", task.id,
-                                        f"task {task.id!r} observes unknown buffer {buf_id!r}"))
-    for buf in graph.buffers.values():
-        if buf.definer not in graph.tasks:
-            findings.append(Finding("dangling_reference", buf.id,
-                                    f"buffer {buf.id!r} names unknown definer {buf.definer!r}"))
-        for obs in buf.observers:
-            if obs not in graph.tasks:
-                findings.append(Finding("dangling_reference", buf.id,
-                                        f"buffer {buf.id!r} names unknown observer {obs!r}"))
 
     sources = [t.id for t in graph.tasks.values() if t.external_inputs]
     if sources:
         reached = set(sources)
         frontier = list(sources)
         while frontier:
-            task_id = frontier.pop()
-            task = graph.tasks.get(task_id)
-            if task is None:
-                continue
-            for buf_id in task.outputs:
-                buf = graph.buffers.get(buf_id)
-                if buf is None:
-                    continue
-                for obs in buf.observers:
+            for buf_id in graph.tasks[frontier.pop()].outputs:
+                for obs in graph.buffers[buf_id].observers:
                     if obs not in reached:
                         reached.add(obs)
                         frontier.append(obs)
@@ -440,7 +421,7 @@ def check_static(graph: TaskGraph, topology=None) -> list[Finding]:
                 findings.append(Finding("unreachable", task_id,
                                         f"task {task_id!r} has no path from any input"))
 
-    if topology is not None and topology.memories:
+    if topology.memories:
         largest = max(m.capacity for m in topology.memories)
         for buf in graph.buffers.values():
             if buf.size > largest:

@@ -11,6 +11,11 @@ budget cut the baseline's search short, a delta may be negative: the
 shipped du_analog ``evict-fn-dlBeamGen`` row is -6%, because that
 scenario's search found a schedule that the baseline's search missed.  A
 cloned flow adds work, and no such bound holds for it.
+
+A run has three steps, in this order: ``apply_scenarios`` applies every
+spec and refuses the bad ones all at once; the caller solves the baseline
+and stops unless it has a schedule; ``evaluate_scenario`` then solves
+each applied spec against that one baseline.
 """
 
 from __future__ import annotations
@@ -173,16 +178,28 @@ def apply_injections(graph: TaskGraph, injections: tuple[Injection, ...],
     return graph
 
 
-def apply_scenario(spec: ScenarioSpec, graph: TaskGraph,
-                   catalog: PatternCatalog) -> TaskGraph:
-    """``graph`` with ``spec``'s injections applied; each diagnostic of a
-    refusal names the scenario."""
-    try:
-        return apply_injections(graph, spec.injections, catalog)
-    except DiagnosticError as exc:
-        raise DiagnosticError([
-            replace(d, message=f"scenario {spec.name!r}: {d.message}")
-            for d in exc.diagnostics]) from exc
+def apply_scenarios(specs: list[ScenarioSpec], graph: TaskGraph,
+                    catalog: PatternCatalog
+                    ) -> list[tuple[ScenarioSpec, TaskGraph]]:
+    """Each spec paired with ``graph`` under its injections, keeping only
+    the first spec of each injection set.
+
+    Every spec is applied before any refusal is raised, so one
+    DiagnosticError reports them all; each of its diagnostics names its
+    scenario.
+    """
+    applied, refused = [], []
+    for spec in _unique_specs(specs):
+        try:
+            applied.append(
+                (spec, apply_injections(graph, spec.injections, catalog)))
+        except DiagnosticError as exc:
+            refused += [replace(d, message=f"scenario {spec.name!r}: "
+                                           f"{d.message}")
+                        for d in exc.diagnostics]
+    if refused:
+        raise DiagnosticError(refused)
+    return applied
 
 
 def _apply_evict(graph: TaskGraph, inj: Injection,
@@ -300,35 +317,26 @@ def _clone_subgraph(graph: TaskGraph, prefix: str, copies: int) -> TaskGraph:
 
 # -- evaluation -------------------------------------------------------------
 
-def evaluate_scenario(spec: ScenarioSpec, graph: TaskGraph,
+def evaluate_scenario(spec: ScenarioSpec, injected: TaskGraph,
                       topology: HardwareTopology, catalog: PatternCatalog,
-                      opts: SolveOpts | None = None,
-                      baseline: SolveOutcome | None = None) -> ScenarioResult:
-    """Solve the injected graph and grade the latency movement.
+                      opts: SolveOpts, baseline: SolveOutcome
+                      ) -> ScenarioResult:
+    """Solve ``spec``'s injected graph and grade the latency movement.
 
-    ``baseline`` lets callers reuse one baseline solve across scenarios.
-    It must come from the same graph (which carries the start-lag cap),
-    topology and catalog; the node budgets may differ.  When it is
-    proven optimal and every injection of ``spec`` only removes options,
-    its makespan is the scenario solve's floor (``SolveOpts.floor``): no
-    schedule of the injected graph beats it, so the floor changes no
-    verdict.  A scenario whose seed reaches it closes with no search node,
-    one whose deadline lies below it at the search's root.
-    A budget-exhausted search is an error, never a verdict: "unknown"
-    reports nothing about feasibility either way.
+    ``injected`` is the graph that ``apply_scenarios`` paired with
+    ``spec``.  ``baseline`` is the caller's solve of the graph before
+    injection (which carries the start-lag cap), on the same topology and
+    catalog; the node budgets may differ.  The caller has gated it: it
+    has a schedule.  When it is proven optimal and every injection of
+    ``spec`` only removes options, its makespan is the scenario solve's
+    floor (``SolveOpts.floor``): no schedule of the injected graph beats
+    it, so the floor changes no verdict.  A scenario whose seed reaches it
+    closes with no search node, one whose deadline lies below it at the
+    search's root.  A budget-exhausted search is an error, never a
+    verdict: "unknown" reports nothing about feasibility either way.
     """
-    opts = opts or SolveOpts()
-    if baseline is None:
-        baseline = solve_best_case(graph, topology, catalog, opts)
-    if baseline.status == "infeasible":
-        raise _err(f"baseline is infeasible ({baseline.witness}); "
-                   f"scenario deltas are undefined")
-    if baseline.status == "unknown":
-        raise _err("baseline " + no_verdict(
-            opts, "search ran out of node budget without a schedule; "
-                  "raise budget_nodes and retry"))
     base_latency = baseline.makespan
-    assert base_latency is not None
+    assert base_latency is not None, "the baseline has no schedule"
 
     if not spec.injections:
         return ScenarioResult(spec.name, base_latency, 0,
@@ -337,7 +345,6 @@ def evaluate_scenario(spec: ScenarioSpec, graph: TaskGraph,
     if baseline.status == "optimal" and all(
             inj.kind in NARROWING_KINDS for inj in spec.injections):
         opts = replace(opts, floor=base_latency)
-    injected = apply_scenario(spec, graph, catalog)
     outcome = solve_best_case(injected, topology, catalog, opts)
     if outcome.status == "infeasible":
         return ScenarioResult(spec.name, None, None, RISK_CERTAIN_FAILURE,
@@ -345,28 +352,11 @@ def evaluate_scenario(spec: ScenarioSpec, graph: TaskGraph,
     if outcome.status == "unknown":
         raise _err(f"scenario {spec.name!r}: " + no_verdict(
             opts, "search ran out of node budget without a schedule; "
-                  "raise budget_nodes and retry"))
+                  "raise solver.scenario_budget_nodes and retry"))
     assert outcome.makespan is not None
     delta = latency_delta_pct(outcome.makespan, base_latency)
     return ScenarioResult(spec.name, outcome.makespan, delta,
                           classify_risk(delta), base_latency)
-
-
-def evaluate_scenarios(specs: list[ScenarioSpec], graph: TaskGraph,
-                       topology: HardwareTopology, catalog: PatternCatalog,
-                       opts: SolveOpts | None = None,
-                       baseline: SolveOutcome | None = None
-                       ) -> list[ScenarioResult]:
-    """Evaluate every spec against one shared baseline solve.
-
-    Specs with the same injection set are solved once, under the first
-    one's name.  ``baseline`` is solved with ``opts`` when not given.
-    """
-    opts = opts or SolveOpts()
-    if baseline is None:
-        baseline = solve_best_case(graph, topology, catalog, opts)
-    return [evaluate_scenario(spec, graph, topology, catalog, opts, baseline)
-            for spec in _unique_specs(specs)]
 
 
 # -- enumeration ------------------------------------------------------------

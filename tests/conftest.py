@@ -6,6 +6,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import settings
 
 from ddtwin.graph import Buffer, ExternalInput, TaskGraph, TaskInstance
@@ -49,6 +50,17 @@ def chain_graph(catalog, runtimes=(100, 200), size: int = 1000,
         buffers[f"b{i}"] = Buffer(id=f"b{i}", size=size, definer=tid,
                                   observers=observers, allowed_patterns=allowed)
     return TaskGraph(tasks=tasks, buffers=buffers, deadline=deadline)
+
+
+def add_scenario_file(manifest: Path, *docs) -> None:
+    """Add a scenario file holding ``docs``, each a (name, injections)
+    pair, to the run manifest at ``manifest``."""
+    (manifest.parent / "extra.yaml").write_text(yaml.safe_dump_all(
+        {"apiVersion": "rdsl/v0", "kind": "scenario",
+         "metadata": {"name": name}, "spec": {"injections": injections}}
+        for name, injections in docs))
+    manifest.write_text(manifest.read_text()
+                        + "  scenario_files: [extra.yaml]\n")
 
 
 @pytest.fixture(scope="session")

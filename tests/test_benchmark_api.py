@@ -2,7 +2,9 @@
 
 The benchmark's tracer records a layer function it cannot find as missing
 and runs on, so a rename or removal in ``src`` would quietly drop a span
-or break a re-check there.  These tests fail first instead.
+or break a re-check there.  It also names each solve after the
+``evaluate_scenario`` call it runs in, so moving a row's solve out of that
+call would quietly mislabel the rows.  These tests fail first instead.
 """
 
 from __future__ import annotations
@@ -10,10 +12,17 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from conftest import add_scenario_file
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load_worker():
@@ -47,3 +56,26 @@ def test_the_names_the_worker_and_runner_call_exist():
     assert SolveOpts().max_start_lag is None
     assert "max_start_lag" in inspect.signature(check_schedule).parameters
     assert callable(effective_max_start_lag)
+
+
+def test_each_row_solve_is_recorded_under_its_row_name(trivial_dir, tmp_path):
+    # a subprocess, because the tracer rewraps ddtwin's modules
+    shutil.copytree(trivial_dir, tmp_path / "trivial",
+                    ignore=shutil.ignore_patterns("out*"))
+    manifest = tmp_path / "trivial" / "manifest.yaml"
+    add_scenario_file(
+        manifest,
+        ("lag-0", [{"kind": "START_LAG", "value": 0}]),
+        ("deadline-7000", [{"kind": "TIGHTEN_DEADLINE", "value": 7000}]))
+    result_path = tmp_path / "result.json"
+    subprocess.run(
+        [sys.executable, str(PERFBENCH / "worker.py"), "outcomes",
+         str(manifest), str(tmp_path / "out"), str(result_path)],
+        check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    result = json.loads(result_path.read_text())
+    assert result["exit"] == 0
+    rows = [row["name"] for row in result["rows"]]
+    assert rows == ["lag-0", "deadline-7000", "baseline"]
+    solves = [row for row, *_ in result["solver"]["statuses"]]
+    # the injection-free baseline row reuses the baseline solve
+    assert solves == ["baseline", "lag-0", "deadline-7000"]

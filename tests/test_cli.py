@@ -19,9 +19,11 @@ import pytest
 import yaml
 from hypothesis import given, strategies as st
 
-from ddtwin import cli
+from ddtwin import cli, scenarios
 from ddtwin.diagnostics import DiagnosticError
 from ddtwin.graph import graph_to_json
+from ddtwin.solver import solve_best_case
+from conftest import add_scenario_file
 
 
 def run(argv):
@@ -343,6 +345,69 @@ def test_scenarios_heuristic_baseline_without_a_schedule_exits_1(tmp_path):
     assert "baseline greedy seed found no schedule" in err
     assert "only exact mode can reach a verdict" in err
     assert "budget" not in err
+
+
+@pytest.mark.parametrize("run_manifest", ["manifest.yaml",
+                                          "manifest_tight.yaml"])
+def test_scenarios_refuses_every_bad_spec_before_any_solve(
+        trivial_dir, tmp_path, monkeypatch, run_manifest):
+    # a refusal exits 1 even where the baseline would be infeasible
+    shutil.copytree(trivial_dir, tmp_path / "trivial",
+                    ignore=shutil.ignore_patterns("out*"))
+    manifest = tmp_path / "trivial" / run_manifest
+    add_scenario_file(
+        manifest,
+        ("lag-ok", [{"kind": "START_LAG", "value": 0}]),
+        ("pin-nowhere", [{"kind": "PIN_TASKS", "cores": [0],
+                          "targets": ["nothere"]}]),
+        ("lag-negative", [{"kind": "START_LAG", "value": -1}]))
+    solves = []
+
+    def counting_solve(*args):
+        solves.append(args)
+        return solve_best_case(*args)
+
+    monkeypatch.setattr(cli, "solve_best_case", counting_solve)
+    monkeypatch.setattr(scenarios, "solve_best_case", counting_solve)
+    code, out, err = run(["scenarios", "--manifest", str(manifest),
+                          "--out", str(tmp_path / "out")])
+    assert (code, out) == (1, "")
+    assert err == (
+        "1:1: error: scenario 'pin-nowhere': injection target 'nothere' "
+        "matches no task, function, or task-id prefix in the graph\n"
+        "1:1: error: scenario 'lag-negative': START_LAG requires a "
+        "non-negative cycle cap\n")
+    assert not (tmp_path / "out" / "scenarios.csv").exists()
+    assert solves == []
+
+
+_PAIR_FLOW = textwrap.dedent("""\
+    Flow pair
+      tin : stream {type = in}
+
+    ob : stream[2]
+    job[i = 1:2, t_in = tin, o_out = ob[i]]
+""")
+
+
+def test_scenarios_exhausted_row_budget_names_the_key_that_governs_it(
+        tmp_path):
+    # two jobs that may only run on core 0: the baseline queues one behind
+    # the other, but a START_LAG 0 row may not, and one node cannot tell
+    write_pressure_fixture(tmp_path, 200_000)
+    (tmp_path / "flow.rdsl").write_text(_PAIR_FLOW)
+    (tmp_path / "sdk.yaml").write_text(
+        _SDK.replace("  - pipeline.c_1.L3_0\n", ""))
+    (tmp_path / "deployment.yaml").write_text(
+        "entry_flow: pair\nslot_budget: 1000\n")
+    manifest = tmp_path / "manifest.yaml"
+    manifest.write_text(manifest.read_text().replace(
+        "{budget_nodes: 200000}", "{scenario_budget_nodes: 1}"))
+    add_scenario_file(manifest, ("lag0", [{"kind": "START_LAG", "value": 0}]))
+    code, out, err = run(["scenarios", "--manifest", str(manifest)])
+    assert (code, out) == (1, "")
+    assert "scenario 'lag0': search ran out of node budget" in err
+    assert "raise solver.scenario_budget_nodes" in err
 
 
 def test_scenarios_rerun_is_byte_identical(du_runs):

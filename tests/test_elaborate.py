@@ -394,21 +394,13 @@ leafB[data_in = m, out_out = x]
 """)
 
 
-def test_static_check_flags_dangling_observer():
-    g = _tiny_graph()
-    buf = g.buffers["m"]
-    g.buffers["m"] = replace(buf, observers=("phantom",))
-    kinds = {(f.kind, f.subject) for f in check_static(g)}
-    assert ("dangling_reference", "m") in kinds
-
-
 def test_static_check_flags_unreachable_task():
     g = _tiny_graph()
     buf = g.buffers["m"]
     g.buffers["m"] = replace(buf, observers=())
     t = g.tasks["leafB"]
     g.tasks["leafB"] = replace(t, inputs=())
-    kinds = {(f.kind, f.subject) for f in check_static(g)}
+    kinds = {(f.kind, f.subject) for f in check_static(g, TOPO)}
     assert ("unreachable", "leafB") in kinds
 
 

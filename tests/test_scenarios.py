@@ -15,9 +15,9 @@ from ddtwin.manifests import FunctionMetadata
 from ddtwin.patterns import generate_patterns_from_topology
 from ddtwin.scenarios import (CSV_HEADER, FLOOR_PCT, HIGH_RISK_PCT,
                               MODERATE_RISK_PCT, Injection, ScenarioResult,
-                              ScenarioSpec, apply_injections, classify_risk,
-                              enumerate_scenarios, evaluate_scenario,
-                              evaluate_scenarios, latency_delta_pct,
+                              ScenarioSpec, apply_injections, apply_scenarios,
+                              classify_risk, enumerate_scenarios,
+                              evaluate_scenario, latency_delta_pct,
                               parse_scenario_csv, parse_scenario_stream,
                               rank_scenarios, render_scenario_csv,
                               render_scenario_table, resolve_buffer_targets,
@@ -234,9 +234,23 @@ def test_task_selectors_take_ids_functions_then_prefixes():
 
 # -- evaluation ------------------------------------------------------------------
 
+def evaluate_all(specs, g, opts=SolveOpts()):
+    """Every row of ``specs`` against one baseline solve of ``g``, in the
+    order the ``scenarios`` command takes: apply, solve, evaluate."""
+    applied = apply_scenarios(specs, g, CATALOG)
+    baseline = scenarios.solve_best_case(g, TOPO, CATALOG, opts)
+    return [evaluate_scenario(spec, injected, TOPO, CATALOG, opts, baseline)
+            for spec, injected in applied]
+
+
+def evaluate(spec, g, opts=SolveOpts()):
+    [result] = evaluate_all([spec], g, opts)
+    return result
+
+
 def test_injection_free_scenario_reports_the_baseline():
     g = chain_graph(CATALOG)
-    r = evaluate_scenario(ScenarioSpec(name="baseline"), g, TOPO, CATALOG)
+    r = evaluate(ScenarioSpec(name="baseline"), g)
     assert (r.latency, r.delta_pct, r.risk) == (300, 0, "LOW")
     assert r.baseline_latency == 300
 
@@ -245,7 +259,7 @@ def test_eviction_latency_is_the_spill_cost():
     g = chain_graph(CATALOG)
     spec = ScenarioSpec(name="evict-b0", injections=(
         Injection(kind="EVICT_BUFFER", targets=("b0",)),))
-    r = evaluate_scenario(spec, g, TOPO, CATALOG)
+    r = evaluate(spec, g)
     assert r.latency == 1363          # 100 + (1000 + ceil(1000/16)) + 200
     assert r.delta_pct == 354
     assert r.risk == "HIGH"
@@ -256,66 +270,41 @@ def test_shared_baseline_matches_a_fresh_solve():
     spec = ScenarioSpec(name="evict-b0", injections=(
         Injection(kind="EVICT_BUFFER", targets=("b0",)),))
     base = solve_best_case(g, TOPO, CATALOG)
-    assert evaluate_scenario(spec, g, TOPO, CATALOG, None, base) \
-        == evaluate_scenario(spec, g, TOPO, CATALOG)
+    [(spec, injected)] = apply_scenarios([spec], g, CATALOG)
+    assert evaluate_scenario(spec, injected, TOPO, CATALOG, SolveOpts(),
+                             base) == evaluate(spec, g)
 
 
 def test_infeasible_scenario_is_a_certain_failure_with_witness():
     g = chain_graph(CATALOG)
     spec = ScenarioSpec(name="dead", injections=(
         Injection(kind="TIGHTEN_DEADLINE", value=10),))
-    r = evaluate_scenario(spec, g, TOPO, CATALOG)
+    r = evaluate(spec, g)
     assert r.risk == "CERTAIN_FAILURE"
     assert r.latency is None and r.delta_pct is None
     assert r.note == "DEADLINE_MISS"
 
 
-def test_infeasible_baseline_is_an_error_not_a_result():
-    g = chain_graph(CATALOG, deadline=200)
-    with pytest.raises(DiagnosticError, match="baseline is infeasible"):
-        evaluate_scenario(ScenarioSpec(name="x"), g, TOPO, CATALOG)
-
-
-def _pipeline_bound_pair(deadline=150, max_start_lag=0):
-    """Two tasks that can only run on core 0; by default neither may queue
-    behind the other, which is infeasible, but neither the greedy seed nor
-    a tiny search budget can tell."""
+def _pipeline_bound_pair():
+    """Two tasks that can only run on core 0: one must queue behind the
+    other, so a START_LAG 0 scenario is infeasible, but neither the greedy
+    seed nor a tiny search budget can tell."""
     from ddtwin.graph import Buffer, TaskGraph, TaskInstance
     tasks = {t: TaskInstance(id=t, function=t, runtime=100, internalsize=0,
                              outputs=(f"b{t}",)) for t in ("a", "b")}
     bufs = {f"b{t}": Buffer(id=f"b{t}", size=100, definer=t,
                             allowed_patterns=("pipeline.c_0.L3_0",))
             for t in ("a", "b")}
-    return TaskGraph(tasks=tasks, buffers=bufs, deadline=deadline,
-                     max_start_lag=max_start_lag)
-
-
-def test_exhausted_baseline_budget_demands_a_retry():
-    g = _pipeline_bound_pair()
-    with pytest.raises(DiagnosticError, match="raise budget_nodes"):
-        evaluate_scenario(ScenarioSpec(name="x"), g, TOPO, CATALOG,
-                          SolveOpts(budget_nodes=3))
-
-
-def test_heuristic_baseline_without_a_schedule_asks_for_exact_mode():
-    # heuristic mode runs no search, so no node budget ran out
-    g = _pipeline_bound_pair()
-    with pytest.raises(DiagnosticError) as info:
-        evaluate_scenario(ScenarioSpec(name="x"), g, TOPO, CATALOG,
-                          SolveOpts(mode="heuristic"))
-    message = str(info.value)
-    assert "baseline greedy seed found no schedule" in message
-    assert "only exact mode can reach a verdict" in message
-    assert "budget" not in message
+    return TaskGraph(tasks=tasks, buffers=bufs, deadline=1000)
 
 
 def test_heuristic_scenario_without_a_schedule_asks_for_exact_mode():
     # the baseline may queue one task behind the other; the scenario may not
-    g = _pipeline_bound_pair(deadline=1000, max_start_lag=None)
+    g = _pipeline_bound_pair()
     spec = ScenarioSpec(name="lag0", injections=(
         Injection(kind="START_LAG", value=0),))
     with pytest.raises(DiagnosticError) as info:
-        evaluate_scenario(spec, g, TOPO, CATALOG, SolveOpts(mode="heuristic"))
+        evaluate(spec, g, SolveOpts(mode="heuristic"))
     message = str(info.value)
     assert "scenario 'lag0': greedy seed found no schedule" in message
     assert "budget" not in message
@@ -326,7 +315,7 @@ def test_batch_evaluation_shares_one_baseline():
     specs = [ScenarioSpec(name="baseline"),
              ScenarioSpec(name="evict-b0", injections=(
                  Injection(kind="EVICT_BUFFER", targets=("b0",)),))]
-    results = evaluate_scenarios(specs, g, TOPO, CATALOG)
+    results = evaluate_all(specs, g)
     assert [r.name for r in results] == ["baseline", "evict-b0"]
     assert {r.baseline_latency for r in results} == {300}
 
@@ -347,7 +336,7 @@ def test_batch_evaluation_solves_a_shared_injection_set_once(monkeypatch):
         return solve_best_case(graph, *args)
 
     monkeypatch.setattr(scenarios, "solve_best_case", counting_solve)
-    results = evaluate_scenarios(from_file + enumerated, g, TOPO, CATALOG)
+    results = evaluate_all(from_file + enumerated, g)
     assert [r.name for r in results] == [
         "evict-things", "baseline", "evict-fn-fn1", "evict-small"]
     assert results[0].latency == 1363
@@ -409,11 +398,11 @@ def test_a_proven_baseline_floors_narrowing_scenarios_without_moving_them(
             for spec in narrowing_specs(graph, topology, catalog,
                                         baseline.makespan):
                 solves.clear()
-                evaluate_scenario(spec, graph, topology, catalog,
-                                  baseline=baseline)
+                [(spec, injected)] = apply_scenarios([spec], graph, catalog)
+                evaluate_scenario(spec, injected, topology, catalog,
+                                  SolveOpts(), baseline)
                 [(floor, floored)] = solves
                 assert floor == baseline.makespan
-                injected = apply_injections(graph, spec.injections, catalog)
                 plain = solve_best_case(injected, topology, catalog)
                 ref = brute_force_oracle(injected, topology, catalog)
                 where = f"seed {seed}, {spec.name}"
@@ -436,10 +425,11 @@ def test_added_flows_and_unproven_baselines_get_no_floor(monkeypatch):
     solves = recording_solve(monkeypatch)
     baseline = solve_best_case(g, TOPO, CATALOG)
     assert baseline.status == "optimal"
-    evaluate_scenario(add_flow, g, TOPO, CATALOG, baseline=baseline)
-    evaluate_scenario(evict, g, TOPO, CATALOG, baseline=baseline)
+    (_, cloned), (_, evicted) = apply_scenarios([add_flow, evict], g, CATALOG)
+    evaluate_scenario(add_flow, cloned, TOPO, CATALOG, SolveOpts(), baseline)
+    evaluate_scenario(evict, evicted, TOPO, CATALOG, SolveOpts(), baseline)
     unproven = dataclasses.replace(baseline, status="feasible")
-    evaluate_scenario(evict, g, TOPO, CATALOG, baseline=unproven)
+    evaluate_scenario(evict, evicted, TOPO, CATALOG, SolveOpts(), unproven)
     assert [floor for floor, _ in solves] == [0, baseline.makespan, 0]
 
 
@@ -467,9 +457,10 @@ def test_a_proven_baseline_closes_paper_scenarios_in_one_level(
     baseline = solve_best_case(graph, loaded.topology, loaded.catalog, opts)
     assert (baseline.status, baseline.makespan) == ("optimal", 10_476)
     [spec] = parse_scenario_stream(scenario_doc(injections=[injection]))
+    [(spec, injected)] = apply_scenarios([spec], graph, loaded.catalog)
     solves = recording_solve(monkeypatch)
-    result = evaluate_scenario(spec, graph, loaded.topology, loaded.catalog,
-                               opts, baseline)
+    result = evaluate_scenario(spec, injected, loaded.topology,
+                               loaded.catalog, opts, baseline)
     [(floor, outcome)] = solves
     assert floor == 10_476
     assert outcome.stats["nodes"] <= 200
@@ -662,7 +653,7 @@ def test_parsed_scenarios_are_runnable():
     g = chain_graph(CATALOG)
     specs = parse_scenario_stream(scenario_doc(
         injections=[{"kind": "EVICT_BUFFER", "targets": ["b0"]}]))
-    r = evaluate_scenario(specs[0], g, TOPO, CATALOG)
+    r = evaluate(specs[0], g)
     assert r.latency == 1363
 
 
