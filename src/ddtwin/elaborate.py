@@ -52,8 +52,9 @@ class _SlotRef:
 @dataclass
 class _Walk:
     streams: dict[str, _FlatStream] = field(default_factory=dict)
-    definitions: list[tuple[str, tuple[int, ...], str]] = field(default_factory=list)
-    observations: list[tuple[str, tuple[int, ...], str]] = field(default_factory=list)
+    # (stream, slot prefix, leaf task id, binding line, binding column)
+    definitions: list[tuple[str, tuple[int, ...], str, int, int]] = field(default_factory=list)
+    observations: list[tuple[str, tuple[int, ...], str, int, int]] = field(default_factory=list)
     # leaf task id -> its function's metadata, in expansion order
     task_meta: dict[str, FunctionMetadata] = field(default_factory=dict)
     # every leaf task id and sub-flow path, without its trailing "/"
@@ -109,9 +110,10 @@ def _expand_flow(flow: FlowDef, path: str, actuals: dict[str, _SlotRef],
             task_id = path + tag
             walk.task_meta[task_id] = fn_meta
             # leaf function: direction from the formal name suffix
-            for formal, slot in resolved.items():
-                side = walk.definitions if formal.endswith("_out") else walk.observations
-                side.append((slot.stream, slot.prefix, task_id))
+            for b in inst.bindings:
+                slot = resolved[b.formal]
+                side = walk.definitions if b.formal.endswith("_out") else walk.observations
+                side.append((slot.stream, slot.prefix, task_id, b.line, b.column))
 
 
 def _prefix_overlap(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -153,40 +155,33 @@ def elaborate(defs: list[FlowDef], entry: str, symbols: SymbolTable,
     # one buffer per defined slot group; streams are immutable so defined
     # groups on one stream must not overlap
     by_stream: dict[str, list[tuple[tuple[int, ...], str]]] = {}
-    for stream, prefix, task_id in walk.definitions:
+    buffers: dict[str, Buffer] = {}
+    task_inputs: dict[str, list[str]] = {t: [] for t in walk.task_meta}
+    task_outputs: dict[str, list[str]] = {t: [] for t in walk.task_meta}
+    task_external: dict[str, list[ExternalInput]] = {t: [] for t in walk.task_meta}
+    for stream, prefix, task_id, line, column in walk.definitions:
         if walk.streams[stream].external:
-            diags.append(error_at(1, 1,
+            diags.append(error_at(line, column,
                                   f"task {task_id!r} writes input stream {stream!r}"))
             continue
         groups = by_stream.setdefault(stream, [])
         for other_prefix, other_task in groups:
             if _prefix_overlap(prefix, other_prefix):
-                diags.append(error_at(1, 1,
+                diags.append(error_at(line, column,
                                       f"stream slot {_slot_id(stream, prefix)!r} defined by both "
                                       f"{other_task!r} and {task_id!r}"))
         groups.append((prefix, task_id))
+        buf_id = _slot_id(stream, prefix)
+        buffers[buf_id] = Buffer(id=buf_id, size=walk.task_meta[task_id].elementsize,
+                                 definer=task_id, labels=walk.streams[stream].labels)
+        task_outputs[task_id].append(buf_id)
 
     # every record resolves once, whether or not a flow uses its function
     allowed = {name: _resolve_patterns(m, catalog, diags)
                for name, m in meta.items()}
-    buffers: dict[str, Buffer] = {}
-    task_inputs: dict[str, list[str]] = {t: [] for t in walk.task_meta}
-    task_outputs: dict[str, list[str]] = {t: [] for t in walk.task_meta}
-    task_external: dict[str, list[ExternalInput]] = {t: [] for t in walk.task_meta}
-
-    for stream, prefix, task_id in walk.definitions:
-        if walk.streams[stream].external:
-            continue
-        buf_id = _slot_id(stream, prefix)
-        fn_meta = walk.task_meta[task_id]
-        buffers[buf_id] = Buffer(id=buf_id, size=fn_meta.elementsize,
-                                 definer=task_id, observers=(),
-                                 allowed_patterns=allowed[fn_meta.name],
-                                 labels=walk.streams[stream].labels)
-        task_outputs[task_id].append(buf_id)
 
     observer_sets: dict[str, list[str]] = {b: [] for b in buffers}
-    for stream, prefix, task_id in walk.observations:
+    for stream, prefix, task_id, line, column in walk.observations:
         matched = False
         for group_prefix, _ in by_stream.get(stream, []):
             if _prefix_overlap(prefix, group_prefix):
@@ -200,7 +195,7 @@ def elaborate(defs: list[FlowDef], entry: str, symbols: SymbolTable,
         if walk.streams[stream].external:
             task_external[task_id].append(ExternalInput(stream=_slot_id(stream, prefix)))
         else:
-            diags.append(error_at(1, 1,
+            diags.append(error_at(line, column,
                                   f"stream slot {_slot_id(stream, prefix)!r} is observed by "
                                   f"{task_id!r} but never defined"))
 
@@ -208,7 +203,9 @@ def elaborate(defs: list[FlowDef], entry: str, symbols: SymbolTable,
         raise DiagnosticError(diags)
 
     for buf_id, observers in observer_sets.items():
-        buffers[buf_id] = replace(buffers[buf_id], observers=tuple(observers))
+        fn_meta = walk.task_meta[buffers[buf_id].definer]
+        buffers[buf_id] = replace(buffers[buf_id], observers=tuple(observers),
+                                  allowed_patterns=allowed[fn_meta.name])
 
     tasks: dict[str, TaskInstance] = {}
     for task_id, fn_meta in walk.task_meta.items():
@@ -233,8 +230,6 @@ def _resolve_patterns(fn_meta: FunctionMetadata, catalog: PatternCatalog,
     """The catalog's own spelling of each pattern ``fn_meta`` lists, once
     each, in catalog order."""
     names = fn_meta.available_patterns
-    if not names:
-        diags.append(error_at(1, 1, f"function {fn_meta.name!r} has no usable patterns"))
     diags.extend(error_at(1, 1, f"function {fn_meta.name!r} lists pattern {name!r} "
                                 f"which is not in the catalog")
                  for name in names if catalog.get(name) is None)
@@ -346,48 +341,42 @@ def bind_timing(graph: TaskGraph, docs: list, labels: dict[str, tuple[str, str]]
 def _bind_label(doc: TimingEqualityDoc, target: tuple[str, str],
                 tasks: dict[str, TaskInstance], buffers: dict[str, Buffer],
                 diags: list[Diagnostic]) -> None:
+    """Decide from ``doc.op`` what the document does, then apply it to
+    every labelled buffer or every task reading the labelled port."""
     _, stream = target
     labeled = [b for b in buffers.values() if doc.variable_name in b.labels]
     if labeled:
-        for buf in labeled:
-            if doc.op == "le":
-                new_deadline = buf.avail_deadline
-                new_deadline = doc.value if new_deadline is None else min(new_deadline, doc.value)
-                buffers[buf.id] = replace(buf, avail_deadline=new_deadline)
-            elif doc.op == "ge":
-                release = max(buf.release or 0, doc.value)
-                buffers[buf.id] = replace(buf, release=release)
-            else:
-                diags.append(error_at(1, 1,
-                                      f"document {doc.name!r}: 'equal' is ambiguous on the "
-                                      f"defined stream {stream!r}; use le or ge"))
+        if doc.op == "equal":
+            diags.append(error_at(1, 1,
+                                  f"document {doc.name!r}: 'equal' is ambiguous on the "
+                                  f"defined stream {stream!r}; use le or ge"))
+        elif doc.op == "le":
+            for buf in labeled:
+                cap = doc.value if buf.avail_deadline is None else min(buf.avail_deadline, doc.value)
+                buffers[buf.id] = replace(buf, avail_deadline=cap)
+        else:
+            for buf in labeled:
+                buffers[buf.id] = replace(buf, release=max(buf.release or 0, doc.value))
         return
-    # label names an external input port: the relation is its arrival time
-    touched = False
-    for task in list(tasks.values()):
-        updated = []
-        changed = False
-        for ext in task.external_inputs:
-            base = ext.stream.split("[", 1)[0]
-            if base == stream:
-                touched = True
-                if doc.op == "le":
-                    diags.append(error_at(1, 1,
-                                          f"document {doc.name!r}: 'le' on input port "
-                                          f"{stream!r} does not constrain arrival"))
-                    updated.append(ext)
-                else:
-                    changed = True
-                    updated.append(ExternalInput(stream=ext.stream,
-                                                 release=max(ext.release, doc.value)))
-            else:
-                updated.append(ext)
-        if changed:
-            tasks[task.id] = replace(task, external_inputs=tuple(updated))
-    if not touched:
+    # otherwise the label names an external input port: the relation is its
+    # arrival time
+    def reads(ext: ExternalInput) -> bool:
+        return ext.stream.split("[", 1)[0] == stream
+
+    readers = [t for t in tasks.values() if any(map(reads, t.external_inputs))]
+    if not readers:
         diags.append(error_at(1, 1,
                               f"document {doc.name!r}: label {doc.variable_name!r} tags stream "
                               f"{stream!r}, which no task in this graph touches"))
+    elif doc.op == "le":
+        diags.append(error_at(1, 1,
+                              f"document {doc.name!r}: 'le' on input port "
+                              f"{stream!r} does not constrain arrival"))
+    else:
+        for task in readers:
+            tasks[task.id] = replace(task, external_inputs=tuple(
+                replace(ext, release=max(ext.release, doc.value)) if reads(ext) else ext
+                for ext in task.external_inputs))
 
 
 # ---------------------------------------------------------------------------

@@ -259,28 +259,20 @@ def parse_pattern_catalog(text: str) -> PatternCatalog:
 
 def serialize_pattern_catalog(catalog: PatternCatalog) -> str:
     """Render a catalog back to the XML exchange format."""
-    lines = ["<patterns>"]
+    root = ET.Element("patterns")
     for p in catalog:
-        lines.append(f'  <pattern name="{p.name}">')
-        lines.append(f"    <defining_memory>{p.defining_memory}</defining_memory>")
-        lines.append(f"    <observing_memory>{p.observing_memory}</observing_memory>")
-
-        def block(tag: str, names: tuple[str, ...]) -> None:
-            if not names:
-                lines.append(f"    <{tag}/>")
-                return
-            lines.append(f"    <{tag}>")
+        elem = ET.SubElement(root, "pattern", name=p.name)
+        ET.SubElement(elem, "defining_memory").text = p.defining_memory
+        ET.SubElement(elem, "observing_memory").text = p.observing_memory
+        blocks = [("exclusive_define_with", p.exclusive_define_with),
+                  *((f"shares_{key}_with", p.shares[key]) for key in SHARE_KEYS),
+                  ("can_observe", p.can_observe)]
+        for tag, names in blocks:
+            block = ET.SubElement(elem, tag)
             for n in names:
-                lines.append(f"      <member>{n}</member>")
-            lines.append(f"    </{tag}>")
-
-        block("exclusive_define_with", p.exclusive_define_with)
-        for key in SHARE_KEYS:
-            block(f"shares_{key}_with", p.shares[key])
-        block("can_observe", p.can_observe)
-        lines.append("  </pattern>")
-    lines.append("</patterns>")
-    return "\n".join(lines) + "\n"
+                ET.SubElement(block, "member").text = n
+    ET.indent(root)
+    return ET.tostring(root, encoding="unicode") + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -361,11 +361,6 @@ def evaluate_scenario(spec: ScenarioSpec, injected: TaskGraph,
 
 # -- enumeration ------------------------------------------------------------
 
-def _evictable(graph: TaskGraph, catalog: PatternCatalog, buf_id: str) -> bool:
-    return any(catalog.lookup(p).klass == _DDR_CLASS
-               for p in graph.buffers[buf_id].allowed_patterns)
-
-
 def enumerate_scenarios(graph: TaskGraph, catalog: PatternCatalog
                         ) -> list[ScenarioSpec]:
     """Standard scenario families for a graph.
@@ -383,19 +378,19 @@ def enumerate_scenarios(graph: TaskGraph, catalog: PatternCatalog
         return []
     specs: list[ScenarioSpec] = [ScenarioSpec("baseline")]
 
-    functions: list[str] = []
-    for task in graph.tasks.values():
-        outputs = [b for b in task.outputs if _evictable(graph, catalog, b)]
-        if outputs and task.function not in functions:
-            functions.append(task.function)
-    for fn in sorted(functions):
-        targets = tuple(sorted(
-            {b for task in graph.tasks.values() if task.function == fn
-             for b in task.outputs if _evictable(graph, catalog, b)}))
+    # DDR-capable buffers, grouped by their definer's function
+    evictable = sorted(b for b, buf in graph.buffers.items()
+                       if any(catalog.lookup(p).klass == _DDR_CLASS
+                              for p in buf.allowed_patterns))
+    by_function: dict[str, list[str]] = {}
+    for b in evictable:
+        fn = graph.tasks[graph.buffers[b].definer].function
+        by_function.setdefault(fn, []).append(b)
+    for fn in sorted(by_function):
         specs.append(ScenarioSpec(
-            f"evict-fn-{fn}", (Injection(EVICT_BUFFER, targets=targets),)))
+            f"evict-fn-{fn}",
+            (Injection(EVICT_BUFFER, targets=tuple(by_function[fn])),)))
 
-    evictable = sorted(b for b in graph.buffers if _evictable(graph, catalog, b))
     small = tuple(b for b in evictable
                   if graph.buffers[b].size < SMALL_BUFFER_BYTES)
     large = tuple(b for b in evictable
@@ -445,24 +440,12 @@ def _unique_specs(specs: list[ScenarioSpec]) -> list[ScenarioSpec]:
 def rank_scenarios(results: list[ScenarioResult]) -> list[ScenarioResult]:
     """Certain failures first (by name), then descending delta with name
     ties; feasible deltas under ``FLOOR_PCT`` are marked not recommended."""
-    results = list(results)
-    if not results:
-        return []
-    baselines = {r.baseline_latency for r in results}
-    if len(baselines) > 1:
-        raise _err(f"cannot rank scenarios with mixed baseline latencies "
-                   f"{sorted(baselines)}")
     failures = sorted((r for r in results if r.risk == RISK_CERTAIN_FAILURE),
                       key=lambda r: r.name)
     rest = sorted((r for r in results if r.risk != RISK_CERTAIN_FAILURE),
                   key=lambda r: (-r.delta_pct, r.name))
-    ranked = []
-    for res in failures + rest:
-        if (res.risk != RISK_CERTAIN_FAILURE
-                and res.delta_pct < FLOOR_PCT):
-            res = replace(res, note="not recommended")
-        ranked.append(res)
-    return ranked
+    return failures + [replace(r, note="not recommended") if r.delta_pct < FLOOR_PCT else r
+                       for r in rest]
 
 
 # -- serialization ----------------------------------------------------------

@@ -111,6 +111,21 @@ def test_validate_bundled_channel_estimator(paper_dir):
     assert out == "ok: 10 tasks, 18 buffers, 16 patterns\n"
 
 
+@pytest.mark.parametrize("edit,stderr", [
+    # every memory holds at most 8589934592 bytes
+    (("sdk.yaml", "elementsize: 100", "elementsize: 9000000000"),
+     "".join(f"error: guaranteed_overflow: buffer 'ob[{i}]' (9000000000 bytes) "
+             f"exceeds every memory capacity (max 8589934592)\n" for i in range(1, 5))),
+    (("flow.rdsl", "ob : stream[4]", "ob : stream[4]\nlone : stream\njob[o_out = lone]"),
+     "error: unreachable: task 'job' has no path from any input\n"),
+], ids=["guaranteed_overflow", "unreachable"])
+def test_validate_exits_1_on_a_static_finding(tmp_path, edit, stderr):
+    manifest = write_pressure_fixture(tmp_path, 200_000)
+    name, old, new = edit
+    (tmp_path / name).write_text((tmp_path / name).read_text().replace(old, new))
+    assert run(["validate", "--manifest", str(manifest)]) == (1, "", stderr)
+
+
 def test_validate_rejects_pattern_missing_from_catalog(tmp_path):
     manifest = write_pressure_fixture(tmp_path, 200_000)
     (tmp_path / "sdk.yaml").write_text(

@@ -234,6 +234,52 @@ leafA[i = 1:1, q_out = m[k]]
 """)
 
 
+@pytest.mark.parametrize("src, expected", [
+    ("""\
+Flow main
+    y : stream{type = in}
+    x : stream
+
+leafA[data_in = y, w_out = y]
+leafB[q_in = y, r_out = x]
+""", (5, 20, "task 'leafA' writes input stream 'y'")),
+    # at the later of the two defining bindings
+    ("""\
+Flow main
+    m : stream[2]
+
+leafA[i = 1:2, q_out = m[i]]
+leafB[w_out = m[2]]
+""", (5, 7, "stream slot 'm[2]' defined by both 'leafA[i=2]' and 'leafB'")),
+    ("""\
+Flow main
+    x : stream[2]
+    m : stream[2]
+
+leafA[q_out = m[1]]
+leafB[i = 1:2, w_in = m[i], r_out = x[i]]
+""", (6, 16, "stream slot 'm[2]' is observed by 'leafB[i=2]' but never defined")),
+    # inside a sub-flow, at the leaf binding there
+    ("""\
+Flow main
+    x : stream
+
+sub[p_out = x]
+
+Flow sub
+    p_out : stream
+n : stream[2]
+
+leafA[q_in = n[2], w_out = p_out]
+leafB[v_out = n[1]]
+""", (10, 7, "stream slot 'sub/n[2]' is observed by 'sub/leafA' but never defined")),
+])
+def test_slot_diagnostics_name_the_binding(src, expected):
+    with pytest.raises(DiagnosticError) as err:
+        expand(src)
+    assert [(d.line, d.column, d.message) for d in err.value.diagnostics] == [expected]
+
+
 def test_dependency_cycle_is_reported():
     with pytest.raises(DiagnosticError,
                        match="dependency cycle through tasks: leafA -> leafB"):

@@ -179,6 +179,46 @@ def test_recursive_flow_reported_once_at_its_instantiation(src, diagnostic):
         == [diagnostic]
 
 
+_HEAD = "Flow f\n  a : stream{type = in}\n\n"
+
+
+@pytest.mark.parametrize("src,diagnostic", [
+    # validation
+    ("Flow f\n  a : stream{type = in}\n  a : stream\n\nleaf[x_in = a]\n",
+     (3, 3, "stream 'a' declared twice in flow 'f'")),
+    ("Flow f\n  a : stream{type = sideways}\n\nleaf[x_in = a]\n",
+     (2, 3, "unknown stream direction 'sideways'")),
+    ("Flow f\n  a : stream{type = internal}\n\nleaf[x_in = a]\n",
+     (2, 3, "stream 'a': direction 'internal' is not allowed in a parameter header")),
+    (_HEAD + "b : stream{type = out}\nleaf[x_in = a, y_out = b]\n",
+     (4, 1, "stream 'b': direction 'out' is only allowed in a parameter header")),
+    ("Flow f\n  a : stream[2]{type = in}\n\nleaf[i = 1:2, i = 1:2, x_in = a[i]]\n",
+     (4, 15, "iterator 'i' declared twice in 'leaf'")),
+    ("Flow f\n  a : stream[3]{type = in}\n\nleaf[i = 3:2, x_in = a[i]]\n",
+     (4, 6, "iterator 'i' has non-positive range 3:2")),
+    ("Flow f\n  a : stream[Z]{type = in}\n\nleaf[x_in = a]\n",
+     (2, 3, "shape dimension of 'a' 'Z' = 0 must be positive")),
+    (_HEAD + "leaf[x_in = a, x_in = a]\n",
+     (4, 16, "formal 'x_in' bound twice in 'leaf'")),
+    (_HEAD + "g[p = a, q = a]\n\nFlow g\n  p : stream{type = in}\n\nleaf[x_in = p]\n",
+     (4, 10, "'g' has no parameter 'q'")),
+    (_HEAD + "leaf[x_in = zz]\n", (4, 6, "unresolved stream 'zz' in flow 'f'")),
+    (_HEAD + "leaf[x_in = a[1]]\n",
+     (4, 6, "stream 'a' has rank 0 but is indexed 1 times")),
+    # parsing
+    (_HEAD + "5\n", (4, 1, "expected declaration or instantiation, found '5'")),
+    (_HEAD + "leaf = a\n", (4, 6, "expected ':' or '[' after 'leaf'")),
+    ("Flow f\n  a : stream{type = [}\n", (2, 21, "expected attribute value")),
+    ("Flow f\n  a : stream{type = in} b\n", (2, 25, "expected end of declaration")),
+    (_HEAD + "leaf[x_in = 3]\n", (4, 6, "binding 'x_in' must name a stream")),
+])
+def test_refusal_names_its_position(src, diagnostic):
+    with pytest.raises(DiagnosticError) as err:
+        validate_flows(parse_flow_source(src), SymbolTable({"Z": 0}))
+    assert [(d.line, d.column, d.message) for d in err.value.diagnostics] \
+        == [diagnostic]
+
+
 def _shape(defs):
     """Projection of the AST that ignores source positions."""
     out = []

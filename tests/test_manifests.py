@@ -110,6 +110,23 @@ def test_equation_rejects_unbound_letter():
         parse_constraint_stream(text)
 
 
+@pytest.mark.parametrize("equation,diagnostic", [
+    ("C <= A $ 3", (1, 7, "bad equation syntax near '$ 3'")),
+    ("", (1, 1, "equation of 'D' is empty")),
+    ("C <= + A", (1, 1, "dangling operator in equation of 'D'")),
+    ("C <= A <=", (1, 1, "dangling operator in equation of 'D'")),
+    ("C <= A*B", (1, 1, "non-linear product in equation of 'D'")),
+    ("C <= * A", (1, 1, "dangling '*' in equation of 'D'")),
+    ("C + A", (1, 1, "equation of 'D' needs at least one relation")),
+])
+def test_equation_syntax_errors(equation, diagnostic):
+    text = _doc(kind="timing equation", equation=equation, A="a", B="b", C="c")
+    with pytest.raises(DiagnosticError) as err:
+        parse_constraint_stream(text)
+    assert [(d.line, d.column, d.message) for d in err.value.diagnostics] \
+        == [diagnostic]
+
+
 @given(a=st.integers(min_value=0, max_value=10),
        b=st.integers(min_value=0, max_value=500),
        c=st.integers(min_value=0, max_value=5000))

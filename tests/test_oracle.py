@@ -6,11 +6,14 @@ from dataclasses import replace
 
 import pytest
 
+from ddtwin.elaborate import bind_timing
 from ddtwin.graph import Buffer, TaskGraph, TaskInstance
 from ddtwin.instances import random_instance, replicated_instance
+from ddtwin.manifests import TimingEquationDoc
 from ddtwin.oracle import (MAX_CORES, MAX_PATTERNS_PER_BUFFER, MAX_TASKS,
                            brute_force_oracle)
 from ddtwin.patterns import generate_patterns_from_topology
+from ddtwin.schedule import TIMING_CONSTRAINT
 from ddtwin.solver import SolveOpts, _Search, solve_best_case
 from conftest import chain_graph, make_topology
 
@@ -138,6 +141,34 @@ def test_search_matches_enumeration_on_replicated_instances():
             ("optimal", ref.makespan) if ref.feasible else ("infeasible", None)), \
             f"seed {seed}"
     assert classed >= 50
+
+
+def test_search_and_enumeration_agree_under_a_timing_equation():
+    # "done <= limit" on one labelled buffer, with the limit at the
+    # unconstrained optimum (which the optimal schedule meets) and below it;
+    # the reference evaluates the equation in its own simulation, the search
+    # rejects leaves through the schedule checker
+    cap = TimingEquationDoc("cap", "A + 0 <= B", {"A": "done", "B": "limit"})
+    cases = changed = leaf_rejects = 0
+    for seed in range(30):
+        inst = random_instance(seed)
+        free = brute_force_oracle(inst.graph, inst.topology, inst.catalog)
+        if not free.feasible:
+            continue
+        buffers = inst.graph.buffers
+        mid = buffers[sorted(buffers)[len(buffers) // 2]]
+        labelled = inst.graph.with_buffer(replace(mid, labels=("done",)))
+        for limit in (free.makespan, free.makespan * 7 // 10):
+            graph = bind_timing(labelled, [cap], {}, equation_values={"limit": limit})
+            ref = brute_force_oracle(graph, inst.topology, inst.catalog)
+            res = solve_best_case(graph, inst.topology, inst.catalog)
+            assert (res.status, res.makespan) == (
+                ("optimal", ref.makespan) if ref.feasible else ("infeasible", None)), \
+                f"seed {seed}, limit {limit}"
+            cases += 1
+            changed += ref.makespan != free.makespan
+            leaf_rejects += TIMING_CONSTRAINT in res.stats["pruned"]
+    assert cases >= 30 and changed >= 5 and leaf_rejects >= 5
 
 
 def _respelled(graph: TaskGraph) -> TaskGraph:

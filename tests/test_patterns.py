@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ddtwin.diagnostics import DiagnosticError
-from ddtwin.hardware import DEFAULT_COST_TABLE
+from ddtwin.hardware import DEFAULT_COST_TABLE, Core, HardwareTopology, Memory
 from ddtwin.patterns import (Pattern, PatternCatalog, SHARE_KEYS,
                              canonical_name, generate_patterns_from_topology,
                              parse_pattern_catalog, pattern_class,
@@ -117,6 +117,23 @@ def test_serialize_parse_round_trip():
         for key in SHARE_KEYS:
             assert set(p.shares[key]) == set(q.shares[key])
         assert set(p.can_observe) == set(q.can_observe)
+
+
+def test_round_trip_escapes_markup_in_memory_ids():
+    topo = HardwareTopology(
+        memories=[Memory(id="L2&0", level="L2", capacity=10**6),
+                  Memory(id="L2<1", level="L2", capacity=10**6),
+                  Memory(id="L3&<0", level="L3", capacity=10**7),
+                  Memory(id="DDR_0", level="DDR", capacity=10**9)],
+        cores=[Core(id=0, l2="L2&0", l3="L3&<0"), Core(id=1, l2="L2<1", l3="L3&<0")])
+    cat = generate_patterns_from_topology(topo)
+    again = parse_pattern_catalog(serialize_pattern_catalog(cat))
+    assert [p.name for p in again] == [p.name for p in cat]
+    assert [(p.defining_memory, p.observing_memory) for p in again] == [
+        (p.defining_memory, p.observing_memory) for p in cat]
+    assert {"L3&<0"} <= {p.defining_memory for p in again}
+    assert [p.shares for p in again] == [p.shares for p in cat]
+    assert again.anchors == cat.anchors
 
 
 def test_anchors_survive_the_xml_round_trip(du_dir):

@@ -560,12 +560,6 @@ def test_rank_marks_sub_floor_movement_not_recommended():
     assert noted["a-dead"] == "PATTERN_VIOLATION"
 
 
-def test_rank_refuses_mixed_baselines():
-    bad = rows() + [ScenarioResult("w", 10, 0, "LOW", 299)]
-    with pytest.raises(DiagnosticError, match="mixed baseline latencies"):
-        rank_scenarios(bad)
-
-
 def test_rank_of_nothing_is_nothing():
     assert rank_scenarios([]) == []
 

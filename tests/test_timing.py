@@ -166,3 +166,46 @@ def test_function_metadata_documents_pass_through(graph_and_labels):
     g2 = bind_timing(g, [md], labels)
     assert g2.deadline == g.deadline
     assert list(g2.bound_constraints) == []
+
+
+SRC_2SLOT = """\
+Flow main
+    x : stream[2]{label = xdone}
+    y : stream[2]{type = in, label = yin}
+
+leafA[i = 1:2, data_in = y[i], out_out = x[i]]
+"""
+
+
+@pytest.fixture()
+def two_slot_graph_and_labels():
+    defs = parse_flow_source(SRC_2SLOT)
+    md = [FunctionMetadata(name="leafA", available_patterns=ALL_PATTERNS,
+                           elementsize=1000, internalsize=5000, runtime=100)]
+    return elaborate(defs, "main", SymbolTable({}), md, CATALOG), \
+        collect_labels(defs)
+
+
+@pytest.mark.parametrize("variable, op, message", [
+    ("xdone", "equal", "document 'D': 'equal' is ambiguous on the defined stream 'x'; "
+                       "use le or ge"),
+    ("yin", "le", "document 'D': 'le' on input port 'y' does not constrain arrival"),
+], ids=["equal-on-defined-stream", "le-on-input-port"])
+def test_refused_document_is_reported_once_however_many_slots(
+        two_slot_graph_and_labels, variable, op, message):
+    g, labels = two_slot_graph_and_labels
+    with pytest.raises(DiagnosticError) as err:
+        bind_timing(g, [equality("D", variable, op, 10)], labels)
+    assert [(d.line, d.column, d.message) for d in err.value.diagnostics] == [
+        (1, 1, message)]
+
+
+def test_accepted_document_applies_to_every_slot(two_slot_graph_and_labels):
+    g, labels = two_slot_graph_and_labels
+    docs = [equality("XD", "xdone", "le", 400), equality("XR", "xdone", "ge", 7),
+            equality("Y", "yin", "equal", 44)]
+    g2 = bind_timing(g, docs, labels)
+    assert [(b.avail_deadline, b.release) for b in g2.buffers.values()] == [(400, 7)] * 2
+    assert [t.external_inputs for t in g2.tasks.values()] == [
+        (ExternalInput(stream="y[1]", release=44),),
+        (ExternalInput(stream="y[2]", release=44),)]
