@@ -106,8 +106,12 @@ def _parse_equation(doc: Document) -> TimingEquationDoc:
                 if k not in ("equation", "unit")}
     parsed = TimingEquationDoc(name=doc.name, equation=equation,
                                bindings=bindings, unit=_check_unit(doc))
-    # parse now so malformed equations and unbound placeholders fail early
-    terms, _ = _parse_equation_text(parsed)
+    # parse now so malformed equations and unbound placeholders fail early,
+    # at the document; a column inside the equation stays in the message
+    try:
+        terms, _ = _parse_equation_text(parsed)
+    except DiagnosticError as err:
+        raise _doc_error(doc, err.diagnostics[0].message) from err
     for placeholder in terms:
         if placeholder not in bindings:
             raise _doc_error(doc, f"placeholder {placeholder!r} in equation has no spec binding")
@@ -146,7 +150,9 @@ def _tokenize_equation(text: str) -> list[str]:
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             if text[pos:].strip():
-                raise fail(1, pos + 1, f"bad equation syntax near {text[pos:].strip()!r}")
+                raise fail(1, pos + 1, f"bad equation syntax near "
+                           f"{text[pos:].strip()!r} (column {pos + 1} of the "
+                           f"equation)")
             break
         tokens.append(m.group(1))
         pos = m.end()

@@ -103,6 +103,38 @@ gates are all placed.  Each check and the bound read what a child built
 in full would hold, in the same order, so every node count, prune reason
 and incumbent is as before.
 
+Most children are pruned, and many are *settled*: counted as a node and
+pruned with the label the full path would give, without being fitted,
+swept or bounded.  Children are tried per (task, core) pair, whose start
+is known before any pattern combo is.  A start that breaks the lag cap
+settles every child of the pair as LAG_VIOLATION, the first check of
+``_time``.  Otherwise two terms bound every child from below.  One is
+the start plus the task's downward rank: each output ends at least its
+least transfer cycles after the task's finish, an observer's estimated
+start is at least that end, and the observer's path term adds its start
+lag and downward rank; the span covers an output no task observes.  The
+other is the state's floor, which every child's bound includes.  When
+either exceeds the cap, every child is pruned, and the label is certain
+when no output has an availability deadline and no tracked memory can
+overflow (none is over capacity, and each claim total plus the most any
+option of the core adds stays within capacity), so that only the bound
+prunes: DEADLINE_MISS when the least bound passes the deadline, BOUND
+when the largest does not.  Three terms bound every child from above.  A
+fit moves a transfer only to the end of a placed transfer, which ends by
+``state.span``, or of an earlier output of the task, so each output ends
+by the latest of the finish, the span and its release, plus the summed
+costliest options of the outputs; a descendant's new path term follows
+from an output's end by at most an observer's downward rank with every
+start lag on the way counted (``_lagged_ranks``).  Every other path term
+is one ``state.floor`` covers, since it covers every unplaced task's
+path term and every anchor's load, and a placement raises an anchor's
+load by at most the summed largest extra of each output's options: the
+floor plus that sum is the second.  The load bound is the third.  A
+settled pair counts its children one by one against the node budget, so
+a budget that runs out among them stops the search at the node, and
+with the prune counts, of the full path.  What settling reads per (task, core) pair is made on its
+first use, so a solve closed at the root makes none of it.
+
 A transfer's earliest contention-free start is found in one scan of the
 placed transfers sorted by start: an interval that contends and ends
 after the candidate start moves the start to its end, and the scan stops
@@ -137,7 +169,8 @@ from __future__ import annotations
 from bisect import bisect, insort
 from dataclasses import dataclass
 from itertools import accumulate, product
-from typing import Callable, Iterator, NamedTuple
+from math import prod
+from typing import Iterator, NamedTuple
 
 from .graph import Buffer, TaskGraph, TaskInstance
 from .hardware import HardwareTopology
@@ -197,6 +230,18 @@ class _Timed(NamedTuple):
     moves: dict[str, _Move]
     claims: dict[str, int]
     full: frozenset[str]
+
+
+class _Worst(NamedTuple):
+    """What settling reads of a (task, core) pair, each taken at its worst
+    over every option the core offers the task's outputs."""
+    dated: bool                      # some output has an availability deadline
+    release: int                     # the latest output release
+    cost: int                        # the summed costliest option per output
+    extra: int                       # the summed largest anchor extra per output
+    reach: int                       # the largest lagged rank of an observer
+    # tracked memory -> the most the placement adds to its claim total
+    adds: tuple[tuple[str, int], ...]
 
 
 @dataclass
@@ -317,6 +362,10 @@ class _Search:
         self.claimed = [tuple(m for m in dict.fromkeys((p.defining_memory,
                                                         p.observing_memory))
                               if m in self.tracked) for p in catalog]
+        # made on first use: what settling reads, and the seed's picks
+        self._reach: dict[str, int] | None = None
+        self._worst: dict[tuple[str, int], _Worst] = {}
+        self._seed_picks: dict[tuple[str, int, bool, bool], list[_Choice]] = {}
 
     # -- precomputation ----------------------------------------------------
 
@@ -567,12 +616,9 @@ class _Search:
 
     # -- placement ---------------------------------------------------------
 
-    def _time(self, state: _State, task_id: str, core: int,
-              combo: tuple[_Choice, ...]) -> tuple[_Timed | None, str | None]:
-        """Time placing ``task_id`` on ``core`` with ``combo`` after
-        ``state`` and check it: the task's start and finish, its output
-        transfers, and the occupancy of the tracked memories.  Returns the
-        timed child, or ``None`` and the reason it breaks a constraint."""
+    def _earliest(self, state: _State, task_id: str) -> int:
+        """The earliest start of ``task_id`` on any core after ``state``:
+        when its last input arrives or is released, plus its start lag."""
         task = self.graph.tasks[task_id]
         transfers = state.transfers
         ready = 0
@@ -583,10 +629,17 @@ class _Search:
         for ext in task.external_inputs:
             if ext.release > ready:
                 ready = ext.release
-        earliest = ready + task.min_start_lag
-        start = state.core_free.get(core, 0)
-        if start < earliest:
-            start = earliest
+        return ready + task.min_start_lag
+
+    def _time(self, state: _State, task_id: str, core: int,
+              combo: tuple[_Choice, ...], earliest: int, start: int
+              ) -> tuple[_Timed | None, str | None]:
+        """Time placing ``task_id`` on ``core`` with ``combo`` after
+        ``state`` and check it: the task's finish from its ``earliest``
+        start and its ``start`` there, its output transfers, and the
+        occupancy of the tracked memories.  Returns the timed child, or
+        ``None`` and the reason it breaks a constraint."""
+        task = self.graph.tasks[task_id]
         if self.max_lag is not None and start > earliest + self.max_lag:
             return None, LAG_VIOLATION
         fin = start + task.runtime
@@ -802,26 +855,23 @@ class _Search:
                 kept.append(c)
         return kept
 
-    def _children(self, state: _State, task_id: str,
-                  narrow: Callable[[list[_Choice]], list[_Choice]] | None = None,
-                  ) -> Iterator[tuple[int | None, tuple[_Choice, ...]]]:
-        """Each (core, pattern combo) placing ``task_id`` may try, in search
-        order, with ``narrow`` applied to each output buffer's options.
-        Yields ``(None, ())`` once if no core is a candidate, and once for
-        each candidate core where some output buffer has no option."""
+    def _cores(self, state: _State, task_id: str
+               ) -> Iterator[tuple[int | None, list[list[_Choice]]]]:
+        """Each candidate core for ``task_id`` in search order, with the
+        options of each of its output buffers there; a child is a core and
+        one option per buffer.  Yields ``(None, [])`` once if no core is a
+        candidate, and in place of each candidate core where some output
+        buffer has no option."""
         cores = self._candidate_cores(task_id, state)
         if not cores:
-            yield None, ()
+            yield None, []
         outputs = self.graph.tasks[task_id].outputs
         for core in cores:
             option_lists = [self._options(buf_id, core, state) for buf_id in outputs]
-            if not all(option_lists):
-                yield None, ()
-                continue
-            if narrow is not None:
-                option_lists = map(narrow, option_lists)
-            for combo in product(*option_lists):
-                yield core, combo
+            if all(option_lists):
+                yield core, option_lists
+            else:
+                yield None, []
 
     def _cap(self) -> int:
         if self.best is None:
@@ -840,16 +890,28 @@ class _Search:
             return
         pruned = self.pruned
         deadline = self.graph.deadline
+        core_free = state.core_free
         cap = self._cap()
         for task_id in state.frontier:
-            for core, combo in self._children(state, task_id):
+            earliest = self._earliest(state, task_id)
+            for core, option_lists in self._cores(state, task_id):
                 if core is None:
-                    reason = PATTERN_VIOLATION
-                else:
+                    pruned[PATTERN_VIOLATION] = pruned.get(PATTERN_VIOLATION, 0) + 1
+                    continue
+                start = core_free.get(core, 0)
+                if start < earliest:
+                    start = earliest
+                settled = self._settle_core(state, task_id, core, earliest,
+                                            start, cap)
+                if settled is not None:
+                    self._prune_all(settled, prod(map(len, option_lists)))
+                    continue
+                for combo in product(*option_lists):
                     self.nodes += 1
                     if self.nodes > budget:
                         raise _BudgetExhausted()
-                    timed, reason = self._time(state, task_id, core, combo)
+                    timed, reason = self._time(state, task_id, core, combo,
+                                               earliest, start)
                     if timed is not None:
                         lb, carried = self._bound(state, task_id, timed)
                         if lb <= cap:
@@ -858,7 +920,97 @@ class _Search:
                             cap = self._cap()
                             continue
                         reason = DEADLINE_MISS if lb > deadline else PRUNE_BOUND
-                pruned[reason] = pruned.get(reason, 0) + 1
+                    pruned[reason] = pruned.get(reason, 0) + 1
+
+    def _prune_all(self, reason: str, count: int) -> None:
+        """Count ``count`` children as nodes, each pruned for ``reason``,
+        as many as the budget allows before it runs out."""
+        budget = self.opts.budget_nodes
+        within = min(count, budget - self.nodes)
+        self.nodes += within
+        self.pruned[reason] = self.pruned.get(reason, 0) + within
+        if within < count:
+            self.nodes += 1
+            raise _BudgetExhausted()
+
+    # -- settling ------------------------------------------------------------
+
+    def _settle_core(self, state: _State, task_id: str, core: int,
+                     earliest: int, start: int, cap: int) -> str | None:
+        """The label every child placing ``task_id`` on ``core`` after
+        ``state`` would be pruned with, if one label is certain before
+        any is timed, else ``None``: the start breaks the lag cap, or the
+        start plus the task's downward rank, or the state's floor, exceeds
+        ``cap``, and no output has an availability deadline and no tracked
+        memory can overflow, since a fit or the occupancy check would
+        come first; then DEADLINE_MISS when that least bound passes the
+        deadline, and BOUND when the highest bound cannot."""
+        if self.max_lag is not None and start > earliest + self.max_lag:
+            return LAG_VIOLATION
+        lower = max(start + self.down[task_id], state.floor)
+        if lower <= cap:
+            return None
+        worst = self._worst_case(task_id, core)
+        if worst.dated or state.full:
+            return None
+        claims, capacity = state.claims, self.capacity
+        for mem, adds in worst.adds:
+            if claims.get(mem, 0) + adds > capacity[mem]:
+                return None
+        deadline = self.graph.deadline
+        if lower > deadline:
+            return DEADLINE_MISS
+        fin = start + self.graph.tasks[task_id].runtime
+        upper = max(fin, state.span, worst.release) + worst.cost + worst.reach
+        if max(upper, self.load_bound, state.floor + worst.extra) <= deadline:
+            return PRUNE_BOUND
+        return None
+
+    def _worst_case(self, task_id: str, core: int) -> _Worst:
+        """The ``_Worst`` of placing ``task_id`` on ``core``, made on first
+        use, so that a solve that settles nothing makes none."""
+        worst = self._worst.get((task_id, core))
+        if worst is not None:
+            return worst
+        if self._reach is None:
+            self._reach = self._lagged_ranks()
+        task = self.graph.tasks[task_id]
+        dated, release, cost, extra, reach = False, 0, 0, 0, 0
+        adds = {}
+        for buf_id in task.outputs:
+            buf = self.graph.buffers[buf_id]
+            options = self._static_opts[buf_id, core][0]
+            dated = dated or buf.avail_deadline is not None
+            release = max(release, buf.release or 0)
+            cost += max(c.cost for c in options)
+            extra += max((cycles for c in options for _, cycles
+                          in self.anchor_extra.get((buf_id, c.index), ())),
+                         default=0)
+            for obs in buf.observers:
+                reach = max(reach, self._reach[obs])
+            size = max(buf.size, 0)
+            for mem in {m for c in options for m in self.claimed[c.index]}:
+                adds[mem] = adds.get(mem, 0) + size
+        mem = self.l3_of[core]
+        if task.internalsize > 0 and mem in self.tracked:
+            adds[mem] = adds.get(mem, 0) + task.internalsize
+        worst = self._worst[task_id, core] = _Worst(
+            dated, release, cost, extra, reach, tuple(adds.items()))
+        return worst
+
+    def _lagged_ranks(self) -> dict[str, int]:
+        """task -> its downward rank with every start lag on the way
+        counted, its own included."""
+        reach: dict[str, int] = {}
+        for t in reversed(self.topo_order):
+            task = self.graph.tasks[t]
+            tail = 0
+            for buf_id in task.outputs:
+                observers = self.graph.buffers[buf_id].observers
+                tail = max(tail, self.min_dur[buf_id]
+                           + max((reach[o] for o in observers), default=0))
+            reach[t] = task.min_start_lag + task.runtime + tail
+        return reach
 
     def _leaf(self, state: _State) -> None:
         self.leaves += 1
@@ -892,33 +1044,31 @@ class _Search:
 
     def _seed_pass(self, root: _State, by_finish: bool,
                    ban_colocate: bool) -> None:
-        def picks(options: list[_Choice]) -> list[_Choice]:
-            # the cheapest choice and the cheapest non-pipeline one, or
-            # only the latter when co-location is banned
-            by_cost = sorted(options, key=lambda c: (c.cost, c.index))
-            nonpipe = [c for c in by_cost if c.pattern.klass != "pipeline"]
-            if ban_colocate and nonpipe:
-                return nonpipe[:1]
-            return by_cost[:1] + [c for c in nonpipe[:1] if c is not by_cost[0]]
-
         order = sorted(self.graph.tasks, key=lambda t: (-self.down[t], t))
         state = root
         for task_id in order:
             if any(p not in state.placed for p in self.preds[task_id]):
                 return
+            earliest = self._earliest(state, task_id)
             best = None
             best_key = None
-            for core, combo in self._children(state, task_id, picks):
+            outputs = self.graph.tasks[task_id].outputs
+            for core, option_lists in self._cores(state, task_id):
                 if core is None:
                     continue
-                timed, _ = self._time(state, task_id, core, combo)
-                if timed is None:
-                    continue
-                rank = timed.fin if by_finish else timed.span
-                key = (rank, timed.span, core, tuple(c.index for c in combo))
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = timed
+                start = max(state.core_free.get(core, 0), earliest)
+                for combo in product(*[
+                        self._picks(buf_id, core, options, ban_colocate)
+                        for buf_id, options in zip(outputs, option_lists)]):
+                    timed, _ = self._time(state, task_id, core, combo,
+                                          earliest, start)
+                    if timed is None:
+                        continue
+                    rank = timed.fin if by_finish else timed.span
+                    key = (rank, timed.span, core, tuple(c.index for c in combo))
+                    if best_key is None or key < best_key:
+                        best_key = key
+                        best = timed
             if best is None:
                 return
             state = self._commit(state, task_id, best)
@@ -929,6 +1079,27 @@ class _Search:
                               max_start_lag=self.max_lag):
             self.best = state.span
             self.best_schedule = schedule
+
+    def _picks(self, buf_id: str, core: int, options: list[_Choice],
+               ban_colocate: bool) -> list[_Choice]:
+        """The ``options`` of ``buf_id`` on ``core`` the seed tries: the
+        cheapest and the cheapest non-pipeline one, or only the latter when
+        co-location is banned.  ``options`` is one of the two lists
+        ``_static_opts`` holds there, and the picks are made once per list
+        and ban flag."""
+        key = (buf_id, core, options is self._static_opts[buf_id, core][0],
+               ban_colocate)
+        picks = self._seed_picks.get(key)
+        if picks is None:
+            by_cost = sorted(options, key=lambda c: (c.cost, c.index))
+            nonpipe = [c for c in by_cost if c.pattern.klass != "pipeline"]
+            if ban_colocate and nonpipe:
+                picks = nonpipe[:1]
+            else:
+                picks = by_cost[:1] + [c for c in nonpipe[:1]
+                                       if c is not by_cost[0]]
+            self._seed_picks[key] = picks
+        return picks
 
     def _schedule(self, state: _State) -> Schedule:
         return Schedule(assignments=dict(state.placed), transfers={

@@ -111,20 +111,31 @@ def test_equation_rejects_unbound_letter():
 
 
 @pytest.mark.parametrize("equation,diagnostic", [
-    ("C <= A $ 3", (1, 7, "bad equation syntax near '$ 3'")),
-    ("", (1, 1, "equation of 'D' is empty")),
-    ("C <= + A", (1, 1, "dangling operator in equation of 'D'")),
-    ("C <= A <=", (1, 1, "dangling operator in equation of 'D'")),
-    ("C <= A*B", (1, 1, "non-linear product in equation of 'D'")),
-    ("C <= * A", (1, 1, "dangling '*' in equation of 'D'")),
-    ("C + A", (1, 1, "equation of 'D' needs at least one relation")),
+    ("C <= A $ 3", (1, 1, "document 1: bad equation syntax near '$ 3' "
+                          "(column 7 of the equation)")),
+    ("", (1, 1, "document 1: equation of 'D' is empty")),
+    ("C <= + A", (1, 1, "document 1: dangling operator in equation of 'D'")),
+    ("C <= A <=", (1, 1, "document 1: dangling operator in equation of 'D'")),
+    ("C <= A*B", (1, 1, "document 1: non-linear product in equation of 'D'")),
+    ("C <= * A", (1, 1, "document 1: dangling '*' in equation of 'D'")),
+    ("C + A", (1, 1, "document 1: equation of 'D' needs at least one relation")),
 ])
 def test_equation_syntax_errors(equation, diagnostic):
+    """A malformed equation is reported at its document's first line."""
     text = _doc(kind="timing equation", equation=equation, A="a", B="b", C="c")
     with pytest.raises(DiagnosticError) as err:
         parse_constraint_stream(text)
     assert [(d.line, d.column, d.message) for d in err.value.diagnostics] \
         == [diagnostic]
+    # the same document second in a stream, starting on line 12 after the
+    # comment, the 8-line first document, an empty line and the separator
+    later = "\n".join(["# the period", _doc(variable_name="x", constraint="equal",
+                                              value=5), "---", text])
+    with pytest.raises(DiagnosticError) as err:
+        parse_constraint_stream(later)
+    _, _, message = diagnostic
+    assert [(d.line, d.column, d.message) for d in err.value.diagnostics] \
+        == [(12, 1, message.replace("document 1", "document 2"))]
 
 
 @given(a=st.integers(min_value=0, max_value=10),

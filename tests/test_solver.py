@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import random
+from itertools import islice, product
 from types import SimpleNamespace
 
 import pytest
@@ -12,7 +14,8 @@ from ddtwin.graph import Buffer, ExternalInput, TaskGraph, TaskInstance
 from ddtwin.instances import random_instance, tighten_instance
 from ddtwin.patterns import (Pattern, PatternCatalog,
                              generate_patterns_from_topology)
-from ddtwin.schedule import BUFFER_OVERFLOW, check_schedule
+from ddtwin.schedule import (BUFFER_OVERFLOW, DEADLINE_MISS, LAG_VIOLATION,
+                             check_schedule)
 from ddtwin.solver import SolveOpts, _earliest_fit, _Search, solve_best_case
 from conftest import FIXTURES, chain_graph, make_topology
 
@@ -631,10 +634,50 @@ def test_derived_anchors_floor_du_analog_as_the_declared_ones_did(du_dir):
     assert floored > 0
 
 
+def full_path_label(search, state, task_id, core, combo, cap):
+    """The label the search prunes a child with when it times it in full,
+    through ``_time`` without a cap and ``_bound``, as patched at the time
+    of the call, or ``None`` when the child is not pruned."""
+    earliest = search._earliest(state, task_id)
+    start = max(state.core_free.get(core, 0), earliest)
+    timed, reason = search._time(state, task_id, core, combo, earliest, start)
+    if timed is None:
+        return reason
+    lb, _ = search._bound(state, task_id, timed)
+    if lb <= cap:
+        return None
+    return DEADLINE_MISS if lb > search.graph.deadline else "BOUND"
+
+
+def settle_through_the_full_path(monkeypatch):
+    """Makes every child the search settles without timing it also go the
+    full path, asserting that it comes out pruned with the settled label;
+    returns how many children were settled, by label."""
+    settled = {}
+    settle_core = _Search._settle_core
+
+    def checked_core(self, state, task_id, core, earliest, start, cap):
+        label = settle_core(self, state, task_id, core, earliest, start, cap)
+        if label is not None:
+            # the children past the node budget are never attempted
+            outputs = self.graph.tasks[task_id].outputs
+            combos = product(*(self._options(b, core, state) for b in outputs))
+            for combo in islice(combos, self.opts.budget_nodes - self.nodes):
+                assert full_path_label(self, state, task_id, core, combo,
+                                       cap) == label, task_id
+                settled[label] = settled.get(label, 0) + 1
+        return label
+
+    monkeypatch.setattr(_Search, "_settle_core", checked_core)
+    return settled
+
+
 @pytest.fixture
 def checked_bounds(monkeypatch):
-    """Makes every bound the search takes assert equality with
-    ``full_bound``; yields how often each term alone set the bound."""
+    """Makes every bound the search takes, and the bound of every child it
+    settles, assert equality with ``full_bound``; yields how often each
+    term alone set the bound."""
+    settle_through_the_full_path(monkeypatch)
     binding = {"path": 0, "anchor": 0, "root": 0, "checked": 0}
     original = _Search._bound
     roots = {}
@@ -728,6 +771,172 @@ def test_du_analog_search_statistics_are_pinned(du_dir):
     assert sum(pruned["BOUND"] for *_, pruned in got) == 8691
 
 
+# -- settled cores and children -------------------------------------------------
+
+class TimedSearch(_Search):
+    """The search with nothing settled: every child is timed and bounded."""
+
+    def _settle_core(self, *args):
+        return None
+
+
+def searched(cls, graph, topology, catalog, opts):
+    res = cls(graph, topology, catalog, opts).run()
+    return (res.status, res.makespan, res.schedule, res.stats["nodes"],
+            res.stats["leaves"], res.stats["pruned"])
+
+
+def settle_cases():
+    """(graph, topology, catalog, opts) of random and tightened instances,
+    a third of them under a start-lag cap of 0 and a third under 3,000."""
+    for seed in range(60):
+        inst = random_instance(seed)
+        lag = (None, 0, 3_000)[seed % 3]
+        for inst in (inst, tighten_instance(inst, seed)):
+            yield (inst.graph, inst.topology, inst.catalog,
+                   SolveOpts(budget_nodes=20_000, max_start_lag=lag))
+
+
+def test_settling_prunes_what_timing_every_child_prunes(du_dir, monkeypatch):
+    settled = settle_through_the_full_path(monkeypatch)
+    cases = list(settle_cases())
+    assert any(b.avail_deadline is not None
+               for graph, *_ in cases for b in graph.buffers.values())
+    assert any(_Search(*case).tracked for case in cases)
+    for case in cases:
+        assert searched(_Search, *case) == searched(TimedSearch, *case)
+    from ddtwin.cli import build_graph, load_run, load_run_manifest
+    from ddtwin.scenarios import apply_injections, enumerate_scenarios
+
+    loaded = load_run(load_run_manifest(du_dir / "manifest.yaml"))
+    graph = build_graph(loaded)
+    for spec in enumerate_scenarios(graph, loaded.catalog):
+        case = (apply_injections(graph, spec.injections, loaded.catalog),
+                loaded.topology, loaded.catalog, SolveOpts(budget_nodes=1000))
+        assert searched(_Search, *case) == searched(TimedSearch, *case), \
+            spec.name
+    assert settled.keys() >= {"BOUND", DEADLINE_MISS, LAG_VIOLATION}
+
+
+def search_states(search, limit=12):
+    """The root of ``search`` and the states below it down one path, each
+    child the first that times, bound up to date as the search keeps it."""
+    states = [search._root()]
+    while len(states) < limit:
+        state = states[-1]
+        child = None
+        for task_id in state.frontier:
+            earliest = search._earliest(state, task_id)
+            for core, option_lists in search._cores(state, task_id):
+                if core is not None:
+                    start = max(state.core_free.get(core, 0), earliest)
+                    timed, _ = search._time(state, task_id, core,
+                                            next(product(*option_lists)),
+                                            earliest, start)
+                    if timed is not None:
+                        _, carried = search._bound(state, task_id, timed)
+                        child = search._commit(state, task_id, timed, carried)
+                        break
+            if child is not None:
+                break
+        if child is None:
+            break
+        states.append(child)
+    return states
+
+
+def test_a_settled_label_is_the_full_path_label_under_any_cap():
+    """Settling a core is exact under every deadline and every cap below
+    it, not only those a search meets: each child settled is pruned by the
+    full path with that label.  The caps and deadlines tried sit at each
+    child's bound and at the least bounds settling a core reads, on both
+    sides."""
+    settled = {}
+    for seed in range(180):
+        inst = random_instance(seed // 3)
+        graph = inst.graph
+        if seed % 3 == 1:
+            # releases late enough to hold transfers back past the task
+            rng = random.Random(seed)
+            for buf in list(graph.buffers.values()):
+                graph = graph.with_buffer(dataclasses.replace(
+                    buf, release=rng.randint(0, 40_000)))
+        elif seed % 3 == 2:
+            # sinks without outputs
+            unread = {b for b, buf in graph.buffers.items() if not buf.observers}
+            graph = dataclasses.replace(
+                graph,
+                tasks={t: dataclasses.replace(task, outputs=tuple(
+                           b for b in task.outputs if b not in unread))
+                       for t, task in graph.tasks.items()},
+                buffers={b: buf for b, buf in graph.buffers.items()
+                         if b not in unread})
+        lag = (None, 0, 3_000)[seed // 3 % 3]
+        search = _Search(graph, inst.topology, inst.catalog,
+                         SolveOpts(max_start_lag=lag))
+        for state in search_states(search):
+            for task_id in state.frontier:
+                earliest = search._earliest(state, task_id)
+                for core, option_lists in search._cores(state, task_id):
+                    if core is None:
+                        continue
+                    start = max(state.core_free.get(core, 0), earliest)
+                    full = []       # (combo, prune reason or bound)
+                    for combo in product(*option_lists):
+                        timed, reason = search._time(state, task_id, core,
+                                                     combo, earliest, start)
+                        full.append((combo, reason if timed is None else
+                                     search._bound(state, task_id, timed)[0]))
+                    marks = {start + search.down[task_id], state.floor}
+                    marks.update(v for _, v in full if isinstance(v, int))
+                    levels = sorted({m + d for m in marks for d in (-1, 0)})
+                    for deadline in levels:
+                        search.graph = dataclasses.replace(graph, deadline=deadline)
+                        for cap in levels:
+                            if cap > deadline:
+                                break
+                            want = [
+                                v if isinstance(v, str) else
+                                None if v <= cap else
+                                DEADLINE_MISS if v > deadline else "BOUND"
+                                for _, v in full]
+                            label = search._settle_core(state, task_id, core,
+                                                        earliest, start, cap)
+                            if label is not None:
+                                assert set(want) == {label}, task_id
+                                settled[label] = settled.get(label, 0) + 1
+                    search.graph = graph
+    assert settled.keys() >= {"BOUND", DEADLINE_MISS, LAG_VIOLATION}
+
+
+def test_a_budget_that_runs_out_in_a_settled_core(du_dir, monkeypatch):
+    """The budget counts each child of a settled core as a node, and the
+    search stops at the first child past it, as when each is timed."""
+    from ddtwin.cli import build_graph, load_run, load_run_manifest
+
+    loaded = load_run(load_run_manifest(du_dir / "manifest.yaml"))
+    case = [build_graph(loaded), loaded.topology, loaded.catalog]
+    cores = []      # (nodes before, children) of each core settled whole
+    settle_core = _Search._settle_core
+
+    def recorded(self, state, task_id, core, earliest, start, cap):
+        label = settle_core(self, state, task_id, core, earliest, start, cap)
+        if label is not None:
+            outputs = self.graph.tasks[task_id].outputs
+            cores.append((self.nodes, len(list(product(*(
+                self._options(b, core, state) for b in outputs))))))
+        return label
+
+    monkeypatch.setattr(_Search, "_settle_core", recorded)
+    searched(_Search, *case, SolveOpts(budget_nodes=1000))
+    monkeypatch.undo()
+    before = next(nodes for nodes, children in cores if children > 1)
+    budget = before + 1
+    got = searched(_Search, *case, SolveOpts(budget_nodes=budget))
+    assert got == searched(TimedSearch, *case, SolveOpts(budget_nodes=budget))
+    assert got[0] == "feasible" and got[3] == budget + 1
+
+
 # -- occupancy by claim totals ---------------------------------------------------
 
 def grown_claims(search, placed, transfers):
@@ -781,21 +990,24 @@ def sweep_overflows(search, claims):
 
 @pytest.fixture
 def checked_occupancy(monkeypatch):
-    """Makes every child the search times whose occupancy is checked
-    assert that its BUFFER_OVERFLOW verdict equals a from-scratch sweep
-    of every tracked memory; yields how many children were checked and
-    how many of them overflow."""
+    """Makes every child the search times whose occupancy is checked, and
+    every child it settles, assert that its BUFFER_OVERFLOW verdict equals
+    a from-scratch sweep of every tracked memory; yields how many children
+    were checked and how many of them overflow."""
+    settle_through_the_full_path(monkeypatch)
     seen = {"checked": 0, "overflows": 0}
     original = _Search._time
 
-    def checked(self, state, task_id, core, combo):
-        timed, reason = original(self, state, task_id, core, combo)
+    def checked(self, state, task_id, core, combo, earliest, start):
+        timed, reason = original(self, state, task_id, core, combo, earliest,
+                                 start)
         if self.tracked and reason in (None, BUFFER_OVERFLOW):
             # with no memory tracked the child is timed the same way and
             # only the occupancy check is left out
             tracked, self.tracked = self.tracked, frozenset()
             try:
-                bare, _ = original(self, state, task_id, core, combo)
+                bare, _ = original(self, state, task_id, core, combo,
+                                   earliest, start)
             finally:
                 self.tracked = tracked
             child = grown_claims(self, {**state.placed,
