@@ -36,10 +36,20 @@ class TimingEqualityDoc:
 
 @dataclass(frozen=True)
 class TimingEquationDoc:
+    """A timing equation, parsed once when the document is built:
+    ``placeholders`` holds the placeholders it reads, ``relation`` the
+    [term, relop, term, ...] sequence ``_parse_equation_text`` returns."""
     name: str
     equation: str
     bindings: dict[str, str] = field(default_factory=dict, hash=False)
     unit: str = "clock"
+    placeholders: frozenset[str] = field(init=False, compare=False, repr=False)
+    relation: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        placeholders, relation = _parse_equation_text(self.name, self.equation)
+        object.__setattr__(self, "placeholders", placeholders)
+        object.__setattr__(self, "relation", relation)
 
 
 @dataclass(frozen=True)
@@ -104,15 +114,16 @@ def _parse_equation(doc: Document) -> TimingEquationDoc:
     equation = str(_require(doc, "equation"))
     bindings = {str(k): str(v) for k, v in doc.spec.items()
                 if k not in ("equation", "unit")}
-    parsed = TimingEquationDoc(name=doc.name, equation=equation,
-                               bindings=bindings, unit=_check_unit(doc))
-    # parse now so malformed equations and unbound placeholders fail early,
-    # at the document; a column inside the equation stays in the message
+    unit = _check_unit(doc)
+    # building the document parses the equation, so malformed equations
+    # fail here, at the document; a column inside the equation stays in
+    # the message
     try:
-        terms, _ = _parse_equation_text(parsed)
+        parsed = TimingEquationDoc(name=doc.name, equation=equation,
+                                   bindings=bindings, unit=unit)
     except DiagnosticError as err:
         raise _doc_error(doc, err.diagnostics[0].message) from err
-    for placeholder in terms:
+    for placeholder in sorted(parsed.placeholders):
         if placeholder not in bindings:
             raise _doc_error(doc, f"placeholder {placeholder!r} in equation has no spec binding")
     return parsed
@@ -159,15 +170,16 @@ def _tokenize_equation(text: str) -> list[str]:
     return tokens
 
 
-def _parse_equation_text(doc: TimingEquationDoc) -> tuple[set[str], list]:
+def _parse_equation_text(name: str, equation: str
+                         ) -> tuple[frozenset[str], tuple]:
     """Parse ``term relop term relop term ...`` where each term is a sum of
     products of placeholders and integer constants.  Returns the placeholder
-    set and a [term, relop, term, ...] sequence; a term is a list of
+    set and a (term, relop, term, ...) sequence; a term is a tuple of
     (coefficient, placeholder | None) products.
     """
-    tokens = _tokenize_equation(doc.equation)
+    tokens = _tokenize_equation(equation)
     if not tokens:
-        raise fail(1, 1, f"equation of {doc.name!r} is empty")
+        raise fail(1, 1, f"equation of {name!r} is empty")
     placeholders: set[str] = set()
     sequence: list = []
     term: list[tuple[int, str | None]] = []
@@ -175,7 +187,7 @@ def _parse_equation_text(doc: TimingEquationDoc) -> tuple[set[str], list]:
 
     def close_factor() -> None:
         if not factor:
-            raise fail(1, 1, f"dangling operator in equation of {doc.name!r}")
+            raise fail(1, 1, f"dangling operator in equation of {name!r}")
         coeff = 1
         symbol: str | None = None
         for tok in factor:
@@ -185,13 +197,13 @@ def _parse_equation_text(doc: TimingEquationDoc) -> tuple[set[str], list]:
                 symbol = tok
                 placeholders.add(tok)
             else:
-                raise fail(1, 1, f"non-linear product in equation of {doc.name!r}")
+                raise fail(1, 1, f"non-linear product in equation of {name!r}")
         term.append((coeff, symbol))
         factor.clear()
 
     def close_term() -> None:
         close_factor()
-        sequence.append(list(term))
+        sequence.append(tuple(term))
         term.clear()
 
     for tok in tokens:
@@ -202,19 +214,18 @@ def _parse_equation_text(doc: TimingEquationDoc) -> tuple[set[str], list]:
             close_factor()
         elif tok == "*":
             if not factor:
-                raise fail(1, 1, f"dangling '*' in equation of {doc.name!r}")
+                raise fail(1, 1, f"dangling '*' in equation of {name!r}")
         else:
             factor.append(tok)
     close_term()
     if len(sequence) < 3 or len(sequence) % 2 == 0:
-        raise fail(1, 1, f"equation of {doc.name!r} needs at least one relation")
-    return placeholders, sequence
+        raise fail(1, 1, f"equation of {name!r} needs at least one relation")
+    return frozenset(placeholders), tuple(sequence)
 
 
 def equation_symbols(doc: TimingEquationDoc) -> set[str]:
     """The symbol names (after placeholder substitution) the equation reads."""
-    placeholders, _ = _parse_equation_text(doc)
-    return {doc.bindings[p] for p in placeholders}
+    return {doc.bindings[p] for p in doc.placeholders}
 
 
 def evaluate_timing_equation(doc: TimingEquationDoc, assignment: dict[str, int]) -> bool:
@@ -222,9 +233,9 @@ def evaluate_timing_equation(doc: TimingEquationDoc, assignment: dict[str, int])
     arithmetic.  Placeholders map through spec bindings to symbol names,
     which must all be present in the assignment.
     """
-    _, sequence = _parse_equation_text(doc)
+    sequence = doc.relation
 
-    def term_value(term: list[tuple[int, str | None]]) -> int:
+    def term_value(term: tuple[tuple[int, str | None], ...]) -> int:
         total = 0
         for coeff, placeholder in term:
             if placeholder is None:

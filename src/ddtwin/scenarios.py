@@ -465,8 +465,8 @@ def parse_scenario_csv(text: str, baseline_latency: int
                        ) -> list[ScenarioResult]:
     """Parse a scenario CSV back to exact result values.
 
-    The CSV does not store the baseline, so callers supply it; ranking
-    uses it to reject merges across different baselines.
+    The CSV does not store the baseline, so callers supply it; the value
+    only fills each row's ``ScenarioResult.baseline_latency``.
     """
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0] != CSV_HEADER.split(","):

@@ -125,15 +125,15 @@ fit moves a transfer only to the end of a placed transfer, which ends by
 by the latest of the finish, the span and its release, plus the summed
 costliest options of the outputs; a descendant's new path term follows
 from an output's end by at most an observer's downward rank with every
-start lag on the way counted (``_lagged_ranks``).  Every other path term
+start lag on the way counted (``_ranks``).  Every other path term
 is one ``state.floor`` covers, since it covers every unplaced task's
 path term and every anchor's load, and a placement raises an anchor's
 load by at most the summed largest extra of each output's options: the
 floor plus that sum is the second.  The load bound is the third.  A
 settled pair counts its children one by one against the node budget, so
 a budget that runs out among them stops the search at the node, and
-with the prune counts, of the full path.  What settling reads per (task, core) pair is made on its
-first use, so a solve closed at the root makes none of it.
+with the prune counts, of the full path.  A pair's ``_Worst`` is made on
+its first use, so a solve closed at the root makes none.
 
 A transfer's earliest contention-free start is found in one scan of the
 placed transfers sorted by start: an interval that contends and ends
@@ -287,6 +287,16 @@ def _inserted(busy: tuple[tuple[int, int, int], ...],
     return busy[:i] + (interval,) + busy[i:]
 
 
+def _picks(options: list[_Choice], ban_colocate: bool) -> list[_Choice]:
+    """The ``options`` the seed tries: the cheapest and the cheapest
+    non-pipeline one, or only the latter when co-location is banned."""
+    by_cost = sorted(options, key=lambda c: (c.cost, c.index))
+    nonpipe = [c for c in by_cost if c.pattern.klass != "pipeline"]
+    if ban_colocate and nonpipe:
+        return nonpipe[:1]
+    return by_cost[:1] + [c for c in nonpipe[:1] if c is not by_cost[0]]
+
+
 def no_verdict(opts: SolveOpts, exhausted: str) -> str:
     """Why a solve under ``opts`` ended ``unknown``, worded to follow a
     subject such as "baseline ".  In exact mode the node budget ran out,
@@ -326,22 +336,23 @@ class _Search:
 
         self.preds: dict[str, set[str]] = {t: set() for t in graph.tasks}
         self.observed: dict[str, list[str]] = {t: [] for t in graph.tasks}
+        succ: dict[str, set[str]] = {t: set() for t in graph.tasks}
         for buf in graph.buffers.values():
             for obs in buf.observers:
                 self.preds[obs].add(buf.definer)
                 self.observed[obs].append(buf.id)
-        self.topo_order = self._toposort()
+                succ[buf.definer].add(obs)
+        self.topo_order = self._toposort(succ)
         self.choices = {b.id: self._resolve(b) for b in graph.buffers.values()}
         self.min_dur = {b: min((c.cost for c in cs), default=0)
                         for b, cs in self.choices.items()}
         self.longest = max((c.cost for cs in self.choices.values() for c in cs),
                            default=0)
-        self.down = self._down_ranks()
+        self.down, self.reach = self._ranks()
         total = sum(t.runtime for t in graph.tasks.values())
         self.load_bound = -(-total // len(self.cores)) if self.cores else 0
         self.anchor_base, self.anchor_extra, self.anchor_members = \
             self._anchor_tables()
-        self.estimates = self._estimate_terms()
         self.joins = self._join_tables()
         self.plans = {t: self._plan(t, self._descendants(i))
                       for i, t in enumerate(self.topo_order)}
@@ -362,10 +373,8 @@ class _Search:
         self.claimed = [tuple(m for m in dict.fromkeys((p.defining_memory,
                                                         p.observing_memory))
                               if m in self.tracked) for p in catalog]
-        # made on first use: what settling reads, and the seed's picks
-        self._reach: dict[str, int] | None = None
+        # made on first use: what settling reads of each (task, core) pair
         self._worst: dict[tuple[str, int], _Worst] = {}
-        self._seed_picks: dict[tuple[str, int, bool, bool], list[_Choice]] = {}
 
     # -- precomputation ----------------------------------------------------
 
@@ -379,35 +388,40 @@ class _Search:
                          patterns[i].klass, buf.size, self.topology.pattern_costs))
                      for i in found)
 
-    def _toposort(self) -> list[str]:
+    def _toposort(self, succ: dict[str, set[str]]) -> list[str]:
+        """The tasks in topological order, the least ready id first;
+        ``succ`` maps each task to the tasks that observe its outputs."""
         indeg = {t: len(self.preds[t]) for t in self.graph.tasks}
         order: list[str] = []
         ready = sorted((t for t, d in indeg.items() if d == 0), reverse=True)
-        succ: dict[str, list[str]] = {t: [] for t in self.graph.tasks}
-        for buf in self.graph.buffers.values():
-            for obs in buf.observers:
-                succ[buf.definer].append(obs)
         while ready:
             t = ready.pop()
             order.append(t)
-            for s in sorted(set(succ[t]), reverse=True):
+            for s in sorted(succ[t], reverse=True):
                 indeg[s] -= 1
                 if indeg[s] == 0:
                     ready.append(s)
             ready.sort(reverse=True)
         return order
 
-    def _down_ranks(self) -> dict[str, int]:
+    def _ranks(self) -> tuple[dict[str, int], dict[str, int]]:
+        """task -> its downward rank, and task -> the same with every start
+        lag on the way counted, its own included."""
         down: dict[str, int] = {}
+        reach: dict[str, int] = {}
         for t in reversed(self.topo_order):
             task = self.graph.tasks[t]
-            tail = 0
+            tail = lagged = 0
             for buf_id in task.outputs:
-                buf = self.graph.buffers[buf_id]
-                obs_tail = max((down[o] for o in buf.observers), default=0)
-                tail = max(tail, self.min_dur[buf_id] + obs_tail)
+                observers = self.graph.buffers[buf_id].observers
+                least = self.min_dur[buf_id]
+                tail = max(tail, least + max((down[o] for o in observers),
+                                             default=0))
+                lagged = max(lagged, least + max((reach[o] for o in observers),
+                                                 default=0))
             down[t] = task.runtime + tail
-        return down
+            reach[t] = task.min_start_lag + task.runtime + lagged
+        return down, reach
 
     def _anchor_tables(self):
         """Per-anchor serialization floors.  Transfers through one anchor
@@ -440,19 +454,6 @@ class _Search:
                 if adds:
                     extra[buf_id, c.index] = tuple(adds)
         return base, extra, members
-
-    def _estimate_terms(self) -> dict[str, tuple]:
-        """task -> what its critical-path estimate reads: its inputs as
-        (buffer, definer, least transfer cycles), its latest external
-        release, its start lag, its runtime and its downward rank."""
-        terms = {}
-        for t, task in self.graph.tasks.items():
-            inputs = tuple((b, self.graph.buffers[b].definer, self.min_dur[b])
-                           for b in task.inputs)
-            release = max((e.release for e in task.external_inputs), default=0)
-            terms[t] = (inputs, release, task.min_start_lag, task.runtime,
-                        self.down[t])
-        return terms
 
     def _join_tables(self) -> dict[str, tuple]:
         """task -> (its input definers, the prefix sums of their runtimes
@@ -511,17 +512,20 @@ class _Search:
         planned = set(tasks)
         plan = []
         for t in tasks:
-            inputs, release, lag, runtime, down = self.estimates[t]
+            task = self.graph.tasks[t]
             own, below, other = [], [], []
-            for b, d, m in inputs:
+            for b in task.inputs:
+                d, m = self.graph.buffers[b].definer, self.min_dur[b]
                 if d == placed:
                     own.append(b)
                 elif d in planned:
                     below.append((d, m))
                 else:
                     other.append((b, d, m))
-            plan.append((t, release, lag + runtime, lag + down, tuple(own),
-                         tuple(below), tuple(other)))
+            release = max((e.release for e in task.external_inputs), default=0)
+            lag = task.min_start_lag
+            plan.append((t, release, lag + task.runtime, lag + self.down[t],
+                         tuple(own), tuple(below), tuple(other)))
         return tuple(plan)
 
     def _validated_symmetry(self) -> dict[int, int]:
@@ -837,24 +841,6 @@ class _Search:
 
     # -- branching ---------------------------------------------------------
 
-    def _candidate_cores(self, task_id: str, state: _State) -> list[int]:
-        cands = self.allowed[task_id]
-        forced = state.forced.get(task_id)
-        if forced is not None:
-            cands = [forced] if forced in cands else []
-        # never-used cores of one symmetry group are interchangeable, so
-        # keep the first (least) of them
-        kept: list[int] = []
-        groups: set[int] = set()
-        for c in cands:
-            group = self.group_of.get(c)
-            if c in state.core_free or group is None:
-                kept.append(c)
-            elif group not in groups:
-                groups.add(group)
-                kept.append(c)
-        return kept
-
     def _cores(self, state: _State, task_id: str
                ) -> Iterator[tuple[int | None, list[list[_Choice]]]]:
         """Each candidate core for ``task_id`` in search order, with the
@@ -862,11 +848,22 @@ class _Search:
         one option per buffer.  Yields ``(None, [])`` once if no core is a
         candidate, and in place of each candidate core where some output
         buffer has no option."""
-        cores = self._candidate_cores(task_id, state)
+        cores = self.allowed[task_id]
+        forced = state.forced.get(task_id)
+        if forced is not None:
+            cores = [forced] if forced in cores else []
         if not cores:
             yield None, []
         outputs = self.graph.tasks[task_id].outputs
+        groups: set[int] = set()
         for core in cores:
+            # never-used cores of one symmetry group are interchangeable,
+            # so keep the first (least) of them
+            group = self.group_of.get(core)
+            if core not in state.core_free and group is not None:
+                if group in groups:
+                    continue
+                groups.add(group)
             option_lists = [self._options(buf_id, core, state) for buf_id in outputs]
             if all(option_lists):
                 yield core, option_lists
@@ -972,8 +969,6 @@ class _Search:
         worst = self._worst.get((task_id, core))
         if worst is not None:
             return worst
-        if self._reach is None:
-            self._reach = self._lagged_ranks()
         task = self.graph.tasks[task_id]
         dated, release, cost, extra, reach = False, 0, 0, 0, 0
         adds = {}
@@ -987,7 +982,7 @@ class _Search:
                           in self.anchor_extra.get((buf_id, c.index), ())),
                          default=0)
             for obs in buf.observers:
-                reach = max(reach, self._reach[obs])
+                reach = max(reach, self.reach[obs])
             size = max(buf.size, 0)
             for mem in {m for c in options for m in self.claimed[c.index]}:
                 adds[mem] = adds.get(mem, 0) + size
@@ -997,20 +992,6 @@ class _Search:
         worst = self._worst[task_id, core] = _Worst(
             dated, release, cost, extra, reach, tuple(adds.items()))
         return worst
-
-    def _lagged_ranks(self) -> dict[str, int]:
-        """task -> its downward rank with every start lag on the way
-        counted, its own included."""
-        reach: dict[str, int] = {}
-        for t in reversed(self.topo_order):
-            task = self.graph.tasks[t]
-            tail = 0
-            for buf_id in task.outputs:
-                observers = self.graph.buffers[buf_id].observers
-                tail = max(tail, self.min_dur[buf_id]
-                           + max((reach[o] for o in observers), default=0))
-            reach[t] = task.min_start_lag + task.runtime + tail
-        return reach
 
     def _leaf(self, state: _State) -> None:
         self.leaves += 1
@@ -1052,14 +1033,12 @@ class _Search:
             earliest = self._earliest(state, task_id)
             best = None
             best_key = None
-            outputs = self.graph.tasks[task_id].outputs
             for core, option_lists in self._cores(state, task_id):
                 if core is None:
                     continue
                 start = max(state.core_free.get(core, 0), earliest)
-                for combo in product(*[
-                        self._picks(buf_id, core, options, ban_colocate)
-                        for buf_id, options in zip(outputs, option_lists)]):
+                for combo in product(*[_picks(options, ban_colocate)
+                                       for options in option_lists]):
                     timed, _ = self._time(state, task_id, core, combo,
                                           earliest, start)
                     if timed is None:
@@ -1079,27 +1058,6 @@ class _Search:
                               max_start_lag=self.max_lag):
             self.best = state.span
             self.best_schedule = schedule
-
-    def _picks(self, buf_id: str, core: int, options: list[_Choice],
-               ban_colocate: bool) -> list[_Choice]:
-        """The ``options`` of ``buf_id`` on ``core`` the seed tries: the
-        cheapest and the cheapest non-pipeline one, or only the latter when
-        co-location is banned.  ``options`` is one of the two lists
-        ``_static_opts`` holds there, and the picks are made once per list
-        and ban flag."""
-        key = (buf_id, core, options is self._static_opts[buf_id, core][0],
-               ban_colocate)
-        picks = self._seed_picks.get(key)
-        if picks is None:
-            by_cost = sorted(options, key=lambda c: (c.cost, c.index))
-            nonpipe = [c for c in by_cost if c.pattern.klass != "pipeline"]
-            if ban_colocate and nonpipe:
-                picks = nonpipe[:1]
-            else:
-                picks = by_cost[:1] + [c for c in nonpipe[:1]
-                                       if c is not by_cost[0]]
-            self._seed_picks[key] = picks
-        return picks
 
     def _schedule(self, state: _State) -> Schedule:
         return Schedule(assignments=dict(state.placed), transfers={
@@ -1144,8 +1102,8 @@ class _Search:
             ready = min(max(start + runs[k] if k else 0,
                             fin + costs[n - k] if k < n else 0)
                         for k in range(n + 1))
-            _, _, lag, _, down = self.estimates[t]
-            term = max(term, ready + lag + down)
+            term = max(term, ready + self.graph.tasks[t].min_start_lag
+                       + self.down[t])
         return term
 
     # -- driver ------------------------------------------------------------

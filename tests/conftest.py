@@ -3,6 +3,7 @@ runs of the slow downlink-analog pipeline."""
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,12 @@ def chain_graph(catalog, runtimes=(100, 200), size: int = 1000,
         buffers[f"b{i}"] = Buffer(id=f"b{i}", size=size, definer=tid,
                                   observers=observers, allowed_patterns=allowed)
     return TaskGraph(tasks=tasks, buffers=buffers, deadline=deadline)
+
+
+def exactly(line: int, column: int, message: str) -> str:
+    """A ``pytest.raises`` match pattern that a ``DiagnosticError`` meets
+    only when it carries this one diagnostic, at this line and column."""
+    return rf"\A{line}:{column}: error: {re.escape(message)}\Z"
 
 
 def add_scenario_file(manifest: Path, *docs) -> None:

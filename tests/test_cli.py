@@ -23,7 +23,7 @@ from ddtwin import cli, scenarios
 from ddtwin.diagnostics import DiagnosticError
 from ddtwin.graph import graph_to_json
 from ddtwin.solver import solve_best_case
-from conftest import add_scenario_file
+from conftest import add_scenario_file, exactly
 
 
 def run(argv):
@@ -485,6 +485,18 @@ def test_report_rejects_conflicting_latencies(tmp_path):
     assert "conflicting latencies for scenario 'evict-x'" in err
 
 
+@pytest.mark.parametrize("row", ["evict-x,1800,81,HIGH",
+                                 "evict-x,1800,80,MODERATE"])
+def test_report_rejects_rows_that_agree_only_in_latency(tmp_path, row):
+    manifest, out_dir = report_fixture(tmp_path)
+    (out_dir / "c.csv").write_text(
+        f"strategy,latency_cycles,delta_pct,risk\n{row}\n")
+    code, out, err = run(["report", "--manifest", str(manifest)])
+    assert (code, out) == (1, "")
+    assert err == ("1:1: error: conflicting rows for scenario 'evict-x' "
+                   "across result files\n")
+
+
 def test_report_requires_at_least_one_csv(tmp_path):
     manifest = write_pressure_fixture(tmp_path, 200_000)
     code, out, err = run(["report", "--manifest", str(manifest)])
@@ -568,6 +580,8 @@ _RUN_SPEC = ("apiVersion: rdsl/v0\nkind: run\nspec:\n  flows: [f]\n"
     (_RUN_SPEC + "  solver: {scenario_budget_nodes: 0}\n",
      "spec.solver.scenario_budget_nodes must be at least 1, got 0"),
     (_RUN_SPEC + "  solver: 5\n", "spec.solver must be a mapping, got 5"),
+    (_RUN_SPEC.replace("  topology: t\n", ""),
+     exactly(1, 1, "run manifest spec.topology is required")),
 ])
 def test_manifest_rejects_malformed_documents(tmp_path, text, message):
     path = tmp_path / "manifest.yaml"

@@ -110,6 +110,25 @@ def test_equation_rejects_unbound_letter():
         parse_constraint_stream(text)
 
 
+@pytest.mark.parametrize("kind,spec,message", [
+    ("timing equality",
+     dict(variable_name="x", constraint="equal", value=5, unit="ns"),
+     "document 1: unsupported unit 'ns' (only 'clock' cycles are supported)"),
+    ("timing equation", dict(equation="C <= 5", C="c", unit="ns"),
+     "document 1: unsupported unit 'ns' (only 'clock' cycles are supported)"),
+    ("SDK", dict(elementsize=1, internalsize=1, runtime=1),
+     "document 1: missing required field 'available patterns'"),
+    ("SDK", {"available patterns": [], "elementsize": 1, "internalsize": 1,
+             "runtime": 1},
+     "document 1: 'available patterns' must not be empty"),
+])
+def test_unit_and_pattern_list_refusals(kind, spec, message):
+    with pytest.raises(DiagnosticError) as err:
+        parse_constraint_stream(_doc(kind=kind, **spec))
+    assert [(d.line, d.column, d.message) for d in err.value.diagnostics] \
+        == [(1, 1, message)]
+
+
 @pytest.mark.parametrize("equation,diagnostic", [
     ("C <= A $ 3", (1, 1, "document 1: bad equation syntax near '$ 3' "
                           "(column 7 of the equation)")),

@@ -181,6 +181,25 @@ def test_duplicate_pattern_name_rejected():
 
 # -- transfer costs ----------------------------------------------------------
 
+@pytest.mark.parametrize("text,diagnostic", [
+    # the parser's line and its 0-based column, made 1-based
+    ("<patterns>\n  <pattern name='a'>\n</patterns>\n",
+     (3, 3, "XML parse error: mismatched tag: line 3, column 2")),
+    ("<catalog/>", (1, 1, "expected <patterns> root, found <catalog>")),
+    ("<patterns><pattern><defining_memory>L2_0</defining_memory>"
+     "<observing_memory>L2_1</observing_memory></pattern></patterns>",
+     (1, 1, "<pattern> element without a name attribute")),
+    ("<patterns><pattern name='p'><defining_memory>L2_0</defining_memory>"
+     "</pattern></patterns>",
+     (1, 1, "pattern 'p' must declare defining and observing memories")),
+])
+def test_malformed_catalogs_rejected(text, diagnostic):
+    with pytest.raises(DiagnosticError) as err:
+        parse_pattern_catalog(text)
+    assert [(d.line, d.column, d.message)
+            for d in err.value.diagnostics] == [diagnostic]
+
+
 def test_default_cost_table_values():
     assert DEFAULT_COST_TABLE["pipeline"] == (0, None)
     assert DEFAULT_COST_TABLE["L2toL2"] == (200, 64)

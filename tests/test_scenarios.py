@@ -23,7 +23,7 @@ from ddtwin.scenarios import (CSV_HEADER, FLOOR_PCT, HIGH_RISK_PCT,
                               render_scenario_table, resolve_buffer_targets,
                               resolve_task_targets)
 from ddtwin.solver import SolveOpts, solve_best_case
-from conftest import chain_graph, make_topology
+from conftest import chain_graph, exactly, make_topology
 
 TOPO = make_topology(2)
 CATALOG = generate_patterns_from_topology(TOPO)
@@ -595,6 +595,8 @@ def test_infeasible_csv_rows_carry_certain_failure():
      "unknown risk level"),
     ("strategy,latency_cycles,delta_pct,risk\nx,INFEASIBLE,5,HIGH\n",
      "must carry risk CERTAIN_FAILURE"),
+    ("strategy,latency_cycles,delta_pct,risk\nx,100,0\n",
+     exactly(1, 1, "line 2: expected 4 fields, got 3")),
 ])
 def test_csv_parse_validation(text, msg):
     with pytest.raises(DiagnosticError, match=msg):
@@ -664,6 +666,19 @@ def test_parsed_scenarios_are_runnable():
     (scenario_doc(injections=[{"kind": "EVICT_BUFFER", "targets": [1]}]),
      "targets must be a string list"),
     (scenario_doc(injections="many"), "injections must be a list"),
+    (scenario_doc(injections=[{"kind": "EVICT_BUFFER"}]),
+     exactly(1, 1, "document 1, injection 1: EVICT_BUFFER requires targets")),
+    (scenario_doc(injections=[{"kind": "PIN_TASKS", "cores": [0]}]),
+     exactly(1, 1, "document 1, injection 1: PIN_TASKS requires targets")),
+    (scenario_doc(injections=[{"kind": "ADD_FLOW", "targets": []}]),
+     exactly(1, 1, "document 1, injection 1: ADD_FLOW requires targets")),
+    (scenario_doc(injections=[{"kind": "PIN_TASKS", "targets": ["t0"]}]),
+     exactly(1, 1, "document 1, injection 1: PIN_TASKS requires cores")),
+    (scenario_doc(injections=[{"kind": "START_LAG"}]),
+     exactly(1, 1, "document 1, injection 1: START_LAG requires a value")),
+    (scenario_doc(injections=[{"kind": "TIGHTEN_DEADLINE"}]),
+     exactly(1, 1,
+             "document 1, injection 1: TIGHTEN_DEADLINE requires a value")),
 ])
 def test_scenario_stream_validation(text, msg):
     with pytest.raises(DiagnosticError, match=msg):

@@ -23,6 +23,20 @@ def test_scripts_run_without_pythonpath(tmp_path):
         assert proc.returncode == 0, (argv[0], proc.stderr)
 
 
+def test_random_equivalence_monotonic_mode(tmp_path):
+    """The tightening mode runs its monotonicity check on both pairs and,
+    since both relaxed instances close at seed 1, its floor check too."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable,
+                           str(SCRIPTS / "random_equivalence.py"),
+                           "--monotonic", "--pairs", "2", "--seed", "1"],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith(
+        "2 pairs (2 also solved with a floor), 0 violations, ")
+
+
 def test_bench_pairs_verdicts():
     """A claimed gain needs nine tenths of the pairs, a median gap wider
     than the parent's interquartile range and no more failed operations
