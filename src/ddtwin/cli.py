@@ -40,7 +40,8 @@ from .scenarios import PIN_TASKS, ScenarioSpec, apply_scenarios, \
     parse_scenario_stream, rank_scenarios, render_scenario_csv, \
     render_scenario_table
 from .schedule import Schedule
-from .solver import SolveOpts, SolveOutcome, no_verdict, solve_best_case
+from .solver import (SearchPlan, SolveOpts, SolveOutcome, no_verdict,
+                     solve_best_case)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -330,8 +331,10 @@ def cmd_scenarios(manifest: RunManifest) -> int:
         loaded.scenario_specs + enumerate_scenarios(graph, loaded.catalog),
         graph, loaded.catalog)
     baseline_opts = _solve_opts(manifest)
+    # one plan for the run: each scenario solve narrows it to its graph
+    plan = SearchPlan(graph, loaded.topology, loaded.catalog)
     baseline = solve_best_case(graph, loaded.topology, loaded.catalog,
-                               baseline_opts)
+                               baseline_opts, plan=plan)
     if baseline.status == "infeasible":
         print(f"baseline infeasible: {baseline.witness}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -341,7 +344,7 @@ def cmd_scenarios(manifest: RunManifest) -> int:
     opts = _solve_opts(manifest, scenario=True)
     ranked = rank_scenarios([
         evaluate_scenario(spec, injected, loaded.topology, loaded.catalog,
-                          opts, baseline)
+                          opts, baseline, plan)
         for spec, injected in applied])
     table = render_scenario_table(ranked)
     write_atomic(manifest.out / "scenarios.csv", render_scenario_csv(ranked))

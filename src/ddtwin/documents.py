@@ -4,7 +4,8 @@ deployment, constraint and SDK manifests, and scenario documents.
 YAML is read with ``_LOADER``: libyaml's ``yaml.CSafeLoader`` where PyYAML
 has it, else ``yaml.SafeLoader``.  A syntax error becomes a diagnostic at
 the parser's line and column, worded by libyaml when it is present, and
-each document of a stream keeps its first line for its diagnostics.
+each document of a stream keeps its first line and its node, so that a
+reader can place a diagnostic at the entry it refuses (``mark``).
 A versioned document is a mapping with ``apiVersion: rdsl/v0``, a kind
 its reader accepts, and a ``spec`` mapping.  A typed field is taken as
 written, never coerced: an integer is an ``int`` that is not a ``bool``,
@@ -15,7 +16,7 @@ with the caller's ``where``.  Text fields are read with ``str()``.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 import yaml
 
@@ -28,12 +29,16 @@ _NAMES = {int: "an integer", bool: "a boolean", str: "a string",
           list: "a list", dict: "a mapping"}
 
 
-class Document(NamedTuple):
+@dataclass(frozen=True)
+class Document:
     where: str                     # "document 2", counting empty ones
     line: int                      # its first line
     kind: str
     name: str                      # metadata.name
     spec: dict
+    # what the document was built from; two loaders' nodes never compare
+    # equal, so documents compare without them
+    node: yaml.Node = field(compare=False, repr=False)
 
 
 def _syntax_error(exc: yaml.YAMLError, what: str) -> DiagnosticError:
@@ -74,37 +79,58 @@ def read_stream(text: str, what: str,
     try:
         while loader.check_node():         # as yaml.load_all, keeping nodes
             node = loader.get_node()
-            raws.append((node.start_mark.line + 1, loader.construct_document(node)))
+            raws.append((node, loader.construct_document(node)))
     except yaml.YAMLError as exc:
         raise _syntax_error(exc, what) from exc
     finally:
         loader.dispose()
     docs: list[Document] = []
-    for index, (line, raw) in enumerate(raws, 1):
+    for index, (node, raw) in enumerate(raws, 1):
         if raw is None:
             continue
         where = f"document {index}"
+        line = node.start_mark.line + 1
         kind, spec = envelope(raw, kinds, where, line)
         metadata = raw.get("metadata")
         if not isinstance(metadata, dict) or "name" not in metadata:
             raise fail(line, 1, f"{where}: metadata.name is required")
-        docs.append(Document(where, line, kind, str(metadata["name"]), spec))
+        docs.append(Document(where, line, kind, str(metadata["name"]), spec,
+                             node))
     return docs
+
+
+def mark(node: yaml.Node, *path) -> tuple[int, int]:
+    """The line and column at which the node at ``path`` below ``node``
+    starts, each step a mapping key (its last occurrence, which is the one
+    read) or a sequence index.  A step the node does not spell out, such
+    as a key that comes by a merge, stops the walk at the node reached."""
+    for step in path:
+        if isinstance(node, yaml.MappingNode):
+            found = [value for key, value in node.value if key.value == step]
+        elif isinstance(node, yaml.SequenceNode):
+            found = node.value[step:step + 1]
+        else:
+            found = []
+        if not found:
+            break
+        node = found[-1]
+    return node.start_mark.line + 1, node.start_mark.column + 1
 
 
 def _is(value, kind: type) -> bool:
     return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
 
 
-def typed(value, kind: type, where: str, line: int = 1):
+def typed(value, kind: type, where: str, line: int = 1, column: int = 1):
     """``value`` if it is a ``kind``: int, bool, str, list or dict."""
     if not _is(value, kind):
-        raise fail(line, 1, f"{where} must be {_NAMES[kind]}, got {value!r}")
+        raise fail(line, column,
+                   f"{where} must be {_NAMES[kind]}, got {value!r}")
     return value
 
 
-def integer(value, where: str, line: int = 1) -> int:
-    return typed(value, int, where, line)
+def integer(value, where: str, line: int = 1, column: int = 1) -> int:
+    return typed(value, int, where, line, column)
 
 
 def section(raw: dict, key: str, kind: type, where: str, line: int = 1):
@@ -113,8 +139,10 @@ def section(raw: dict, key: str, kind: type, where: str, line: int = 1):
     return kind() if value is None else typed(value, kind, where, line)
 
 
-def list_of(value, kind: type, where: str, line: int = 1) -> list:
+def list_of(value, kind: type, where: str, line: int = 1,
+            column: int = 1) -> list:
     """``value`` if it is a list of ``kind``s."""
     if not (isinstance(value, list) and all(_is(v, kind) for v in value)):
-        raise fail(line, 1, f"{where} must be {_NAMES[kind]} list, got {value!r}")
+        raise fail(line, column,
+                   f"{where} must be {_NAMES[kind]} list, got {value!r}")
     return value

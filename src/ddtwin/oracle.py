@@ -2,10 +2,25 @@
 
 Enumerates every combination of topological task order, core assignment,
 and per-buffer pattern choice, simulates each one with straight-line
-code, and reports the true minimum makespan or infeasibility.  The
-simulation here is deliberately written independently of the search in
-``solver`` (plain lists, quadratic scans, no pruning, no shared
-placement helpers) so the two can cross-check each other.
+code, and reports the least makespan, or infeasibility, within the
+greedy class that the search in ``solver`` also takes: the tasks are
+appended to their cores in list order, and each output transfer is
+fitted at its earliest contention-free slot when its definer is placed.
+The simulation here is deliberately written independently of the search
+(plain lists, quadratic scans, no pruning, no shared placement helpers)
+so the two can cross-check each other.
+
+That class does not hold every schedule ``schedule.check_schedule``
+accepts, so neither route's optimum or infeasibility is one over all
+valid schedules.  A transfer fitted when its definer is placed never
+yields to one fitted later.  On ``instances.random_instance(0)``'s
+topology and catalog, take A (core 0, 5 cycles), which writes ``a1`` by
+pipeline to B (core 0, 1 cycle) and ``a2`` (200 kB, ``L2toL2``, 3,325
+cycles) to C (core 1, 1 cycle), while B writes ``b1`` (``L2toL2``, 216
+cycles) to D (core 1, 5,000 cycles).  The oracle and the search both
+report 8,546 cycles, and the checker accepts, with no violation, a
+5,223-cycle schedule that sends ``b1`` at 6 and ``a2`` at 222, so that D
+starts at 222 and C at 5,222.
 
 Hard bounds keep the enumeration honest: at most 8 tasks, 2 cores, and
 3 pattern choices per buffer.

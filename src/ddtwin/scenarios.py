@@ -25,11 +25,12 @@ import io
 from dataclasses import dataclass, replace
 
 from .diagnostics import DiagnosticError, error_at, fail
-from .documents import integer, list_of, read_stream, section, typed
+from .documents import integer, list_of, mark, read_stream, section, typed
 from .graph import TaskGraph
 from .hardware import HardwareTopology
 from .patterns import PatternCatalog
-from .solver import SolveOpts, SolveOutcome, no_verdict, solve_best_case
+from .solver import (SearchPlan, SolveOpts, SolveOutcome, no_verdict,
+                     solve_best_case)
 
 EVICT_BUFFER = "EVICT_BUFFER"
 PIN_TASKS = "PIN_TASKS"
@@ -319,8 +320,8 @@ def _clone_subgraph(graph: TaskGraph, prefix: str, copies: int) -> TaskGraph:
 
 def evaluate_scenario(spec: ScenarioSpec, injected: TaskGraph,
                       topology: HardwareTopology, catalog: PatternCatalog,
-                      opts: SolveOpts, baseline: SolveOutcome
-                      ) -> ScenarioResult:
+                      opts: SolveOpts, baseline: SolveOutcome,
+                      plan: SearchPlan | None = None) -> ScenarioResult:
     """Solve ``spec``'s injected graph and grade the latency movement.
 
     ``injected`` is the graph that ``apply_scenarios`` paired with
@@ -334,6 +335,8 @@ def evaluate_scenario(spec: ScenarioSpec, injected: TaskGraph,
     closes with no search node, one whose deadline lies below it at the
     search's root.  A budget-exhausted search is an error, never a
     verdict: "unknown" reports nothing about feasibility either way.
+    ``plan``, the baseline's search plan, is narrowed to ``injected``
+    rather than a plan built anew; the outcome is the same.
     """
     base_latency = baseline.makespan
     assert base_latency is not None, "the baseline has no schedule"
@@ -345,7 +348,7 @@ def evaluate_scenario(spec: ScenarioSpec, injected: TaskGraph,
     if baseline.status == "optimal" and all(
             inj.kind in NARROWING_KINDS for inj in spec.injections):
         opts = replace(opts, floor=base_latency)
-    outcome = solve_best_case(injected, topology, catalog, opts)
+    outcome = solve_best_case(injected, topology, catalog, opts, plan=plan)
     if outcome.status == "infeasible":
         return ScenarioResult(spec.name, None, None, RISK_CERTAIN_FAILURE,
                               base_latency, note=outcome.witness or "")
@@ -523,38 +526,41 @@ def render_scenario_table(results: list[ScenarioResult]) -> str:
 # -- scenario manifests -----------------------------------------------------
 
 def parse_scenario_stream(text: str) -> list[ScenarioSpec]:
-    """Parse a multi-document YAML stream of ``kind: scenario`` documents."""
+    """Parse a multi-document YAML stream of ``kind: scenario`` documents.
+    An injection is refused at its own line and column."""
     specs = []
     for doc in read_stream(text, "scenario stream", ("scenario",)):
         raw_injections = section(doc.spec, "injections", list,
                                  f"{doc.where}: spec.injections", doc.line)
         injections = tuple(
-            _parse_injection(entry, f"{doc.where}, injection {j + 1}", doc.line)
+            _parse_injection(entry, f"{doc.where}, injection {j + 1}",
+                             *mark(doc.node, "spec", "injections", j))
             for j, entry in enumerate(raw_injections))
         specs.append(ScenarioSpec(doc.name, injections))
     return specs
 
 
-def _parse_injection(entry, at: str, line: int) -> Injection:
-    typed(entry, dict, at, line)
+def _parse_injection(entry, at: str, line: int, column: int) -> Injection:
+    typed(entry, dict, at, line, column)
     kind = str(entry.get("kind", "")).upper()
     if kind not in INJECTION_KINDS:
-        raise fail(line, 1, f"{at}: unknown injection kind {entry.get('kind')!r}")
+        raise fail(line, column,
+                   f"{at}: unknown injection kind {entry.get('kind')!r}")
     targets = entry.get("targets", [])
     if isinstance(targets, str):
         targets = [targets]
-    list_of(targets, str, f"{at}: targets", line)
+    list_of(targets, str, f"{at}: targets", line, column)
     cores = entry.get("cores")
     if cores is not None:
-        cores = frozenset(list_of(cores, int, f"{at}: cores", line))
+        cores = frozenset(list_of(cores, int, f"{at}: cores", line, column))
     value = entry.get("value")
     if value is not None:
-        integer(value, f"{at}: value", line)
+        integer(value, f"{at}: value", line, column)
 
     if kind in (EVICT_BUFFER, PIN_TASKS, ADD_FLOW) and not targets:
-        raise fail(line, 1, f"{at}: {kind} requires targets")
+        raise fail(line, column, f"{at}: {kind} requires targets")
     if kind == PIN_TASKS and cores is None:
-        raise fail(line, 1, f"{at}: PIN_TASKS requires cores")
+        raise fail(line, column, f"{at}: PIN_TASKS requires cores")
     if kind in (START_LAG, TIGHTEN_DEADLINE) and value is None:
-        raise fail(line, 1, f"{at}: {kind} requires a value")
+        raise fail(line, column, f"{at}: {kind} requires a value")
     return Injection(kind, tuple(targets), cores, value)

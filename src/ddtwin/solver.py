@@ -162,6 +162,31 @@ before it is placed.  This composes with collapsing never-used cores in a
 group: relabelling cores never reorders tasks, and the task order never
 names a core, so the two reductions keep one representative of each
 combined relabelling.
+
+A scenario run solves one graph under many injections, so what the
+search derives from a graph before any solve is a ``SearchPlan``, whose
+tables each solve binds onto itself.  ``SearchPlan.narrowed`` compares
+the two graphs to decide what it keeps.  When only the deadline or the
+start-lag cap differs, no table reads either, and the plan is the same.
+When the tasks, and the buffers with their definers and observers, are
+the same, so are the task order and each task's descendants, and so is
+what the plan derives from each unchanged buffer alone (``_Resolved``:
+its choices, static options, and its parts of the anchor, join,
+symmetry and memory tables), which reads only the buffer, the catalog
+and the topology; every graph-wide table is built again.  Any
+other graph, such as one with an added flow, gets a fresh plan.  Each
+narrowed table equals a fresh build's, so no schedule, verdict or count
+moves.
+
+The seed skips work that cannot change it.  Each pass builds a schedule
+of the greedy class, so its makespan is at least the root's bound; when
+that bound passes the deadline, the checker would reject every pass, and
+none runs.  The root is still expanded, so the proof and its counts are
+as before.  Within a pass, a core is skipped when its finish (or, for
+span keys, the later of it and the state's span) exceeds the first term
+of the least key found: no pick on it can give a smaller key.  A pass
+whose span reaches the incumbent stops, since the span only grows and a
+pass replaces only an incumbent it strictly beats.
 """
 
 from __future__ import annotations
@@ -230,6 +255,19 @@ class _Timed(NamedTuple):
     moves: dict[str, _Move]
     claims: dict[str, int]
     full: frozenset[str]
+
+
+class _Resolved(NamedTuple):
+    """What a plan derives from one buffer record, with the catalog and
+    the topology alone; a narrowed plan lends an unchanged buffer's."""
+    choices: tuple[_Choice, ...]     # catalog-ordered, one per pattern
+    common: frozenset                # the anchors every choice passes
+    # the mask of the non-pipeline choices' positions, the mask of the
+    # positions contending with all of them, and their least cycles
+    paying: tuple[int, int, int] | None
+    memories: frozenset[str]         # the memories the choices name
+    splits: frozenset[int]           # the core groups the choices tell apart
+    options: tuple                   # per core, in id order: static options
 
 
 class _Worst(NamedTuple):
@@ -309,41 +347,61 @@ def no_verdict(opts: SolveOpts, exhausted: str) -> str:
 
 
 def solve_best_case(graph: TaskGraph, topology: HardwareTopology,
-                    catalog: PatternCatalog,
-                    opts: SolveOpts | None = None) -> SolveOutcome:
-    search = _Search(graph, topology, catalog, opts or SolveOpts())
-    return search.run()
+                    catalog: PatternCatalog, opts: SolveOpts | None = None,
+                    plan: SearchPlan | None = None) -> SolveOutcome:
+    """The best-case schedule of ``graph``, or why there is none.  Given
+    ``plan``, the plan of a graph on the same topology and catalog, the
+    search narrows it to ``graph`` (``SearchPlan.narrowed``) instead of
+    building its tables anew."""
+    return _Search(graph, topology, catalog, opts or SolveOpts(), plan).run()
 
 
-class _Search:
+class SearchPlan:
+    """What the search derives from a graph's task and buffer records, the
+    topology and the catalog, before any solve: the resolved choices and
+    static options, the ranks, the anchor and join tables, the propagation
+    plans, the frontier gates and the symmetry groups.  Nothing here reads
+    the deadline or the start-lag cap, and no solve changes a table, so
+    one plan serves every solve of a graph and of its narrowings."""
+
     def __init__(self, graph: TaskGraph, topology: HardwareTopology,
-                 catalog: PatternCatalog, opts: SolveOpts):
+                 catalog: PatternCatalog, base: SearchPlan | None = None):
+        """The plan of ``graph``.  ``base``, the plan of a graph with the
+        same tasks and the same buffers, definers and observers, lends its
+        task order, each task's descendants and the ``_Resolved`` of every
+        buffer whose record is unchanged."""
         self.graph = graph
         self.topology = topology
         self.catalog = catalog
-        self.opts = opts
-        self.max_lag = effective_max_start_lag(graph, opts.max_start_lag)
         self.cores = sorted(c.id for c in topology.cores)
         self.allowed = {t: [c for c in self.cores if task.allowed_cores is None
                             or c in task.allowed_cores]
                         for t, task in graph.tasks.items()}
 
-        self.best: int | None = None
-        self.best_schedule: Schedule | None = None
-        self.nodes = 0
-        self.leaves = 0
-        self.pruned: dict[str, int] = {}
-
-        self.preds: dict[str, set[str]] = {t: set() for t in graph.tasks}
-        self.observed: dict[str, list[str]] = {t: [] for t in graph.tasks}
-        succ: dict[str, set[str]] = {t: set() for t in graph.tasks}
-        for buf in graph.buffers.values():
-            for obs in buf.observers:
-                self.preds[obs].add(buf.definer)
-                self.observed[obs].append(buf.id)
-                succ[buf.definer].add(obs)
-        self.topo_order = self._toposort(succ)
-        self.choices = {b.id: self._resolve(b) for b in graph.buffers.values()}
+        if base is None:
+            self.preds: dict[str, set[str]] = {t: set() for t in graph.tasks}
+            self.observed: dict[str, list[str]] = {t: [] for t in graph.tasks}
+            succ: dict[str, set[str]] = {t: set() for t in graph.tasks}
+            for buf in graph.buffers.values():
+                for obs in buf.observers:
+                    self.preds[obs].add(buf.definer)
+                    self.observed[obs].append(buf.id)
+                    succ[buf.definer].add(obs)
+            self.topo_order = self._toposort(succ)
+            # per position in that order, the tasks reading that task's
+            # outputs, directly or not
+            self.descendants = [self._descendants(i)
+                                for i in range(len(self.topo_order))]
+            kept = set()
+        else:
+            self.preds, self.observed = base.preds, base.observed
+            self.topo_order = base.topo_order
+            self.descendants = base.descendants
+            before = base.graph.buffers
+            kept = {b for b, buf in graph.buffers.items() if before[b] == buf}
+        self.resolved = {b.id: base.resolved[b.id] if b.id in kept
+                         else self._resolve(b) for b in graph.buffers.values()}
+        self.choices = {b: r.choices for b, r in self.resolved.items()}
         self.min_dur = {b: min((c.cost for c in cs), default=0)
                         for b, cs in self.choices.items()}
         self.longest = max((c.cost for cs in self.choices.values() for c in cs),
@@ -354,8 +412,9 @@ class _Search:
         self.anchor_base, self.anchor_extra, self.anchor_members = \
             self._anchor_tables()
         self.joins = self._join_tables()
-        self.plans = {t: self._plan(t, self._descendants(i))
-                      for i, t in enumerate(self.topo_order)}
+        self.plans = {t: self._propagation(t, below) for t, below
+                      in zip(self.topo_order, self.descendants)}
+        self.root_plan = self._propagation(None, self.topo_order)
         self.group_of = self._validated_symmetry()
         self.gates = self._frontier_gates()
         # task -> each task gated on it, with all that task's gates
@@ -364,8 +423,8 @@ class _Search:
         for t, after in self.gates:
             for p in after:
                 self.unlocks[p].append((t, frozenset(after)))
-        self._static_opts = {(b, c): self._static_options_for(b, c)
-                             for b in self.choices for c in self.cores}
+        self._static_opts = {(b, c): options for b, r in self.resolved.items()
+                             for c, options in zip(self.cores, r.options)}
         self.l3_of = {c.id: c.l3 for c in topology.cores}
         self.capacity = {m.id: m.capacity for m in topology.memories}
         self.tracked = self._tracked_memories()
@@ -373,20 +432,57 @@ class _Search:
         self.claimed = [tuple(m for m in dict.fromkeys((p.defining_memory,
                                                         p.observing_memory))
                               if m in self.tracked) for p in catalog]
-        # made on first use: what settling reads of each (task, core) pair
-        self._worst: dict[tuple[str, int], _Worst] = {}
+
+    def narrowed(self, graph: TaskGraph) -> SearchPlan:
+        """The plan of ``graph``, on this plan's topology and catalog,
+        built from what the two graphs share: this plan itself when their
+        task and buffer records are equal (only the deadline or the lag
+        cap differ), a plan lent this one's task order and unchanged
+        buffers when they have the same tasks and the same buffers,
+        definers and observers, and a fresh plan otherwise."""
+        old = self.graph
+        if graph is old or (graph.tasks == old.tasks
+                            and graph.buffers == old.buffers):
+            return self
+        if list(graph.tasks) != list(old.tasks) or [
+                (b.id, b.definer, b.observers) for b in graph.buffers.values()
+        ] != [(b.id, b.definer, b.observers) for b in old.buffers.values()]:
+            return SearchPlan(graph, self.topology, self.catalog)
+        return SearchPlan(graph, self.topology, self.catalog, self)
 
     # -- precomputation ----------------------------------------------------
 
-    def _resolve(self, buf: Buffer) -> tuple[_Choice, ...]:
+    def _resolve(self, buf: Buffer) -> _Resolved:
         """``buf``'s allowed names as catalog-ordered choices, one per
-        pattern; a name the catalog does not hold offers no choice."""
+        pattern (a name the catalog does not hold offers no choice), and
+        what the graph-wide tables read of them."""
+        catalog = self.catalog
         found = sorted({i for n in buf.allowed_patterns
-                        if (i := self.catalog.position(n)) is not None})
-        patterns = self.catalog.patterns
-        return tuple(_Choice(patterns[i], i, transfer_cost(
-                         patterns[i].klass, buf.size, self.topology.pattern_costs))
-                     for i in found)
+                        if (i := catalog.position(n)) is not None})
+        choices = tuple(_Choice(catalog.patterns[i], i, transfer_cost(
+                            catalog.patterns[i].klass, buf.size,
+                            self.topology.pattern_costs))
+                        for i in found)
+        anchors = [catalog.anchors[c.index] for c in choices]
+        paying = [c for c in choices if c.pattern.klass != "pipeline"]
+        rivals = (1 << len(catalog)) - 1
+        for c in paying:
+            rivals &= catalog.contention[c.index]
+        splits = frozenset(
+            gi for gi, group in enumerate(catalog.symmetric_core_groups)
+            if len({frozenset(c.pattern.klass for c in choices
+                              if c.pattern.core_hint in (None, core))
+                    for core in group}) > 1)
+        return _Resolved(
+            choices,
+            frozenset.intersection(*anchors) if anchors else frozenset(),
+            (sum(1 << c.index for c in paying), rivals,
+             min(c.cost for c in paying)) if paying else None,
+            frozenset(m for c in choices
+                      for m in (c.pattern.defining_memory,
+                                c.pattern.observing_memory)),
+            splits,
+            tuple(self._static_options(choices, core) for core in self.cores))
 
     def _toposort(self, succ: dict[str, set[str]]) -> list[str]:
         """The tasks in topological order, the least ready id first;
@@ -433,22 +529,22 @@ class _Search:
         the floor counts, for the head-body-tail term."""
         base: dict[int, int] = {}
         members: dict[int, list[tuple[str, int, int]]] = {}
-        common: dict[str, frozenset] = {}
-        for buf_id, choices in self.choices.items():
-            sets = [self.catalog.anchors[c.index] for c in choices]
-            common[buf_id] = frozenset.intersection(*sets) if sets else frozenset()
+        for buf_id, resolved in self.resolved.items():
+            if not resolved.common:
+                continue
             buf = self.graph.buffers[buf_id]
             tail = max((self.down[o] for o in buf.observers), default=0)
-            for anchor in common[buf_id]:
+            for anchor in resolved.common:
                 base[anchor] = base.get(anchor, 0) + self.min_dur[buf_id]
                 members.setdefault(anchor, []).append(
                     (buf.definer, buf.release or 0, tail))
         extra = {}
-        for buf_id, choices in self.choices.items():
-            for c in choices:
+        for buf_id, resolved in self.resolved.items():
+            for c in resolved.choices:
                 adds = []
                 for anchor in self.catalog.anchors[c.index] & base.keys():
-                    counted = self.min_dur[buf_id] if anchor in common[buf_id] else 0
+                    counted = (self.min_dur[buf_id] if anchor in resolved.common
+                               else 0)
                     if c.cost > counted:
                         adds.append((anchor, c.cost - counted))
                 if adds:
@@ -463,17 +559,8 @@ class _Search:
         a non-pipeline choice, any two such choices of two of them
         contending.  That test reads, per buffer, the mask of its
         non-pipeline positions and the mask of the positions that contend
-        with all of them."""
-        everyone = (1 << len(self.catalog)) - 1
-        nonp: dict[str, tuple[int, int, int]] = {}
-        for buf_id, choices in self.choices.items():
-            paying = [c for c in choices if c.pattern.klass != "pipeline"]
-            if paying:
-                rivals = everyone
-                for c in paying:
-                    rivals &= self.catalog.contention[c.index]
-                nonp[buf_id] = (sum(1 << c.index for c in paying), rivals,
-                                min(c.cost for c in paying))
+        with all of them (``_Resolved.paying``)."""
+        nonp = {b: r.paying for b, r in self.resolved.items() if r.paying}
         joins = {}
         for t, task in self.graph.tasks.items():
             inputs = tuple(dict.fromkeys(task.inputs))
@@ -501,7 +588,7 @@ class _Search:
                 below.append(s)
         return below
 
-    def _plan(self, placed: str | None, tasks: list[str]) -> tuple:
+    def _propagation(self, placed: str | None, tasks: list[str]) -> tuple:
         """How ``_estimate`` recomputes the earliest finish of ``tasks``,
         in topological order, once ``placed`` is placed (``None`` at the
         root): per task, its latest external release, its start lag plus
@@ -536,10 +623,7 @@ class _Search:
                    and 0 < len(group & t.allowed_cores) < len(group)
                    for t in self.graph.tasks.values()):
                 continue
-            if any(len({frozenset(ch.pattern.klass for ch in choices
-                                  if ch.pattern.core_hint in (None, c))
-                        for c in group}) > 1
-                   for choices in self.choices.values()):
+            if any(gi in r.splits for r in self.resolved.values()):
                 continue
             group_of.update(dict.fromkeys(group, gi))
         return group_of
@@ -579,10 +663,9 @@ class _Search:
         choices name at most once, and a task's scratch space any core's
         L3, so a memory whose summed demand fits its capacity never fills."""
         demand: dict[str, int] = {}
-        for buf_id, choices in self.choices.items():
+        for buf_id, resolved in self.resolved.items():
             size = max(self.graph.buffers[buf_id].size, 0)
-            for mem in {m for c in choices for m in (c.pattern.defining_memory,
-                                                     c.pattern.observing_memory)}:
+            for mem in resolved.memories:
                 demand[mem] = demand.get(mem, 0) + size
         scratch = sum(t.internalsize for t in self.graph.tasks.values()
                       if t.internalsize > 0)
@@ -591,18 +674,45 @@ class _Search:
         return frozenset(m for m, d in demand.items()
                          if m not in self.capacity or d > self.capacity[m])
 
-    # -- pattern options ---------------------------------------------------
-
-    def _static_options_for(self, buf_id: str, core: int
-                            ) -> tuple[list[_Choice], list[_Choice]]:
+    def _static_options(self, choices: tuple[_Choice, ...], core: int
+                        ) -> tuple[list[_Choice], list[_Choice]]:
         kept: dict[tuple, _Choice] = {}    # the first of each behaviour
-        for c in self.choices[buf_id]:
+        for c in choices:
             if c.pattern.core_hint in (None, core):
                 kept.setdefault((c.cost, self.catalog.contention[c.index],
                                  c.pattern.defining_memory,
                                  c.pattern.observing_memory), c)
         compat = list(kept.values())
         return compat, [c for c in compat if c.pattern.klass != "pipeline"]
+
+
+class _Search:
+    def __init__(self, graph: TaskGraph, topology: HardwareTopology,
+                 catalog: PatternCatalog, opts: SolveOpts,
+                 plan: SearchPlan | None = None):
+        if plan is None:
+            plan = SearchPlan(graph, topology, catalog)
+        elif plan.topology is not topology or plan.catalog is not catalog:
+            raise ValueError("a search plan serves only the topology and "
+                             "catalog it was built on")
+        else:
+            plan = plan.narrowed(graph)
+        # the plan's tables sit on the search itself, so that the hot paths
+        # load each with one attribute lookup
+        vars(self).update(vars(plan))
+        self.graph = graph
+        self.opts = opts
+        self.max_lag = effective_max_start_lag(graph, opts.max_start_lag)
+
+        self.best: int | None = None
+        self.best_schedule: Schedule | None = None
+        self.nodes = 0
+        self.leaves = 0
+        self.pruned: dict[str, int] = {}
+        # made on first use: what settling reads of each (task, core) pair
+        self._worst: dict[tuple[str, int], _Worst] = {}
+
+    # -- pattern options ---------------------------------------------------
 
     def _options(self, buf_id: str, core: int, state: _State) -> list[_Choice]:
         """Catalog-ordered choices for ``buf_id`` defined on ``core``; the
@@ -815,7 +925,7 @@ class _Search:
     def _estimate(plan: tuple, moves: dict[str, _Move],
                   transfers: dict[str, _Move], est_fin: dict[str, int],
                   floor: int) -> tuple[dict[str, int], int]:
-        """The earliest finish of each task of ``plan`` (see ``_plan``),
+        """The earliest finish of each task of ``plan`` (see ``SearchPlan._propagation``),
         read from ``moves``, from the estimates already made, or from
         ``transfers`` or else ``est_fin``; also ``floor`` raised by each
         task's earliest start plus downward rank."""
@@ -1017,7 +1127,11 @@ class _Search:
         local; allowing or banning zero-cost co-location patterns in a pass
         trades transfer cost against core parallelism.  Once the incumbent
         meets ``bound``, the root's lower bound, no pass runs: nothing beats
-        the bound, and a pass replaces only an incumbent it strictly beats."""
+        the bound, and a pass replaces only an incumbent it strictly beats.
+        Nor does any pass run when ``bound`` passes the deadline, since the
+        checker would reject every schedule a pass could build."""
+        if bound > self.graph.deadline:
+            return
         for by_finish in (True, False):
             for ban_colocate in (False, True):
                 if self.best is None or self.best > bound:
@@ -1025,18 +1139,28 @@ class _Search:
 
     def _seed_pass(self, root: _State, by_finish: bool,
                    ban_colocate: bool) -> None:
+        """One greedy pass: each task in turn goes to the core and picks
+        whose key (finish or span first) is least.  A core whose finish,
+        or for span keys the later of it and the span, passes the least
+        key's first term cannot win, and is skipped; a pass whose span
+        reaches the incumbent can no longer replace it, and stops."""
         order = sorted(self.graph.tasks, key=lambda t: (-self.down[t], t))
         state = root
         for task_id in order:
             if any(p not in state.placed for p in self.preds[task_id]):
                 return
             earliest = self._earliest(state, task_id)
+            runtime = self.graph.tasks[task_id].runtime
             best = None
             best_key = None
             for core, option_lists in self._cores(state, task_id):
                 if core is None:
                     continue
                 start = max(state.core_free.get(core, 0), earliest)
+                if best_key is not None and max(
+                        start + runtime,
+                        0 if by_finish else state.span) > best_key[0]:
+                    continue
                 for combo in product(*[_picks(options, ban_colocate)
                                        for options in option_lists]):
                     timed, _ = self._time(state, task_id, core, combo,
@@ -1051,9 +1175,9 @@ class _Search:
             if best is None:
                 return
             state = self._commit(state, task_id, best)
+            if self.best is not None and state.span >= self.best:
+                return
         schedule = self._schedule(state)
-        if self.best is not None and state.span >= self.best:
-            return
         if not check_schedule(schedule, self.graph, self.topology, self.catalog,
                               max_start_lag=self.max_lag):
             self.best = state.span
@@ -1065,9 +1189,8 @@ class _Search:
             for buf_id, tr in state.transfers.items()})
 
     def _root(self) -> _State:
-        est_fin, floor = self._estimate(
-            self._plan(None, self.topo_order), {}, {}, {},
-            self.opts.floor)
+        est_fin, floor = self._estimate(self.root_plan, {}, {}, {},
+                                        self.opts.floor)
         return _State(placed={}, transfers={}, core_free={}, forced={},
                       span=0, claims={}, full=frozenset(), busy=(),
                       frontier=tuple(t for t, after in self.gates if not after),

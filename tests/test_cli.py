@@ -378,9 +378,9 @@ def test_scenarios_refuses_every_bad_spec_before_any_solve(
         ("lag-negative", [{"kind": "START_LAG", "value": -1}]))
     solves = []
 
-    def counting_solve(*args):
+    def counting_solve(*args, **kwargs):
         solves.append(args)
-        return solve_best_case(*args)
+        return solve_best_case(*args, **kwargs)
 
     monkeypatch.setattr(cli, "solve_best_case", counting_solve)
     monkeypatch.setattr(scenarios, "solve_best_case", counting_solve)

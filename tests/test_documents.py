@@ -53,7 +53,7 @@ def test_the_reader_binds_libyaml():
 @pytest.mark.parametrize("path", FIXTURE_YAML,
                          ids=lambda p: str(p.relative_to(FIXTURES)))
 def test_fixtures_read_alike_under_both_loaders(path, monkeypatch):
-    # a Document is a tuple, so equal documents have equal first lines
+    # documents compare field by field, so equal ones have equal first lines
     text = path.read_text()
     kinds = kinds_in(text)
     assert read(monkeypatch, yaml.CSafeLoader, text, kinds) \

@@ -331,9 +331,9 @@ def test_batch_evaluation_solves_a_shared_injection_set_once(monkeypatch):
     assert from_file[0].injections == enumerated[1].injections
     solved = []
 
-    def counting_solve(graph, *args):
+    def counting_solve(graph, *args, **kwargs):
         solved.append(graph)
-        return solve_best_case(graph, *args)
+        return solve_best_case(graph, *args, **kwargs)
 
     monkeypatch.setattr(scenarios, "solve_best_case", counting_solve)
     results = evaluate_all(from_file + enumerated, g)
@@ -351,8 +351,8 @@ def recording_solve(monkeypatch):
     list of (floor, outcome) pairs it fills, one per solve."""
     solves = []
 
-    def record(graph, topology, catalog, opts=None):
-        outcome = solve_best_case(graph, topology, catalog, opts)
+    def record(graph, topology, catalog, opts=None, plan=None):
+        outcome = solve_best_case(graph, topology, catalog, opts, plan)
         solves.append(((opts or SolveOpts()).floor, outcome))
         return outcome
 
@@ -667,22 +667,52 @@ def test_parsed_scenarios_are_runnable():
      "targets must be a string list"),
     (scenario_doc(injections="many"), "injections must be a list"),
     (scenario_doc(injections=[{"kind": "EVICT_BUFFER"}]),
-     exactly(1, 1, "document 1, injection 1: EVICT_BUFFER requires targets")),
+     exactly(7, 5, "document 1, injection 1: EVICT_BUFFER requires targets")),
     (scenario_doc(injections=[{"kind": "PIN_TASKS", "cores": [0]}]),
-     exactly(1, 1, "document 1, injection 1: PIN_TASKS requires targets")),
+     exactly(7, 5, "document 1, injection 1: PIN_TASKS requires targets")),
     (scenario_doc(injections=[{"kind": "ADD_FLOW", "targets": []}]),
-     exactly(1, 1, "document 1, injection 1: ADD_FLOW requires targets")),
+     exactly(7, 5, "document 1, injection 1: ADD_FLOW requires targets")),
     (scenario_doc(injections=[{"kind": "PIN_TASKS", "targets": ["t0"]}]),
-     exactly(1, 1, "document 1, injection 1: PIN_TASKS requires cores")),
+     exactly(7, 5, "document 1, injection 1: PIN_TASKS requires cores")),
     (scenario_doc(injections=[{"kind": "START_LAG"}]),
-     exactly(1, 1, "document 1, injection 1: START_LAG requires a value")),
+     exactly(7, 5, "document 1, injection 1: START_LAG requires a value")),
     (scenario_doc(injections=[{"kind": "TIGHTEN_DEADLINE"}]),
-     exactly(1, 1,
+     exactly(7, 5,
              "document 1, injection 1: TIGHTEN_DEADLINE requires a value")),
 ])
 def test_scenario_stream_validation(text, msg):
     with pytest.raises(DiagnosticError, match=msg):
         parse_scenario_stream(text)
+
+
+def test_an_injection_refusal_names_the_injection():
+    # the first document and the separator take 7 lines, and the second
+    # document's second injection starts on its own ninth
+    first = scenario_doc(injections=[])
+    second = scenario_doc(injections=[{"kind": "START_LAG", "value": 1},
+                                      {"kind": "PIN_TASKS", "targets": ["t0"]}])
+    assert second.splitlines()[8] == "  - kind: PIN_TASKS"
+    with pytest.raises(DiagnosticError, match=exactly(
+            16, 5, "document 2, injection 2: PIN_TASKS requires cores")):
+        parse_scenario_stream(first + "---\n" + second)
+    flow = first.replace("injections: []",
+                         "injections: [{kind: START_LAG, value: 1}, "
+                         "{kind: FLOOD}]")
+    with pytest.raises(DiagnosticError, match=exactly(
+            6, 45, "document 1, injection 2: unknown injection kind 'FLOOD'")):
+        parse_scenario_stream(flow)
+    # an injection merged in from elsewhere, and the last of two specs
+    head = "apiVersion: rdsl/v0\nkind: scenario\nmetadata: {name: x}\n"
+    merged = head + ("base: &base\n  injections:\n  - kind: START_LAG\n"
+                     "spec:\n  <<: *base\n")
+    with pytest.raises(DiagnosticError, match=exactly(
+            6, 5, "document 1, injection 1: START_LAG requires a value")):
+        parse_scenario_stream(merged)
+    twice = head + ("spec:\n  injections: [{kind: START_LAG, value: 1}]\n"
+                    "spec:\n  injections: [{kind: START_LAG}]\n")
+    with pytest.raises(DiagnosticError, match=exactly(
+            7, 16, "document 1, injection 1: START_LAG requires a value")):
+        parse_scenario_stream(twice)
 
 
 def test_second_document_errors_name_their_position():

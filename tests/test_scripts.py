@@ -23,6 +23,22 @@ def test_scripts_run_without_pythonpath(tmp_path):
         assert proc.returncode == 0, (argv[0], proc.stderr)
 
 
+def test_count_bytecodes_repeats_its_count(trivial_dir, tmp_path):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONPATH", "PYTHONHASHSEED")}
+    runs = [subprocess.run([sys.executable, str(SCRIPTS / "count_bytecodes.py"),
+                            "--manifest", str(trivial_dir / "manifest.yaml")],
+                           cwd=tmp_path, env=env, capture_output=True,
+                           text=True, timeout=120) for _ in range(2)]
+    assert [proc.returncode for proc in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    counts = {phase: int(n.replace(",", "")) for phase, n
+              in map(str.split, runs[0].stdout.splitlines())}
+    assert list(counts) == ["plan", "seed", "search", "check", "other", "total"]
+    assert counts.pop("total") == sum(counts.values())
+    assert counts["plan"] > 0 and counts["seed"] > 0 and counts["check"] > 0
+
+
 def test_random_equivalence_monotonic_mode(tmp_path):
     """The tightening mode runs its monotonicity check on both pairs and,
     since both relaxed instances close at seed 1, its floor check too."""

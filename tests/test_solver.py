@@ -16,7 +16,8 @@ from ddtwin.patterns import (Pattern, PatternCatalog,
                              generate_patterns_from_topology)
 from ddtwin.schedule import (BUFFER_OVERFLOW, DEADLINE_MISS, LAG_VIOLATION,
                              check_schedule)
-from ddtwin.solver import SolveOpts, _earliest_fit, _Search, solve_best_case
+from ddtwin.solver import (SolveOpts, _earliest_fit, _picks, _Search,
+                           solve_best_case)
 from conftest import FIXTURES, chain_graph, make_topology
 
 TOPO = make_topology(2)
@@ -481,6 +482,117 @@ def test_a_seed_above_the_root_bound_runs_every_pass(monkeypatch):
                           SolveOpts(mode="heuristic"))
     assert (res.makespan, res.stats["lower_bound"]) == (200, 100)
     assert len(passes) == 4
+
+
+class CountedTimings(_Search):
+    """The search, counting the children its seed passes time."""
+
+    timings = 0
+
+    def _time(self, *args):
+        self.timings += 1
+        return super()._time(*args)
+
+
+class UnskippedSeedSearch(CountedTimings):
+    """The search with the seed pass that times every candidate and places
+    every task, whatever the best key and the incumbent."""
+
+    def _seed_pass(self, root, by_finish, ban_colocate):
+        order = sorted(self.graph.tasks, key=lambda t: (-self.down[t], t))
+        state = root
+        for task_id in order:
+            if any(p not in state.placed for p in self.preds[task_id]):
+                return
+            earliest = self._earliest(state, task_id)
+            best = best_key = None
+            for core, option_lists in self._cores(state, task_id):
+                if core is None:
+                    continue
+                start = max(state.core_free.get(core, 0), earliest)
+                for combo in product(*[_picks(options, ban_colocate)
+                                       for options in option_lists]):
+                    timed, _ = self._time(state, task_id, core, combo,
+                                          earliest, start)
+                    if timed is None:
+                        continue
+                    rank = timed.fin if by_finish else timed.span
+                    key = (rank, timed.span, core,
+                           tuple(c.index for c in combo))
+                    if best_key is None or key < best_key:
+                        best_key, best = key, timed
+            if best is None:
+                return
+            state = self._commit(state, task_id, best)
+        schedule = self._schedule(state)
+        if self.best is not None and state.span >= self.best:
+            return
+        if not check_schedule(schedule, self.graph, self.topology,
+                              self.catalog, max_start_lag=self.max_lag):
+            self.best = state.span
+            self.best_schedule = schedule
+
+
+def seed_cases(du_dir):
+    """(graph, topology, catalog) of random and tightened instances, seeds
+    0-199, and of the du_analog baseline and enumerated scenarios."""
+    from ddtwin.cli import build_graph, load_run, load_run_manifest
+    from ddtwin.scenarios import apply_injections, enumerate_scenarios
+
+    for seed in range(200):
+        inst = random_instance(seed)
+        for inst in (inst, tighten_instance(inst, seed)):
+            yield inst.graph, inst.topology, inst.catalog
+    loaded = load_run(load_run_manifest(du_dir / "manifest.yaml"))
+    graph = build_graph(loaded)
+    for spec in enumerate_scenarios(graph, loaded.catalog):
+        yield (apply_injections(graph, spec.injections, loaded.catalog),
+               loaded.topology, loaded.catalog)
+
+
+def test_skipping_seed_candidates_keeps_every_seed(du_dir):
+    # all four passes in turn, each after the incumbent the last one left
+    timings = {}
+    for case in seed_cases(du_dir):
+        skipping = CountedTimings(*case, SolveOpts())
+        unskipped = UnskippedSeedSearch(*case, SolveOpts())
+        root = skipping._root()
+        for by_finish in (True, False):
+            for ban_colocate in (False, True):
+                for search in (skipping, unskipped):
+                    search._seed_pass(root, by_finish, ban_colocate)
+                assert ((skipping.best, skipping.best_schedule)
+                        == (unskipped.best, unskipped.best_schedule))
+        for search in (skipping, unskipped):
+            timings[type(search)] = timings.get(type(search), 0) + search.timings
+    assert timings[CountedTimings] < timings[UnskippedSeedSearch]
+
+
+def test_a_root_bound_past_the_deadline_leaves_every_pass_without_a_seed(
+        paper_dir):
+    from ddtwin.cli import build_graph
+
+    cases = []
+    for seed in range(200):
+        inst = tighten_instance(random_instance(seed), seed)
+        cases.append((inst.graph, inst.topology, inst.catalog))
+    # paper_proof's tighten-deadline row, at both ends of its range
+    loaded = load_paper_3x1(paper_dir)
+    for deadline in (10_000, 10_400):
+        cases.append((dataclasses.replace(build_graph(loaded), deadline=deadline),
+                      loaded.topology, loaded.catalog))
+    refuted = 0
+    for case in cases:
+        search = _Search(*case, SolveOpts())
+        root = search._root()
+        if max(root.floor, search.load_bound) <= search.graph.deadline:
+            continue
+        refuted += 1
+        for by_finish in (True, False):
+            for ban_colocate in (False, True):
+                search._seed_pass(root, by_finish, ban_colocate)
+                assert search.best is None
+    assert refuted >= 80
 
 
 def pairwise_options(search, buf_id, core):
