@@ -6,7 +6,8 @@
 Every bytecode executed in a frame of the ``ddtwin`` package counts once,
 under the phase of the nearest frame on the call stack that names one:
 
-  plan    building a search plan (``SearchPlan``) and binding it to a search;
+  plan    building a search plan (``SearchPlan``), the root's bound
+          included, and binding it to a search;
   seed    the greedy seed portfolio (``_Search._seed``);
   search  branch-and-bound (``_Search._expand``);
   check   the independent checker (``check_schedule``), wherever called;

@@ -4,8 +4,8 @@ deployment, constraint and SDK manifests, and scenario documents.
 YAML is read with ``_LOADER``: libyaml's ``yaml.CSafeLoader`` where PyYAML
 has it, else ``yaml.SafeLoader``.  A syntax error becomes a diagnostic at
 the parser's line and column, worded by libyaml when it is present, and
-each document of a stream keeps its first line and its node, so that a
-reader can place a diagnostic at the entry it refuses (``mark``).
+each document of a stream keeps its node, so that a reader can place a
+diagnostic at the entry it refuses (``mark``, ``at_field``).
 A versioned document is a mapping with ``apiVersion: rdsl/v0``, a kind
 its reader accepts, and a ``spec`` mapping.  A typed field is taken as
 written, never coerced: an integer is an ``int`` that is not a ``bool``,
@@ -32,7 +32,6 @@ _NAMES = {int: "an integer", bool: "a boolean", str: "a string",
 @dataclass(frozen=True)
 class Document:
     where: str                     # "document 2", counting empty ones
-    line: int                      # its first line
     kind: str
     name: str                      # metadata.name
     spec: dict
@@ -94,8 +93,7 @@ def read_stream(text: str, what: str,
         metadata = raw.get("metadata")
         if not isinstance(metadata, dict) or "name" not in metadata:
             raise fail(line, 1, f"{where}: metadata.name is required")
-        docs.append(Document(where, line, kind, str(metadata["name"]), spec,
-                             node))
+        docs.append(Document(where, kind, str(metadata["name"]), spec, node))
     return docs
 
 
@@ -115,6 +113,17 @@ def mark(node: yaml.Node, *path) -> tuple[int, int]:
             break
         node = found[-1]
     return node.start_mark.line + 1, node.start_mark.column + 1
+
+
+def at_field(doc: Document, key: str, check, *args):
+    """``check(*args)``, whose refusal is placed where ``doc`` spells
+    ``spec.key`` (at ``spec`` when the key is absent).  The mark is taken
+    only on refusal, so a document that passes costs nothing more."""
+    try:
+        return check(*args)
+    except DiagnosticError as err:
+        raise fail(*mark(doc.node, "spec", key),
+                   err.diagnostics[0].message) from None
 
 
 def _is(value, kind: type) -> bool:

@@ -8,8 +8,8 @@ scheduler-wide limits such as the maximum start lag.
 Both are read through ``documents``: every integer field (a capacity, a
 core id, a cost, a symbol value, the slot budget, the start lag) must be
 written as an integer, and a string, float or boolean there is an error,
-never truncated or coerced.  Every diagnostic is collected before any is
-raised.
+never truncated or coerced.  A memory's capacity is required and must
+not be negative.  Every diagnostic is collected before any is raised.
 """
 
 from __future__ import annotations
@@ -121,7 +121,10 @@ def parse_topology(text: str) -> HardwareTopology:
             continue
         n = len(diags)
         mem = Memory(id=_get(m, "id", what, diags, str), level=level,
-                     capacity=_get(m, "capacity", what, diags, default=0))
+                     capacity=_get(m, "capacity", what, diags))
+        if len(diags) == n and mem.capacity < 0:
+            diags.append(error_at(1, 1, f"{what}: 'capacity' must be "
+                                        f"non-negative, got {mem.capacity}"))
         if len(diags) == n:
             memories.append(mem)
     mem_ids = {m.id for m in memories}

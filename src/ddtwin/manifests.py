@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 
 from .diagnostics import DiagnosticError, fail
-from .documents import Document, integer, list_of, read_stream
+from .documents import Document, at_field, integer, list_of, mark, read_stream
 
 _OPS = ("equal", "le", "ge")
 
@@ -64,20 +64,23 @@ class FunctionMetadata:
 ConstraintDoc = TimingEqualityDoc | TimingEquationDoc | FunctionMetadata
 
 
-def _doc_error(doc: Document, message: str) -> DiagnosticError:
-    return fail(doc.line, 1, f"{doc.where}: {message}")
+def _doc_error(doc: Document, key: str, message: str) -> DiagnosticError:
+    """A refusal of ``doc``'s ``spec.key``, placed where the document
+    spells it (at ``spec`` when the key is absent)."""
+    return fail(*mark(doc.node, "spec", key), f"{doc.where}: {message}")
 
 
 def _require(doc: Document, key: str):
     if key not in doc.spec:
-        raise _doc_error(doc, f"missing required field {key!r}")
+        raise _doc_error(doc, key, f"missing required field {key!r}")
     return doc.spec[key]
 
 
 def _require_int(doc: Document, key: str) -> int:
-    value = integer(_require(doc, key), f"{doc.where}: field {key!r}", doc.line)
+    value = at_field(doc, key, integer, _require(doc, key),
+                     f"{doc.where}: field {key!r}")
     if value <= 0:
-        raise _doc_error(doc, f"field {key!r} must be positive, got {value}")
+        raise _doc_error(doc, key, f"field {key!r} must be positive, got {value}")
     return value
 
 
@@ -96,7 +99,7 @@ def parse_constraint_stream(text: str) -> list[ConstraintDoc]:
 def _check_unit(doc: Document) -> str:
     unit = doc.spec.get("unit", "clock")
     if unit != "clock":
-        raise _doc_error(doc, f"unsupported unit {unit!r} (only 'clock' cycles are supported)")
+        raise _doc_error(doc, "unit", f"unsupported unit {unit!r} (only 'clock' cycles are supported)")
     return unit
 
 
@@ -104,7 +107,7 @@ def _parse_equality(doc: Document) -> TimingEqualityDoc:
     variable = _require(doc, "variable_name")
     op = _require(doc, "constraint")
     if op not in _OPS:
-        raise _doc_error(doc, f"constraint must be one of {_OPS}, got {op!r}")
+        raise _doc_error(doc, "constraint", f"constraint must be one of {_OPS}, got {op!r}")
     return TimingEqualityDoc(name=doc.name, variable_name=str(variable), op=op,
                              value=_require_int(doc, "value"),
                              unit=_check_unit(doc))
@@ -116,27 +119,28 @@ def _parse_equation(doc: Document) -> TimingEquationDoc:
                 if k not in ("equation", "unit")}
     unit = _check_unit(doc)
     # building the document parses the equation, so malformed equations
-    # fail here, at the document; a column inside the equation stays in
-    # the message
+    # fail here, at the equation; a column inside it stays in the message
     try:
         parsed = TimingEquationDoc(name=doc.name, equation=equation,
                                    bindings=bindings, unit=unit)
     except DiagnosticError as err:
-        raise _doc_error(doc, err.diagnostics[0].message) from err
+        raise _doc_error(doc, "equation", err.diagnostics[0].message) from err
     for placeholder in sorted(parsed.placeholders):
         if placeholder not in bindings:
-            raise _doc_error(doc, f"placeholder {placeholder!r} in equation has no spec binding")
+            raise _doc_error(doc, "equation", f"placeholder {placeholder!r} in equation has no spec binding")
     return parsed
 
 
 def _parse_sdk(doc: Document) -> FunctionMetadata:
-    patterns = doc.spec.get("available patterns",
-                            doc.spec.get("available_patterns"))
+    key = ("available patterns" if "available patterns" in doc.spec
+           else "available_patterns")
+    patterns = doc.spec.get(key)
     if patterns is None:
-        raise _doc_error(doc, "missing required field 'available patterns'")
-    list_of(patterns, str, f"{doc.where}: 'available patterns'", doc.line)
+        raise _doc_error(doc, key, "missing required field 'available patterns'")
+    at_field(doc, key, list_of, patterns, str,
+             f"{doc.where}: 'available patterns'")
     if not patterns:
-        raise _doc_error(doc, "'available patterns' must not be empty")
+        raise _doc_error(doc, key, "'available patterns' must not be empty")
     return FunctionMetadata(
         name=doc.name,
         available_patterns=tuple(patterns),

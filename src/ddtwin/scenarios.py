@@ -25,7 +25,8 @@ import io
 from dataclasses import dataclass, replace
 
 from .diagnostics import DiagnosticError, error_at, fail
-from .documents import integer, list_of, mark, read_stream, section, typed
+from .documents import (at_field, integer, list_of, mark, read_stream,
+                        section, typed)
 from .graph import TaskGraph
 from .hardware import HardwareTopology
 from .patterns import PatternCatalog
@@ -335,8 +336,10 @@ def evaluate_scenario(spec: ScenarioSpec, injected: TaskGraph,
     closes with no search node, one whose deadline lies below it at the
     search's root.  A budget-exhausted search is an error, never a
     verdict: "unknown" reports nothing about feasibility either way.
-    ``plan``, the baseline's search plan, is narrowed to ``injected``
-    rather than a plan built anew; the outcome is the same.
+    ``plan``, the baseline's search plan, is narrowed to ``injected``:
+    the same plan when only the deadline or the lag cap moved, else a
+    plan that shares its resolved buffers; the outcome is the same as
+    with no plan.
     """
     base_latency = baseline.makespan
     assert base_latency is not None, "the baseline has no schedule"
@@ -530,8 +533,9 @@ def parse_scenario_stream(text: str) -> list[ScenarioSpec]:
     An injection is refused at its own line and column."""
     specs = []
     for doc in read_stream(text, "scenario stream", ("scenario",)):
-        raw_injections = section(doc.spec, "injections", list,
-                                 f"{doc.where}: spec.injections", doc.line)
+        raw_injections = at_field(doc, "injections", section, doc.spec,
+                                  "injections", list,
+                                  f"{doc.where}: spec.injections")
         injections = tuple(
             _parse_injection(entry, f"{doc.where}, injection {j + 1}",
                              *mark(doc.node, "spec", "injections", j))

@@ -61,9 +61,10 @@ no such schedule could become the incumbent or meet the deadline.  A
 floor above the deadline thus proves the instance infeasible at the
 root, and a seed at the floor is proven optimal before any node.
 
-The root raises its floor by two terms, computed once from the root's
-estimates and handed down with the rest of the floor; every schedule of
-the instance obeys them, so they prune nothing the search needs either.
+The root raises its floor by two terms, computed once per plan from the
+root's estimates and handed down with the rest of the floor; every
+schedule of the instance obeys them, so they prune nothing the search
+needs either.
 An anchor is a maximal clique of self-contending patterns in the
 catalog's contention relation (``PatternCatalog.anchors``).  Every placed
 transfer is kept clear of each contending one, and every member of an
@@ -165,18 +166,20 @@ combined relabelling.
 
 A scenario run solves one graph under many injections, so what the
 search derives from a graph before any solve is a ``SearchPlan``, whose
-tables each solve binds onto itself.  ``SearchPlan.narrowed`` compares
-the two graphs to decide what it keeps.  When only the deadline or the
-start-lag cap differs, no table reads either, and the plan is the same.
-When the tasks, and the buffers with their definers and observers, are
-the same, so are the task order and each task's descendants, and so is
-what the plan derives from each unchanged buffer alone (``_Resolved``:
-its choices, static options, and its parts of the anchor, join,
-symmetry and memory tables), which reads only the buffer, the catalog
-and the topology; every graph-wide table is built again.  Any
-other graph, such as one with an added flow, gets a fresh plan.  Each
-narrowed table equals a fresh build's, so no schedule, verdict or count
-moves.
+tables each solve binds onto itself.  Every plan is built by one rule.
+It derives each graph-wide table from its own graph, and takes what it
+derives from a buffer alone (``_Resolved``: its choices, static options,
+and its parts of the anchor, join, symmetry and memory tables) from a
+memo that a run's plans share, keyed by the buffer's allowed names and
+size: with the catalog and the topology, that is all the part reads.  So
+buffers that agree on both share one, within a graph or across a run,
+an added flow's included.  ``SearchPlan.narrowed`` returns the plan
+itself when the two graphs' task and buffer records are equal, since no
+table reads the deadline or the start-lag cap, and otherwise builds a
+plan on its memo.  The root's estimates and its bound read no deadline,
+lag cap or option either, so the plan takes them once, and each solve
+raises that bound to its own floor.  Each table equals a fresh build's,
+so no schedule, verdict or count moves.
 
 The seed skips work that cannot change it.  Each pass builds a schedule
 of the greedy class, so its makespan is at least the root's bound; when
@@ -258,8 +261,8 @@ class _Timed(NamedTuple):
 
 
 class _Resolved(NamedTuple):
-    """What a plan derives from one buffer record, with the catalog and
-    the topology alone; a narrowed plan lends an unchanged buffer's."""
+    """What a plan derives from one buffer's allowed names and size, with
+    the catalog and the topology alone; a run's plans share each one."""
     choices: tuple[_Choice, ...]     # catalog-ordered, one per pattern
     common: frozenset                # the anchors every choice passes
     # the mask of the non-pipeline choices' positions, the mask of the
@@ -351,56 +354,57 @@ def solve_best_case(graph: TaskGraph, topology: HardwareTopology,
                     plan: SearchPlan | None = None) -> SolveOutcome:
     """The best-case schedule of ``graph``, or why there is none.  Given
     ``plan``, the plan of a graph on the same topology and catalog, the
-    search narrows it to ``graph`` (``SearchPlan.narrowed``) instead of
-    building its tables anew."""
+    search narrows it to ``graph`` (``SearchPlan.narrowed``): it reuses
+    the plan whole when it can and its resolved buffers otherwise."""
     return _Search(graph, topology, catalog, opts or SolveOpts(), plan).run()
 
 
 class SearchPlan:
     """What the search derives from a graph's task and buffer records, the
     topology and the catalog, before any solve: the resolved choices and
-    static options, the ranks, the anchor and join tables, the propagation
-    plans, the frontier gates and the symmetry groups.  Nothing here reads
-    the deadline or the start-lag cap, and no solve changes a table, so
-    one plan serves every solve of a graph and of its narrowings."""
+    static options, the ranks, the anchor tables, the propagation plans,
+    the frontier gates, the symmetry groups, and the root's estimates and
+    bound.  Nothing here reads the deadline, the start-lag cap or a
+    solve's options, and no solve changes a table, so one plan serves
+    every solve of a graph, and its memo of resolved buffers every plan
+    narrowed from it."""
 
     def __init__(self, graph: TaskGraph, topology: HardwareTopology,
-                 catalog: PatternCatalog, base: SearchPlan | None = None):
-        """The plan of ``graph``.  ``base``, the plan of a graph with the
-        same tasks and the same buffers, definers and observers, lends its
-        task order, each task's descendants and the ``_Resolved`` of every
-        buffer whose record is unchanged."""
+                 catalog: PatternCatalog,
+                 resolutions: dict[tuple, _Resolved] | None = None):
+        """The plan of ``graph``.  ``resolutions`` is the memo of the run's
+        other plans on this topology and catalog, keyed by what
+        ``_resolve`` reads of a buffer (its allowed names and its size);
+        a buffer whose key it holds takes the ``_Resolved`` it holds."""
         self.graph = graph
         self.topology = topology
         self.catalog = catalog
+        self.resolutions = {} if resolutions is None else resolutions
         self.cores = sorted(c.id for c in topology.cores)
         self.allowed = {t: [c for c in self.cores if task.allowed_cores is None
                             or c in task.allowed_cores]
                         for t, task in graph.tasks.items()}
 
-        if base is None:
-            self.preds: dict[str, set[str]] = {t: set() for t in graph.tasks}
-            self.observed: dict[str, list[str]] = {t: [] for t in graph.tasks}
-            succ: dict[str, set[str]] = {t: set() for t in graph.tasks}
-            for buf in graph.buffers.values():
-                for obs in buf.observers:
-                    self.preds[obs].add(buf.definer)
-                    self.observed[obs].append(buf.id)
-                    succ[buf.definer].add(obs)
-            self.topo_order = self._toposort(succ)
-            # per position in that order, the tasks reading that task's
-            # outputs, directly or not
-            self.descendants = [self._descendants(i)
-                                for i in range(len(self.topo_order))]
-            kept = set()
-        else:
-            self.preds, self.observed = base.preds, base.observed
-            self.topo_order = base.topo_order
-            self.descendants = base.descendants
-            before = base.graph.buffers
-            kept = {b for b, buf in graph.buffers.items() if before[b] == buf}
-        self.resolved = {b.id: base.resolved[b.id] if b.id in kept
-                         else self._resolve(b) for b in graph.buffers.values()}
+        self.preds: dict[str, set[str]] = {t: set() for t in graph.tasks}
+        self.observed: dict[str, list[str]] = {t: [] for t in graph.tasks}
+        succ: dict[str, set[str]] = {t: set() for t in graph.tasks}
+        for buf in graph.buffers.values():
+            for obs in buf.observers:
+                self.preds[obs].add(buf.definer)
+                self.observed[obs].append(buf.id)
+                succ[buf.definer].add(obs)
+        self.topo_order = self._toposort(succ)
+        # per position in that order, the tasks reading that task's
+        # outputs, directly or not
+        self.descendants = [self._descendants(i)
+                            for i in range(len(self.topo_order))]
+        self.resolved = {}
+        for buf in graph.buffers.values():
+            key = buf.allowed_patterns, buf.size
+            resolved = self.resolutions.get(key)
+            if resolved is None:
+                resolved = self.resolutions[key] = self._resolve(buf)
+            self.resolved[buf.id] = resolved
         self.choices = {b: r.choices for b, r in self.resolved.items()}
         self.min_dur = {b: min((c.cost for c in cs), default=0)
                         for b, cs in self.choices.items()}
@@ -409,12 +413,9 @@ class SearchPlan:
         self.down, self.reach = self._ranks()
         total = sum(t.runtime for t in graph.tasks.values())
         self.load_bound = -(-total // len(self.cores)) if self.cores else 0
-        self.anchor_base, self.anchor_extra, self.anchor_members = \
-            self._anchor_tables()
-        self.joins = self._join_tables()
+        self.anchor_base, self.anchor_extra = self._anchor_tables()
         self.plans = {t: self._propagation(t, below) for t, below
                       in zip(self.topo_order, self.descendants)}
-        self.root_plan = self._propagation(None, self.topo_order)
         self.group_of = self._validated_symmetry()
         self.gates = self._frontier_gates()
         # task -> each task gated on it, with all that task's gates
@@ -432,23 +433,23 @@ class SearchPlan:
         self.claimed = [tuple(m for m in dict.fromkeys((p.defining_memory,
                                                         p.observing_memory))
                               if m in self.tracked) for p in catalog]
+        # the root's estimates and its bound, which read no deadline, lag
+        # cap or option; each solve raises the bound to its own floor
+        self.root_est_fin, path = self._estimate(
+            self._propagation(None, self.topo_order), {}, {}, {}, 0)
+        self.root_floor = max(path, self._head_body_tail(self.root_est_fin),
+                              self._pipeline_or_pay(self.root_est_fin))
 
     def narrowed(self, graph: TaskGraph) -> SearchPlan:
-        """The plan of ``graph``, on this plan's topology and catalog,
-        built from what the two graphs share: this plan itself when their
-        task and buffer records are equal (only the deadline or the lag
-        cap differ), a plan lent this one's task order and unchanged
-        buffers when they have the same tasks and the same buffers,
-        definers and observers, and a fresh plan otherwise."""
+        """The plan of ``graph``, on this plan's topology and catalog: this
+        plan itself when the two graphs' task and buffer records are equal
+        (only the deadline or the lag cap differ), else a plan built on
+        this one's resolutions."""
         old = self.graph
         if graph is old or (graph.tasks == old.tasks
                             and graph.buffers == old.buffers):
             return self
-        if list(graph.tasks) != list(old.tasks) or [
-                (b.id, b.definer, b.observers) for b in graph.buffers.values()
-        ] != [(b.id, b.definer, b.observers) for b in old.buffers.values()]:
-            return SearchPlan(graph, self.topology, self.catalog)
-        return SearchPlan(graph, self.topology, self.catalog, self)
+        return SearchPlan(graph, self.topology, self.catalog, self.resolutions)
 
     # -- precomputation ----------------------------------------------------
 
@@ -525,19 +526,11 @@ class SearchPlan:
         anchor only when every allowed pattern passes it.  Also returns,
         per (buffer, catalog index), the cycles a transfer adds to each
         floored anchor beyond what the floor already counts, where it adds
-        any, and per anchor the (definer, release, tail) of each buffer
-        the floor counts, for the head-body-tail term."""
+        any."""
         base: dict[int, int] = {}
-        members: dict[int, list[tuple[str, int, int]]] = {}
         for buf_id, resolved in self.resolved.items():
-            if not resolved.common:
-                continue
-            buf = self.graph.buffers[buf_id]
-            tail = max((self.down[o] for o in buf.observers), default=0)
             for anchor in resolved.common:
                 base[anchor] = base.get(anchor, 0) + self.min_dur[buf_id]
-                members.setdefault(anchor, []).append(
-                    (buf.definer, buf.release or 0, tail))
         extra = {}
         for buf_id, resolved in self.resolved.items():
             for c in resolved.choices:
@@ -549,7 +542,7 @@ class SearchPlan:
                         adds.append((anchor, c.cost - counted))
                 if adds:
                     extra[buf_id, c.index] = tuple(adds)
-        return base, extra, members
+        return base, extra
 
     def _join_tables(self) -> dict[str, tuple]:
         """task -> (its input definers, the prefix sums of their runtimes
@@ -614,6 +607,72 @@ class SearchPlan:
             plan.append((t, release, lag + task.runtime, lag + self.down[t],
                          tuple(own), tuple(below), tuple(other)))
         return tuple(plan)
+
+    @staticmethod
+    def _estimate(plan: tuple, moves: dict[str, _Move],
+                  transfers: dict[str, _Move], est_fin: dict[str, int],
+                  floor: int) -> tuple[dict[str, int], int]:
+        """The earliest finish of each task of ``plan`` (see
+        ``_propagation``), read from ``moves``, from the estimates already
+        made, or from ``transfers`` or else ``est_fin``; also ``floor``
+        raised by each task's earliest start plus downward rank."""
+        overlay: dict[str, int] = {}
+        for t, est, to_finish, to_end, own, below, other in plan:
+            for buf_id in own:
+                end = moves[buf_id].end
+                if end > est:
+                    est = end
+            for definer, min_dur in below:
+                ready = overlay[definer] + min_dur
+                if ready > est:
+                    est = ready
+            for buf_id, definer, min_dur in other:
+                tr = transfers.get(buf_id)
+                ready = tr.end if tr is not None else est_fin[definer] + min_dur
+                if ready > est:
+                    est = ready
+            overlay[t] = est + to_finish
+            if est + to_end > floor:
+                floor = est + to_end
+        return overlay, floor
+
+    def _head_body_tail(self, est_fin: dict[str, int]) -> int:
+        """The largest anchor term: per anchor, the least head of the
+        buffers its floor counts (the definer's earliest finish, raised to
+        the release), plus the floor, plus their least tail (a buffer's
+        largest observer downward rank, or 0 without observers)."""
+        heads: dict[int, int] = {}
+        tails: dict[int, int] = {}
+        for buf_id, resolved in self.resolved.items():
+            if not resolved.common:
+                continue
+            buf = self.graph.buffers[buf_id]
+            head = max(est_fin[buf.definer], buf.release or 0)
+            tail = max((self.down[o] for o in buf.observers), default=0)
+            for anchor in resolved.common:
+                heads[anchor] = min(heads.get(anchor, head), head)
+                tails[anchor] = min(tails.get(anchor, tail), tail)
+        return max((head + self.anchor_base[anchor] + tails[anchor]
+                    for anchor, head in heads.items()), default=0)
+
+    def _pipeline_or_pay(self, est_fin: dict[str, int]) -> int:
+        """The largest join term: per task ``_join_tables`` covers, the
+        least over k of its input definers sharing its core of the later
+        of two readies, the k shortest definers run back to back and the
+        other definers' cheapest transfers run back to back, plus its
+        start lag and its downward rank."""
+        term = 0
+        for t, (definers, runs, costs) in self._join_tables().items():
+            start = min(est_fin[d] - self.graph.tasks[d].runtime
+                        for d in definers)
+            fin = min(est_fin[d] for d in definers)
+            n = len(definers)
+            ready = min(max(start + runs[k] if k else 0,
+                            fin + costs[n - k] if k < n else 0)
+                        for k in range(n + 1))
+            term = max(term, ready + self.graph.tasks[t].min_start_lag
+                       + self.down[t])
+        return term
 
     def _validated_symmetry(self) -> dict[int, int]:
         """core id -> symmetry group index, for groups nothing distinguishes."""
@@ -908,9 +967,9 @@ class _Search:
         Also returns the child's bound state for ``_commit``: the estimates
         of ``task_id``'s descendants and the loads of the anchors its
         transfers touch, brought up to date."""
-        overlay, floor = self._estimate(self.plans[task_id], timed.moves,
-                                        state.transfers, state.est_fin,
-                                        state.floor)
+        overlay, floor = SearchPlan._estimate(self.plans[task_id], timed.moves,
+                                              state.transfers, state.est_fin,
+                                              state.floor)
         loads = state.loads
         for buf_id, move in timed.moves.items():
             extra = self.anchor_extra.get((buf_id, move.choice.index), ())
@@ -920,34 +979,6 @@ class _Search:
                 loads[anchor] = loads.get(anchor, 0) + cycles
                 floor = max(floor, self.anchor_base[anchor] + loads[anchor])
         return max(timed.span, self.load_bound, floor), (overlay, loads, floor)
-
-    @staticmethod
-    def _estimate(plan: tuple, moves: dict[str, _Move],
-                  transfers: dict[str, _Move], est_fin: dict[str, int],
-                  floor: int) -> tuple[dict[str, int], int]:
-        """The earliest finish of each task of ``plan`` (see ``SearchPlan._propagation``),
-        read from ``moves``, from the estimates already made, or from
-        ``transfers`` or else ``est_fin``; also ``floor`` raised by each
-        task's earliest start plus downward rank."""
-        overlay: dict[str, int] = {}
-        for t, est, to_finish, to_end, own, below, other in plan:
-            for buf_id in own:
-                end = moves[buf_id].end
-                if end > est:
-                    est = end
-            for definer, min_dur in below:
-                ready = overlay[definer] + min_dur
-                if ready > est:
-                    est = ready
-            for buf_id, definer, min_dur in other:
-                tr = transfers.get(buf_id)
-                ready = tr.end if tr is not None else est_fin[definer] + min_dur
-                if ready > est:
-                    est = ready
-            overlay[t] = est + to_finish
-            if est + to_end > floor:
-                floor = est + to_end
-        return overlay, floor
 
     # -- branching ---------------------------------------------------------
 
@@ -1189,45 +1220,13 @@ class _Search:
             for buf_id, tr in state.transfers.items()})
 
     def _root(self) -> _State:
-        est_fin, floor = self._estimate(self.root_plan, {}, {}, {},
-                                        self.opts.floor)
+        # no state changes its estimates in place, so the root shares the
+        # plan's
         return _State(placed={}, transfers={}, core_free={}, forced={},
                       span=0, claims={}, full=frozenset(), busy=(),
                       frontier=tuple(t for t, after in self.gates if not after),
-                      est_fin=est_fin, loads={},
-                      floor=max(floor, self._head_body_tail(est_fin),
-                                self._pipeline_or_pay(est_fin)))
-
-    def _head_body_tail(self, est_fin: dict[str, int]) -> int:
-        """The largest anchor term: per anchor, the least head of the
-        buffers its floor counts (the definer's earliest finish, raised to
-        the release), plus the floor, plus their least tail."""
-        term = 0
-        for anchor, members in self.anchor_members.items():
-            head = min(max(est_fin[definer], release)
-                       for definer, release, _ in members)
-            tail = min(tail for *_, tail in members)
-            term = max(term, head + self.anchor_base[anchor] + tail)
-        return term
-
-    def _pipeline_or_pay(self, est_fin: dict[str, int]) -> int:
-        """The largest join term: per task in ``joins``, the least over k
-        of its input definers sharing its core of the later of two readies,
-        the k shortest definers run back to back and the other definers'
-        cheapest transfers run back to back, plus its start lag and its
-        downward rank."""
-        term = 0
-        for t, (definers, runs, costs) in self.joins.items():
-            start = min(est_fin[d] - self.graph.tasks[d].runtime
-                        for d in definers)
-            fin = min(est_fin[d] for d in definers)
-            n = len(definers)
-            ready = min(max(start + runs[k] if k else 0,
-                            fin + costs[n - k] if k < n else 0)
-                        for k in range(n + 1))
-            term = max(term, ready + self.graph.tasks[t].min_start_lag
-                       + self.down[t])
-        return term
+                      est_fin=self.root_est_fin, loads={},
+                      floor=max(self.root_floor, self.opts.floor))
 
     # -- driver ------------------------------------------------------------
 

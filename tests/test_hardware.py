@@ -78,6 +78,9 @@ def test_core_referencing_missing_memory_rejected():
      "memory 2: 'capacity' must be an integer, got 'lots'"),
     ("capacity: 8000", "capacity: 0.5",
      r"memory 2: 'capacity' must be an integer, got 0\.5"),
+    ("capacity: 8000", "capacity: -1",
+     "memory 2: 'capacity' must be non-negative, got -1"),
+    ("level: L3, capacity: 8000", "level: L3", "memory 2 is missing 'capacity'"),
     ("{id: DDR_0, ", "{", "memory 3 is missing 'id'"),
     ("{id: DDR_0, level: DDR, capacity: 100000}", "7",
      "memory 3 must be a mapping"),

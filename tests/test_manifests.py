@@ -10,6 +10,7 @@ from ddtwin.manifests import (FunctionMetadata, TimingEqualityDoc,
                               TimingEquationDoc, equation_symbols,
                               evaluate_timing_equation,
                               parse_constraint_stream)
+from conftest import exactly
 
 
 def test_bundled_equality_doc(paper_dir):
@@ -82,10 +83,36 @@ def test_wrong_api_version_rejected():
 def test_document_index_in_errors():
     good = _doc(variable_name="x", constraint="equal", value=5, unit="clock")
     bad = "apiVersion: rdsl/v0\nkind: timing equality\nmetadata: {name: y}\nspec: {}\n"
-    with pytest.raises(DiagnosticError, match="document 2") as exc:
+    # a missing field sits at its spec: the fourth line after the first
+    # document and its "---"
+    with pytest.raises(DiagnosticError, match=exactly(
+            good.count("\n") + 5, 7,
+            "document 2: missing required field 'variable_name'")):
         parse_constraint_stream(good + "---\n" + bad)
-    # the line after the first document and its "---"
-    assert exc.value.diagnostics[0].line == good.count("\n") + 2
+
+
+def _sdk(**fields):
+    spec = {"available patterns": ["p"], "elementsize": 1, "internalsize": 1,
+            "runtime": 1}
+    return _doc(kind="SDK", **{**spec, **fields})
+
+
+@pytest.mark.parametrize("text,line,column,message", [
+    (_sdk(internalsize=0), 9, 17,
+     "document 1: field 'internalsize' must be positive, got 0"),
+    (_sdk(runtime="fast"), 10, 12,
+     "document 1: field 'runtime' must be an integer, got 'fast'"),
+    (_sdk(**{"available patterns": ["p", 3]}), 7, 3,
+     "document 1: 'available patterns' must be a string list, got ['p', 3]"),
+    (_doc(variable_name="x", constraint="approx", value=5), 7, 15,
+     "document 1: constraint must be one of ('equal', 'le', 'ge'), "
+     "got 'approx'"),
+    (_doc(kind="timing equation", equation="C <= D", C="gp"), 6, 13,
+     "document 1: placeholder 'D' in equation has no spec binding"),
+])
+def test_field_refusals_sit_at_the_field(text, line, column, message):
+    with pytest.raises(DiagnosticError, match=exactly(line, column, message)):
+        parse_constraint_stream(text)
 
 
 def test_equation_symbols():
@@ -110,51 +137,53 @@ def test_equation_rejects_unbound_letter():
         parse_constraint_stream(text)
 
 
-@pytest.mark.parametrize("kind,spec,message", [
+@pytest.mark.parametrize("kind,spec,position,message", [
     ("timing equality",
-     dict(variable_name="x", constraint="equal", value=5, unit="ns"),
+     dict(variable_name="x", constraint="equal", value=5, unit="ns"), (9, 9),
      "document 1: unsupported unit 'ns' (only 'clock' cycles are supported)"),
-    ("timing equation", dict(equation="C <= 5", C="c", unit="ns"),
+    ("timing equation", dict(equation="C <= 5", C="c", unit="ns"), (8, 9),
      "document 1: unsupported unit 'ns' (only 'clock' cycles are supported)"),
-    ("SDK", dict(elementsize=1, internalsize=1, runtime=1),
+    # a missing field sits at its spec
+    ("SDK", dict(elementsize=1, internalsize=1, runtime=1), (6, 3),
      "document 1: missing required field 'available patterns'"),
     ("SDK", {"available patterns": [], "elementsize": 1, "internalsize": 1,
-             "runtime": 1},
+             "runtime": 1}, (6, 23),
      "document 1: 'available patterns' must not be empty"),
 ])
-def test_unit_and_pattern_list_refusals(kind, spec, message):
+def test_unit_and_pattern_list_refusals(kind, spec, position, message):
     with pytest.raises(DiagnosticError) as err:
         parse_constraint_stream(_doc(kind=kind, **spec))
     assert [(d.line, d.column, d.message) for d in err.value.diagnostics] \
-        == [(1, 1, message)]
+        == [(*position, message)]
 
 
 @pytest.mark.parametrize("equation,diagnostic", [
-    ("C <= A $ 3", (1, 1, "document 1: bad equation syntax near '$ 3' "
+    ("C <= A $ 3", (6, 13, "document 1: bad equation syntax near '$ 3' "
                           "(column 7 of the equation)")),
-    ("", (1, 1, "document 1: equation of 'D' is empty")),
-    ("C <= + A", (1, 1, "document 1: dangling operator in equation of 'D'")),
-    ("C <= A <=", (1, 1, "document 1: dangling operator in equation of 'D'")),
-    ("C <= A*B", (1, 1, "document 1: non-linear product in equation of 'D'")),
-    ("C <= * A", (1, 1, "document 1: dangling '*' in equation of 'D'")),
-    ("C + A", (1, 1, "document 1: equation of 'D' needs at least one relation")),
+    ("", (6, 13, "document 1: equation of 'D' is empty")),
+    ("C <= + A", (6, 13, "document 1: dangling operator in equation of 'D'")),
+    ("C <= A <=", (6, 13, "document 1: dangling operator in equation of 'D'")),
+    ("C <= A*B", (6, 13, "document 1: non-linear product in equation of 'D'")),
+    ("C <= * A", (6, 13, "document 1: dangling '*' in equation of 'D'")),
+    ("C + A", (6, 13, "document 1: equation of 'D' needs at least one relation")),
 ])
 def test_equation_syntax_errors(equation, diagnostic):
-    """A malformed equation is reported at its document's first line."""
+    """A malformed equation is reported at the equation."""
     text = _doc(kind="timing equation", equation=equation, A="a", B="b", C="c")
     with pytest.raises(DiagnosticError) as err:
         parse_constraint_stream(text)
     assert [(d.line, d.column, d.message) for d in err.value.diagnostics] \
         == [diagnostic]
     # the same document second in a stream, starting on line 12 after the
-    # comment, the 8-line first document, an empty line and the separator
+    # comment, the 8-line first document, an empty line and the separator,
+    # so that its equation sits on line 17
     later = "\n".join(["# the period", _doc(variable_name="x", constraint="equal",
                                               value=5), "---", text])
     with pytest.raises(DiagnosticError) as err:
         parse_constraint_stream(later)
     _, _, message = diagnostic
     assert [(d.line, d.column, d.message) for d in err.value.diagnostics] \
-        == [(12, 1, message.replace("document 1", "document 2"))]
+        == [(17, 13, message.replace("document 1", "document 2"))]
 
 
 @given(a=st.integers(min_value=0, max_value=10),

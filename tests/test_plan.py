@@ -1,5 +1,6 @@
 """One search plan per run: narrowing a plan to an injected graph gives the
-plan a fresh build would, and a scenarios run builds one plan."""
+plan a fresh build would, and a scenarios run resolves each buffer key
+once."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import dataclasses
 
 import pytest
 
+from ddtwin.graph import Buffer, TaskGraph, TaskInstance
 from ddtwin.instances import random_instance, replicated_instance
 from ddtwin.scenarios import (ADD_FLOW, EVICT_BUFFER, PIN_TASKS, START_LAG,
                               TIGHTEN_DEADLINE, Injection, apply_injections,
@@ -33,25 +35,32 @@ def narrowings(graph, catalog):
 
 def checked_narrowings(graph, topology, catalog):
     """Narrows the plan of ``graph`` to each of its narrowings and asserts
-    that each equals a fresh plan field by field: the same plan when the
-    task and buffer records are unchanged, one lent the task order when
-    the tasks are, and a fresh one for an added flow.  Returns the kinds
-    of the narrowings whose plan was lent."""
+    that each equals a fresh plan field by field, its memo aside, and
+    takes every ``_Resolved`` whose key the base resolved from the base:
+    the same plan when the task and buffer records are unchanged, a plan
+    built on the base's resolutions otherwise.  Returns the kinds of the
+    narrowings that built a plan."""
     plan = SearchPlan(graph, topology, catalog)
+    base = dict(plan.resolutions)
     seen = set()
     for kind, injected in narrowings(graph, catalog):
         narrowed = plan.narrowed(injected)
         fresh = SearchPlan(injected, topology, catalog)
         assert vars(narrowed).keys() == vars(fresh).keys()
         for field, value in vars(fresh).items():
-            if field != "graph":
+            if field == "resolutions":
+                # the run's memo, which holds the base's keys too
+                assert value.items() <= narrowed.resolutions.items(), kind
+            elif field != "graph":
                 assert getattr(narrowed, field) == value, (kind, field)
-        if kind == ADD_FLOW:
-            assert narrowed.topo_order is not plan.topo_order
-        elif (injected.tasks, injected.buffers) == (graph.tasks, graph.buffers):
+        for buf in injected.buffers.values():
+            key = buf.allowed_patterns, buf.size
+            if key in base:
+                assert narrowed.resolved[buf.id] is base[key], (kind, buf.id)
+        if (injected.tasks, injected.buffers) == (graph.tasks, graph.buffers):
             assert narrowed is plan, kind
         else:
-            assert narrowed.topo_order is plan.topo_order, kind
+            assert narrowed is not plan, kind
             seen.add(kind)
     return seen
 
@@ -71,7 +80,7 @@ def test_a_narrowed_plan_is_a_fresh_plan_on_du_analog(du_dir):
     graph = build_graph(loaded)
     assert ADD_FLOW in {kind for kind, _ in narrowings(graph, loaded.catalog)}
     assert checked_narrowings(graph, loaded.topology, loaded.catalog) == {
-        EVICT_BUFFER, PIN_TASKS}
+        EVICT_BUFFER, PIN_TASKS, ADD_FLOW}
 
 
 def test_a_solve_on_a_narrowed_plan_is_the_solve_without_one():
@@ -97,28 +106,74 @@ def test_a_plan_serves_only_its_own_topology_and_catalog():
         _Search(b.graph, b.topology, a.catalog, SolveOpts(), plan)
 
 
-def test_a_scenarios_run_builds_one_plan_and_narrows_it(du_dir, tmp_path,
-                                                        monkeypatch):
-    from ddtwin.cli import cmd_scenarios, load_run_manifest
+def test_a_scenarios_run_resolves_each_key_once(du_dir, tmp_path,
+                                                monkeypatch):
+    from ddtwin.cli import build_graph, cmd_scenarios, load_run, load_run_manifest
+    from ddtwin.scenarios import apply_scenarios
 
-    builds = []
-    build, narrow = SearchPlan.__init__, SearchPlan.narrowed
+    keys = []
+    resolve = SearchPlan._resolve
 
-    def counted_build(self, graph, topology, catalog, base=None):
-        builds.append("fresh" if base is None else "narrowed")
-        build(self, graph, topology, catalog, base)
+    def counted_resolve(self, buf):
+        keys.append((buf.allowed_patterns, buf.size))
+        return resolve(self, buf)
 
-    def counted_narrow(self, graph):
-        plan = narrow(self, graph)
-        if plan is self:
-            builds.append("same")
-        return plan
-
-    monkeypatch.setattr(SearchPlan, "__init__", counted_build)
-    monkeypatch.setattr(SearchPlan, "narrowed", counted_narrow)
+    monkeypatch.setattr(SearchPlan, "_resolve", counted_resolve)
+    manifest = load_run_manifest(du_dir / "manifest.yaml", out=str(tmp_path),
+                                 mode="heuristic")
     # heuristic mode solves what exact mode does, with the same plans
-    assert cmd_scenarios(load_run_manifest(du_dir / "manifest.yaml",
-                                           out=str(tmp_path),
-                                           mode="heuristic")) == 0
-    # the baseline's plan, one narrowed per eviction, one for the added flow
-    assert builds == ["fresh", "same"] + ["narrowed"] * 10 + ["fresh"]
+    assert cmd_scenarios(manifest) == 0
+    loaded = load_run(manifest)
+    graph = build_graph(loaded)
+    applied = apply_scenarios(
+        loaded.scenario_specs + enumerate_scenarios(graph, loaded.catalog),
+        graph, loaded.catalog)
+    distinct = {(b.allowed_patterns, b.size)
+                for g in [graph, *(injected for _, injected in applied)]
+                for b in g.buffers.values()}
+    # one call per distinct key over the baseline and every scenario,
+    # the added flow's included
+    assert sorted(keys) == sorted(distinct)
+
+
+def test_buffers_share_a_resolution_by_allowed_names_and_size():
+    inst = random_instance(0)
+    names = next(iter(inst.graph.buffers.values())).allowed_patterns
+    tasks = {t: TaskInstance(t, t, runtime=10, internalsize=0,
+                             inputs=inputs, outputs=outputs)
+             for t, inputs, outputs in (("a", (), ("x",)),
+                                        ("b", ("x",), ("y",)),
+                                        ("c", (), ("z",)))}
+    buffers = {b.id: b for b in (
+        Buffer("x", 1_000, "a", observers=("b",), allowed_patterns=names),
+        # another id, definer, observer set, labels, release and deadline
+        Buffer("y", 1_000, "b", allowed_patterns=names, labels=("sym",),
+               release=5, avail_deadline=90_000),
+        Buffer("z", 1_001, "c", allowed_patterns=names))}
+    plan = SearchPlan(TaskGraph(tasks, buffers, deadline=100_000),
+                      inst.topology, inst.catalog)
+    assert plan.resolved["x"] is plan.resolved["y"]
+    assert plan.resolved["z"] is not plan.resolved["x"]
+    assert len(plan.resolutions) == 2
+
+
+def test_a_shared_plan_keeps_each_solves_own_floor():
+    raised = 0
+    for seed in range(40):
+        inst = random_instance(seed)
+        case = inst.graph, inst.topology, inst.catalog
+        plan = SearchPlan(*case)
+        above = max(plan.root_floor, plan.load_bound) + 1
+        # the floored solve first: a plan that kept its floor would hand
+        # it to the solve without one
+        outcomes = []
+        for floor in (above, 0):
+            opts = SolveOpts(budget_nodes=2_000, floor=floor)
+            got, want = (solve_best_case(*case, opts, p) for p in (plan, None))
+            assert ((got.status, got.makespan, got.witness, got.stats,
+                     got.schedule)
+                    == (want.status, want.makespan, want.witness, want.stats,
+                        want.schedule)), (seed, floor)
+            outcomes.append(got.stats["lower_bound"])
+        raised += outcomes[0] > outcomes[1]
+    assert raised == 40

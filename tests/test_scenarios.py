@@ -665,7 +665,8 @@ def test_parsed_scenarios_are_runnable():
      "cores must be an integer list"),
     (scenario_doc(injections=[{"kind": "EVICT_BUFFER", "targets": [1]}]),
      "targets must be a string list"),
-    (scenario_doc(injections="many"), "injections must be a list"),
+    (scenario_doc(injections="many"),
+     exactly(6, 15, "document 1: spec.injections must be a list, got 'many'")),
     (scenario_doc(injections=[{"kind": "EVICT_BUFFER"}]),
      exactly(7, 5, "document 1, injection 1: EVICT_BUFFER requires targets")),
     (scenario_doc(injections=[{"kind": "PIN_TASKS", "cores": [0]}]),

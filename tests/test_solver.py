@@ -16,8 +16,8 @@ from ddtwin.patterns import (Pattern, PatternCatalog,
                              generate_patterns_from_topology)
 from ddtwin.schedule import (BUFFER_OVERFLOW, DEADLINE_MISS, LAG_VIOLATION,
                              check_schedule)
-from ddtwin.solver import (SolveOpts, _earliest_fit, _picks, _Search,
-                           solve_best_case)
+from ddtwin.solver import (SearchPlan, SolveOpts, _earliest_fit, _picks,
+                           _Search, solve_best_case)
 from conftest import FIXTURES, chain_graph, make_topology
 
 TOPO = make_topology(2)
@@ -382,12 +382,15 @@ def test_root_terms_never_exceed_the_enumerated_optimum():
             ref = brute_force_oracle(inst.graph, inst.topology, inst.catalog)
             if not ref.feasible:
                 continue
-            search = _Search(inst.graph, inst.topology, inst.catalog, SolveOpts())
+            plan = SearchPlan(inst.graph, inst.topology, inst.catalog)
+            search = _Search(inst.graph, inst.topology, inst.catalog,
+                             SolveOpts(), plan)
             root = search._root()
             assert max(root.floor, search.load_bound) <= ref.makespan, seed
             old = old_root_bound(search)
-            raised["head_body_tail"] += search._head_body_tail(root.est_fin) > old
-            raised["pipeline_or_pay"] += search._pipeline_or_pay(root.est_fin) > old
+            est_fin = plan.root_est_fin
+            raised["head_body_tail"] += plan._head_body_tail(est_fin) > old
+            raised["pipeline_or_pay"] += plan._pipeline_or_pay(est_fin) > old
     # each term alone lifts some root bound, so neither check is vacuous
     assert all(raised.values()), raised
 
@@ -406,7 +409,7 @@ def test_pipeline_or_pay_covers_only_joins_whose_transfers_contend():
                 buf("ba", "a", observers=("j",), allowed_patterns=routes[:1]),
                 buf("bb", "b", observers=("j",), allowed_patterns=routes[1:]))},
             deadline=100_000)
-        return set(_Search(g, topology, catalog, SolveOpts()).joins)
+        return set(SearchPlan(g, topology, catalog)._join_tables())
 
     assert joins(TOPO, ("L2toL2.c_0.L3_0.accL3_0",
                         "L2toL2.c_1.L3_0.accL3_0")) == {"j"}
@@ -656,10 +659,11 @@ def test_option_dedup_keeps_choices_that_differ_in_one_respect():
 # -- incremental bound and one-pass contention fit -------------------------------
 
 def root_terms(search):
-    """The head-body-tail and pipeline-or-pay terms, which the search
-    takes once, at its root."""
-    est_fin = search._root().est_fin
-    return max(search._head_body_tail(est_fin), search._pipeline_or_pay(est_fin))
+    """The head-body-tail and pipeline-or-pay terms, which the search's
+    plan takes once, at the root."""
+    plan = SearchPlan(search.graph, search.topology, search.catalog)
+    est_fin = plan.root_est_fin
+    return max(plan._head_body_tail(est_fin), plan._pipeline_or_pay(est_fin))
 
 
 def full_bound(search, state, root):
