@@ -25,7 +25,7 @@ import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .diagnostics import DiagnosticError, error_at
+from .diagnostics import DiagnosticError, error_at, fail
 from .documents import envelope, integer, list_of, load_document, section
 from .elaborate import bind_timing, check_static, elaborate
 from .flows import FlowDef, SymbolTable, collect_labels, parse_flow_source
@@ -53,10 +53,6 @@ _EXHAUSTED = ("search budget exhausted before reaching a verdict; raise "
               "solver.budget_nodes in the manifest")
 
 
-def _err(message: str) -> DiagnosticError:
-    return DiagnosticError([error_at(1, 1, message)])
-
-
 # -- run manifest -----------------------------------------------------------
 
 @dataclass
@@ -81,7 +77,7 @@ def load_run_manifest(path: str | Path, out: str | None = None,
     """Load a ``kind: run`` manifest; flag overrides win over file values."""
     manifest_path = Path(path)
     if not manifest_path.is_file():
-        raise _err(f"manifest {str(manifest_path)!r} does not exist")
+        raise fail(1, 1, f"manifest {str(manifest_path)!r} does not exist")
     base = manifest_path.resolve().parent
     raw = load_document(manifest_path.read_text(), str(manifest_path))
     _, spec = envelope(raw, ("run",), "run manifest")
@@ -93,14 +89,14 @@ def load_run_manifest(path: str | Path, out: str | None = None,
             entries = [entries]
         list_of(entries, str, f"{where}.{key}")
         if required and not entries:
-            raise _err(f"{where}.{key} must list at least one path")
+            raise fail(1, 1, f"{where}.{key} must list at least one path")
         return [base / p for p in entries]
 
     def one_path(key: str, required: bool) -> Path | None:
         value = spec.get(key)
         if value is None:
             if required:
-                raise _err(f"{where}.{key} is required")
+                raise fail(1, 1, f"{where}.{key} is required")
             return None
         return base / str(value)
 
@@ -111,7 +107,7 @@ def load_run_manifest(path: str | Path, out: str | None = None,
             return default
         value = integer(solver[key], f"{where}.solver.{key}")
         if value < 1:
-            raise _err(f"{where}.solver.{key} must be at least 1, got {value}")
+            raise fail(1, 1, f"{where}.solver.{key} must be at least 1, got {value}")
         return value
 
     out_dir = Path(out) if out is not None else base / str(spec.get("out", "out"))
@@ -127,8 +123,8 @@ def load_run_manifest(path: str | Path, out: str | None = None,
         budget_nodes=budget("budget_nodes", 200_000),
         scenario_budget_nodes=budget("scenario_budget_nodes", None))
     if manifest.mode not in ("exact", "heuristic"):
-        raise _err(f"solver mode must be 'exact' or 'heuristic', "
-                   f"got {manifest.mode!r}")
+        raise fail(1, 1, f"solver mode must be 'exact' or 'heuristic', "
+                         f"got {manifest.mode!r}")
     return manifest
 
 
@@ -148,7 +144,7 @@ class LoadedRun:
 
 def _read(path: Path) -> str:
     if not path.is_file():
-        raise _err(f"input file {str(path)!r} does not exist")
+        raise fail(1, 1, f"input file {str(path)!r} does not exist")
     return path.read_text()
 
 
@@ -315,7 +311,7 @@ def cmd_solve(manifest: RunManifest) -> int:
     opts = _solve_opts(manifest)
     outcome = solve_best_case(graph, loaded.topology, loaded.catalog, opts)
     if outcome.status == "unknown":
-        raise _err(no_verdict(opts, _EXHAUSTED))
+        raise fail(1, 1, no_verdict(opts, _EXHAUSTED))
     write_atomic(manifest.out / "schedule.json", outcome_to_json(outcome))
     summary = solve_summary(outcome, graph, loaded.topology)
     write_atomic(manifest.out / "solve_summary.txt", summary)
@@ -339,7 +335,7 @@ def cmd_scenarios(manifest: RunManifest) -> int:
         print(f"baseline infeasible: {baseline.witness}", file=sys.stderr)
         return EXIT_INFEASIBLE
     if baseline.status == "unknown":
-        raise _err("baseline " + no_verdict(baseline_opts, _EXHAUSTED))
+        raise fail(1, 1, "baseline " + no_verdict(baseline_opts, _EXHAUSTED))
 
     opts = _solve_opts(manifest, scenario=True)
     ranked = rank_scenarios([
@@ -362,7 +358,7 @@ def cmd_report(manifest: RunManifest) -> int:
     inputs = sorted(p for p in out_dir.glob("*.csv")
                     if p.name != _REPORT_NAME)
     if not inputs:
-        raise _err(f"no scenario CSV files found in {str(out_dir)!r}")
+        raise fail(1, 1, f"no scenario CSV files found in {str(out_dir)!r}")
     merged: dict[str, tuple] = {}
     rows = []
     for path in inputs:
@@ -370,11 +366,11 @@ def cmd_report(manifest: RunManifest) -> int:
             key = (res.latency, res.delta_pct, res.risk)
             if res.name in merged:
                 if merged[res.name][0] != res.latency:
-                    raise _err(f"conflicting latencies for scenario "
-                               f"{res.name!r} across result files")
+                    raise fail(1, 1, f"conflicting latencies for scenario "
+                                     f"{res.name!r} across result files")
                 if merged[res.name] != key:
-                    raise _err(f"conflicting rows for scenario {res.name!r} "
-                               f"across result files")
+                    raise fail(1, 1, f"conflicting rows for scenario {res.name!r} "
+                                     f"across result files")
                 continue
             merged[res.name] = key
             rows.append(res)

@@ -9,11 +9,10 @@ from dataclasses import dataclass
 class Diagnostic:
     line: int
     column: int
-    severity: str
     message: str
 
     def render(self) -> str:
-        return f"{self.line}:{self.column}: {self.severity}: {self.message}"
+        return f"{self.line}:{self.column}: error: {self.message}"
 
 
 class DiagnosticError(Exception):
@@ -25,7 +24,7 @@ class DiagnosticError(Exception):
 
 
 def error_at(line: int, column: int, message: str) -> Diagnostic:
-    return Diagnostic(line=line, column=column, severity="error", message=message)
+    return Diagnostic(line=line, column=column, message=message)
 
 
 def fail(line: int, column: int, message: str) -> DiagnosticError:

@@ -26,9 +26,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 
-from .diagnostics import Diagnostic, DiagnosticError, error_at
+from .diagnostics import Diagnostic, DiagnosticError, error_at, fail
 from .flows import FlowDef, StreamRef, SymbolTable, validate_flows
-from .graph import Buffer, ExternalInput, TaskGraph, TaskInstance
+from .graph import (Buffer, ExternalInput, TaskGraph, TaskInstance,
+                    dependencies)
 from .hardware import HardwareTopology
 from .manifests import (FunctionMetadata, TimingEqualityDoc, TimingEquationDoc,
                         equation_symbols)
@@ -136,7 +137,7 @@ def elaborate(defs: list[FlowDef], entry: str, symbols: SymbolTable,
     flows = {f.name: f for f in defs}
     meta = {m.name: m for m in metadata}
     if entry not in flows:
-        raise DiagnosticError([error_at(1, 1, f"entry flow {entry!r} is not defined")])
+        raise fail(1, 1, f"entry flow {entry!r} is not defined")
     entry_flow = flows[entry]
 
     walk = _Walk()
@@ -220,8 +221,7 @@ def elaborate(defs: list[FlowDef], entry: str, symbols: SymbolTable,
     graph = TaskGraph(tasks=tasks, buffers=buffers, deadline=slot_budget)
     cycle = _find_cycle(graph)
     if cycle:
-        raise DiagnosticError([error_at(1, 1,
-                                        "dependency cycle through tasks: " + " -> ".join(cycle))])
+        raise fail(1, 1, "dependency cycle through tasks: " + " -> ".join(cycle))
     return graph
 
 
@@ -240,35 +240,17 @@ def _resolve_patterns(fn_meta: FunctionMetadata, catalog: PatternCatalog,
 def _find_cycle(graph: TaskGraph) -> list[str]:
     """One dependency cycle, closed (its first task ends it too) and in
     dependency order; empty when there is none."""
-    indegree = {t: 0 for t in graph.tasks}
-    for buf in graph.buffers.values():
-        for obs in buf.observers:
-            indegree[obs] += 1
-    queue = [t for t, d in indegree.items() if d == 0]
-    seen = 0
-    while queue:
-        task_id = queue.pop()
-        seen += 1
-        for buf_id in graph.tasks[task_id].outputs:
-            for obs in graph.buffers[buf_id].observers:
-                indegree[obs] -= 1
-                if indegree[obs] == 0:
-                    queue.append(obs)
-    if seen == len(graph.tasks):
+    order, preds = dependencies(graph)
+    stuck = graph.tasks.keys() - set(order)
+    if not stuck:
         return []
-    # every task Kahn's pass left has a predecessor it left too, so walking
-    # back from one must close a loop
-    stuck = {t for t, d in indegree.items() if d > 0}
-    preds: dict[str, set[str]] = {t: set() for t in stuck}
-    for buf in graph.buffers.values():
-        for obs in buf.observers:
-            if obs in stuck and buf.definer in stuck:
-                preds[obs].add(buf.definer)
+    # every task the order leaves out has an input definer it leaves out
+    # too, so walking back from one must close a loop
     walked: dict[str, int] = {}
     task_id = min(stuck)
     while task_id not in walked:
         walked[task_id] = len(walked)
-        task_id = min(preds[task_id])
+        task_id = min(preds[task_id] & stuck)
     loop = list(walked)[walked[task_id]:] + [task_id]
     return loop[::-1]
 
@@ -395,16 +377,12 @@ def check_static(graph: TaskGraph,
     """Non-fatal whole-graph checks; returns findings instead of raising."""
     findings: list[Finding] = []
 
-    sources = [t.id for t in graph.tasks.values() if t.external_inputs]
-    if sources:
-        reached = set(sources)
-        frontier = list(sources)
-        while frontier:
-            for buf_id in graph.tasks[frontier.pop()].outputs:
-                for obs in graph.buffers[buf_id].observers:
-                    if obs not in reached:
-                        reached.add(obs)
-                        frontier.append(obs)
+    if any(t.external_inputs for t in graph.tasks.values()):
+        order, preds = dependencies(graph)
+        reached: set[str] = set()
+        for t in order:
+            if graph.tasks[t].external_inputs or not preds[t].isdisjoint(reached):
+                reached.add(t)
         for task_id in graph.tasks:
             if task_id not in reached:
                 findings.append(Finding("unreachable", task_id,

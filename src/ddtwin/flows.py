@@ -126,6 +126,8 @@ class SymbolTable:
 _SYMBOLS = {":": "colon", "[": "lbracket", "]": "rbracket",
             "{": "lbrace", "}": "rbrace", ",": "comma", "=": "equals"}
 _KEYWORDS = {"Flow": "flow", "stream": "stream"}
+# str.isdigit also takes digits such as '\u00b2' that int() refuses
+_DIGITS = "0123456789"
 
 
 @dataclass(frozen=True)
@@ -158,9 +160,9 @@ def _lex(source: str) -> list[Token]:
                 elif ch in "]}":
                     depth = max(0, depth - 1)
                 col += 1
-            elif ch.isdigit():
+            elif ch in _DIGITS:
                 end = col
-                while end < len(line) and line[end].isdigit():
+                while end < len(line) and line[end] in _DIGITS:
                     end += 1
                 tokens.append(Token("int", line[col:end], lineno, start))
                 col = end

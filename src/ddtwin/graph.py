@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from heapq import heapify, heappop, heappush
 
 
 @dataclass(frozen=True)
@@ -65,51 +66,41 @@ class TaskGraph:
         return replace(self, buffers=buffers)
 
 
-def graph_to_dict(graph: TaskGraph) -> dict:
-    from .manifests import TimingEquationDoc  # local to avoid a cycle
-
-    def task_dict(t: TaskInstance) -> dict:
-        return {
-            "id": t.id,
-            "function": t.function,
-            "runtime": t.runtime,
-            "internalsize": t.internalsize,
-            "inputs": list(t.inputs),
-            "outputs": list(t.outputs),
-            "allowed_cores": sorted(t.allowed_cores) if t.allowed_cores is not None else None,
-            "external_inputs": [{"stream": e.stream, "release": e.release}
-                                for e in t.external_inputs],
-            "min_start_lag": t.min_start_lag,
-        }
-
-    def buffer_dict(b: Buffer) -> dict:
-        return {
-            "id": b.id,
-            "size": b.size,
-            "definer": b.definer,
-            "observers": list(b.observers),
-            "allowed_patterns": list(b.allowed_patterns),
-            "labels": list(b.labels),
-            "release": b.release,
-            "avail_deadline": b.avail_deadline,
-        }
-
-    constraints = []
-    for doc in graph.bound_constraints:
-        assert isinstance(doc, TimingEquationDoc)
-        constraints.append({"name": doc.name, "equation": doc.equation,
-                            "bindings": dict(doc.bindings), "unit": doc.unit})
-    return {
-        "kind": "task_graph",
-        "deadline": graph.deadline,
-        "max_start_lag": graph.max_start_lag,
-        "tasks": [task_dict(t) for t in graph.tasks.values()],
-        "buffers": [buffer_dict(b) for b in graph.buffers.values()],
-        "bound_constraints": constraints,
-        "symbol_values": dict(sorted(graph.symbol_values.items())),
-    }
+def dependencies(graph: TaskGraph) -> tuple[list[str], dict[str, set[str]]]:
+    """The tasks in dependency order, the least ready id first, and each
+    task's input definers.  A task on or behind a dependency cycle never
+    becomes ready, so the order leaves it out."""
+    preds: dict[str, set[str]] = {t: set() for t in graph.tasks}
+    succ: dict[str, set[str]] = {t: set() for t in graph.tasks}
+    for buf in graph.buffers.values():
+        for obs in buf.observers:
+            preds[obs].add(buf.definer)
+            succ[buf.definer].add(obs)
+    waiting = {t: len(p) for t, p in preds.items()}
+    ready = [t for t, n in waiting.items() if not n]
+    heapify(ready)
+    order: list[str] = []
+    while ready:
+        t = heappop(ready)
+        order.append(t)
+        for s in succ[t]:
+            waiting[s] -= 1
+            if not waiting[s]:
+                heappush(ready, s)
+    return order, preds
 
 
 def graph_to_json(graph: TaskGraph) -> str:
-    return json.dumps(graph_to_dict(graph), indent=2, sort_keys=False) + "\n"
-
+    """The graph as indented JSON: each task's and buffer's fields in
+    declaration order, a core set as a sorted list."""
+    return json.dumps({
+        "kind": "task_graph",
+        "deadline": graph.deadline,
+        "max_start_lag": graph.max_start_lag,
+        "tasks": [asdict(t) for t in graph.tasks.values()],
+        "buffers": [asdict(b) for b in graph.buffers.values()],
+        "bound_constraints": [{"name": doc.name, "equation": doc.equation,
+                               "bindings": dict(doc.bindings), "unit": doc.unit}
+                              for doc in graph.bound_constraints],
+        "symbol_values": dict(sorted(graph.symbol_values.items())),
+    }, indent=2, default=sorted) + "\n"

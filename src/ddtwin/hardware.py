@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diagnostics import DiagnosticError, error_at
+from .diagnostics import DiagnosticError, error_at, fail
 from .documents import integer, load_document, section, typed
 
 MEMORY_LEVELS = ("L2", "L3", "DDR")
@@ -111,10 +111,15 @@ def parse_topology(text: str) -> HardwareTopology:
     raw = typed(load_document(text, "topology"), dict, "topology")
     diags = []
     memories: list[Memory] = []
+    # a core may name a memory refused for another field: that fault is
+    # reported once, at the memory
+    mem_ids: set[str] = set()
     for i, m in enumerate(_section(raw, "memories", list, "topology", diags)):
         what = f"memory {i + 1}"
         if _collect(diags, typed, m, dict, what) is None:
             continue
+        if "id" in m:
+            mem_ids.add(str(m["id"]))
         level = m.get("level")
         if level not in MEMORY_LEVELS:
             diags.append(error_at(1, 1, f"memory {m.get('id')!r} has unknown level {level!r}"))
@@ -127,7 +132,6 @@ def parse_topology(text: str) -> HardwareTopology:
                                         f"non-negative, got {mem.capacity}"))
         if len(diags) == n:
             memories.append(mem)
-    mem_ids = {m.id for m in memories}
     cores: list[Core] = []
     for i, c in enumerate(_section(raw, "cores", list, "topology", diags)):
         what = f"core {i + 1}"
@@ -166,7 +170,7 @@ def parse_topology(text: str) -> HardwareTopology:
 def parse_deployment(text: str) -> DeploymentConfig:
     raw = typed(load_document(text, "deployment"), dict, "deployment")
     if "entry_flow" not in raw:
-        raise DiagnosticError([error_at(1, 1, "deployment must name an entry_flow")])
+        raise fail(1, 1, "deployment must name an entry_flow")
     diags: list = []
 
     def integers(key: str) -> dict[str, int]:

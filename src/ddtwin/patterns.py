@@ -31,7 +31,7 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
-from .diagnostics import DiagnosticError, error_at
+from .diagnostics import DiagnosticError, error_at, fail
 
 SHARE_KEYS = ("L2_II", "L2_IO", "L2_OI", "L2_OO",
               "L3_II", "L3_IO", "L3_OI", "L3_OO")
@@ -65,7 +65,7 @@ def pattern_class(name: str) -> str:
         return "L2toL2"
     if tokens[:2] == ("big", "delay"):
         return "big_delay"
-    raise DiagnosticError([error_at(1, 1, f"unknown pattern class in name {name!r}")])
+    raise fail(1, 1, f"unknown pattern class in name {name!r}")
 
 
 def _core_hint(tokens: tuple[str, ...]) -> int | None:
@@ -222,9 +222,9 @@ def parse_pattern_catalog(text: str) -> PatternCatalog:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
         line, col = exc.position if exc.position else (1, 0)
-        raise DiagnosticError([error_at(line, col + 1, f"XML parse error: {exc}")]) from exc
+        raise fail(line, col + 1, f"XML parse error: {exc}") from exc
     if root.tag != "patterns":
-        raise DiagnosticError([error_at(1, 1, f"expected <patterns> root, found <{root.tag}>")])
+        raise fail(1, 1, f"expected <patterns> root, found <{root.tag}>")
 
     def members(parent: ET.Element | None) -> tuple[str, ...]:
         if parent is None:

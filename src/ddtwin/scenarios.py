@@ -24,7 +24,7 @@ import csv
 import io
 from dataclasses import dataclass, replace
 
-from .diagnostics import DiagnosticError, error_at, fail
+from .diagnostics import DiagnosticError, fail
 from .documents import (at_field, integer, list_of, mark, read_stream,
                         section, typed)
 from .graph import TaskGraph
@@ -56,10 +56,6 @@ RISK_LEVELS = (RISK_HIGH, RISK_MODERATE, RISK_LOW, RISK_CERTAIN_FAILURE)
 CSV_HEADER = "strategy,latency_cycles,delta_pct,risk"
 
 _DDR_CLASS = "big_delay"
-
-
-def _err(message: str) -> DiagnosticError:
-    return DiagnosticError([error_at(1, 1, message)])
 
 
 @dataclass(frozen=True)
@@ -112,7 +108,7 @@ def classify_risk(delta_pct: int) -> str:
 def latency_delta_pct(latency: int, baseline: int) -> int:
     """Percent increase over baseline, rounded half up to an integer."""
     if baseline <= 0:
-        raise _err(f"baseline latency must be positive, got {baseline}")
+        raise fail(1, 1, f"baseline latency must be positive, got {baseline}")
     return (200 * (latency - baseline) + baseline) // (2 * baseline)
 
 
@@ -130,8 +126,8 @@ def resolve_buffer_targets(graph: TaskGraph,
         matched = [buf_id for task in graph.tasks.values()
                    if task.function == sel for buf_id in task.outputs]
         if not matched:
-            raise _err(f"injection target {sel!r} matches no buffer "
-                       f"or function in the graph")
+            raise fail(1, 1, f"injection target {sel!r} matches no buffer "
+                             f"or function in the graph")
         out.extend(matched)
     return tuple(dict.fromkeys(out))
 
@@ -154,8 +150,8 @@ def resolve_task_targets(graph: TaskGraph,
         if by_prefix:
             out.extend(by_prefix)
             continue
-        raise _err(f"injection target {sel!r} matches no task, function, "
-                   f"or task-id prefix in the graph")
+        raise fail(1, 1, f"injection target {sel!r} matches no task, function, "
+                         f"or task-id prefix in the graph")
     return tuple(dict.fromkeys(out))
 
 
@@ -176,7 +172,7 @@ def apply_injections(graph: TaskGraph, injections: tuple[Injection, ...],
         elif inj.kind == TIGHTEN_DEADLINE:
             graph = _apply_tighten_deadline(graph, inj)
         else:
-            raise _err(f"unknown injection kind {inj.kind!r}")
+            raise fail(1, 1, f"unknown injection kind {inj.kind!r}")
     return graph
 
 
@@ -211,15 +207,15 @@ def _apply_evict(graph: TaskGraph, inj: Injection,
         kept = tuple(p for p in buf.allowed_patterns
                      if catalog.lookup(p).klass == _DDR_CLASS)
         if not kept:
-            raise _err(f"evicting {buf_id!r} leaves no DDR-capable "
-                       f"pattern; it cannot be forced off-chip")
+            raise fail(1, 1, f"evicting {buf_id!r} leaves no DDR-capable "
+                             f"pattern; it cannot be forced off-chip")
         graph = graph.with_buffer(replace(buf, allowed_patterns=kept))
     return graph
 
 
 def _apply_pin(graph: TaskGraph, inj: Injection) -> TaskGraph:
     if inj.cores is None or not inj.cores:
-        raise _err("PIN_TASKS requires a non-empty core set")
+        raise fail(1, 1, "PIN_TASKS requires a non-empty core set")
     pin = frozenset(inj.cores)
     for tid in resolve_task_targets(graph, inj.targets):
         task = graph.tasks[tid]
@@ -231,7 +227,7 @@ def _apply_pin(graph: TaskGraph, inj: Injection) -> TaskGraph:
 
 def _apply_start_lag(graph: TaskGraph, inj: Injection) -> TaskGraph:
     if inj.value is None or inj.value < 0:
-        raise _err("START_LAG requires a non-negative cycle cap")
+        raise fail(1, 1, "START_LAG requires a non-negative cycle cap")
     cap = inj.value
     if graph.max_start_lag is not None:
         cap = min(graph.max_start_lag, cap)
@@ -240,7 +236,7 @@ def _apply_start_lag(graph: TaskGraph, inj: Injection) -> TaskGraph:
 
 def _apply_tighten_deadline(graph: TaskGraph, inj: Injection) -> TaskGraph:
     if inj.value is None or inj.value <= 0:
-        raise _err("TIGHTEN_DEADLINE requires a positive cycle count")
+        raise fail(1, 1, "TIGHTEN_DEADLINE requires a positive cycle count")
     return replace(graph, deadline=min(graph.deadline, inj.value))
 
 
@@ -259,9 +255,9 @@ def _boundary_buffers(graph: TaskGraph, members: set[str]) -> list[str]:
 def _apply_add_flow(graph: TaskGraph, inj: Injection) -> TaskGraph:
     copies = 1 if inj.value is None else inj.value
     if copies < 1:
-        raise _err("ADD_FLOW requires a copy count of at least 1")
+        raise fail(1, 1, "ADD_FLOW requires a copy count of at least 1")
     if not inj.targets:
-        raise _err("ADD_FLOW requires an instance prefix target")
+        raise fail(1, 1, "ADD_FLOW requires an instance prefix target")
     for prefix in inj.targets:
         graph = _clone_subgraph(graph, prefix, copies)
     return graph
@@ -272,14 +268,14 @@ def _clone_subgraph(graph: TaskGraph, prefix: str, copies: int) -> TaskGraph:
         prefix = prefix + "/"
     member_tasks = [tid for tid in graph.tasks if tid.startswith(prefix)]
     if not member_tasks:
-        raise _err(f"injection target {prefix!r} matches no task-id "
-                   f"prefix in the graph")
+        raise fail(1, 1, f"injection target {prefix!r} matches no task-id "
+                         f"prefix in the graph")
     members = set(member_tasks)
     crossing = _boundary_buffers(graph, members)
     if crossing:
-        raise _err(f"flow {prefix!r} shares buffers with the rest of the "
-                   f"graph ({', '.join(sorted(crossing)[:4])}); it cannot "
-                   f"be cloned in isolation")
+        raise fail(1, 1, f"flow {prefix!r} shares buffers with the rest of the "
+                         f"graph ({', '.join(sorted(crossing)[:4])}); it cannot "
+                         f"be cloned in isolation")
     inside_bufs = [buf.id for buf in graph.buffers.values()
                    if buf.definer in members]
 
@@ -356,7 +352,7 @@ def evaluate_scenario(spec: ScenarioSpec, injected: TaskGraph,
         return ScenarioResult(spec.name, None, None, RISK_CERTAIN_FAILURE,
                               base_latency, note=outcome.witness or "")
     if outcome.status == "unknown":
-        raise _err(f"scenario {spec.name!r}: " + no_verdict(
+        raise fail(1, 1, f"scenario {spec.name!r}: " + no_verdict(
             opts, "search ran out of node budget without a schedule; "
                   "raise solver.scenario_budget_nodes and retry"))
     assert outcome.makespan is not None
@@ -476,20 +472,20 @@ def parse_scenario_csv(text: str, baseline_latency: int
     """
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0] != CSV_HEADER.split(","):
-        raise _err(f"scenario CSV must start with header {CSV_HEADER!r}")
+        raise fail(1, 1, f"scenario CSV must start with header {CSV_HEADER!r}")
     out = []
     for i, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != 4:
-            raise _err(f"line {i}: expected 4 fields, got {len(row)}")
+            raise fail(1, 1, f"line {i}: expected 4 fields, got {len(row)}")
         name, latency_s, delta_s, risk = row
         if risk not in RISK_LEVELS:
-            raise _err(f"line {i}: unknown risk level {risk!r}")
+            raise fail(1, 1, f"line {i}: unknown risk level {risk!r}")
         if latency_s == "INFEASIBLE":
             if risk != RISK_CERTAIN_FAILURE:
-                raise _err(f"line {i}: infeasible row must carry risk "
-                           f"{RISK_CERTAIN_FAILURE}")
+                raise fail(1, 1, f"line {i}: infeasible row must carry risk "
+                                 f"{RISK_CERTAIN_FAILURE}")
             latency: int | None = None
             delta: int | None = None
         else:
@@ -497,8 +493,8 @@ def parse_scenario_csv(text: str, baseline_latency: int
                 latency = int(latency_s)
                 delta = int(delta_s)
             except ValueError:
-                raise _err(f"line {i}: latency and delta must be integers, "
-                           f"got {latency_s!r} / {delta_s!r}") from None
+                raise fail(1, 1, f"line {i}: latency and delta must be integers, "
+                                 f"got {latency_s!r} / {delta_s!r}") from None
         out.append(ScenarioResult(name, latency, delta, risk,
                                   baseline_latency))
     return out

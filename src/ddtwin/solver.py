@@ -19,8 +19,8 @@ Branching is (frontier task) x (candidate core) x (pattern combo), with
 never-used cores collapsed inside certified symmetry groups and pattern
 options deduplicated when two choices are behaviorally identical (equal
 cost, contention set, and residency memories).  Pruning uses a critical
-path bound, a core load bound, per-anchor serialization bounds, two
-terms taken once at the root, and a buffer-occupancy check; every
+path bound, per-anchor serialization bounds, three terms taken once at
+the root (one a core load bound), and a buffer-occupancy check; every
 completed leaf is re-validated with the independent constraint checker
 before it may become the incumbent.
 
@@ -61,10 +61,11 @@ no such schedule could become the incumbent or meet the deadline.  A
 floor above the deadline thus proves the instance infeasible at the
 root, and a seed at the floor is proven optimal before any node.
 
-The root raises its floor by two terms, computed once per plan from the
-root's estimates and handed down with the rest of the floor; every
-schedule of the instance obeys them, so they prune nothing the search
-needs either.
+The root raises its floor by three terms, computed once per plan and
+handed down with the rest of the floor; every schedule of the instance
+obeys them, so they prune nothing the search needs either.  The load
+bound is the total runtime spread evenly over the cores; the other two
+read the root's estimates.
 An anchor is a maximal clique of self-contending patterns in the
 catalog's contention relation (``PatternCatalog.anchors``).  Every placed
 transfer is kept clear of each contending one, and every member of an
@@ -120,7 +121,7 @@ when no output has an availability deadline and no tracked memory can
 overflow (none is over capacity, and each claim total plus the most any
 option of the core adds stays within capacity), so that only the bound
 prunes: DEADLINE_MISS when the least bound passes the deadline, BOUND
-when the largest does not.  Three terms bound every child from above.  A
+when the largest does not.  Two terms bound every child from above.  A
 fit moves a transfer only to the end of a placed transfer, which ends by
 ``state.span``, or of an earlier output of the task, so each output ends
 by the latest of the finish, the span and its release, plus the summed
@@ -130,10 +131,12 @@ start lag on the way counted (``_ranks``).  Every other path term
 is one ``state.floor`` covers, since it covers every unplaced task's
 path term and every anchor's load, and a placement raises an anchor's
 load by at most the summed largest extra of each output's options: the
-floor plus that sum is the second.  The load bound is the third.  A
-settled pair counts its children one by one against the node budget, so
-a budget that runs out among them stops the search at the node, and
-with the prune counts, of the full path.  A pair's ``_Worst`` is made on
+floor plus that sum is the second.  The labels stay exact with the
+root's terms, the load bound among them, in the floor: a child's bound
+is at least its floor, and ``state.floor`` plus that sum still bounds it
+from above.  A settled pair counts its children one by one against the
+node budget, so a budget that runs out among them stops the search at
+the node, and with the prune counts, of the full path.  A pair's ``_Worst`` is made on
 its first use, so a solve closed at the root makes none.
 
 A transfer's earliest contention-free start is found in one scan of the
@@ -200,7 +203,7 @@ from itertools import accumulate, product
 from math import prod
 from typing import Iterator, NamedTuple
 
-from .graph import Buffer, TaskGraph, TaskInstance
+from .graph import Buffer, TaskGraph, TaskInstance, dependencies
 from .hardware import HardwareTopology
 from .patterns import Pattern, PatternCatalog, transfer_cost
 from .schedule import (BUFFER_OVERFLOW, DEADLINE_MISS, LAG_VIOLATION,
@@ -385,15 +388,11 @@ class SearchPlan:
                             or c in task.allowed_cores]
                         for t, task in graph.tasks.items()}
 
-        self.preds: dict[str, set[str]] = {t: set() for t in graph.tasks}
+        self.topo_order, self.preds = dependencies(graph)
         self.observed: dict[str, list[str]] = {t: [] for t in graph.tasks}
-        succ: dict[str, set[str]] = {t: set() for t in graph.tasks}
         for buf in graph.buffers.values():
             for obs in buf.observers:
-                self.preds[obs].add(buf.definer)
                 self.observed[obs].append(buf.id)
-                succ[buf.definer].add(obs)
-        self.topo_order = self._toposort(succ)
         # per position in that order, the tasks reading that task's
         # outputs, directly or not
         self.descendants = [self._descendants(i)
@@ -411,8 +410,6 @@ class SearchPlan:
         self.longest = max((c.cost for cs in self.choices.values() for c in cs),
                            default=0)
         self.down, self.reach = self._ranks()
-        total = sum(t.runtime for t in graph.tasks.values())
-        self.load_bound = -(-total // len(self.cores)) if self.cores else 0
         self.anchor_base, self.anchor_extra = self._anchor_tables()
         self.plans = {t: self._propagation(t, below) for t, below
                       in zip(self.topo_order, self.descendants)}
@@ -437,7 +434,10 @@ class SearchPlan:
         # cap or option; each solve raises the bound to its own floor
         self.root_est_fin, path = self._estimate(
             self._propagation(None, self.topo_order), {}, {}, {}, 0)
-        self.root_floor = max(path, self._head_body_tail(self.root_est_fin),
+        total = sum(t.runtime for t in graph.tasks.values())
+        self.load_bound = -(-total // len(self.cores)) if self.cores else 0
+        self.root_floor = max(path, self.load_bound,
+                              self._head_body_tail(self.root_est_fin),
                               self._pipeline_or_pay(self.root_est_fin))
 
     def narrowed(self, graph: TaskGraph) -> SearchPlan:
@@ -484,22 +484,6 @@ class SearchPlan:
                                 c.pattern.observing_memory)),
             splits,
             tuple(self._static_options(choices, core) for core in self.cores))
-
-    def _toposort(self, succ: dict[str, set[str]]) -> list[str]:
-        """The tasks in topological order, the least ready id first;
-        ``succ`` maps each task to the tasks that observe its outputs."""
-        indeg = {t: len(self.preds[t]) for t in self.graph.tasks}
-        order: list[str] = []
-        ready = sorted((t for t, d in indeg.items() if d == 0), reverse=True)
-        while ready:
-            t = ready.pop()
-            order.append(t)
-            for s in sorted(succ[t], reverse=True):
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    ready.append(s)
-            ready.sort(reverse=True)
-        return order
 
     def _ranks(self) -> tuple[dict[str, int], dict[str, int]]:
         """task -> its downward rank, and task -> the same with every start
@@ -978,7 +962,7 @@ class _Search:
             for anchor, cycles in extra:
                 loads[anchor] = loads.get(anchor, 0) + cycles
                 floor = max(floor, self.anchor_base[anchor] + loads[anchor])
-        return max(timed.span, self.load_bound, floor), (overlay, loads, floor)
+        return max(timed.span, floor), (overlay, loads, floor)
 
     # -- branching ---------------------------------------------------------
 
@@ -1100,7 +1084,7 @@ class _Search:
             return DEADLINE_MISS
         fin = start + self.graph.tasks[task_id].runtime
         upper = max(fin, state.span, worst.release) + worst.cost + worst.reach
-        if max(upper, self.load_bound, state.floor + worst.extra) <= deadline:
+        if max(upper, state.floor + worst.extra) <= deadline:
             return PRUNE_BOUND
         return None
 
@@ -1232,15 +1216,14 @@ class _Search:
 
     def run(self) -> SolveOutcome:
         root = self._root()
-        lower_bound = max(root.floor, self.load_bound)
-        self._seed(root, lower_bound)
+        self._seed(root, root.floor)
         seed_span = self.best
 
         complete = False
         if self.opts.mode == "exact":
             try:
                 # a seed at the root's bound is optimal: nothing beats it
-                if self.best is None or self.best > lower_bound:
+                if self.best is None or self.best > root.floor:
                     self._expand(root)
                 complete = True
             except _BudgetExhausted:
@@ -1254,7 +1237,7 @@ class _Search:
             "pruned": dict(sorted(self.pruned.items())),
             "seed_makespan": seed_span,
             "complete": complete,
-            "lower_bound": lower_bound,
+            "lower_bound": root.floor,
         }
         if self.best is not None:
             status = "optimal" if complete else "feasible"

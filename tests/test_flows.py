@@ -205,6 +205,9 @@ _HEAD = "Flow f\n  a : stream{type = in}\n\n"
     (_HEAD + "leaf[x_in = zz]\n", (4, 6, "unresolved stream 'zz' in flow 'f'")),
     (_HEAD + "leaf[x_in = a[1]]\n",
      (4, 6, "stream 'a' has rank 0 but is indexed 1 times")),
+    # lexing: only ASCII digits make a number
+    ("Flow f\n  a : stream[\u00b2]{type = in}\n\nleaf[x_in = a]\n",
+     (2, 14, "unexpected character '\u00b2'")),
     # parsing
     (_HEAD + "5\n", (4, 1, "expected declaration or instantiation, found '5'")),
     (_HEAD + "leaf = a\n", (4, 6, "expected ':' or '[' after 'leaf'")),

@@ -97,6 +97,20 @@ def test_malformed_memory_or_core_is_diagnosed(old, new, message):
         parse_topology(BASE.replace(old, new))
 
 
+@pytest.mark.parametrize("old,new,message", [
+    ("level: L3, capacity: 8000", "level: L3", "memory 2 is missing 'capacity'"),
+    ("capacity: 8000", "capacity: -1",
+     "memory 2: 'capacity' must be non-negative, got -1"),
+    ("level: L3, capacity", "level: L4, capacity",
+     "memory 'L3_0' has unknown level 'L4'"),
+])
+def test_a_refused_memory_gives_one_diagnostic(old, new, message):
+    # the core naming the memory is not refused for it a second time
+    with pytest.raises(DiagnosticError) as err:
+        parse_topology(BASE.replace(old, new))
+    assert [d.render() for d in err.value.diagnostics] == [f"1:1: error: {message}"]
+
+
 def test_duplicate_core_ids_rejected():
     with pytest.raises(DiagnosticError, match="duplicate core ids"):
         parse_topology(BASE + "  - {id: 0, l2: L2_0, l3: L3_0}\n")
