@@ -7,6 +7,20 @@ manifest, so they can serve as regression fixtures.  Exit codes:
 budget too small to reach a verdict), 2 proven-infeasible baseline,
 3 internal error.
 
+Command grammar::
+
+    ddtwin COMMAND --manifest PATH [--out DIR] [--mode exact|heuristic]
+    ddtwin [COMMAND] -h|--help
+
+COMMAND comes first and is one of validate, elaborate, solve, scenarios
+and report.  The options follow in any order, each as ``--opt value`` or
+``--opt=value``; any unique prefix of an option name will do (``--man``),
+and a repeated option keeps its last value.  ``--out`` and ``--mode``
+override the manifest's values.  ``-h`` prints the help to stdout and
+exits 0.  A missing or unknown command, an unknown option, a missing
+value, a bad mode or a stray argument prints the usage line and
+``ddtwin: error: ...`` to stderr and exits 2.
+
 ``scenarios`` refuses, then gates, then solves.  It applies every
 scenario spec first and reports every refusal (exit 1) before any solve,
 so malformed input exits 1 even where the baseline would be infeasible.
@@ -16,16 +30,17 @@ only then does it solve the scenarios, each against that baseline.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
+import getopt
 import json
 import os
 import sys
 import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NoReturn
 
-from .diagnostics import DiagnosticError, error_at, fail
+from .diagnostics import Diagnostic, DiagnosticError, fail
 from .documents import envelope, integer, list_of, load_document, section
 from .elaborate import bind_timing, check_static, elaborate
 from .flows import FlowDef, SymbolTable, collect_labels, parse_flow_source
@@ -49,6 +64,7 @@ EXIT_INFEASIBLE = 2
 EXIT_INTERNAL = 3
 
 _REPORT_NAME = "report.csv"
+_MODES = ("exact", "heuristic")
 _EXHAUSTED = ("search budget exhausted before reaching a verdict; raise "
               "solver.budget_nodes in the manifest")
 
@@ -122,7 +138,7 @@ def load_run_manifest(path: str | Path, out: str | None = None,
         mode=mode if mode is not None else str(solver.get("mode", "exact")),
         budget_nodes=budget("budget_nodes", 200_000),
         scenario_budget_nodes=budget("scenario_budget_nodes", None))
-    if manifest.mode not in ("exact", "heuristic"):
+    if manifest.mode not in _MODES:
         raise fail(1, 1, f"solver mode must be 'exact' or 'heuristic', "
                          f"got {manifest.mode!r}")
     return manifest
@@ -178,8 +194,8 @@ def load_run(manifest: RunManifest) -> LoadedRun:
     else:
         catalog = generate_patterns_from_topology(topology)
     known = {m.id for m in topology.memories}
-    stray = [error_at(1, 1, f"pattern {p.name!r} names memory {mem!r}, which "
-                            f"the topology does not define")
+    stray = [Diagnostic(1, 1, f"pattern {p.name!r} names memory {mem!r}, "
+                              f"which the topology does not define")
              for p in catalog
              for mem in sorted({p.defining_memory, p.observing_memory} - known)]
     if stray:
@@ -191,8 +207,8 @@ def load_run(manifest: RunManifest) -> LoadedRun:
     # a pin that misses a task's own allowed cores is a legitimate
     # infeasible scenario; a pin to a core that does not exist is an error
     cores = {c.id for c in topology.cores}
-    stray = [error_at(1, 1, f"scenario {spec.name!r} pins tasks to core "
-                            f"{core}, which the topology does not define")
+    stray = [Diagnostic(1, 1, f"scenario {spec.name!r} pins tasks to core "
+                              f"{core}, which the topology does not define")
              for spec in scenario_specs for inj in spec.injections
              if inj.kind == PIN_TASKS for core in sorted(inj.cores - cores)]
     if stray:
@@ -383,44 +399,84 @@ def cmd_report(manifest: RunManifest) -> int:
 
 # -- entry point ------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ddtwin",
-        description="Constraint-twin toolchain: validate flow and constraint "
-                    "sources, elaborate the task graph, solve for best-case "
-                    "schedules, and rank what-if test scenarios.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("validate", "parse all inputs and run static checks"),
-            ("elaborate", "expand the entry flow into a task graph dump"),
-            ("solve", "compute a best-case schedule and summary"),
-            ("scenarios", "evaluate and rank what-if scenarios"),
-            ("report", "merge scenario CSVs into one report")):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--manifest", required=True,
-                         help="path to the kind: run manifest")
-        cmd.add_argument("--out", default=None,
-                         help="output directory (overrides the manifest)")
-        cmd.add_argument("--mode", choices=("exact", "heuristic"),
-                         default=None, help="solver mode override")
-    return parser
-
-
+# one row per command: its function and its help string
 _COMMANDS = {
-    "validate": cmd_validate,
-    "elaborate": cmd_elaborate,
-    "solve": cmd_solve,
-    "scenarios": cmd_scenarios,
-    "report": cmd_report,
+    "validate": (cmd_validate, "parse all inputs and run static checks"),
+    "elaborate": (cmd_elaborate,
+                  "expand the entry flow into a task graph dump"),
+    "solve": (cmd_solve, "compute a best-case schedule and summary"),
+    "scenarios": (cmd_scenarios, "evaluate and rank what-if scenarios"),
+    "report": (cmd_report, "merge scenario CSVs into one report"),
 }
+_OPTIONS = (
+    ("--manifest PATH", "path to the kind: run manifest (required)"),
+    ("--out DIR", "output directory (overrides the manifest)"),
+    ("--mode MODE", "solver mode override: exact or heuristic"),
+    ("-h, --help", "show this help and exit"),
+)
+_USAGE = (f"usage: ddtwin {{{','.join(_COMMANDS)}}} --manifest PATH "
+          f"[--out DIR] [--mode {{{','.join(_MODES)}}}]")
+
+
+def _usage_error(message: str) -> NoReturn:
+    print(_USAGE, file=sys.stderr)
+    print(f"ddtwin: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _help() -> NoReturn:
+    lines = [_USAGE, "", "Constraint-twin toolchain: validate flow and "
+             "constraint sources, elaborate the task graph, solve for "
+             "best-case schedules, and rank what-if test scenarios.", "",
+             "commands:"]
+    lines += [f"  {name:<12}{help_text}"
+              for name, (_fn, help_text) in _COMMANDS.items()]
+    lines += ["", "options:"]
+    lines += [f"  {flag:<17}{help_text}" for flag, help_text in _OPTIONS]
+    print("\n".join(lines))
+    raise SystemExit(0)
+
+
+def parse_args(argv: list[str]) -> tuple[str, str, str | None, str | None]:
+    """The command, manifest path, ``--out`` and ``--mode`` of ``argv``.
+
+    Follows the grammar in the module docstring: prints the help and
+    exits 0 on ``-h``, prints the usage line and an error and exits 2 on
+    any misuse.
+    """
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        _help()
+    if command not in _COMMANDS:
+        _usage_error(f"the command must be one of {', '.join(_COMMANDS)}"
+                     + ("" if command is None else f", got {command!r}"))
+    try:
+        opts, rest = getopt.getopt(argv[1:], "h",
+                                   ["manifest=", "out=", "mode=", "help"])
+    except getopt.GetoptError as exc:
+        _usage_error(exc.msg)
+    values: dict[str, str] = {}
+    for opt, value in opts:
+        if opt in ("-h", "--help"):
+            _help()
+        values[opt] = value
+    if rest:
+        _usage_error(f"unexpected argument {rest[0]!r}")
+    if "--manifest" not in values:
+        _usage_error("option --manifest is required")
+    mode = values.get("--mode")
+    if mode is not None and mode not in _MODES:
+        _usage_error(f"option --mode must be one of {', '.join(_MODES)}, "
+                     f"got {mode!r}")
+    return command, values["--manifest"], values.get("--out"), mode
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    command, path, out, mode = parse_args(
+        sys.argv[1:] if argv is None else argv)
     try:
-        manifest = load_run_manifest(args.manifest, out=args.out,
-                                     mode=args.mode)
-        return _COMMANDS[args.command](manifest)
+        manifest = load_run_manifest(path, out=out, mode=mode)
+        return _COMMANDS[command][0](manifest)
     except DiagnosticError as exc:
         for diag in exc.diagnostics:
             print(diag.render(), file=sys.stderr)

@@ -23,9 +23,5 @@ class DiagnosticError(Exception):
         super().__init__("\n".join(d.render() for d in self.diagnostics))
 
 
-def error_at(line: int, column: int, message: str) -> Diagnostic:
-    return Diagnostic(line=line, column=column, message=message)
-
-
 def fail(line: int, column: int, message: str) -> DiagnosticError:
-    return DiagnosticError([error_at(line, column, message)])
+    return DiagnosticError([Diagnostic(line, column, message)])

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 
-from .diagnostics import Diagnostic, DiagnosticError, error_at, fail
+from .diagnostics import Diagnostic, DiagnosticError, fail
 from .flows import FlowDef, StreamRef, SymbolTable, validate_flows
 from .graph import (Buffer, ExternalInput, TaskGraph, TaskInstance,
                     dependencies)
@@ -86,8 +86,8 @@ def _expand_flow(flow: FlowDef, path: str, actuals: dict[str, _SlotRef],
         callee = flows.get(inst.callee)
         fn_meta = meta.get(inst.callee)
         if callee is None and fn_meta is None:
-            walk.diags.append(error_at(inst.line, inst.column,
-                                       f"no SDK metadata for function {inst.callee!r}"))
+            walk.diags.append(Diagnostic(inst.line, inst.column,
+                                         f"no SDK metadata for function {inst.callee!r}"))
             continue
         ranges = [range(symbols.resolve(it.lower), symbols.resolve(it.upper) + 1)
                   for it in inst.iterators]
@@ -97,9 +97,9 @@ def _expand_flow(flow: FlowDef, path: str, actuals: dict[str, _SlotRef],
             if env:
                 tag += "[" + ",".join(f"{it.var}={env[it.var]}" for it in inst.iterators) + "]"
             if path + tag in walk.instances:
-                walk.diags.append(error_at(inst.line, inst.column,
-                                           f"instantiation of {inst.callee!r} repeats instance "
-                                           f"{tag!r} of flow {flow.name!r}"))
+                walk.diags.append(Diagnostic(inst.line, inst.column,
+                                             f"instantiation of {inst.callee!r} repeats instance "
+                                             f"{tag!r} of flow {flow.name!r}"))
                 break
             walk.instances.add(path + tag)
             resolved = {b.formal: _resolve_ref(b.actual, env, actuals, path)
@@ -162,15 +162,15 @@ def elaborate(defs: list[FlowDef], entry: str, symbols: SymbolTable,
     task_external: dict[str, list[ExternalInput]] = {t: [] for t in walk.task_meta}
     for stream, prefix, task_id, line, column in walk.definitions:
         if walk.streams[stream].external:
-            diags.append(error_at(line, column,
-                                  f"task {task_id!r} writes input stream {stream!r}"))
+            diags.append(Diagnostic(line, column,
+                                    f"task {task_id!r} writes input stream {stream!r}"))
             continue
         groups = by_stream.setdefault(stream, [])
         for other_prefix, other_task in groups:
             if _prefix_overlap(prefix, other_prefix):
-                diags.append(error_at(line, column,
-                                      f"stream slot {_slot_id(stream, prefix)!r} defined by both "
-                                      f"{other_task!r} and {task_id!r}"))
+                diags.append(Diagnostic(line, column,
+                                        f"stream slot {_slot_id(stream, prefix)!r} defined by both "
+                                        f"{other_task!r} and {task_id!r}"))
         groups.append((prefix, task_id))
         buf_id = _slot_id(stream, prefix)
         buffers[buf_id] = Buffer(id=buf_id, size=walk.task_meta[task_id].elementsize,
@@ -196,9 +196,9 @@ def elaborate(defs: list[FlowDef], entry: str, symbols: SymbolTable,
         if walk.streams[stream].external:
             task_external[task_id].append(ExternalInput(stream=_slot_id(stream, prefix)))
         else:
-            diags.append(error_at(line, column,
-                                  f"stream slot {_slot_id(stream, prefix)!r} is observed by "
-                                  f"{task_id!r} but never defined"))
+            diags.append(Diagnostic(line, column,
+                                    f"stream slot {_slot_id(stream, prefix)!r} is observed by "
+                                    f"{task_id!r} but never defined"))
 
     if diags:
         raise DiagnosticError(diags)
@@ -230,8 +230,8 @@ def _resolve_patterns(fn_meta: FunctionMetadata, catalog: PatternCatalog,
     """The catalog's own spelling of each pattern ``fn_meta`` lists, once
     each, in catalog order."""
     names = fn_meta.available_patterns
-    diags.extend(error_at(1, 1, f"function {fn_meta.name!r} lists pattern {name!r} "
-                                f"which is not in the catalog")
+    diags.extend(Diagnostic(1, 1, f"function {fn_meta.name!r} lists pattern {name!r} "
+                                  f"which is not in the catalog")
                  for name in names if catalog.get(name) is None)
     found = {catalog.index(n) for n in names if catalog.get(n) is not None}
     return tuple(catalog.patterns[i].name for i in sorted(found))
@@ -286,30 +286,30 @@ def bind_timing(graph: TaskGraph, docs: list, labels: dict[str, tuple[str, str]]
             if doc.variable_name == "modem_period":
                 if doc.op == "equal":
                     if pinned is not None and pinned[1] != doc.value:
-                        diags.append(error_at(1, 1,
-                                              f"documents {pinned[0]!r} and {doc.name!r} pin "
-                                              f"modem_period to different values"))
+                        diags.append(Diagnostic(1, 1,
+                                                f"documents {pinned[0]!r} and {doc.name!r} pin "
+                                                f"modem_period to different values"))
                     else:
                         pinned = (doc.name, doc.value)
                         deadline = doc.value
                 elif doc.op == "le":
                     deadline = min(deadline, doc.value)
                 else:
-                    diags.append(error_at(1, 1,
-                                          f"document {doc.name!r}: 'ge' on modem_period does "
-                                          f"not constrain the slot"))
+                    diags.append(Diagnostic(1, 1,
+                                            f"document {doc.name!r}: 'ge' on modem_period does "
+                                            f"not constrain the slot"))
             elif doc.variable_name in labels:
                 _bind_label(doc, labels[doc.variable_name], tasks, buffers, diags)
             else:
-                diags.append(error_at(1, 1,
-                                      f"document {doc.name!r} addresses {doc.variable_name!r}, "
-                                      f"which is neither a stream label nor a reserved name"))
+                diags.append(Diagnostic(1, 1,
+                                        f"document {doc.name!r} addresses {doc.variable_name!r}, "
+                                        f"which is neither a stream label nor a reserved name"))
         elif isinstance(doc, TimingEquationDoc):
             for symbol in sorted(equation_symbols(doc)):
                 if symbol not in label_values_available:
-                    diags.append(error_at(1, 1,
-                                          f"equation {doc.name!r} reads {symbol!r}, which is "
-                                          f"neither a label, modem_period, nor an assigned value"))
+                    diags.append(Diagnostic(1, 1,
+                                            f"equation {doc.name!r} reads {symbol!r}, which is "
+                                            f"neither a label, modem_period, nor an assigned value"))
             bound.append(doc)
 
     if diags:
@@ -329,9 +329,9 @@ def _bind_label(doc: TimingEqualityDoc, target: tuple[str, str],
     labeled = [b for b in buffers.values() if doc.variable_name in b.labels]
     if labeled:
         if doc.op == "equal":
-            diags.append(error_at(1, 1,
-                                  f"document {doc.name!r}: 'equal' is ambiguous on the "
-                                  f"defined stream {stream!r}; use le or ge"))
+            diags.append(Diagnostic(1, 1,
+                                    f"document {doc.name!r}: 'equal' is ambiguous on the "
+                                    f"defined stream {stream!r}; use le or ge"))
         elif doc.op == "le":
             for buf in labeled:
                 cap = doc.value if buf.avail_deadline is None else min(buf.avail_deadline, doc.value)
@@ -347,13 +347,13 @@ def _bind_label(doc: TimingEqualityDoc, target: tuple[str, str],
 
     readers = [t for t in tasks.values() if any(map(reads, t.external_inputs))]
     if not readers:
-        diags.append(error_at(1, 1,
-                              f"document {doc.name!r}: label {doc.variable_name!r} tags stream "
-                              f"{stream!r}, which no task in this graph touches"))
+        diags.append(Diagnostic(1, 1,
+                                f"document {doc.name!r}: label {doc.variable_name!r} tags stream "
+                                f"{stream!r}, which no task in this graph touches"))
     elif doc.op == "le":
-        diags.append(error_at(1, 1,
-                              f"document {doc.name!r}: 'le' on input port "
-                              f"{stream!r} does not constrain arrival"))
+        diags.append(Diagnostic(1, 1,
+                                f"document {doc.name!r}: 'le' on input port "
+                                f"{stream!r} does not constrain arrival"))
     else:
         for task in readers:
             tasks[task.id] = replace(task, external_inputs=tuple(

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diagnostics import Diagnostic, DiagnosticError, error_at, fail
+from .diagnostics import Diagnostic, DiagnosticError, fail
 
 DIRECTIONS = ("in", "out", "internal")
 
@@ -364,10 +364,10 @@ def _resolve_positive(value: int | str, symbols: SymbolTable, line: int,
                       column: int, what: str, diags: list[Diagnostic]) -> int | None:
     resolved = symbols.resolve(value)
     if resolved is None:
-        diags.append(error_at(line, column, f"{what} {value!r} is not a known symbol"))
+        diags.append(Diagnostic(line, column, f"{what} {value!r} is not a known symbol"))
         return None
     if resolved <= 0:
-        diags.append(error_at(line, column, f"{what} {value!r} = {resolved} must be positive"))
+        diags.append(Diagnostic(line, column, f"{what} {value!r} = {resolved} must be positive"))
         return None
     return resolved
 
@@ -391,19 +391,19 @@ def validate_flows(defs: list[FlowDef], symbols: SymbolTable) -> list[FlowDef]:
         streams: dict[str, StreamDecl] = {}
         for header, decl in [(True, d) for d in flow.params] + [(False, d) for d in flow.internals]:
             if decl.name in streams:
-                diags.append(error_at(decl.line, decl.column,
-                                      f"stream {decl.name!r} declared twice in flow {flow.name!r}"))
+                diags.append(Diagnostic(decl.line, decl.column,
+                                        f"stream {decl.name!r} declared twice in flow {flow.name!r}"))
                 continue
             streams[decl.name] = decl
             if decl.direction not in DIRECTIONS:
-                diags.append(error_at(decl.line, decl.column,
-                                      f"unknown stream direction {decl.direction!r}"))
+                diags.append(Diagnostic(decl.line, decl.column,
+                                        f"unknown stream direction {decl.direction!r}"))
             elif header and decl.direction == "internal":
-                diags.append(error_at(decl.line, decl.column,
-                                      f"stream {decl.name!r}: direction 'internal' is not allowed in a parameter header"))
+                diags.append(Diagnostic(decl.line, decl.column,
+                                        f"stream {decl.name!r}: direction 'internal' is not allowed in a parameter header"))
             elif not header and decl.direction in ("in", "out"):
-                diags.append(error_at(decl.line, decl.column,
-                                      f"stream {decl.name!r}: direction {decl.direction!r} is only allowed in a parameter header"))
+                diags.append(Diagnostic(decl.line, decl.column,
+                                        f"stream {decl.name!r}: direction {decl.direction!r} is only allowed in a parameter header"))
             for dim in decl.shape:
                 _resolve_positive(dim, symbols, decl.line, decl.column,
                                   f"shape dimension of {decl.name!r}", diags)
@@ -412,52 +412,52 @@ def validate_flows(defs: list[FlowDef], symbols: SymbolTable) -> list[FlowDef]:
             iter_vars: set[str] = set()
             for it in inst.iterators:
                 if it.var in iter_vars:
-                    diags.append(error_at(it.line, it.column,
-                                          f"iterator {it.var!r} declared twice in {inst.callee!r}"))
+                    diags.append(Diagnostic(it.line, it.column,
+                                            f"iterator {it.var!r} declared twice in {inst.callee!r}"))
                 iter_vars.add(it.var)
                 lo = _resolve_positive(it.lower, symbols, it.line, it.column,
                                        f"lower bound of iterator {it.var!r}", diags)
                 hi = _resolve_positive(it.upper, symbols, it.line, it.column,
                                        f"upper bound of iterator {it.var!r}", diags)
                 if lo is not None and hi is not None and lo > hi:
-                    diags.append(error_at(it.line, it.column,
-                                          f"iterator {it.var!r} has non-positive range {lo}:{hi}"))
+                    diags.append(Diagnostic(it.line, it.column,
+                                            f"iterator {it.var!r} has non-positive range {lo}:{hi}"))
 
             formals: set[str] = set()
             callee = by_name.get(inst.callee)
             params = [d.name for d in callee.params] if callee is not None else []
             for b in inst.bindings:
                 if b.formal in formals:
-                    diags.append(error_at(b.line, b.column,
-                                          f"formal {b.formal!r} bound twice in {inst.callee!r}"))
+                    diags.append(Diagnostic(b.line, b.column,
+                                            f"formal {b.formal!r} bound twice in {inst.callee!r}"))
                 formals.add(b.formal)
                 if callee is not None and b.formal not in params:
-                    diags.append(error_at(b.line, b.column,
-                                          f"{inst.callee!r} has no parameter {b.formal!r}"))
+                    diags.append(Diagnostic(b.line, b.column,
+                                            f"{inst.callee!r} has no parameter {b.formal!r}"))
                 elif callee is None and not b.formal.endswith(("_in", "_out")):
                     # a leaf function has no declaration to take direction from
-                    diags.append(error_at(b.line, b.column,
-                                          f"cannot infer direction of formal {b.formal!r} "
-                                          f"on leaf function {inst.callee!r}; use an _in or "
-                                          f"_out suffix"))
+                    diags.append(Diagnostic(b.line, b.column,
+                                            f"cannot infer direction of formal {b.formal!r} "
+                                            f"on leaf function {inst.callee!r}; use an _in or "
+                                            f"_out suffix"))
                 decl = streams.get(b.actual.stream)
                 if decl is None:
-                    diags.append(error_at(b.actual.line, b.actual.column,
-                                          f"unresolved stream {b.actual.stream!r} in flow {flow.name!r}"))
+                    diags.append(Diagnostic(b.actual.line, b.actual.column,
+                                            f"unresolved stream {b.actual.stream!r} in flow {flow.name!r}"))
                     continue
                 if len(b.actual.indices) > decl.rank:
-                    diags.append(error_at(b.actual.line, b.actual.column,
-                                          f"stream {decl.name!r} has rank {decl.rank} but is indexed "
-                                          f"{len(b.actual.indices)} times"))
+                    diags.append(Diagnostic(b.actual.line, b.actual.column,
+                                            f"stream {decl.name!r} has rank {decl.rank} but is indexed "
+                                            f"{len(b.actual.indices)} times"))
                 # indices admit iterator variables and integer constants only
                 for idx in b.actual.indices:
                     if isinstance(idx, str) and idx not in iter_vars:
-                        diags.append(error_at(b.actual.line, b.actual.column,
-                                              f"index {idx!r} is not an iterator of this "
-                                              f"instantiation"))
-            diags.extend(error_at(inst.line, inst.column,
-                                  f"instantiation of {inst.callee!r} leaves parameter "
-                                  f"{name!r} unbound")
+                        diags.append(Diagnostic(b.actual.line, b.actual.column,
+                                                f"index {idx!r} is not an iterator of this "
+                                                f"instantiation"))
+            diags.extend(Diagnostic(inst.line, inst.column,
+                                    f"instantiation of {inst.callee!r} leaves parameter "
+                                    f"{name!r} unbound")
                          for name in params if name not in formals)
 
     # a flow that reaches itself through its instantiations would expand
@@ -479,9 +479,9 @@ def validate_flows(defs: list[FlowDef], symbols: SymbolTable) -> list[FlowDef]:
                 finished.append(by_name[trail.pop()])
             elif inst.callee in trail:
                 cycle = trail[trail.index(inst.callee):] + [inst.callee]
-                diags.append(error_at(inst.line, inst.column,
-                                      f"flow {inst.callee!r} instantiates itself: "
-                                      + " -> ".join(cycle)))
+                diags.append(Diagnostic(inst.line, inst.column,
+                                        f"flow {inst.callee!r} instantiates itself: "
+                                        + " -> ".join(cycle)))
             elif inst.callee in by_name and inst.callee not in done:
                 trail.append(inst.callee)
                 stack.append(iter(by_name[inst.callee].instantiations))
@@ -496,9 +496,9 @@ def validate_flows(defs: list[FlowDef], symbols: SymbolTable) -> list[FlowDef]:
             if rank.get(inst.callee, -1) <= rank[flow.name]:
                 continue
             if level[flow.name] == MAX_FLOW_NESTING:
-                diags.append(error_at(inst.line, inst.column,
-                                      f"instantiation of {inst.callee!r} nests flows "
-                                      f"more than {MAX_FLOW_NESTING} levels deep"))
+                diags.append(Diagnostic(inst.line, inst.column,
+                                        f"instantiation of {inst.callee!r} nests flows "
+                                        f"more than {MAX_FLOW_NESTING} levels deep"))
             level[inst.callee] = max(level[inst.callee], level[flow.name] + 1)
 
     if diags:
@@ -519,9 +519,9 @@ def collect_labels(defs: list[FlowDef]) -> dict[str, tuple[str, str]]:
             for label in decl.labels:
                 if label in labels:
                     other = labels[label]
-                    diags.append(error_at(decl.line, decl.column,
-                                          f"label {label!r} already tags stream "
-                                          f"{other[1]!r} in flow {other[0]!r}"))
+                    diags.append(Diagnostic(decl.line, decl.column,
+                                            f"label {label!r} already tags stream "
+                                            f"{other[1]!r} in flow {other[0]!r}"))
                 else:
                     labels[label] = (flow.name, decl.name)
     if diags:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diagnostics import DiagnosticError, error_at, fail
+from .diagnostics import Diagnostic, DiagnosticError, fail
 from .documents import integer, load_document, section, typed
 
 MEMORY_LEVELS = ("L2", "L3", "DDR")
@@ -94,7 +94,7 @@ def _get(entry: dict, key: str, what: str, diags: list, kind: type = int,
     non-integer is reported in ``diags`` and gives None."""
     if key not in entry:
         if default is None:
-            diags.append(error_at(1, 1, f"{what} is missing {key!r}"))
+            diags.append(Diagnostic(1, 1, f"{what} is missing {key!r}"))
         return default
     if kind is str:
         return str(entry[key])
@@ -122,14 +122,14 @@ def parse_topology(text: str) -> HardwareTopology:
             mem_ids.add(str(m["id"]))
         level = m.get("level")
         if level not in MEMORY_LEVELS:
-            diags.append(error_at(1, 1, f"memory {m.get('id')!r} has unknown level {level!r}"))
+            diags.append(Diagnostic(1, 1, f"memory {m.get('id')!r} has unknown level {level!r}"))
             continue
         n = len(diags)
         mem = Memory(id=_get(m, "id", what, diags, str), level=level,
                      capacity=_get(m, "capacity", what, diags))
         if len(diags) == n and mem.capacity < 0:
-            diags.append(error_at(1, 1, f"{what}: 'capacity' must be "
-                                        f"non-negative, got {mem.capacity}"))
+            diags.append(Diagnostic(1, 1, f"{what}: 'capacity' must be "
+                                          f"non-negative, got {mem.capacity}"))
         if len(diags) == n:
             memories.append(mem)
     cores: list[Core] = []
@@ -145,16 +145,16 @@ def parse_topology(text: str) -> HardwareTopology:
             continue
         for ref in (core.l2, core.l3):
             if ref not in mem_ids:
-                diags.append(error_at(1, 1, f"core {core.id} references unknown memory {ref!r}"))
+                diags.append(Diagnostic(1, 1, f"core {core.id} references unknown memory {ref!r}"))
         cores.append(core)
     if len({c.id for c in cores}) != len(cores):
-        diags.append(error_at(1, 1, "duplicate core ids in topology"))
+        diags.append(Diagnostic(1, 1, "duplicate core ids in topology"))
 
     costs = dict(DEFAULT_COST_TABLE)
     for klass, entry in _section(raw, "pattern_costs", dict, "topology", diags).items():
         what = f"pattern_costs.{klass}"
         if klass not in DEFAULT_COST_TABLE:
-            diags.append(error_at(1, 1, f"pattern_costs names unknown class {klass!r}"))
+            diags.append(Diagnostic(1, 1, f"pattern_costs names unknown class {klass!r}"))
             continue
         if _collect(diags, typed, entry, dict, what) is None:
             continue

@@ -155,7 +155,7 @@ def _parse_sdk(doc: Document) -> FunctionMetadata:
 
 _RELOPS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt,
            "=": operator.eq}
-_TOKEN_RE = re.compile(r"\s*(<=|>=|<|>|=|\+|\*|[A-Za-z_][A-Za-z0-9_]*|\d+)")
+_TOKEN_RE = re.compile(r"\s*(<=|>=|<|>|=|\+|\*|[A-Za-z_][A-Za-z0-9_]*|[0-9]+)")
 
 
 def _tokenize_equation(text: str) -> list[str]:

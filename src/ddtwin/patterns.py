@@ -31,7 +31,7 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
-from .diagnostics import DiagnosticError, error_at, fail
+from .diagnostics import Diagnostic, DiagnosticError, fail
 
 SHARE_KEYS = ("L2_II", "L2_IO", "L2_OI", "L2_OO",
               "L3_II", "L3_IO", "L3_OI", "L3_OO")
@@ -70,9 +70,9 @@ def pattern_class(name: str) -> str:
 
 def _core_hint(tokens: tuple[str, ...]) -> int | None:
     for tok in tokens:
-        m = re.fullmatch(r"c(\d+)", tok)
-        if m:
-            return int(m.group(1))
+        digits = tok[1:]
+        if tok[:1] == "c" and digits.isascii() and digits.isdigit():
+            return int(digits)
     return None
 
 
@@ -107,14 +107,14 @@ class PatternCatalog:
         # position; resolving each pattern's own name seeds it and finds
         # duplicates
         self._ids: dict[str, int | None] = {}
-        diags = [error_at(1, 1, f"duplicate pattern name {p.name!r}")
+        diags = [Diagnostic(1, 1, f"duplicate pattern name {p.name!r}")
                  for i, p in enumerate(self.patterns) if self.position(p.name) != i]
 
         def serializing(p: Pattern) -> tuple[str, ...]:
             return p.exclusive_define_with + tuple(
                 m for key in SHARE_KEYS for m in p.shares[key])
 
-        diags += [error_at(1, 1, f"pattern {p.name!r} references unknown pattern {member!r}")
+        diags += [Diagnostic(1, 1, f"pattern {p.name!r} references unknown pattern {member!r}")
                   for p in self.patterns for member in serializing(p) + p.can_observe
                   if self.position(member) is None]
         if diags:
@@ -236,12 +236,12 @@ def parse_pattern_catalog(text: str) -> PatternCatalog:
     for elem in root.findall("pattern"):
         name = elem.get("name")
         if not name:
-            diags.append(error_at(1, 1, "<pattern> element without a name attribute"))
+            diags.append(Diagnostic(1, 1, "<pattern> element without a name attribute"))
             continue
         defining = elem.findtext("defining_memory")
         observing = elem.findtext("observing_memory")
         if not defining or not observing:
-            diags.append(error_at(1, 1, f"pattern {name!r} must declare defining and observing memories"))
+            diags.append(Diagnostic(1, 1, f"pattern {name!r} must declare defining and observing memories"))
             continue
         shares = {key: members(elem.find(f"shares_{key}_with")) for key in SHARE_KEYS}
         patterns.append(Pattern(

@@ -1,16 +1,21 @@
 """End-to-end checks for the ddtwin command line driver.
 
 Every test drives cli.main() in process with flag-style argv and captures
-stdout/stderr, asserting on exit codes and the exact artifacts written.
+stdout/stderr, asserting on exit codes and the exact artifacts written;
+one runs it in a fresh interpreter, to see what a run imports.
 Exit code contract: 0 ok, 1 invalid input or an exhausted search budget,
-2 proven infeasible, 3 unexpected internal failure.
+2 proven infeasible, 3 unexpected internal failure; a usage error exits 2
+through SystemExit before any command runs.
 """
 
 import contextlib
 import copy
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import textwrap
 from pathlib import Path
@@ -543,13 +548,93 @@ def test_non_integer_deployment_symbol_exits_1(tmp_path):
                    "got 'four'\n")
 
 
-def test_usage_errors_exit_2():
+# -- command line -----------------------------------------------------------
+
+_USAGE = ("usage: ddtwin {validate,elaborate,solve,scenarios,report} "
+          "--manifest PATH [--out DIR] [--mode {exact,heuristic}]\n")
+_COMMAND_LIST = "validate, elaborate, solve, scenarios, report"
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], f"the command must be one of {_COMMAND_LIST}"),
+    (["frobnicate", "--manifest", "x.yaml"],
+     f"the command must be one of {_COMMAND_LIST}, got 'frobnicate'"),
+    (["--manifest", "x.yaml", "solve"],
+     f"the command must be one of {_COMMAND_LIST}, got '--manifest'"),
+    (["solve"], "option --manifest is required"),
+    (["solve", "--manifest", "x.yaml", "--budget", "5"],
+     "option --budget not recognized"),
+    (["solve", "--manifest", "x.yaml", "-x"], "option -x not recognized"),
+    (["solve", "--manifest"], "option --manifest requires argument"),
+    (["solve", "--m", "x.yaml"], "option --m not a unique prefix"),
+    (["solve", "--manifest", "x.yaml", "--mode", "fast"],
+     "option --mode must be one of exact, heuristic, got 'fast'"),
+    (["solve", "--manifest", "x.yaml", "extra"], "unexpected argument 'extra'"),
+], ids=["no-command", "unknown-command", "option-first", "no-manifest",
+        "unknown-option", "unknown-short-option", "no-value", "ambiguous-prefix",
+        "bad-mode", "stray-argument"])
+def test_usage_errors_exit_2(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["solve"])                    # --manifest is required
+        cli.main(argv)
     assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"{_USAGE}ddtwin: error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], ["solve", "-h"], ["report", "--manifest", "x", "--he"],
+])
+def test_help_exits_0_and_lists_every_command(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["frobnicate", "--manifest", "x.yaml"])
-    assert exc.value.code == 2
+        cli.main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert (out.startswith(_USAGE), err) == (True, "")
+    commands = [line.split()[0] for line in
+                out.split("\ncommands:\n")[1].split("\n\n")[0].splitlines()]
+    assert commands == _COMMAND_LIST.split(", ")
+    for flag in ("--manifest PATH", "--out DIR", "--mode MODE", "-h, --help"):
+        assert f"\n  {flag}  " in out
+
+
+@pytest.mark.parametrize("argv,seen", [
+    (["--manifest=m.yaml"], ("m.yaml", None, None)),
+    (["--man", "m.yaml"], ("m.yaml", None, None)),
+    (["--manifest", "m.yaml", "--out", "o", "--mode", "heuristic"],
+     ("m.yaml", "o", "heuristic")),
+    # any order, any unique prefix; a repeated option keeps its last value
+    (["--mo=exact", "--o=o", "--manifest", "a.yaml", "--manifest", "m.yaml"],
+     ("m.yaml", "o", "exact")),
+])
+def test_flags_reach_the_manifest_loader(argv, seen, monkeypatch):
+    calls = []
+
+    def loader(path, out=None, mode=None):
+        calls.append((path, out, mode))
+        raise DiagnosticError([])
+
+    monkeypatch.setattr(cli, "load_run_manifest", loader)
+    assert run(["validate", *argv]) == (1, "", "")
+    assert calls == [seen]
+
+
+def test_a_run_imports_nothing_after_the_cli_module(trivial_dir, tmp_path):
+    """Everything a command needs comes in with ``ddtwin.cli``, so no
+    import lands inside a run that starts after it."""
+    probe = textwrap.dedent("""\
+        import contextlib, io, sys
+        from ddtwin import cli
+        before = set(sys.modules)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["scenarios", "--manifest", sys.argv[1],
+                             "--out", sys.argv[2]])
+        print(code, sorted(set(sys.modules) - before))
+    """)
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, str(trivial_dir / "manifest.yaml"),
+         str(tmp_path)], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120)
+    assert (proc.stdout, proc.stderr) == ("0 []\n", "")
 
 
 # -- manifest loading -------------------------------------------------------

@@ -160,6 +160,9 @@ def test_unit_and_pattern_list_refusals(kind, spec, position, message):
 @pytest.mark.parametrize("equation,diagnostic", [
     ("C <= A $ 3", (6, 13, "document 1: bad equation syntax near '$ 3' "
                           "(column 7 of the equation)")),
+    # only ASCII digits make a constant: Arabic-Indic 30 is refused
+    ("C <= \u0663\u0660", (6, 13, "document 1: bad equation syntax near "
+                                  "'\u0663\u0660' (column 5 of the equation)")),
     ("", (6, 13, "document 1: equation of 'D' is empty")),
     ("C <= + A", (6, 13, "document 1: dangling operator in equation of 'D'")),
     ("C <= A <=", (6, 13, "document 1: dangling operator in equation of 'D'")),

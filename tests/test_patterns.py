@@ -43,6 +43,16 @@ def test_pattern_class_from_name():
         pattern_class("teleport.c_0")
 
 
+@pytest.mark.parametrize("name,hint", [
+    ("pipeline.c_3.L3_0", 3),
+    ("big_delay.c.12.L3.0.DDR.0.L3.0", 12),
+    # only ASCII digits name a core: an Arabic-Indic three is no hint
+    ("pipeline.c_\u0663.L3_0", None),
+    ("pipeline.c.L3_0", None),
+])
+def test_core_hint_reads_ascii_digits_only(name, hint):
+    assert Pattern(name, "c0.l2", "L3_0").core_hint == hint
+
 def test_bundled_catalog_parses(paper_dir):
     cat = parse_pattern_catalog((paper_dir / "patterns.xml").read_text())
     assert len(cat) == 16

@@ -34,9 +34,13 @@ def test_count_bytecodes_repeats_its_count(trivial_dir, tmp_path):
     assert runs[0].stdout == runs[1].stdout
     counts = {phase: int(n.replace(",", "")) for phase, n
               in map(str.split, runs[0].stdout.splitlines())}
-    assert list(counts) == ["plan", "seed", "search", "check", "other", "total"]
+    assert list(counts) == ["plan", "seed", "search", "check", "other", "total",
+                            "library"]
+    library = counts.pop("library")
     assert counts.pop("total") == sum(counts.values())
     assert counts["plan"] > 0 and counts["seed"] > 0 and counts["check"] > 0
+    # PyYAML's constructor alone runs Python code on every load
+    assert library > 0
 
 
 def test_random_equivalence_monotonic_mode(tmp_path):
