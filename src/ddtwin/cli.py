@@ -101,8 +101,6 @@ def load_run_manifest(path: str | Path, out: str | None = None,
 
     def paths(key: str, required: bool) -> list[Path]:
         entries = spec.get(key) or []
-        if isinstance(entries, str):
-            entries = [entries]
         list_of(entries, str, f"{where}.{key}")
         if required and not entries:
             raise fail(1, 1, f"{where}.{key} must list at least one path")

@@ -13,7 +13,8 @@ Grammar sketch::
     flow    := 'Flow' IDENT NEWLINE (decl | inst)*
     decl    := IDENT ':' 'stream' ('[' dim ']')* ('{' attrs '}')?
     dim     := INT | IDENT
-    attrs   := IDENT '=' (IDENT | INT) (',' IDENT '=' (IDENT | INT))*
+    attrs   := attr (',' attr)*
+    attr    := ('type' | 'label') '=' (IDENT | INT)
     inst    := IDENT '[' entry (',' entry)* ']'
     entry   := IDENT '=' (bound ':' bound | ref)
     bound   := INT | IDENT
@@ -49,7 +50,6 @@ class StreamDecl:
     shape: list[int | str]
     direction: str
     labels: list[str] = field(default_factory=list)
-    attrs: dict[str, str] = field(default_factory=dict)
     line: int = 0
     column: int = 0
 
@@ -64,8 +64,6 @@ class StreamRef:
 
     stream: str
     indices: list[int | str]
-    line: int = 0
-    column: int = 0
 
 
 @dataclass
@@ -246,16 +244,13 @@ class _Parser:
                            f"expected declaration or instantiation, found {tok.text or tok.kind!r}")
             after = self.peek(1)
             if after.kind == "colon":
-                decl = self.parse_decl()
                 # the parameter header is the indented run right under the
                 # Flow line; a dedent or an instantiation ends it for good
-                if in_header and decl.column > kw.column:
-                    decl.direction = decl.attrs.pop("type", "out")
-                    flow.params.append(decl)
+                in_header = in_header and tok.column > kw.column
+                if in_header:
+                    flow.params.append(self.parse_decl("out"))
                 else:
-                    in_header = False
-                    decl.direction = decl.attrs.pop("type", "internal")
-                    flow.internals.append(decl)
+                    flow.internals.append(self.parse_decl("internal"))
             elif after.kind == "lbracket":
                 in_header = False
                 flow.instantiations.append(self.parse_instantiation())
@@ -264,7 +259,9 @@ class _Parser:
                            f"expected ':' or '[' after {tok.text!r}")
         return flow
 
-    def parse_decl(self) -> StreamDecl:
+    def parse_decl(self, direction: str) -> StreamDecl:
+        """A stream declaration, of ``direction`` unless its ``type``
+        attribute names another."""
         name = self.take()
         self.expect("colon", "':'")
         self.expect("stream", "'stream'")
@@ -274,12 +271,16 @@ class _Parser:
             dim = self.parse_scalar("shape dimension")
             self.expect("rbracket", "']' closing shape bracket")
             shape.append(dim)
-        decl = StreamDecl(name=name.text, shape=shape, direction="",
+        decl = StreamDecl(name=name.text, shape=shape, direction=direction,
                           line=name.line, column=name.column)
         if self.peek().kind == "lbrace":
             self.take()
             while True:
                 key = self.expect("ident", "attribute name")
+                if key.text not in ("type", "label"):
+                    raise fail(key.line, key.column,
+                               f"unknown stream attribute {key.text!r} "
+                               f"(expected 'type' or 'label')")
                 self.expect("equals", "'='")
                 val = self.peek()
                 if val.kind not in ("ident", "int", "stream"):
@@ -288,7 +289,7 @@ class _Parser:
                 if key.text == "label":
                     decl.labels.append(val.text)
                 else:
-                    decl.attrs[key.text] = val.text
+                    decl.direction = val.text
                 if self.peek().kind == "comma":
                     self.take()
                     continue
@@ -331,8 +332,7 @@ class _Parser:
                 if isinstance(value, int):
                     raise fail(name.line, name.column,
                                f"binding {name.text!r} must name a stream")
-                ref = StreamRef(stream=value, indices=[],
-                                line=name.line, column=name.column)
+                ref = StreamRef(stream=value, indices=[])
                 while self.peek().kind == "lbracket":
                     self.take()
                     ref.indices.append(self.parse_scalar("index expression"))
@@ -442,17 +442,17 @@ def validate_flows(defs: list[FlowDef], symbols: SymbolTable) -> list[FlowDef]:
                                             f"_out suffix"))
                 decl = streams.get(b.actual.stream)
                 if decl is None:
-                    diags.append(Diagnostic(b.actual.line, b.actual.column,
+                    diags.append(Diagnostic(b.line, b.column,
                                             f"unresolved stream {b.actual.stream!r} in flow {flow.name!r}"))
                     continue
                 if len(b.actual.indices) > decl.rank:
-                    diags.append(Diagnostic(b.actual.line, b.actual.column,
+                    diags.append(Diagnostic(b.line, b.column,
                                             f"stream {decl.name!r} has rank {decl.rank} but is indexed "
                                             f"{len(b.actual.indices)} times"))
                 # indices admit iterator variables and integer constants only
                 for idx in b.actual.indices:
                     if isinstance(idx, str) and idx not in iter_vars:
-                        diags.append(Diagnostic(b.actual.line, b.actual.column,
+                        diags.append(Diagnostic(b.line, b.column,
                                                 f"index {idx!r} is not an iterator of this "
                                                 f"instantiation"))
             diags.extend(Diagnostic(inst.line, inst.column,
@@ -527,41 +527,3 @@ def collect_labels(defs: list[FlowDef]) -> dict[str, tuple[str, str]]:
     if diags:
         raise DiagnosticError(diags)
     return labels
-
-
-# ---------------------------------------------------------------------------
-# Pretty printer
-
-
-def _render_decl(decl: StreamDecl, indent: str, header: bool) -> str:
-    dims = "".join(f"[{d}]" for d in decl.shape)
-    attrs: list[str] = []
-    if header:
-        if decl.direction != "out":
-            attrs.append(f"type = {decl.direction}")
-    elif decl.direction != "internal":
-        attrs.append(f"type = {decl.direction}")
-    attrs.extend(f"label = {label}" for label in decl.labels)
-    attrs.extend(f"{k} = {v}" for k, v in decl.attrs.items())
-    suffix = "{" + ", ".join(attrs) + "}" if attrs else ""
-    return f"{indent}{decl.name} : stream{dims}{suffix}"
-
-
-def pretty_print(defs: list[FlowDef]) -> str:
-    """Render definitions back to parseable source in a canonical layout."""
-    lines: list[str] = []
-    for flow in defs:
-        if lines:
-            lines.append("")
-        lines.append(f"Flow {flow.name}")
-        for decl in flow.params:
-            lines.append(_render_decl(decl, "  ", header=True))
-        for decl in flow.internals:
-            lines.append(_render_decl(decl, "", header=False))
-        for inst in flow.instantiations:
-            entries = [f"{it.var} = {it.lower}:{it.upper}" for it in inst.iterators]
-            for b in inst.bindings:
-                idx = "".join(f"[{i}]" for i in b.actual.indices)
-                entries.append(f"{b.formal} = {b.actual.stream}{idx}")
-            lines.append(f"{inst.callee}[" + ", ".join(entries) + "]")
-    return "\n".join(lines) + "\n"

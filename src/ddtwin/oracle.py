@@ -84,7 +84,9 @@ def _pattern_ok(pattern, definer_core: int, observer_cores: list[int]) -> bool:
 
 def brute_force_oracle(graph: TaskGraph, topology: HardwareTopology,
                        catalog: PatternCatalog) -> OracleResult:
-    """True minimum makespan by full enumeration, or infeasible."""
+    """The least makespan within the greedy class the module docstring
+    names, by full enumeration, or infeasible if no schedule in that class
+    is valid; not a minimum over every schedule the checker accepts."""
     if len(graph.tasks) > MAX_TASKS:
         raise ValueError(f"oracle refuses {len(graph.tasks)} tasks (max {MAX_TASKS})")
     if len(topology.cores) > MAX_CORES:

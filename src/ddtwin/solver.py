@@ -393,10 +393,6 @@ class SearchPlan:
         for buf in graph.buffers.values():
             for obs in buf.observers:
                 self.observed[obs].append(buf.id)
-        # per position in that order, the tasks reading that task's
-        # outputs, directly or not
-        self.descendants = [self._descendants(i)
-                            for i in range(len(self.topo_order))]
         self.resolved = {}
         for buf in graph.buffers.values():
             key = buf.allowed_patterns, buf.size
@@ -411,8 +407,8 @@ class SearchPlan:
                            default=0)
         self.down, self.reach = self._ranks()
         self.anchor_base, self.anchor_extra = self._anchor_tables()
-        self.plans = {t: self._propagation(t, below) for t, below
-                      in zip(self.topo_order, self.descendants)}
+        self.plans = {t: self._propagation(t, self._descendants(i))
+                      for i, t in enumerate(self.topo_order)}
         self.group_of = self._validated_symmetry()
         self.gates = self._frontier_gates()
         # task -> each task gated on it, with all that task's gates
@@ -435,8 +431,8 @@ class SearchPlan:
         self.root_est_fin, path = self._estimate(
             self._propagation(None, self.topo_order), {}, {}, {}, 0)
         total = sum(t.runtime for t in graph.tasks.values())
-        self.load_bound = -(-total // len(self.cores)) if self.cores else 0
-        self.root_floor = max(path, self.load_bound,
+        load = -(-total // len(self.cores)) if self.cores else 0
+        self.root_floor = max(path, load,
                               self._head_body_tail(self.root_est_fin),
                               self._pipeline_or_pay(self.root_est_fin))
 

@@ -55,7 +55,7 @@ def test_gate1_bundled_fixture_parses_to_reference_structures(paper_dir):
     pin, equation = docs
     assert pin == TimingEqualityDoc(name="Modem_Period",
                                     variable_name="modem_period",
-                                    op="equal", value=1_000_000, unit="clock")
+                                    op="equal", value=1_000_000)
     assert isinstance(equation, TimingEquationDoc)
     assert equation.equation == "C <= A*370 + B < 500"
     assert equation.bindings == {"C": "grid_period", "A": "num_ue1",

@@ -46,7 +46,8 @@ def test_the_names_the_worker_and_runner_call_exist():
     from ddtwin import cli
     from ddtwin.diagnostics import DiagnosticError
     from ddtwin.scenarios import TIGHTEN_DEADLINE, parse_scenario_csv
-    from ddtwin.schedule import check_schedule, effective_max_start_lag
+    from ddtwin.schedule import (DEADLINE_MISS, Violation, check_schedule,
+                                 effective_max_start_lag)
     from ddtwin.solver import SolveOpts
 
     assert callable(cli.main) and callable(cli.load_run_manifest)
@@ -56,6 +57,11 @@ def test_the_names_the_worker_and_runner_call_exist():
     assert SolveOpts().max_start_lag is None
     assert "max_start_lag" in inspect.signature(check_schedule).parameters
     assert callable(effective_max_start_lag)
+    # the re-check reports a bad row as KIND[subject] @ t: message
+    assert (Violation(DEADLINE_MISS, "t1", "finishes late", 7).render()
+            == "DEADLINE_MISS[t1] @ 7: finishes late")
+    assert (Violation(DEADLINE_MISS, "t1", "finishes late").render()
+            == "DEADLINE_MISS[t1]: finishes late")
 
 
 def test_each_row_solve_is_recorded_under_its_row_name(trivial_dir, tmp_path):

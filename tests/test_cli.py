@@ -131,6 +131,19 @@ def test_validate_exits_1_on_a_static_finding(tmp_path, edit, stderr):
     assert run(["validate", "--manifest", str(manifest)]) == (1, "", stderr)
 
 
+def test_validate_refuses_a_misspelled_stream_attribute_where_it_is(
+        trivial_dir, tmp_path):
+    # read as a default, {tpye = in} made the port an output and failed as
+    # a slot that nothing defines, two lines below
+    shutil.copytree(trivial_dir, tmp_path / "t",
+                    ignore=shutil.ignore_patterns("out*"))
+    flow = tmp_path / "t" / "flow.rdsl"
+    flow.write_text(flow.read_text().replace("type = in", "tpye = in"))
+    assert run(["validate", "--manifest", str(tmp_path / "t" / "manifest.yaml")]) \
+        == (1, "", "3:17: error: unknown stream attribute 'tpye' "
+                   "(expected 'type' or 'label')\n")
+
+
 def test_validate_rejects_pattern_missing_from_catalog(tmp_path):
     manifest = write_pressure_fixture(tmp_path, 200_000)
     (tmp_path / "sdk.yaml").write_text(
@@ -667,6 +680,10 @@ _RUN_SPEC = ("apiVersion: rdsl/v0\nkind: run\nspec:\n  flows: [f]\n"
     (_RUN_SPEC + "  solver: 5\n", "spec.solver must be a mapping, got 5"),
     (_RUN_SPEC.replace("  topology: t\n", ""),
      exactly(1, 1, "run manifest spec.topology is required")),
+    # a path list is a list, even of one path
+    (_RUN_SPEC.replace("[f]", "a.rdsl"),
+     exactly(1, 1, "run manifest spec.flows must be a string list, "
+                   "got 'a.rdsl'")),
 ])
 def test_manifest_rejects_malformed_documents(tmp_path, text, message):
     path = tmp_path / "manifest.yaml"

@@ -1,4 +1,5 @@
-"""Flow DSL front end: lexing, parsing, validation, labels, printing."""
+"""Flow DSL front end: lexing, parsing, validation, labels, and a printer
+that the round-trip tests parse back."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from ddtwin.diagnostics import DiagnosticError
 from ddtwin.flows import (SymbolTable, collect_labels, parse_flow_source,
-                          pretty_print, validate_flows)
+                          validate_flows)
 
 BASIC = """\
 Flow top
@@ -105,6 +106,14 @@ leaf[p_in = a, q_out = b]
 """
     defs = parse_flow_source(src)
     assert collect_labels(defs) == {"x1": ("f", "a"), "y": ("f", "b")}
+
+
+def test_repeated_label_attribute_collects_every_label():
+    src = "Flow f\n  a : stream {type = in, label = x, label = y}\n\nleaf[p_in = a]\n"
+    (decl,) = parse_flow_source(src)[0].params
+    assert decl.labels == ["x", "y"]
+    assert collect_labels(parse_flow_source(src)) == {"x": ("f", "a"),
+                                                      "y": ("f", "a")}
 
 
 def test_duplicate_label_rejected():
@@ -212,6 +221,13 @@ _HEAD = "Flow f\n  a : stream{type = in}\n\n"
     (_HEAD + "5\n", (4, 1, "expected declaration or instantiation, found '5'")),
     (_HEAD + "leaf = a\n", (4, 6, "expected ':' or '[' after 'leaf'")),
     ("Flow f\n  a : stream{type = [}\n", (2, 21, "expected attribute value")),
+    # a misspelled attribute is refused at its name, not read as a default
+    ("Flow f\n  a : stream {tpye = in}\n\nleaf[x_in = a]\n",
+     (2, 15, "unknown stream attribute 'tpye' (expected 'type' or 'label')")),
+    ("Flow f\n  a : stream {lable = x}\n\nleaf[x_in = a]\n",
+     (2, 15, "unknown stream attribute 'lable' (expected 'type' or 'label')")),
+    (_HEAD + "b : stream {lable = x}\nleaf[x_in = a, y_out = b]\n",
+     (4, 13, "unknown stream attribute 'lable' (expected 'type' or 'label')")),
     ("Flow f\n  a : stream{type = in} b\n", (2, 25, "expected end of declaration")),
     (_HEAD + "leaf[x_in = 3]\n", (4, 6, "binding 'x_in' must name a stream")),
 ])
@@ -222,12 +238,41 @@ def test_refusal_names_its_position(src, diagnostic):
         == [diagnostic]
 
 
+def _render_decl(decl, indent, header):
+    dims = "".join(f"[{d}]" for d in decl.shape)
+    attrs = []
+    if decl.direction != ("out" if header else "internal"):
+        attrs.append(f"type = {decl.direction}")
+    attrs.extend(f"label = {label}" for label in decl.labels)
+    suffix = "{" + ", ".join(attrs) + "}" if attrs else ""
+    return f"{indent}{decl.name} : stream{dims}{suffix}"
+
+
+def pretty_print(defs):
+    """Render definitions back to parseable source in a canonical layout."""
+    lines = []
+    for flow in defs:
+        if lines:
+            lines.append("")
+        lines.append(f"Flow {flow.name}")
+        for decl in flow.params:
+            lines.append(_render_decl(decl, "  ", header=True))
+        for decl in flow.internals:
+            lines.append(_render_decl(decl, "", header=False))
+        for inst in flow.instantiations:
+            entries = [f"{it.var} = {it.lower}:{it.upper}" for it in inst.iterators]
+            for b in inst.bindings:
+                idx = "".join(f"[{i}]" for i in b.actual.indices)
+                entries.append(f"{b.formal} = {b.actual.stream}{idx}")
+            lines.append(f"{inst.callee}[" + ", ".join(entries) + "]")
+    return "\n".join(lines) + "\n"
+
+
 def _shape(defs):
     """Projection of the AST that ignores source positions."""
     out = []
     for f in defs:
-        decls = [(d.name, tuple(d.shape), d.direction, tuple(d.labels),
-                  tuple(sorted(d.attrs.items())))
+        decls = [(d.name, tuple(d.shape), d.direction, tuple(d.labels))
                  for d in f.params + f.internals]
         insts = []
         for inst in f.instantiations:

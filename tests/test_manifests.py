@@ -21,7 +21,9 @@ def test_bundled_equality_doc(paper_dir):
     assert eq.variable_name == "modem_period"
     assert eq.op == "equal"
     assert eq.value == 1_000_000
-    assert eq.unit == "clock"
+    # a clock-cycle document has no other field
+    assert eq == TimingEqualityDoc("Modem_Period", "modem_period", "equal",
+                                   1_000_000)
 
 
 def test_bundled_equation_doc(paper_dir):
@@ -146,6 +148,10 @@ def test_equation_rejects_unbound_letter():
     # a missing field sits at its spec
     ("SDK", dict(elementsize=1, internalsize=1, runtime=1), (6, 3),
      "document 1: missing required field 'available patterns'"),
+    # one spelling only: the underscored key is not read
+    ("SDK", {"available_patterns": ["p"], "elementsize": 1, "internalsize": 1,
+             "runtime": 1}, (6, 3),
+     "document 1: missing required field 'available patterns'"),
     ("SDK", {"available patterns": [], "elementsize": 1, "internalsize": 1,
              "runtime": 1}, (6, 23),
      "document 1: 'available patterns' must not be empty"),
@@ -159,10 +165,10 @@ def test_unit_and_pattern_list_refusals(kind, spec, position, message):
 
 @pytest.mark.parametrize("equation,diagnostic", [
     ("C <= A $ 3", (6, 13, "document 1: bad equation syntax near '$ 3' "
-                          "(column 7 of the equation)")),
+                          "(column 8 of the equation)")),
     # only ASCII digits make a constant: Arabic-Indic 30 is refused
     ("C <= \u0663\u0660", (6, 13, "document 1: bad equation syntax near "
-                                  "'\u0663\u0660' (column 5 of the equation)")),
+                                  "'\u0663\u0660' (column 6 of the equation)")),
     ("", (6, 13, "document 1: equation of 'D' is empty")),
     ("C <= + A", (6, 13, "document 1: dangling operator in equation of 'D'")),
     ("C <= A <=", (6, 13, "document 1: dangling operator in equation of 'D'")),

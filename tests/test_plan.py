@@ -163,7 +163,7 @@ def test_a_shared_plan_keeps_each_solves_own_floor():
         inst = random_instance(seed)
         case = inst.graph, inst.topology, inst.catalog
         plan = SearchPlan(*case)
-        above = max(plan.root_floor, plan.load_bound) + 1
+        above = plan.root_floor + 1
         # the floored solve first: a plan that kept its floor would hand
         # it to the solve without one
         outcomes = []

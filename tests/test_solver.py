@@ -386,7 +386,7 @@ def test_root_terms_never_exceed_the_enumerated_optimum():
             search = _Search(inst.graph, inst.topology, inst.catalog,
                              SolveOpts(), plan)
             root = search._root()
-            assert max(root.floor, search.load_bound) <= ref.makespan, seed
+            assert root.floor <= ref.makespan, seed
             old = old_root_bound(search)
             est_fin = plan.root_est_fin
             raised["head_body_tail"] += plan._head_body_tail(est_fin) > old
@@ -588,7 +588,7 @@ def test_a_root_bound_past_the_deadline_leaves_every_pass_without_a_seed(
     for case in cases:
         search = _Search(*case, SolveOpts())
         root = search._root()
-        if max(root.floor, search.load_bound) <= search.graph.deadline:
+        if root.floor <= search.graph.deadline:
             continue
         refuted += 1
         for by_finish in (True, False):
@@ -703,7 +703,9 @@ def full_bound(search, state, root):
                 extras[a] = extras.get(a, 0) + tr.choice.cost - counted
         anchor = max(base + extras.get(a, 0)
                      for a, base in search.anchor_base.items())
-    return state.span, search.load_bound, path, anchor, root
+    total = sum(task.runtime for task in graph.tasks.values())
+    load = -(-total // len(search.topology.cores))
+    return state.span, load, path, anchor, root
 
 
 def declared_anchors(pattern, topology):
