@@ -21,11 +21,16 @@ exits 0.  A missing or unknown command, an unknown option, a missing
 value, a bad mode or a stray argument prints the usage line and
 ``ddtwin: error: ...`` to stderr and exits 2.
 
-``scenarios`` refuses, then gates, then solves.  It applies every
-scenario spec first and reports every refusal (exit 1) before any solve,
-so malformed input exits 1 even where the baseline would be infeasible.
-It then solves the baseline once and stops unless it has a schedule;
-only then does it solve the scenarios, each against that baseline.
+``scenarios`` refuses, then seeds, then gates, then solves.  It applies
+every scenario spec first and reports every refusal (exit 1) before any
+solve, so malformed input exits 1 even where the baseline would be
+infeasible.  It then seeds the baseline and, unless that seed meets the
+root's bound, every narrowing scenario, and folds the best seed that the
+checker accepts on the baseline graph into the baseline's incumbent,
+printing a note that names the scenario it came from.  It then solves
+the baseline once, from that incumbent, and stops unless it has a
+schedule; only then does it solve the scenarios, each against that
+baseline and each seeded one from its own seed.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from .patterns import PatternCatalog, generate_patterns_from_topology, \
 from .scenarios import PIN_TASKS, ScenarioSpec, apply_scenarios, \
     enumerate_scenarios, evaluate_scenario, parse_scenario_csv, \
     parse_scenario_stream, rank_scenarios, render_scenario_csv, \
-    render_scenario_table
+    render_scenario_table, seed_lattice
 from .schedule import Schedule
 from .solver import (SearchPlan, SolveOpts, SolveOutcome, no_verdict,
                      solve_best_case)
@@ -341,25 +346,32 @@ def cmd_scenarios(manifest: RunManifest) -> int:
         loaded.scenario_specs + enumerate_scenarios(graph, loaded.catalog),
         graph, loaded.catalog)
     baseline_opts = _solve_opts(manifest)
+    opts = _solve_opts(manifest, scenario=True)
     # one plan for the run: each scenario solve narrows it to its graph
     plan = SearchPlan(graph, loaded.topology, loaded.catalog)
+    lattice = seed_lattice(applied, graph, loaded.topology, loaded.catalog,
+                           baseline_opts, opts, plan)
     baseline = solve_best_case(graph, loaded.topology, loaded.catalog,
-                               baseline_opts, plan=plan)
+                               baseline_opts, plan=plan,
+                               incumbent=lattice.baseline)
     if baseline.status == "infeasible":
         print(f"baseline infeasible: {baseline.witness}", file=sys.stderr)
         return EXIT_INFEASIBLE
     if baseline.status == "unknown":
         raise fail(1, 1, "baseline " + no_verdict(baseline_opts, _EXHAUSTED))
 
-    opts = _solve_opts(manifest, scenario=True)
     ranked = rank_scenarios([
         evaluate_scenario(spec, injected, loaded.topology, loaded.catalog,
-                          opts, baseline, plan)
-        for spec, injected in applied])
+                          opts, baseline, row_plan, seed)
+        for (spec, injected), (row_plan, seed) in zip(applied, lattice.rows)])
     table = render_scenario_table(ranked)
     write_atomic(manifest.out / "scenarios.csv", render_scenario_csv(ranked))
     write_atomic(manifest.out / "scenarios.txt", table)
     print(table, end="")
+    if lattice.donor is not None:
+        own = "none" if lattice.own is None else f"{lattice.own:,}"
+        print(f"note: baseline: incumbent {lattice.baseline.makespan:,} from "
+              f"{lattice.donor}'s seed (own seed {own})")
     for res in ranked:
         if res.note:
             print(f"note: {res.name}: {res.note}")

@@ -275,21 +275,30 @@ class _Parser:
                           line=name.line, column=name.column)
         if self.peek().kind == "lbrace":
             self.take()
+            typed = False
             while True:
                 key = self.expect("ident", "attribute name")
                 if key.text not in ("type", "label"):
                     raise fail(key.line, key.column,
                                f"unknown stream attribute {key.text!r} "
                                f"(expected 'type' or 'label')")
+                if key.text == "type" and typed:
+                    raise fail(key.line, key.column,
+                               f"stream {name.text!r} repeats attribute 'type'")
                 self.expect("equals", "'='")
                 val = self.peek()
                 if val.kind not in ("ident", "int", "stream"):
                     raise fail(val.line, val.column, "expected attribute value")
                 self.take()
-                if key.text == "label":
-                    decl.labels.append(val.text)
-                else:
+                if key.text == "type":
+                    typed = True
                     decl.direction = val.text
+                elif val.text in decl.labels:
+                    raise fail(key.line, key.column,
+                               f"stream {name.text!r} repeats label "
+                               f"{val.text!r}")
+                else:
+                    decl.labels.append(val.text)
                 if self.peek().kind == "comma":
                     self.take()
                     continue

@@ -6,16 +6,21 @@ and reports how the best-case latency moves against a baseline solve.
 All but the flow clone only remove options: each schedule of the
 injected graph is a schedule of the baseline graph with the same timing,
 so the scenario's optimum is at least the baseline's.  A delta is
-therefore non-negative only when the baseline is proven.  When the node
-budget cut the baseline's search short, a delta may be negative: the
-shipped du_analog ``evict-fn-dlBeamGen`` row is -6%, because that
-scenario's search found a schedule that the baseline's search missed.  A
-cloned flow adds work, and no such bound holds for it.
+therefore non-negative when the baseline is proven.  When the node
+budget cut the baseline's search short, a narrowing scenario may still
+hold a better schedule than the baseline found; a run folds each such
+scenario's seed into the baseline before any row is graded, so the one
+way left to a negative delta is a schedule that a scenario's *search*
+finds and the baseline's search misses.  A cloned flow adds work, and no
+such bound holds for it.
 
-A run has three steps, in this order: ``apply_scenarios`` applies every
-spec and refuses the bad ones all at once; the caller solves the baseline
-and stops unless it has a schedule; ``evaluate_scenario`` then solves
-each applied spec against that one baseline.
+A run has four steps, in this order: ``apply_scenarios`` applies every
+spec and refuses the bad ones all at once; ``seed_lattice`` seeds the
+baseline and, unless that seed meets the root's bound, every narrowing
+spec, and folds the best of their seeds into the baseline's incumbent;
+the caller solves the baseline from that incumbent and stops unless it
+has a schedule; ``evaluate_scenario`` then solves each applied spec
+against that one baseline, a seeded spec from its own seed and plan.
 """
 
 from __future__ import annotations
@@ -30,8 +35,9 @@ from .documents import (at_field, integer, list_of, mark, read_stream,
 from .graph import TaskGraph
 from .hardware import HardwareTopology
 from .patterns import PatternCatalog
-from .solver import (SearchPlan, SolveOpts, SolveOutcome, no_verdict,
-                     solve_best_case)
+from .schedule import check_schedule
+from .solver import (Incumbent, SearchPlan, SolveOpts, SolveOutcome,
+                     no_verdict, seed_best_case, solve_best_case)
 
 EVICT_BUFFER = "EVICT_BUFFER"
 PIN_TASKS = "PIN_TASKS"
@@ -315,10 +321,69 @@ def _clone_subgraph(graph: TaskGraph, prefix: str, copies: int) -> TaskGraph:
 
 # -- evaluation -------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Lattice:
+    """What ``seed_lattice`` hands the solves of a run."""
+
+    baseline: Incumbent            # the baseline search's incumbent
+    own: int | None                # the makespan of the baseline's own seed
+    donor: str | None              # the spec whose seed ``baseline`` is
+    # per applied spec: the plan its solve takes and its seed, if seeded
+    rows: list[tuple[SearchPlan, Incumbent | None]]
+
+
+def _narrowing(spec: ScenarioSpec) -> bool:
+    return bool(spec.injections) and all(
+        inj.kind in NARROWING_KINDS for inj in spec.injections)
+
+
+def seed_lattice(applied: list[tuple[ScenarioSpec, TaskGraph]],
+                 graph: TaskGraph, topology: HardwareTopology,
+                 catalog: PatternCatalog, baseline_opts: SolveOpts,
+                 opts: SolveOpts, plan: SearchPlan) -> Lattice:
+    """Seed the baseline ``graph`` on its ``plan``, and fold the seeds of
+    ``applied``'s narrowing specs into its incumbent.
+
+    When the baseline's seed meets its root's bound, nothing beats it and
+    no spec is seeded.  Otherwise each spec whose injections all narrow
+    is seeded under ``opts`` on ``plan`` narrowed to its graph.  No
+    baseline is solved yet, so no seed runs under the floor that
+    ``evaluate_scenario`` may give the spec's solve; a floor only stops
+    a portfolio sooner, so the seed is at least as good as the solve's
+    own would be.  A narrowing spec's schedules are the baseline's by
+    the argument in the module docstring alone, so no seed is folded on
+    that argument: the seeds that beat the baseline's own, or any when
+    it has none, are re-checked on ``graph`` with the baseline's lag
+    cap, least makespan first and then in ``applied`` order, and the
+    first the checker accepts becomes the baseline's incumbent.  A flow
+    clone's tasks are not the baseline's, so a spec that adds one is
+    never seeded here.
+    """
+    own = seed_best_case(graph, topology, catalog, baseline_opts, plan)
+    rows = [(plan, None)] * len(applied)
+    if own.makespan is None or own.makespan > plan.root_floor:
+        for i, (spec, injected) in enumerate(applied):
+            if _narrowing(spec):
+                narrowed = plan.narrowed(injected)
+                rows[i] = narrowed, seed_best_case(injected, topology,
+                                                   catalog, opts, narrowed)
+    candidates = sorted(
+        (seed.makespan, i) for i, (_, seed) in enumerate(rows)
+        if seed is not None and seed.makespan is not None
+        and (own.makespan is None or seed.makespan < own.makespan))
+    for _, i in candidates:
+        seed = rows[i][1]
+        if not check_schedule(seed.schedule, graph, topology, catalog,
+                              max_start_lag=baseline_opts.max_start_lag):
+            return Lattice(seed, own.makespan, applied[i][0].name, rows)
+    return Lattice(own, own.makespan, None, rows)
+
+
 def evaluate_scenario(spec: ScenarioSpec, injected: TaskGraph,
                       topology: HardwareTopology, catalog: PatternCatalog,
                       opts: SolveOpts, baseline: SolveOutcome,
-                      plan: SearchPlan | None = None) -> ScenarioResult:
+                      plan: SearchPlan | None = None,
+                      incumbent: Incumbent | None = None) -> ScenarioResult:
     """Solve ``spec``'s injected graph and grade the latency movement.
 
     ``injected`` is the graph that ``apply_scenarios`` paired with
@@ -332,10 +397,13 @@ def evaluate_scenario(spec: ScenarioSpec, injected: TaskGraph,
     closes with no search node, one whose deadline lies below it at the
     search's root.  A budget-exhausted search is an error, never a
     verdict: "unknown" reports nothing about feasibility either way.
-    ``plan``, the baseline's search plan, is narrowed to ``injected``:
-    the same plan when only the deadline or the lag cap moved, else a
-    plan that shares its resolved buffers; the outcome is the same as
-    with no plan.
+    ``plan``, the baseline's search plan or the one ``seed_lattice``
+    narrowed to ``injected``, is narrowed to ``injected``: the same plan
+    when only the deadline or the lag cap moved or it is already
+    ``injected``'s, else a plan that shares its resolved buffers; the
+    outcome is the same as with no plan.  ``incumbent``, the spec's seed
+    from ``seed_lattice``, is where the search starts, in place of a
+    seed of its own.
     """
     base_latency = baseline.makespan
     assert base_latency is not None, "the baseline has no schedule"
@@ -344,10 +412,12 @@ def evaluate_scenario(spec: ScenarioSpec, injected: TaskGraph,
         return ScenarioResult(spec.name, base_latency, 0,
                               classify_risk(0), base_latency)
 
-    if baseline.status == "optimal" and all(
-            inj.kind in NARROWING_KINDS for inj in spec.injections):
+    if baseline.status == "optimal" and _narrowing(spec):
         opts = replace(opts, floor=base_latency)
-    outcome = solve_best_case(injected, topology, catalog, opts, plan=plan)
+    # only a seeded spec names an incumbent; any other solves as before
+    seeded = {} if incumbent is None else {"incumbent": incumbent}
+    outcome = solve_best_case(injected, topology, catalog, opts, plan=plan,
+                              **seeded)
     if outcome.status == "infeasible":
         return ScenarioResult(spec.name, None, None, RISK_CERTAIN_FAILURE,
                               base_latency, note=outcome.witness or "")

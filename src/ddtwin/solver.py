@@ -61,6 +61,16 @@ no such schedule could become the incumbent or meet the deadline.  A
 floor above the deadline thus proves the instance infeasible at the
 root, and a seed at the floor is proven optimal before any node.
 
+A caller may also hand the search an incumbent: a schedule of the
+instance that the checker accepts, with its makespan, such as the seed
+it already ran (``seed_best_case``) or a schedule of a narrower instance
+that it re-checked on this one.  The search then runs no seed pass and
+starts from it as from a seed; ``stats["seed_makespan"]`` is its
+makespan, the makespan the search started from.  An incumbent with no
+schedule says that the caller's seed found none.  The cap, the prunes
+and the stop rule read the incumbent as they read a seed, so an
+incumbent at the root's bound is optimal before any node.
+
 The root raises its floor by three terms, computed once per plan and
 handed down with the rest of the floor; every schedule of the instance
 obeys them, so they prune nothing the search needs either.  The load
@@ -231,6 +241,13 @@ class SolveOutcome:
     stats: dict
 
 
+class Incumbent(NamedTuple):
+    """The best schedule a seed portfolio found, and its makespan; both
+    ``None`` when it found none."""
+    makespan: int | None
+    schedule: Schedule | None
+
+
 class _BudgetExhausted(Exception):
     pass
 
@@ -354,12 +371,26 @@ def no_verdict(opts: SolveOpts, exhausted: str) -> str:
 
 def solve_best_case(graph: TaskGraph, topology: HardwareTopology,
                     catalog: PatternCatalog, opts: SolveOpts | None = None,
-                    plan: SearchPlan | None = None) -> SolveOutcome:
+                    plan: SearchPlan | None = None,
+                    incumbent: Incumbent | None = None) -> SolveOutcome:
     """The best-case schedule of ``graph``, or why there is none.  Given
     ``plan``, the plan of a graph on the same topology and catalog, the
     search narrows it to ``graph`` (``SearchPlan.narrowed``): it reuses
-    the plan whole when it can and its resolved buffers otherwise."""
-    return _Search(graph, topology, catalog, opts or SolveOpts(), plan).run()
+    the plan whole when it can and its resolved buffers otherwise.  Given
+    ``incumbent``, the search starts from it and runs no seed pass."""
+    return _Search(graph, topology, catalog, opts or SolveOpts(),
+                   plan).run(incumbent)
+
+
+def seed_best_case(graph: TaskGraph, topology: HardwareTopology,
+                   catalog: PatternCatalog, opts: SolveOpts | None = None,
+                   plan: SearchPlan | None = None) -> Incumbent:
+    """The seed portfolio of ``solve_best_case`` alone: the incumbent it
+    would start its search from."""
+    search = _Search(graph, topology, catalog, opts or SolveOpts(), plan)
+    root = search._root()
+    search._seed(root, root.floor)
+    return Incumbent(search.best, search.best_schedule)
 
 
 class SearchPlan:
@@ -1210,9 +1241,12 @@ class _Search:
 
     # -- driver ------------------------------------------------------------
 
-    def run(self) -> SolveOutcome:
+    def run(self, incumbent: Incumbent | None = None) -> SolveOutcome:
         root = self._root()
-        self._seed(root, root.floor)
+        if incumbent is None:
+            self._seed(root, root.floor)
+        else:
+            self.best, self.best_schedule = incumbent
         seed_span = self.best
 
         complete = False

@@ -85,3 +85,27 @@ def test_each_row_solve_is_recorded_under_its_row_name(trivial_dir, tmp_path):
     solves = [row for row, *_ in result["solver"]["statuses"]]
     # the injection-free baseline row reuses the baseline solve
     assert solves == ["baseline", "lag-0", "deadline-7000"]
+
+
+def test_the_seed_lattice_keeps_one_solve_per_row_and_no_negative_delta(
+        du_dir, tmp_path):
+    # the rows' seeds run before the baseline solve, outside every
+    # evaluate_scenario call; the solves stay where the tracer names them
+    shutil.copytree(du_dir, tmp_path / "du",
+                    ignore=shutil.ignore_patterns("out*"))
+    manifest = tmp_path / "du" / "manifest.yaml"
+    manifest.write_text(manifest.read_text().replace(
+        "budget_nodes: 60000", "budget_nodes: 1000"))
+    result_path = tmp_path / "result.json"
+    subprocess.run(
+        [sys.executable, str(PERFBENCH / "worker.py"), "outcomes",
+         str(manifest), str(tmp_path / "out"), str(result_path)],
+        check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    result = json.loads(result_path.read_text())
+    assert result["exit"] == 0
+    rows = [row["name"] for row in result["rows"]]
+    solves = [row for row, *_ in result["solver"]["statuses"]]
+    assert len(solves) == 12
+    assert solves == ["baseline"] + [r for r in rows if r != "baseline"]
+    assert all(row["delta_pct"] >= 0 for row in result["rows"])
+    assert {row["baseline"] for row in result["rows"]} == {226_676}

@@ -229,6 +229,11 @@ _HEAD = "Flow f\n  a : stream{type = in}\n\n"
     (_HEAD + "b : stream {lable = x}\nleaf[x_in = a, y_out = b]\n",
      (4, 13, "unknown stream attribute 'lable' (expected 'type' or 'label')")),
     ("Flow f\n  a : stream{type = in} b\n", (2, 25, "expected end of declaration")),
+    # a repeated attribute is refused at its second name, not overwritten
+    ("Flow f\n  a : stream {type = in, type = out}\n\nleaf[p_in = a]\n",
+     (2, 26, "stream 'a' repeats attribute 'type'")),
+    ("Flow f\n  a : stream {type = in, label = x, label = x}\n\nleaf[p_in = a]\n",
+     (2, 37, "stream 'a' repeats label 'x'")),
     (_HEAD + "leaf[x_in = 3]\n", (4, 6, "binding 'x_in' must name a stream")),
 ])
 def test_refusal_names_its_position(src, diagnostic):

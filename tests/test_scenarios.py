@@ -470,6 +470,95 @@ def test_a_proven_baseline_closes_paper_scenarios_in_one_level(
         assert (outcome.status, result.latency) == ("optimal", 10_476)
 
 
+# -- the seed lattice -------------------------------------------------------------
+
+def test_the_seed_lattice_folds_checked_seeds_and_moves_no_row(monkeypatch):
+    # the scenarios command's order on each instance: apply, seed and fold,
+    # solve the baseline from its incumbent, gate it, evaluate each row
+    from ddtwin.instances import random_instance, replicated_instance
+    from ddtwin.schedule import check_schedule
+    from ddtwin.solver import SearchPlan
+
+    solves = []
+
+    def record(graph, topology, catalog, opts=None, plan=None, **kwargs):
+        outcome = solve_best_case(graph, topology, catalog, opts, plan,
+                                  **kwargs)
+        solves.append(outcome)
+        return outcome
+
+    monkeypatch.setattr(scenarios, "solve_best_case", record)
+    opts = SolveOpts(budget_nodes=200)
+    fired = rows = 0
+    for seed in range(200):
+        for inst in (random_instance(seed), replicated_instance(seed)):
+            graph, topology, catalog = inst.graph, inst.topology, inst.catalog
+            where = f"seed {seed}, {len(graph.tasks)} tasks"
+            applied = apply_scenarios(enumerate_scenarios(graph, catalog),
+                                      graph, catalog)
+            plan = SearchPlan(graph, topology, catalog)
+            lattice = scenarios.seed_lattice(applied, graph, topology,
+                                             catalog, opts, opts, plan)
+            fired += lattice.donor is not None
+            baseline = solve_best_case(graph, topology, catalog, opts,
+                                       plan=plan, incumbent=lattice.baseline)
+            solo = solve_best_case(graph, topology, catalog, opts)
+            if solo.makespan is not None:
+                assert baseline.makespan <= solo.makespan, where
+            if solo.status in ("optimal", "infeasible"):
+                assert baseline.status == solo.status, where
+            if baseline.makespan is None:
+                continue
+            assert check_schedule(baseline.schedule, graph, topology,
+                                  catalog) == [], where
+            for (spec, injected), (row_plan, seeded) in zip(applied,
+                                                            lattice.rows):
+                if seeded is not None and seeded.makespan is not None:
+                    assert seeded.makespan >= baseline.makespan, where
+                    # the search started from the best seed the checker takes
+                    if not check_schedule(seeded.schedule, graph, topology,
+                                          catalog):
+                        assert (seeded.makespan
+                                >= baseline.stats["seed_makespan"]), where
+                if not spec.injections:
+                    continue
+                solves.clear()
+                try:
+                    evaluate_scenario(spec, injected, topology, catalog, opts,
+                                      baseline, row_plan, seeded)
+                except DiagnosticError:
+                    pass            # the row's search ran out of budget
+                [got] = solves
+                floor = (baseline.makespan if baseline.status == "optimal"
+                         and all(inj.kind in scenarios.NARROWING_KINDS
+                                 for inj in spec.injections) else 0)
+                want = solve_best_case(injected, topology, catalog,
+                                       dataclasses.replace(opts, floor=floor))
+                assert ((got.status, got.makespan, got.witness)
+                        == (want.status, want.makespan, want.witness)), \
+                    f"{where}, {spec.name}"
+                rows += 1
+    assert fired >= 10 and rows > 100
+
+
+def test_a_seed_the_baseline_refuses_is_not_folded():
+    # paired by hand with a graph that has no lag cap, an eviction's seed
+    # queues one task behind the other, which the capped baseline refuses
+    from ddtwin.solver import Incumbent, SearchPlan
+
+    g = _pipeline_bound_pair()
+    capped = dataclasses.replace(g, max_start_lag=0)
+    spec = ScenarioSpec("evict-ba", (
+        Injection(kind="EVICT_BUFFER", targets=("ba",)),))
+    plan = SearchPlan(capped, TOPO, CATALOG)
+    lattice = scenarios.seed_lattice([(spec, g)], capped, TOPO, CATALOG,
+                                     SolveOpts(), SolveOpts(), plan)
+    [(row_plan, seed)] = lattice.rows
+    assert row_plan is plan and seed.makespan == 200
+    assert (lattice.baseline, lattice.own, lattice.donor) == (
+        Incumbent(None, None), None, None)
+
+
 # -- enumeration -----------------------------------------------------------------
 
 def test_enumerated_families_on_a_chain():

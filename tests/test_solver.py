@@ -16,8 +16,8 @@ from ddtwin.patterns import (Pattern, PatternCatalog,
                              generate_patterns_from_topology)
 from ddtwin.schedule import (BUFFER_OVERFLOW, DEADLINE_MISS, LAG_VIOLATION,
                              check_schedule)
-from ddtwin.solver import (SearchPlan, SolveOpts, _earliest_fit, _picks,
-                           _Search, solve_best_case)
+from ddtwin.solver import (Incumbent, SearchPlan, SolveOpts, _earliest_fit,
+                           _picks, _Search, seed_best_case, solve_best_case)
 from conftest import FIXTURES, chain_graph, make_topology
 
 TOPO = make_topology(2)
@@ -360,6 +360,22 @@ def test_a_seed_at_the_given_floor_closes_without_a_node():
     assert (res.status, res.makespan) == ("optimal", 200)
     assert (res.stats["seed_makespan"], res.stats["lower_bound"]) == (200, 200)
     assert (res.stats["nodes"], res.stats["complete"]) == (0, True)
+
+
+def test_a_handed_incumbent_replaces_the_seed():
+    g = one_core_pair()
+    seed = seed_best_case(g, TOPO, CATALOG)
+    assert seed.makespan == 200
+    assert solve_best_case(g, TOPO, CATALOG, incumbent=seed) \
+        == solve_best_case(g, TOPO, CATALOG)
+    # no seed runs, so a heuristic solve handed no schedule returns none
+    res = solve_best_case(g, TOPO, CATALOG, SolveOpts(mode="heuristic"),
+                          incumbent=Incumbent(None, None))
+    assert (res.status, res.stats["seed_makespan"]) == ("unknown", None)
+    # an incumbent at the floor still closes without a node
+    res = solve_best_case(g, TOPO, CATALOG, SolveOpts(floor=200),
+                          incumbent=seed)
+    assert (res.status, res.stats["nodes"]) == ("optimal", 0)
 
 
 # -- root terms ------------------------------------------------------------------
