@@ -21,16 +21,11 @@ exits 0.  A missing or unknown command, an unknown option, a missing
 value, a bad mode or a stray argument prints the usage line and
 ``ddtwin: error: ...`` to stderr and exits 2.
 
-``scenarios`` refuses, then seeds, then gates, then solves.  It applies
-every scenario spec first and reports every refusal (exit 1) before any
-solve, so malformed input exits 1 even where the baseline would be
-infeasible.  It then seeds the baseline and, unless that seed meets the
-root's bound, every narrowing scenario, and folds the best seed that the
-checker accepts on the baseline graph into the baseline's incumbent,
-printing a note that names the scenario it came from.  It then solves
-the baseline once, from that incumbent, and stops unless it has a
-schedule; only then does it solve the scenarios, each against that
-baseline and each seeded one from its own seed.
+``scenarios`` runs ``scenarios.run_scenarios`` on the scenario files'
+specs and the enumerated families.  Every refusal is reported (exit 1)
+before any solve, even where the baseline would be infeasible.  The
+baseline is gated once, and a note names the scenario whose seed its
+search started from, if any.
 """
 
 from __future__ import annotations
@@ -46,7 +41,8 @@ from pathlib import Path
 from typing import NoReturn
 
 from .diagnostics import Diagnostic, DiagnosticError, fail
-from .documents import envelope, integer, list_of, load_document, section
+from .documents import (envelope, integer, known_keys, list_of,
+                        load_document, section)
 from .elaborate import bind_timing, check_static, elaborate
 from .flows import FlowDef, SymbolTable, collect_labels, parse_flow_source
 from .graph import TaskGraph, graph_to_json
@@ -56,12 +52,11 @@ from .manifests import FunctionMetadata, parse_constraint_stream
 from .patterns import PatternCatalog, generate_patterns_from_topology, \
     parse_pattern_catalog
 from .scenarios import PIN_TASKS, ScenarioSpec, apply_scenarios, \
-    enumerate_scenarios, evaluate_scenario, parse_scenario_csv, \
-    parse_scenario_stream, rank_scenarios, render_scenario_csv, \
-    render_scenario_table, seed_lattice
+    enumerate_scenarios, parse_scenario_csv, parse_scenario_stream, \
+    rank_scenarios, render_scenario_csv, render_scenario_table, \
+    run_scenarios
 from .schedule import Schedule
-from .solver import (SearchPlan, SolveOpts, SolveOutcome, no_verdict,
-                     solve_best_case)
+from .solver import SolveOpts, SolveOutcome, no_verdict, solve_best_case
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -103,6 +98,10 @@ def load_run_manifest(path: str | Path, out: str | None = None,
     raw = load_document(manifest_path.read_text(), str(manifest_path))
     _, spec = envelope(raw, ("run",), "run manifest")
     where = "run manifest spec"
+    # scenario and risk are retired sections, still taken and ignored
+    known_keys(spec, ("flows", "constraints", "topology", "deployment",
+                      "patterns", "scenario_files", "out", "solver",
+                      "scenario", "risk"), where)
 
     def paths(key: str, required: bool) -> list[Path]:
         entries = spec.get(key) or []
@@ -119,7 +118,9 @@ def load_run_manifest(path: str | Path, out: str | None = None,
             return None
         return base / str(value)
 
-    solver = section(spec, "solver", dict, f"{where}.solver")
+    solver = known_keys(section(spec, "solver", dict, f"{where}.solver"),
+                        ("mode", "budget_nodes", "scenario_budget_nodes"),
+                        f"{where}.solver")
 
     def budget(key: str, default: int | None) -> int | None:
         if key not in solver:
@@ -342,37 +343,27 @@ def cmd_solve(manifest: RunManifest) -> int:
 def cmd_scenarios(manifest: RunManifest) -> int:
     loaded = load_run(manifest)
     graph = build_graph(loaded)
-    applied = apply_scenarios(
-        loaded.scenario_specs + enumerate_scenarios(graph, loaded.catalog),
-        graph, loaded.catalog)
     baseline_opts = _solve_opts(manifest)
-    opts = _solve_opts(manifest, scenario=True)
-    # one plan for the run: each scenario solve narrows it to its graph
-    plan = SearchPlan(graph, loaded.topology, loaded.catalog)
-    lattice = seed_lattice(applied, graph, loaded.topology, loaded.catalog,
-                           baseline_opts, opts, plan)
-    baseline = solve_best_case(graph, loaded.topology, loaded.catalog,
-                               baseline_opts, plan=plan,
-                               incumbent=lattice.baseline)
-    if baseline.status == "infeasible":
-        print(f"baseline infeasible: {baseline.witness}", file=sys.stderr)
+    run = run_scenarios(
+        loaded.scenario_specs + enumerate_scenarios(graph, loaded.catalog),
+        graph, loaded.topology, loaded.catalog, baseline_opts,
+        _solve_opts(manifest, scenario=True))
+    if run.baseline.status == "infeasible":
+        print(f"baseline infeasible: {run.baseline.witness}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    if baseline.status == "unknown":
+    if run.baseline.status == "unknown":
         raise fail(1, 1, "baseline " + no_verdict(baseline_opts, _EXHAUSTED))
 
-    ranked = rank_scenarios([
-        evaluate_scenario(spec, injected, loaded.topology, loaded.catalog,
-                          opts, baseline, row_plan, seed)
-        for (spec, injected), (row_plan, seed) in zip(applied, lattice.rows)])
-    table = render_scenario_table(ranked)
-    write_atomic(manifest.out / "scenarios.csv", render_scenario_csv(ranked))
+    table = render_scenario_table(run.rows)
+    write_atomic(manifest.out / "scenarios.csv", render_scenario_csv(run.rows))
     write_atomic(manifest.out / "scenarios.txt", table)
     print(table, end="")
-    if lattice.donor is not None:
-        own = "none" if lattice.own is None else f"{lattice.own:,}"
-        print(f"note: baseline: incumbent {lattice.baseline.makespan:,} from "
-              f"{lattice.donor}'s seed (own seed {own})")
-    for res in ranked:
+    if run.donor is not None:
+        own = "none" if run.own is None else f"{run.own:,}"
+        print(f"note: baseline: incumbent "
+              f"{run.baseline.stats['seed_makespan']:,} from {run.donor}'s "
+              f"seed (own seed {own})")
+    for res in run.rows:
         if res.note:
             print(f"note: {res.name}: {res.note}")
     return EXIT_OK

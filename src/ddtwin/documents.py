@@ -148,6 +148,15 @@ def section(raw: dict, key: str, kind: type, where: str, line: int = 1):
     return kind() if value is None else typed(value, kind, where, line)
 
 
+def known_keys(raw: dict, keys: tuple[str, ...], where: str) -> dict:
+    """``raw`` if it has no key outside ``keys``."""
+    for key in raw:
+        if key not in keys:
+            raise fail(1, 1, f"{where} has unknown key {key!r}; expected one "
+                             f"of {', '.join(keys)}")
+    return raw
+
+
 def list_of(value, kind: type, where: str, line: int = 1,
             column: int = 1) -> list:
     """``value`` if it is a list of ``kind``s."""

@@ -9,7 +9,8 @@ Both are read through ``documents``: every integer field (a capacity, a
 core id, a cost, a symbol value, the slot budget, the start lag) must be
 written as an integer, and a string, float or boolean there is an error,
 never truncated or coerced.  A memory's capacity is required and must
-not be negative.  Every diagnostic is collected before any is raised.
+not be negative.  A key that a mapping does not take is refused by name.
+Every diagnostic is collected before any is raised.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, DiagnosticError, fail
-from .documents import integer, load_document, section, typed
+from .documents import integer, known_keys, load_document, section, typed
 
 MEMORY_LEVELS = ("L2", "L3", "DDR")
 
@@ -110,6 +111,8 @@ def _section(raw: dict, key: str, kind: type, what: str, diags: list):
 def parse_topology(text: str) -> HardwareTopology:
     raw = typed(load_document(text, "topology"), dict, "topology")
     diags = []
+    _collect(diags, known_keys, raw, ("memories", "cores", "pattern_costs"),
+             "topology")
     memories: list[Memory] = []
     # a core may name a memory refused for another field: that fault is
     # reported once, at the memory
@@ -118,6 +121,7 @@ def parse_topology(text: str) -> HardwareTopology:
         what = f"memory {i + 1}"
         if _collect(diags, typed, m, dict, what) is None:
             continue
+        _collect(diags, known_keys, m, ("id", "level", "capacity"), what)
         if "id" in m:
             mem_ids.add(str(m["id"]))
         level = m.get("level")
@@ -137,6 +141,7 @@ def parse_topology(text: str) -> HardwareTopology:
         what = f"core {i + 1}"
         if _collect(diags, typed, c, dict, what) is None:
             continue
+        _collect(diags, known_keys, c, ("id", "l2", "l3"), what)
         n = len(diags)
         core = Core(id=_get(c, "id", what, diags),
                     l2=_get(c, "l2", what, diags, str),
@@ -158,6 +163,7 @@ def parse_topology(text: str) -> HardwareTopology:
             continue
         if _collect(diags, typed, entry, dict, what) is None:
             continue
+        _collect(diags, known_keys, entry, ("base", "bandwidth"), what)
         costs[klass] = (_get(entry, "base", what, diags, default=0),
                         _get(entry, "bandwidth", what, diags)
                         if entry.get("bandwidth") is not None else None)
@@ -172,6 +178,9 @@ def parse_deployment(text: str) -> DeploymentConfig:
     if "entry_flow" not in raw:
         raise fail(1, 1, "deployment must name an entry_flow")
     diags: list = []
+    _collect(diags, known_keys, raw, (
+        "entry_flow", "symbols", "slot_budget", "max_start_lag",
+        "metadata_files", "equation_values"), "deployment")
 
     def integers(key: str) -> dict[str, int]:
         values = _section(raw, key, dict, "deployment", diags)

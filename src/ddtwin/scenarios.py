@@ -14,13 +14,12 @@ way left to a negative delta is a schedule that a scenario's *search*
 finds and the baseline's search misses.  A cloned flow adds work, and no
 such bound holds for it.
 
-A run has four steps, in this order: ``apply_scenarios`` applies every
-spec and refuses the bad ones all at once; ``seed_lattice`` seeds the
-baseline and, unless that seed meets the root's bound, every narrowing
-spec, and folds the best of their seeds into the baseline's incumbent;
-the caller solves the baseline from that incumbent and stops unless it
-has a schedule; ``evaluate_scenario`` then solves each applied spec
-against that one baseline, a seeded spec from its own seed and plan.
+``run_scenarios`` carries out a whole run, in this order: it
+refuses the bad specs all at once, seeds the baseline and every spec
+with injections, folds the best checked narrowing seed into the
+baseline's incumbent, solves the baseline from it, stops unless the
+baseline has a schedule, and grades each spec with ``evaluate_scenario``
+from the spec's own seed.
 """
 
 from __future__ import annotations
@@ -126,11 +125,9 @@ def resolve_buffer_targets(graph: TaskGraph,
     matching the output buffers of every task running that function."""
     out: list[str] = []
     for sel in targets:
-        if sel in graph.buffers:
-            out.append(sel)
-            continue
-        matched = [buf_id for task in graph.tasks.values()
-                   if task.function == sel for buf_id in task.outputs]
+        matched = [sel] if sel in graph.buffers else [
+            buf_id for task in graph.tasks.values() if task.function == sel
+            for buf_id in task.outputs]
         if not matched:
             raise fail(1, 1, f"injection target {sel!r} matches no buffer "
                              f"or function in the graph")
@@ -144,20 +141,13 @@ def resolve_task_targets(graph: TaskGraph,
     then task-id prefix."""
     out: list[str] = []
     for sel in targets:
-        if sel in graph.tasks:
-            out.append(sel)
-            continue
-        by_function = [tid for tid, task in graph.tasks.items()
-                       if task.function == sel]
-        if by_function:
-            out.extend(by_function)
-            continue
-        by_prefix = [tid for tid in graph.tasks if tid.startswith(sel)]
-        if by_prefix:
-            out.extend(by_prefix)
-            continue
-        raise fail(1, 1, f"injection target {sel!r} matches no task, function, "
-                         f"or task-id prefix in the graph")
+        matched = [sel] if sel in graph.tasks else (
+            [tid for tid, task in graph.tasks.items() if task.function == sel]
+            or [tid for tid in graph.tasks if tid.startswith(sel)])
+        if not matched:
+            raise fail(1, 1, f"injection target {sel!r} matches no task, "
+                             f"function, or task-id prefix in the graph")
+        out.extend(matched)
     return tuple(dict.fromkeys(out))
 
 
@@ -321,62 +311,66 @@ def _clone_subgraph(graph: TaskGraph, prefix: str, copies: int) -> TaskGraph:
 
 # -- evaluation -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Lattice:
-    """What ``seed_lattice`` hands the solves of a run."""
-
-    baseline: Incumbent            # the baseline search's incumbent
-    own: int | None                # the makespan of the baseline's own seed
-    donor: str | None              # the spec whose seed ``baseline`` is
-    # per applied spec: the plan its solve takes and its seed, if seeded
-    rows: list[tuple[SearchPlan, Incumbent | None]]
-
-
 def _narrowing(spec: ScenarioSpec) -> bool:
     return bool(spec.injections) and all(
         inj.kind in NARROWING_KINDS for inj in spec.injections)
 
 
-def seed_lattice(applied: list[tuple[ScenarioSpec, TaskGraph]],
-                 graph: TaskGraph, topology: HardwareTopology,
-                 catalog: PatternCatalog, baseline_opts: SolveOpts,
-                 opts: SolveOpts, plan: SearchPlan) -> Lattice:
-    """Seed the baseline ``graph`` on its ``plan``, and fold the seeds of
-    ``applied``'s narrowing specs into its incumbent.
+@dataclass(frozen=True)
+class ScenarioRun:
+    """What ``run_scenarios`` found: the baseline's solve, the ranked rows
+    (none unless the baseline has a schedule), the spec whose seed the
+    baseline started from, and the makespan of the baseline's own seed."""
 
-    When the baseline's seed meets its root's bound, nothing beats it and
-    no spec is seeded.  Otherwise each spec whose injections all narrow
-    is seeded under ``opts`` on ``plan`` narrowed to its graph.  No
-    baseline is solved yet, so no seed runs under the floor that
-    ``evaluate_scenario`` may give the spec's solve; a floor only stops
-    a portfolio sooner, so the seed is at least as good as the solve's
-    own would be.  A narrowing spec's schedules are the baseline's by
-    the argument in the module docstring alone, so no seed is folded on
-    that argument: the seeds that beat the baseline's own, or any when
-    it has none, are re-checked on ``graph`` with the baseline's lag
-    cap, least makespan first and then in ``applied`` order, and the
-    first the checker accepts becomes the baseline's incumbent.  A flow
-    clone's tasks are not the baseline's, so a spec that adds one is
-    never seeded here.
+    baseline: SolveOutcome
+    rows: list[ScenarioResult]
+    donor: str | None
+    own: int | None
+
+
+def run_scenarios(specs: list[ScenarioSpec], graph: TaskGraph,
+                  topology: HardwareTopology, catalog: PatternCatalog,
+                  baseline_opts: SolveOpts, opts: SolveOpts) -> ScenarioRun:
+    """Grade ``specs`` against the best case of ``graph``, which carries
+    the start-lag cap: the baseline under ``baseline_opts``, each row
+    under ``opts``; the two may differ only in the node budget.
+
+    Every graph the run solves is seeded once, on the run's one plan
+    narrowed to it, before any search.  A floor only stops a portfolio
+    sooner and no narrowing seed beats a proven baseline, so no seed
+    needs the floor ``evaluate_scenario`` may give its row.  The narrowing
+    seeds that beat the baseline's own, or any when it has none, are
+    re-checked on ``graph`` with the baseline's lag cap, least makespan
+    first and then in spec order, and the first the checker accepts
+    becomes the baseline's incumbent.  A flow clone's tasks are not the
+    baseline's, so its seed is never folded.
     """
+    applied = apply_scenarios(specs, graph, catalog)
+    plan = SearchPlan(graph, topology, catalog)
     own = seed_best_case(graph, topology, catalog, baseline_opts, plan)
-    rows = [(plan, None)] * len(applied)
-    if own.makespan is None or own.makespan > plan.root_floor:
-        for i, (spec, injected) in enumerate(applied):
-            if _narrowing(spec):
-                narrowed = plan.narrowed(injected)
-                rows[i] = narrowed, seed_best_case(injected, topology,
-                                                   catalog, opts, narrowed)
-    candidates = sorted(
-        (seed.makespan, i) for i, (_, seed) in enumerate(rows)
-        if seed is not None and seed.makespan is not None
-        and (own.makespan is None or seed.makespan < own.makespan))
-    for _, i in candidates:
-        seed = rows[i][1]
+    rows = []
+    for spec, injected in applied:
+        row_plan = plan.narrowed(injected)
+        rows.append((spec, injected, row_plan, seed_best_case(
+            injected, topology, catalog, baseline_opts, row_plan)
+            if spec.injections else None))
+    incumbent, donor = own, None
+    for _, i in sorted(
+            (seed.makespan, i) for i, (spec, _, _, seed) in enumerate(rows)
+            if _narrowing(spec) and seed.makespan is not None
+            and (own.makespan is None or seed.makespan < own.makespan)):
+        spec, _, _, seed = rows[i]
         if not check_schedule(seed.schedule, graph, topology, catalog,
                               max_start_lag=baseline_opts.max_start_lag):
-            return Lattice(seed, own.makespan, applied[i][0].name, rows)
-    return Lattice(own, own.makespan, None, rows)
+            incumbent, donor = seed, spec.name
+            break
+    baseline = solve_best_case(graph, topology, catalog, baseline_opts,
+                               plan=plan, incumbent=incumbent)
+    ranked = [] if baseline.makespan is None else rank_scenarios([
+        evaluate_scenario(spec, injected, topology, catalog, opts, baseline,
+                          row_plan, seed)
+        for spec, injected, row_plan, seed in rows])
+    return ScenarioRun(baseline, ranked, donor, own.makespan)
 
 
 def evaluate_scenario(spec: ScenarioSpec, injected: TaskGraph,
@@ -397,13 +391,9 @@ def evaluate_scenario(spec: ScenarioSpec, injected: TaskGraph,
     closes with no search node, one whose deadline lies below it at the
     search's root.  A budget-exhausted search is an error, never a
     verdict: "unknown" reports nothing about feasibility either way.
-    ``plan``, the baseline's search plan or the one ``seed_lattice``
-    narrowed to ``injected``, is narrowed to ``injected``: the same plan
-    when only the deadline or the lag cap moved or it is already
-    ``injected``'s, else a plan that shares its resolved buffers; the
-    outcome is the same as with no plan.  ``incumbent``, the spec's seed
-    from ``seed_lattice``, is where the search starts, in place of a
-    seed of its own.
+    ``plan`` is narrowed to ``injected``, and ``incumbent``, the seed that
+    ``run_scenarios`` made on it, replaces the solve's own seed; neither
+    changes the outcome.
     """
     base_latency = baseline.makespan
     assert base_latency is not None, "the baseline has no schedule"
@@ -414,10 +404,8 @@ def evaluate_scenario(spec: ScenarioSpec, injected: TaskGraph,
 
     if baseline.status == "optimal" and _narrowing(spec):
         opts = replace(opts, floor=base_latency)
-    # only a seeded spec names an incumbent; any other solves as before
-    seeded = {} if incumbent is None else {"incumbent": incumbent}
     outcome = solve_best_case(injected, topology, catalog, opts, plan=plan,
-                              **seeded)
+                              incumbent=incumbent)
     if outcome.status == "infeasible":
         return ScenarioResult(spec.name, None, None, RISK_CERTAIN_FAILURE,
                               base_latency, note=outcome.witness or "")
@@ -612,14 +600,11 @@ def parse_scenario_stream(text: str) -> list[ScenarioSpec]:
 
 def _parse_injection(entry, at: str, line: int, column: int) -> Injection:
     typed(entry, dict, at, line, column)
-    kind = str(entry.get("kind", "")).upper()
+    kind = entry.get("kind")
     if kind not in INJECTION_KINDS:
-        raise fail(line, column,
-                   f"{at}: unknown injection kind {entry.get('kind')!r}")
-    targets = entry.get("targets", [])
-    if isinstance(targets, str):
-        targets = [targets]
-    list_of(targets, str, f"{at}: targets", line, column)
+        raise fail(line, column, f"{at}: unknown injection kind {kind!r}")
+    targets = list_of(entry.get("targets", []), str, f"{at}: targets", line,
+                      column)
     cores = entry.get("cores")
     if cores is not None:
         cores = frozenset(list_of(cores, int, f"{at}: cores", line, column))

@@ -446,8 +446,9 @@ class SearchPlan:
         self.unlocks: dict[str, list[tuple[str, frozenset[str]]]] = {
             t: [] for t in graph.tasks}
         for t, after in self.gates:
+            gate = t, frozenset(after)
             for p in after:
-                self.unlocks[p].append((t, frozenset(after)))
+                self.unlocks[p].append(gate)
         self._static_opts = {(b, c): options for b, r in self.resolved.items()
                              for c, options in zip(self.cores, r.options)}
         self.l3_of = {c.id: c.l3 for c in topology.cores}

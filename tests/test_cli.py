@@ -838,3 +838,37 @@ def test_wrong_shaped_or_typed_value_exits_1(slot, data):
     code, out, err = _validate_with(name, path, value)
     assert (code, out) == (1, ""), err
     assert "error:" in err and "internal error" not in err, err
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+# mappings whose keys the author names (symbols, equation values, cost
+# classes) and the versioned envelope, which every YAML reader shares
+_NAMED_KEYS = {("manifest.yaml", ()), ("manifest.yaml", ("metadata",)),
+               ("topology.yaml", ("pattern_costs",)),
+               ("deployment.yaml", ("symbols",)),
+               ("deployment.yaml", ("equation_values",))}
+
+
+@pytest.mark.parametrize("name, path", [
+    pytest.param(name, path, id=":".join([name, *map(str, path)]))
+    for name, doc in _DOCS.items() for path in _paths(doc)
+    if isinstance(_at(doc, path), dict) and (name, path) not in _NAMED_KEYS])
+def test_an_unknown_key_exits_1_and_is_named(name, path):
+    mapping = dict(_at(_DOCS[name], path), colour=1)
+    code, out, err = _validate_with(name, path, mapping)
+    assert (code, out) == (1, ""), err
+    assert "has unknown key 'colour'; expected one of " in err, err
+
+
+def test_an_unknown_key_names_the_keys_it_may_be():
+    code, out, err = _validate_with(
+        "deployment.yaml", ("max_start_lagg",), 5)
+    assert (code, out, err) == (1, "", (
+        "1:1: error: deployment has unknown key 'max_start_lagg'; expected "
+        "one of entry_flow, symbols, slot_budget, max_start_lag, "
+        "metadata_files, equation_values\n"))

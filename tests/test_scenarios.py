@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
+import shutil
 
 import pytest
 import yaml
@@ -23,7 +26,8 @@ from ddtwin.scenarios import (CSV_HEADER, FLOOR_PCT, HIGH_RISK_PCT,
                               render_scenario_table, resolve_buffer_targets,
                               resolve_task_targets)
 from ddtwin.solver import SolveOpts, solve_best_case
-from conftest import chain_graph, exactly, make_topology
+from conftest import (add_scenario_file, chain_graph, exactly,
+                      make_topology)
 
 TOPO = make_topology(2)
 CATALOG = generate_patterns_from_topology(TOPO)
@@ -235,8 +239,9 @@ def test_task_selectors_take_ids_functions_then_prefixes():
 # -- evaluation ------------------------------------------------------------------
 
 def evaluate_all(specs, g, opts=SolveOpts()):
-    """Every row of ``specs`` against one baseline solve of ``g``, in the
-    order the ``scenarios`` command takes: apply, solve, evaluate."""
+    """Every row of ``specs`` against one baseline solve of ``g``: apply,
+    solve, evaluate.  Unlike ``run_scenarios`` it seeds and folds nothing
+    first, so each solve seeds itself."""
     applied = apply_scenarios(specs, g, CATALOG)
     baseline = scenarios.solve_best_case(g, TOPO, CATALOG, opts)
     return [evaluate_scenario(spec, injected, TOPO, CATALOG, opts, baseline)
@@ -351,8 +356,9 @@ def recording_solve(monkeypatch):
     list of (floor, outcome) pairs it fills, one per solve."""
     solves = []
 
-    def record(graph, topology, catalog, opts=None, plan=None):
-        outcome = solve_best_case(graph, topology, catalog, opts, plan)
+    def record(graph, topology, catalog, opts=None, plan=None, **kwargs):
+        outcome = solve_best_case(graph, topology, catalog, opts, plan,
+                                  **kwargs)
         solves.append(((opts or SolveOpts()).floor, outcome))
         return outcome
 
@@ -470,50 +476,64 @@ def test_a_proven_baseline_closes_paper_scenarios_in_one_level(
         assert (outcome.status, result.latency) == ("optimal", 10_476)
 
 
-# -- the seed lattice -------------------------------------------------------------
+# -- one scenario run -------------------------------------------------------------
 
-def test_the_seed_lattice_folds_checked_seeds_and_moves_no_row(monkeypatch):
-    # the scenarios command's order on each instance: apply, seed and fold,
-    # solve the baseline from its incumbent, gate it, evaluate each row
+def test_a_run_folds_checked_seeds_and_moves_no_row(monkeypatch):
+    # run_scenarios on each instance: the baseline starts from the best
+    # checked seed, and each row from its own seed equals a solo solve
     from ddtwin.instances import random_instance, replicated_instance
     from ddtwin.schedule import check_schedule
-    from ddtwin.solver import SearchPlan
 
-    solves = []
+    solves, graded = [], []
 
     def record(graph, topology, catalog, opts=None, plan=None, **kwargs):
         outcome = solve_best_case(graph, topology, catalog, opts, plan,
                                   **kwargs)
-        solves.append(outcome)
+        solves.append((kwargs["incumbent"], outcome))
         return outcome
 
+    def grade(spec, injected, topology, catalog, opts, baseline, plan,
+              incumbent):
+        first = len(solves)
+        try:
+            return evaluate_scenario(spec, injected, topology, catalog, opts,
+                                     baseline, plan, incumbent)
+        except DiagnosticError:     # the row's search ran out of budget
+            return ScenarioResult(spec.name, None, None,
+                                  scenarios.RISK_CERTAIN_FAILURE, 0)
+        finally:
+            graded.append((spec, injected, incumbent, solves[first:]))
+
     monkeypatch.setattr(scenarios, "solve_best_case", record)
+    monkeypatch.setattr(scenarios, "evaluate_scenario", grade)
     opts = SolveOpts(budget_nodes=200)
     fired = rows = 0
     for seed in range(200):
         for inst in (random_instance(seed), replicated_instance(seed)):
             graph, topology, catalog = inst.graph, inst.topology, inst.catalog
             where = f"seed {seed}, {len(graph.tasks)} tasks"
-            applied = apply_scenarios(enumerate_scenarios(graph, catalog),
-                                      graph, catalog)
-            plan = SearchPlan(graph, topology, catalog)
-            lattice = scenarios.seed_lattice(applied, graph, topology,
-                                             catalog, opts, opts, plan)
-            fired += lattice.donor is not None
-            baseline = solve_best_case(graph, topology, catalog, opts,
-                                       plan=plan, incumbent=lattice.baseline)
+            solves.clear()
+            graded.clear()
+            run = scenarios.run_scenarios(enumerate_scenarios(graph, catalog),
+                                          graph, topology, catalog, opts, opts)
+            fired += run.donor is not None
+            baseline = run.baseline
+            assert solves[0][1] is baseline, where
             solo = solve_best_case(graph, topology, catalog, opts)
             if solo.makespan is not None:
                 assert baseline.makespan <= solo.makespan, where
             if solo.status in ("optimal", "infeasible"):
                 assert baseline.status == solo.status, where
             if baseline.makespan is None:
+                assert graded == [], where
                 continue
             assert check_schedule(baseline.schedule, graph, topology,
                                   catalog) == [], where
-            for (spec, injected), (row_plan, seeded) in zip(applied,
-                                                            lattice.rows):
-                if seeded is not None and seeded.makespan is not None:
+            for spec, injected, seeded, row_solves in graded:
+                narrowing = bool(spec.injections) and all(
+                    inj.kind in scenarios.NARROWING_KINDS
+                    for inj in spec.injections)
+                if narrowing and seeded.makespan is not None:
                     assert seeded.makespan >= baseline.makespan, where
                     # the search started from the best seed the checker takes
                     if not check_schedule(seeded.schedule, graph, topology,
@@ -521,17 +541,12 @@ def test_the_seed_lattice_folds_checked_seeds_and_moves_no_row(monkeypatch):
                         assert (seeded.makespan
                                 >= baseline.stats["seed_makespan"]), where
                 if not spec.injections:
+                    assert row_solves == [], where
                     continue
-                solves.clear()
-                try:
-                    evaluate_scenario(spec, injected, topology, catalog, opts,
-                                      baseline, row_plan, seeded)
-                except DiagnosticError:
-                    pass            # the row's search ran out of budget
-                [got] = solves
+                [(handed, got)] = row_solves
+                assert handed is seeded, f"{where}, {spec.name}"
                 floor = (baseline.makespan if baseline.status == "optimal"
-                         and all(inj.kind in scenarios.NARROWING_KINDS
-                                 for inj in spec.injections) else 0)
+                         and narrowing else 0)
                 want = solve_best_case(injected, topology, catalog,
                                        dataclasses.replace(opts, floor=floor))
                 assert ((got.status, got.makespan, got.witness)
@@ -541,22 +556,102 @@ def test_the_seed_lattice_folds_checked_seeds_and_moves_no_row(monkeypatch):
     assert fired >= 10 and rows > 100
 
 
-def test_a_seed_the_baseline_refuses_is_not_folded():
+def test_a_seed_the_baseline_refuses_is_not_folded(monkeypatch):
     # paired by hand with a graph that has no lag cap, an eviction's seed
     # queues one task behind the other, which the capped baseline refuses
-    from ddtwin.solver import Incumbent, SearchPlan
+    from ddtwin.solver import Incumbent, seed_best_case
 
     g = _pipeline_bound_pair()
     capped = dataclasses.replace(g, max_start_lag=0)
     spec = ScenarioSpec("evict-ba", (
         Injection(kind="EVICT_BUFFER", targets=("ba",)),))
-    plan = SearchPlan(capped, TOPO, CATALOG)
-    lattice = scenarios.seed_lattice([(spec, g)], capped, TOPO, CATALOG,
-                                     SolveOpts(), SolveOpts(), plan)
-    [(row_plan, seed)] = lattice.rows
-    assert row_plan is plan and seed.makespan == 200
-    assert (lattice.baseline, lattice.own, lattice.donor) == (
-        Incumbent(None, None), None, None)
+    seeds, handed = [], []
+
+    def record_seed(graph, topology, catalog, opts, plan):
+        seeds.append((graph, plan, seed_best_case(graph, topology, catalog,
+                                                  opts, plan)))
+        return seeds[-1][2]
+
+    def record_solve(*args, incumbent, **kwargs):
+        handed.append(incumbent)
+        return solve_best_case(*args, incumbent=incumbent, **kwargs)
+
+    monkeypatch.setattr(scenarios, "apply_injections",
+                        lambda graph, injections, catalog: g)
+    monkeypatch.setattr(scenarios, "seed_best_case", record_seed)
+    monkeypatch.setattr(scenarios, "solve_best_case", record_solve)
+    run = scenarios.run_scenarios([spec], capped, TOPO, CATALOG, SolveOpts(),
+                                  SolveOpts())
+    [(_, plan, own), (row_graph, row_plan, seed)] = seeds
+    assert row_graph is g and row_plan is plan and seed.makespan == 200
+    assert own == Incumbent(None, None) and handed == [own]
+    assert (run.baseline.status, run.rows, run.own, run.donor) == (
+        "infeasible", [], None, None)
+
+
+def _paper_proof_like(paper_dir, root):
+    """The paper fixture at three receive antennas and one SRS user, with
+    a deadline below its optimum, a pin and a lag cap."""
+    shutil.copytree(paper_dir, root, ignore=shutil.ignore_patterns("out*"))
+    deployment = yaml.safe_load((root / "deployment.yaml").read_text())
+    deployment["symbols"] = {"MAX_NUM_RX_ANT": 3, "AVG_NUM_SRS_UE": 1}
+    (root / "deployment.yaml").write_text(yaml.safe_dump(deployment))
+    add_scenario_file(
+        root / "manifest.yaml",
+        ("tighten-deadline", [{"kind": "TIGHTEN_DEADLINE", "value": 10_068}]),
+        ("pin-task", [{"kind": "PIN_TASKS", "cores": [3], "targets": [
+            "srsChestProc_perUE_perRxAnt_flow[i=1,j=3]"]}]),
+        ("start-lag", [{"kind": "START_LAG", "value": 516}]))
+
+
+@pytest.mark.parametrize("inputs, plans, seeds", [
+    ("du_exact", 12, 12), ("paper_proof", 5, 7), ("trivial", 1, 1)])
+def test_every_solve_of_a_run_starts_from_its_phase_1_seed(
+        inputs, plans, seeds, du_dir, paper_dir, trivial_dir, tmp_path,
+        monkeypatch):
+    from ddtwin import cli
+    from ddtwin.solver import SearchPlan, _Search
+
+    root = tmp_path / inputs
+    if inputs == "du_exact":
+        shutil.copytree(du_dir, root, ignore=shutil.ignore_patterns("out*"))
+        manifest = root / "manifest.yaml"
+        manifest.write_text(manifest.read_text().replace(
+            "budget_nodes: 60000", "budget_nodes: 1000"))
+    elif inputs == "paper_proof":
+        _paper_proof_like(paper_dir, root)
+    else:
+        shutil.copytree(trivial_dir, root,
+                        ignore=shutil.ignore_patterns("out*"))
+    seen = {"plans": 0, "seeds": 0, "solves": []}
+    build, seed, run = SearchPlan.__init__, _Search._seed, _Search.run
+
+    def count_plan(self, *args, **kwargs):
+        seen["plans"] += 1
+        build(self, *args, **kwargs)
+
+    def count_seed(self, *args):
+        seen["seeds"] += 1
+        seed(self, *args)
+
+    def record_run(self, incumbent=None):
+        before = seen["seeds"]
+        outcome = run(self, incumbent)
+        seen["solves"].append((incumbent, seen["seeds"] - before))
+        return outcome
+
+    monkeypatch.setattr(SearchPlan, "__init__", count_plan)
+    monkeypatch.setattr(_Search, "_seed", count_seed)
+    monkeypatch.setattr(_Search, "run", record_run)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["scenarios", "--manifest",
+                         str(root / "manifest.yaml"),
+                         "--out", str(tmp_path / "out")]) == 0
+    assert (seen["plans"], seen["seeds"]) == (plans, seeds)
+    assert seen["solves"]
+    # each solve is handed an incumbent and runs no seed of its own
+    assert all(incumbent is not None and own == 0
+               for incumbent, own in seen["solves"])
 
 
 # -- enumeration -----------------------------------------------------------------
@@ -721,7 +816,7 @@ def scenario_doc(**spec):
 
 def test_parse_scenario_documents():
     text = scenario_doc(injections=[
-        {"kind": "evict_buffer", "targets": "b0"},
+        {"kind": "EVICT_BUFFER", "targets": ["b0"]},
         {"kind": "PIN_TASKS", "targets": ["t0"], "cores": [0, 1]},
         {"kind": "START_LAG", "value": 40}])
     specs = parse_scenario_stream(text)
@@ -750,6 +845,13 @@ def test_parsed_scenarios_are_runnable():
     ("apiVersion: rdsl/v0\nkind: scenario\nspec: {}\n",
      "metadata.name is required"),
     (scenario_doc(injections=[{"kind": "FLOOD"}]), "unknown injection kind"),
+    # one spelling per field: no lower-case kind, no bare-string targets
+    (scenario_doc(injections=[{"kind": "evict_buffer", "targets": ["b0"]}]),
+     exactly(7, 5, "document 1, injection 1: unknown injection kind "
+                   "'evict_buffer'")),
+    (scenario_doc(injections=[{"kind": "EVICT_BUFFER", "targets": "b0"}]),
+     exactly(7, 5, "document 1, injection 1: targets must be a string list, "
+                   "got 'b0'")),
     (scenario_doc(injections=[{"kind": "PIN_TASKS", "cores": [True]}]),
      "cores must be an integer list"),
     (scenario_doc(injections=[{"kind": "EVICT_BUFFER", "targets": [1]}]),
