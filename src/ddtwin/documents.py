@@ -97,14 +97,17 @@ def read_stream(text: str, what: str,
     return docs
 
 
-def mark(node: yaml.Node, *path) -> tuple[int, int]:
+def mark(node: yaml.Node, *path, key: bool = False) -> tuple[int, int]:
     """The line and column at which the node at ``path`` below ``node``
     starts, each step a mapping key (its last occurrence, which is the one
-    read) or a sequence index.  A step the node does not spell out, such
+    read) or a sequence index; with ``key``, those of the last step's key
+    rather than of its value.  A step the node does not spell out, such
     as a key that comes by a merge, stops the walk at the node reached."""
-    for step in path:
+    last = len(path) - 1
+    for i, step in enumerate(path):
         if isinstance(node, yaml.MappingNode):
-            found = [value for key, value in node.value if key.value == step]
+            found = [pair[0 if key and i == last else 1]
+                     for pair in node.value if pair[0].value == step]
         elif isinstance(node, yaml.SequenceNode):
             found = node.value[step:step + 1]
         else:
@@ -148,12 +151,13 @@ def section(raw: dict, key: str, kind: type, where: str, line: int = 1):
     return kind() if value is None else typed(value, kind, where, line)
 
 
-def known_keys(raw: dict, keys: tuple[str, ...], where: str) -> dict:
+def known_keys(raw: dict, keys: tuple[str, ...], where: str, line: int = 1,
+               column: int = 1) -> dict:
     """``raw`` if it has no key outside ``keys``."""
     for key in raw:
         if key not in keys:
-            raise fail(1, 1, f"{where} has unknown key {key!r}; expected one "
-                             f"of {', '.join(keys)}")
+            raise fail(line, column, f"{where} has unknown key {key!r}; "
+                                     f"expected one of {', '.join(keys)}")
     return raw
 
 

@@ -25,7 +25,6 @@ class TaskInstance:
     outputs: tuple[str, ...] = ()
     allowed_cores: frozenset[int] | None = None
     external_inputs: tuple[ExternalInput, ...] = ()
-    min_start_lag: int = 0
 
 
 @dataclass(frozen=True)

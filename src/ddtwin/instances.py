@@ -97,7 +97,6 @@ def random_instance(seed: int, max_tasks: int = 6) -> Instance:
         allowed_cores = None
         if rng.random() < 0.2:
             allowed_cores = frozenset({rng.randrange(n_cores)})
-        lag = rng.randint(100, 5_000) if rng.random() < 0.15 else 0
         external = ()
         if not inputs:
             external = (ExternalInput(stream=f"port{i}",
@@ -105,8 +104,7 @@ def random_instance(seed: int, max_tasks: int = 6) -> Instance:
         tasks[f"t{i}"] = TaskInstance(
             id=f"t{i}", function=f"fn{i}", runtime=runtimes[i],
             internalsize=internal, inputs=inputs, outputs=(f"b{i}",),
-            allowed_cores=allowed_cores, external_inputs=external,
-            min_start_lag=lag)
+            allowed_cores=allowed_cores, external_inputs=external)
         observers = tuple(f"t{j}" for j in range(i + 1, n) if (i, j) in edges)
         release = rng.randint(0, 5_000) if rng.random() < 0.1 else None
         avail = None
@@ -176,7 +174,7 @@ def _oracle_combos(graph: TaskGraph, n_cores: int) -> int:
     return _count_orders(len(index), preds) * total
 
 
-TIGHTEN_OPS = ("deadline", "patterns", "cores", "lag", "size", "runtime")
+TIGHTEN_OPS = ("deadline", "patterns", "cores", "size", "runtime")
 
 
 def tighten_instance(inst: Instance, seed: int) -> Instance:
@@ -203,11 +201,6 @@ def tighten_instance(inst: Instance, seed: int) -> Instance:
         if len(pool) > 1:
             graph = graph.with_task(replace(
                 task, allowed_cores=frozenset({rng.choice(pool)})))
-    elif op == "lag":
-        task_id = rng.choice(sorted(graph.tasks))
-        task = graph.tasks[task_id]
-        graph = graph.with_task(replace(
-            task, min_start_lag=task.min_start_lag + rng.randint(500, 5_000)))
     elif op == "size":
         buf_id = rng.choice(sorted(graph.buffers))
         buf = graph.buffers[buf_id]

@@ -160,9 +160,8 @@ def _simulate(order: list[str], kappa: dict[str, int], rho: dict,
             ready = max(ready, transfer_end[buf_id])
         for ext in task.external_inputs:
             ready = max(ready, ext.release)
-        earliest = ready + task.min_start_lag
-        start = max(earliest, core_free.get(kappa[task_id], 0))
-        if graph.max_start_lag is not None and start > earliest + graph.max_start_lag:
+        start = max(ready, core_free.get(kappa[task_id], 0))
+        if graph.max_start_lag is not None and start > ready + graph.max_start_lag:
             return None
         end = start + task.runtime
         core_free[kappa[task_id]] = end

@@ -28,9 +28,9 @@ import csv
 import io
 from dataclasses import dataclass, replace
 
-from .diagnostics import DiagnosticError, fail
-from .documents import (at_field, integer, list_of, mark, read_stream,
-                        section, typed)
+from .diagnostics import Diagnostic, DiagnosticError, fail
+from .documents import (at_field, integer, known_keys, list_of, mark,
+                        read_stream, section, typed)
 from .graph import TaskGraph
 from .hardware import HardwareTopology
 from .patterns import PatternCatalog
@@ -176,14 +176,19 @@ def apply_scenarios(specs: list[ScenarioSpec], graph: TaskGraph,
                     catalog: PatternCatalog
                     ) -> list[tuple[ScenarioSpec, TaskGraph]]:
     """Each spec paired with ``graph`` under its injections, keeping only
-    the first spec of each injection set.
+    the first spec of each injection set.  Two kept specs may not share a
+    name, since a row is known by its name alone.
 
     Every spec is applied before any refusal is raised, so one
     DiagnosticError reports them all; each of its diagnostics names its
     scenario.
     """
-    applied, refused = [], []
+    applied, refused, names = [], [], set()
     for spec in _unique_specs(specs):
+        if spec.name in names:
+            refused.append(Diagnostic(1, 1, f"scenario {spec.name!r}: an "
+                                            f"earlier scenario has this name"))
+        names.add(spec.name)
         try:
             applied.append(
                 (spec, apply_injections(graph, spec.injections, catalog)))
@@ -523,7 +528,8 @@ def render_scenario_csv(results: list[ScenarioResult]) -> str:
 
 def parse_scenario_csv(text: str, baseline_latency: int
                        ) -> list[ScenarioResult]:
-    """Parse a scenario CSV back to exact result values.
+    """Parse a scenario CSV back to exact result values; a bad row is
+    refused at its line.
 
     The CSV does not store the baseline, so callers supply it; the value
     only fills each row's ``ScenarioResult.baseline_latency``.
@@ -536,13 +542,13 @@ def parse_scenario_csv(text: str, baseline_latency: int
         if not row:
             continue
         if len(row) != 4:
-            raise fail(1, 1, f"line {i}: expected 4 fields, got {len(row)}")
+            raise fail(i, 1, f"expected 4 fields, got {len(row)}")
         name, latency_s, delta_s, risk = row
         if risk not in RISK_LEVELS:
-            raise fail(1, 1, f"line {i}: unknown risk level {risk!r}")
+            raise fail(i, 1, f"unknown risk level {risk!r}")
         if latency_s == "INFEASIBLE":
             if risk != RISK_CERTAIN_FAILURE:
-                raise fail(1, 1, f"line {i}: infeasible row must carry risk "
+                raise fail(i, 1, "infeasible row must carry risk "
                                  f"{RISK_CERTAIN_FAILURE}")
             latency: int | None = None
             delta: int | None = None
@@ -551,7 +557,7 @@ def parse_scenario_csv(text: str, baseline_latency: int
                 latency = int(latency_s)
                 delta = int(delta_s)
             except ValueError:
-                raise fail(1, 1, f"line {i}: latency and delta must be integers, "
+                raise fail(i, 1, "latency and delta must be integers, "
                                  f"got {latency_s!r} / {delta_s!r}") from None
         out.append(ScenarioResult(name, latency, delta, risk,
                                   baseline_latency))
@@ -584,9 +590,14 @@ def render_scenario_table(results: list[ScenarioResult]) -> str:
 
 def parse_scenario_stream(text: str) -> list[ScenarioSpec]:
     """Parse a multi-document YAML stream of ``kind: scenario`` documents.
-    An injection is refused at its own line and column."""
+    A spec key other than ``injections`` is refused at the key, and an
+    injection at its own line and column."""
     specs = []
     for doc in read_stream(text, "scenario stream", ("scenario",)):
+        unknown = next((k for k in doc.spec if k != "injections"), None)
+        if unknown is not None:
+            known_keys(doc.spec, ("injections",), f"{doc.where}: spec",
+                       *mark(doc.node, "spec", unknown, key=True))
         raw_injections = at_field(doc, "injections", section, doc.spec,
                                   "injections", list,
                                   f"{doc.where}: spec.injections")
@@ -599,7 +610,8 @@ def parse_scenario_stream(text: str) -> list[ScenarioSpec]:
 
 
 def _parse_injection(entry, at: str, line: int, column: int) -> Injection:
-    typed(entry, dict, at, line, column)
+    known_keys(typed(entry, dict, at, line, column),
+               ("kind", "targets", "cores", "value"), at, line, column)
     kind = entry.get("kind")
     if kind not in INJECTION_KINDS:
         raise fail(line, column, f"{at}: unknown injection kind {kind!r}")

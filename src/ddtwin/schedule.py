@@ -243,12 +243,8 @@ def check_schedule(schedule: Schedule, graph: TaskGraph,
                 out.append(Violation(READ_BEFORE_WRITE, task.id,
                                      f"starts at {start} before external input "
                                      f"{ext.stream!r} arrives at {ext.release}", start))
-        if task.min_start_lag and start < ready[task.id] + task.min_start_lag:
-            out.append(Violation(LAG_VIOLATION, task.id,
-                                 f"starts at {start}, forced lag requires at least "
-                                 f"{ready[task.id] + task.min_start_lag}", start))
         if max_start_lag is not None:
-            limit = ready[task.id] + task.min_start_lag + max_start_lag
+            limit = ready[task.id] + max_start_lag
             if start > limit:
                 out.append(Violation(LAG_VIOLATION, task.id,
                                      f"starts at {start}, more than {max_start_lag} past "

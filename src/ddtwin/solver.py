@@ -95,11 +95,11 @@ so each definer either runs on ``j``'s core or sends every buffer to ``j``
 by a non-pipeline transfer.  The k definers on ``j``'s core run back to
 back, none starting before the least earliest start; the others'
 transfers run back to back, none starting before the least earliest
-finish.  ``j`` can start only after both and its start lag, so the least
-over k of the later of the two, plus the lag and ``j``'s downward rank,
-bounds the makespan.  Zero-cycle transfers overlap freely, but they add
-nothing to either sum.  When the root's bound already reaches the seed's
-makespan, the seed is optimal and no node is searched.
+finish.  ``j`` can start only after both, so the least over k of the
+later of the two, plus ``j``'s downward rank, bounds the makespan.
+Zero-cycle transfers overlap freely, but they add nothing to either
+sum.  When the root's bound already reaches the seed's makespan, the
+seed is optimal and no node is searched.
 
 Each child is built in three steps, and a pruned one costs only the
 first two.  ``_time`` times and checks it: the task's start, its *moves*
@@ -123,8 +123,8 @@ settles every child of the pair as LAG_VIOLATION, the first check of
 ``_time``.  Otherwise two terms bound every child from below.  One is
 the start plus the task's downward rank: each output ends at least its
 least transfer cycles after the task's finish, an observer's estimated
-start is at least that end, and the observer's path term adds its start
-lag and downward rank; the span covers an output no task observes.  The
+start is at least that end, and the observer's path term adds its
+downward rank; the span covers an output no task observes.  The
 other is the state's floor, which every child's bound includes.  When
 either exceeds the cap, every child is pruned, and the label is certain
 when no output has an availability deadline and no tracked memory can
@@ -136,18 +136,18 @@ fit moves a transfer only to the end of a placed transfer, which ends by
 ``state.span``, or of an earlier output of the task, so each output ends
 by the latest of the finish, the span and its release, plus the summed
 costliest options of the outputs; a descendant's new path term follows
-from an output's end by at most an observer's downward rank with every
-start lag on the way counted (``_ranks``).  Every other path term
-is one ``state.floor`` covers, since it covers every unplaced task's
-path term and every anchor's load, and a placement raises an anchor's
-load by at most the summed largest extra of each output's options: the
-floor plus that sum is the second.  The labels stay exact with the
-root's terms, the load bound among them, in the floor: a child's bound
-is at least its floor, and ``state.floor`` plus that sum still bounds it
-from above.  A settled pair counts its children one by one against the
-node budget, so a budget that runs out among them stops the search at
-the node, and with the prune counts, of the full path.  A pair's ``_Worst`` is made on
-its first use, so a solve closed at the root makes none.
+from an output's end by at most an observer's downward rank.  Every
+other path term is one ``state.floor`` covers, since it covers every
+unplaced task's path term and every anchor's load, and a placement
+raises an anchor's load by at most the summed largest extra of each
+output's options: the floor plus that sum is the second.  The labels
+stay exact with the root's terms, the load bound among them, in the
+floor: a child's bound is at least its floor, and ``state.floor`` plus
+that sum still bounds it from above.  A settled pair counts its children
+one by one against the node budget, so a budget that runs out among
+them stops the search at the node, and with the prune counts, of the
+full path.  A pair's ``_Worst`` is made on its first use, so a solve
+closed at the root makes none.
 
 A transfer's earliest contention-free start is found in one scan of the
 placed transfers sorted by start: an interval that contends and ends
@@ -161,9 +161,9 @@ intervals that start more than that before the candidate: they have
 ended by then.
 
 Interchangeable tasks are placed in id order.  Two tasks are
-interchangeable when they agree on runtime, scratch size, start lag,
-allowed cores, the set of input buffers and the multiset of external
-releases, and output by output on size, resolved pattern choices,
+interchangeable when they agree on runtime, scratch size, allowed
+cores, the set of input buffers and the multiset of external releases,
+and output by output on size, resolved pattern choices,
 observer set, release, availability deadline and labels.  Swapping two
 such tasks, and their output buffers position by position, maps the
 instance onto itself: every placement rule, every bound and every check
@@ -300,7 +300,7 @@ class _Worst(NamedTuple):
     release: int                     # the latest output release
     cost: int                        # the summed costliest option per output
     extra: int                       # the summed largest anchor extra per output
-    reach: int                       # the largest lagged rank of an observer
+    reach: int                       # the largest downward rank of an observer
     # tracked memory -> the most the placement adds to its claim total
     adds: tuple[tuple[str, int], ...]
 
@@ -436,7 +436,7 @@ class SearchPlan:
                         for b, cs in self.choices.items()}
         self.longest = max((c.cost for cs in self.choices.values() for c in cs),
                            default=0)
-        self.down, self.reach = self._ranks()
+        self.down = self._ranks()
         self.anchor_base, self.anchor_extra = self._anchor_tables()
         self.plans = {t: self._propagation(t, self._descendants(i))
                       for i, t in enumerate(self.topo_order)}
@@ -513,24 +513,18 @@ class SearchPlan:
             splits,
             tuple(self._static_options(choices, core) for core in self.cores))
 
-    def _ranks(self) -> tuple[dict[str, int], dict[str, int]]:
-        """task -> its downward rank, and task -> the same with every start
-        lag on the way counted, its own included."""
+    def _ranks(self) -> dict[str, int]:
+        """task -> its downward rank."""
         down: dict[str, int] = {}
-        reach: dict[str, int] = {}
         for t in reversed(self.topo_order):
             task = self.graph.tasks[t]
-            tail = lagged = 0
+            tail = 0
             for buf_id in task.outputs:
                 observers = self.graph.buffers[buf_id].observers
-                least = self.min_dur[buf_id]
-                tail = max(tail, least + max((down[o] for o in observers),
-                                             default=0))
-                lagged = max(lagged, least + max((reach[o] for o in observers),
-                                                 default=0))
+                tail = max(tail, self.min_dur[buf_id]
+                           + max((down[o] for o in observers), default=0))
             down[t] = task.runtime + tail
-            reach[t] = task.min_start_lag + task.runtime + lagged
-        return down, reach
+        return down
 
     def _anchor_tables(self):
         """Per-anchor serialization floors.  Transfers through one anchor
@@ -596,11 +590,10 @@ class SearchPlan:
     def _propagation(self, placed: str | None, tasks: list[str]) -> tuple:
         """How ``_estimate`` recomputes the earliest finish of ``tasks``,
         in topological order, once ``placed`` is placed (``None`` at the
-        root): per task, its latest external release, its start lag plus
-        its runtime and plus its downward rank, the input buffers
-        ``placed`` defines, the (definer, least transfer cycles) of those
-        a task in ``tasks`` defines, and the (buffer, definer, least
-        transfer cycles) of the rest."""
+        root): per task, its latest external release, its runtime, its
+        downward rank, the input buffers ``placed`` defines, the (definer,
+        least transfer cycles) of those a task in ``tasks`` defines, and
+        the (buffer, definer, least transfer cycles) of the rest."""
         planned = set(tasks)
         plan = []
         for t in tasks:
@@ -615,8 +608,7 @@ class SearchPlan:
                 else:
                     other.append((b, d, m))
             release = max((e.release for e in task.external_inputs), default=0)
-            lag = task.min_start_lag
-            plan.append((t, release, lag + task.runtime, lag + self.down[t],
+            plan.append((t, release, task.runtime, self.down[t],
                          tuple(own), tuple(below), tuple(other)))
         return tuple(plan)
 
@@ -672,7 +664,7 @@ class SearchPlan:
         least over k of its input definers sharing its core of the later
         of two readies, the k shortest definers run back to back and the
         other definers' cheapest transfers run back to back, plus its
-        start lag and its downward rank."""
+        downward rank."""
         term = 0
         for t, (definers, runs, costs) in self._join_tables().items():
             start = min(est_fin[d] - self.graph.tasks[d].runtime
@@ -682,8 +674,7 @@ class SearchPlan:
             ready = min(max(start + runs[k] if k else 0,
                             fin + costs[n - k] if k < n else 0)
                         for k in range(n + 1))
-            term = max(term, ready + self.graph.tasks[t].min_start_lag
-                       + self.down[t])
+            term = max(term, ready + self.down[t])
         return term
 
     def _validated_symmetry(self) -> dict[int, int]:
@@ -708,8 +699,8 @@ class SearchPlan:
                          frozenset(b.observers), b.release, b.avail_deadline,
                          b.labels)
                         for b in map(self.graph.buffers.__getitem__, task.outputs))
-        return (task.runtime, task.internalsize, task.min_start_lag,
-                task.allowed_cores, frozenset(task.inputs),
+        return (task.runtime, task.internalsize, task.allowed_cores,
+                frozenset(task.inputs),
                 tuple(sorted(e.release for e in task.external_inputs)),
                 outputs)
 
@@ -803,7 +794,7 @@ class _Search:
 
     def _earliest(self, state: _State, task_id: str) -> int:
         """The earliest start of ``task_id`` on any core after ``state``:
-        when its last input arrives or is released, plus its start lag."""
+        when its last input arrives or is released."""
         task = self.graph.tasks[task_id]
         transfers = state.transfers
         ready = 0
@@ -814,7 +805,7 @@ class _Search:
         for ext in task.external_inputs:
             if ext.release > ready:
                 ready = ext.release
-        return ready + task.min_start_lag
+        return ready
 
     def _time(self, state: _State, task_id: str, core: int,
               combo: tuple[_Choice, ...], earliest: int, start: int
@@ -1135,7 +1126,7 @@ class _Search:
                           in self.anchor_extra.get((buf_id, c.index), ())),
                          default=0)
             for obs in buf.observers:
-                reach = max(reach, self.reach[obs])
+                reach = max(reach, self.down[obs])
             size = max(buf.size, 0)
             for mem in {m for c in options for m in self.claimed[c.index]}:
                 adds[mem] = adds.get(mem, 0) + size

@@ -172,13 +172,12 @@ def test_gate6_violation_taxonomy_coverage():
     near0 = "L2toL2.c_0.L3_0.accL3_0"
 
     def chain(deadline=1_000_000, max_start_lag=None, patterns=all_patterns,
-              scratch=0, lag_floor=0):
+              scratch=0):
         t0 = TaskInstance(id="t0", function="t0", runtime=100,
                           internalsize=scratch, outputs=("b0",),
                           external_inputs=(ExternalInput("port", 0),))
         t1 = TaskInstance(id="t1", function="t1", runtime=200,
-                          internalsize=0, inputs=("b0",), outputs=("b1",),
-                          min_start_lag=lag_floor)
+                          internalsize=0, inputs=("b0",), outputs=("b1",))
         return TaskGraph(
             tasks={"t0": t0, "t1": t1},
             buffers={"b0": Buffer(id="b0", size=1000, definer="t0",
@@ -221,7 +220,7 @@ def test_gate6_violation_taxonomy_coverage():
     assert got == {CORE_OVERLAP}
 
     produced = 0
-    for seed in range(30):
+    for seed in range(40):
         inst = random_instance(seed)
         res = solve_best_case(inst.graph, inst.topology, inst.catalog)
         if res.schedule is not None:

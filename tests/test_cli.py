@@ -443,6 +443,36 @@ def test_scenarios_exhausted_row_budget_names_the_key_that_governs_it(
     assert "raise solver.scenario_budget_nodes" in err
 
 
+def test_scenarios_refuses_a_name_two_specs_share(trivial_dir, tmp_path,
+                                                  monkeypatch):
+    # a row is known by its name: a file's `baseline` would sit beside the
+    # enumerated one, and two `lag` rows would be told apart by nothing
+    shutil.copytree(trivial_dir, tmp_path / "trivial",
+                    ignore=shutil.ignore_patterns("out*"))
+    manifest = tmp_path / "trivial" / "manifest.yaml"
+    add_scenario_file(
+        manifest,
+        ("baseline", [{"kind": "TIGHTEN_DEADLINE", "value": 7000}]),
+        ("lag", [{"kind": "START_LAG", "value": 0}]),
+        ("lag", [{"kind": "START_LAG", "value": 100}]))
+    solves = []
+
+    def counting_solve(*args, **kwargs):
+        solves.append(args)
+        return solve_best_case(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "solve_best_case", counting_solve)
+    code, out, err = run(["scenarios", "--manifest", str(manifest),
+                          "--out", str(tmp_path / "out")])
+    assert (code, out) == (1, "")
+    assert err == (
+        "1:1: error: scenario 'lag': an earlier scenario has this name\n"
+        "1:1: error: scenario 'baseline': an earlier scenario has this name\n")
+    assert not (tmp_path / "out" / "scenarios.csv").exists()
+    assert solves == []
+    assert run(["validate", "--manifest", str(manifest)])[0] == 1
+
+
 def test_scenarios_rerun_is_byte_identical(du_runs):
     first, second = du_runs
     assert first["exit"] == second["exit"] == 0

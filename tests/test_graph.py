@@ -39,8 +39,7 @@ def test_graph_json_is_pinned():
         tasks={"src": TaskInstance("src", "fsrc", 10, 4, outputs=("s",),
                                    allowed_cores=frozenset({3, 1}),
                                    external_inputs=(ExternalInput("pin[0]", 5),)),
-               "dst": TaskInstance("dst", "fdst", 20, 0, inputs=("s",),
-                                   min_start_lag=2)},
+               "dst": TaskInstance("dst", "fdst", 20, 0, inputs=("s",))},
         buffers={"s": Buffer("s", 64, "src", observers=("dst",),
                              allowed_patterns=("pipeline.c0",), labels=("lat",),
                              avail_deadline=300)},
@@ -71,8 +70,7 @@ def test_graph_json_is_pinned():
           "stream": "pin[0]",
           "release": 5
         }
-      ],
-      "min_start_lag": 0
+      ]
     },
     {
       "id": "dst",
@@ -84,8 +82,7 @@ def test_graph_json_is_pinned():
       ],
       "outputs": [],
       "allowed_cores": null,
-      "external_inputs": [],
-      "min_start_lag": 2
+      "external_inputs": []
     }
   ],
   "buffers": [

@@ -150,7 +150,7 @@ def test_search_and_enumeration_agree_under_a_timing_equation():
     # rejects leaves through the schedule checker
     cap = TimingEquationDoc("cap", "A + 0 <= B", {"A": "done", "B": "limit"})
     cases = changed = leaf_rejects = 0
-    for seed in range(30):
+    for seed in range(40):
         inst = random_instance(seed)
         free = brute_force_oracle(inst.graph, inst.topology, inst.catalog)
         if not free.feasible:

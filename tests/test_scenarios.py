@@ -780,7 +780,7 @@ def test_infeasible_csv_rows_carry_certain_failure():
     ("strategy,latency_cycles,delta_pct,risk\nx,INFEASIBLE,5,HIGH\n",
      "must carry risk CERTAIN_FAILURE"),
     ("strategy,latency_cycles,delta_pct,risk\nx,100,0\n",
-     exactly(1, 1, "line 2: expected 4 fields, got 3")),
+     exactly(2, 1, "expected 4 fields, got 3")),
 ])
 def test_csv_parse_validation(text, msg):
     with pytest.raises(DiagnosticError, match=msg):
@@ -871,6 +871,14 @@ def test_parsed_scenarios_are_runnable():
     (scenario_doc(injections=[{"kind": "TIGHTEN_DEADLINE"}]),
      exactly(7, 5,
              "document 1, injection 1: TIGHTEN_DEADLINE requires a value")),
+    # a misspelt key is refused, not read as an absent one
+    (scenario_doc(injection=[{"kind": "START_LAG", "value": 1}]),
+     exactly(6, 3, "document 1: spec has unknown key 'injection'; "
+                   "expected one of injections")),
+    (scenario_doc(injections=[{"kind": "ADD_FLOW", "targets": ["a/"],
+                               "copies": 3}]),
+     exactly(7, 5, "document 1, injection 1 has unknown key 'copies'; "
+                   "expected one of kind, targets, cores, value")),
 ])
 def test_scenario_stream_validation(text, msg):
     with pytest.raises(DiagnosticError, match=msg):

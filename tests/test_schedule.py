@@ -205,18 +205,6 @@ def test_makespan_over_slot_budget():
     assert v[0].subject == "slot"
 
 
-def test_start_before_forced_lag_elapses():
-    g = chain()
-    g.tasks["t1"] = TaskInstance(id="t1", function="t1", runtime=200,
-                                 internalsize=0, inputs=("b0",),
-                                 outputs=("b1",), min_start_lag=50)
-    s = sched({"t0": (0, 0), "t1": (0, 120)},
-              {"b0": (PIPE0, 100, 0), "b1": (PIPE0, 320, 0)})
-    v = check_schedule(s, g, TOPO, CATALOG)
-    assert kinds(v) == {LAG_VIOLATION}
-    assert "forced lag" in v[0].message
-
-
 def test_start_too_far_past_readiness():
     s = sched({"t0": (0, 0), "t1": (0, 200)},
               {"b0": (PIPE0, 100, 0), "b1": (PIPE0, 400, 0)})

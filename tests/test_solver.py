@@ -198,40 +198,39 @@ def test_names_resolve_once_at_the_catalog(du_dir, monkeypatch):
 
 
 # (seed, tightened) -> (status, makespan, nodes, prune counts) at a
-# 20,000-node budget, recorded before the occupancy check became
-# incremental; the set includes solves the occupancy check prunes.  In
-# both seed-1 solves the seed meets the root bound, so no node is searched.
+# 20,000-node budget, recorded by the solver as it stood before the
+# forced start lag was retired, on instances already drawn without one;
+# the set includes solves the occupancy check prunes.  In both seed-3
+# solves the seed meets the root bound, so no node is searched.
 OCCUPANCY_GOLDEN = {
-    (1, False): ("optimal", 21585, 0, {}),
-    (1, True): ("optimal", 21585, 0, {}),
+    (1, False): ("infeasible", None, 3, {"DEADLINE_MISS": 2}),
+    (1, True): ("infeasible", None, 2, {"DEADLINE_MISS": 1,
+                                        "PATTERN_VIOLATION": 1}),
     (2, False): ("optimal", 28527, 5, {"BOUND": 1, "BUFFER_OVERFLOW": 1,
                                        "PATTERN_VIOLATION": 1}),
     (2, True): ("optimal", 28527, 5, {"BOUND": 1, "BUFFER_OVERFLOW": 1,
                                       "PATTERN_VIOLATION": 1}),
-    (6, False): ("optimal", 34488, 9, {"BOUND": 3, "DEADLINE_MISS": 1,
-                                       "PATTERN_VIOLATION": 2}),
-    (6, True): ("optimal", 37613, 9, {"BOUND": 3, "DEADLINE_MISS": 1,
-                                      "PATTERN_VIOLATION": 2}),
+    (3, False): ("optimal", 50808, 0, {}),
+    (3, True): ("optimal", 50808, 0, {}),
+    (6, False): ("infeasible", None, 5, {"PATTERN_VIOLATION": 2}),
+    (6, True): ("infeasible", None, 5, {"PATTERN_VIOLATION": 2}),
     (8, False): ("infeasible", None, 4, {"BUFFER_OVERFLOW": 1,
                                          "PATTERN_VIOLATION": 1}),
     (11, True): ("infeasible", None, 4, {"DEADLINE_MISS": 3}),
-    (15, False): ("infeasible", None, 65, {"BUFFER_OVERFLOW": 18,
-                                           "DEADLINE_MISS": 10,
-                                           "PATTERN_VIOLATION": 6}),
-    (32, True): ("infeasible", None, 7, {"BUFFER_OVERFLOW": 2,
-                                         "DEADLINE_MISS": 4}),
-    (51, False): ("optimal", 54003, 208, {"BOUND": 42, "BUFFER_OVERFLOW": 35,
-                                          "DEADLINE_MISS": 16,
+    (15, False): ("infeasible", None, 3, {"DEADLINE_MISS": 2}),
+    (32, True): ("infeasible", None, 28, {"BUFFER_OVERFLOW": 10,
+                                          "DEADLINE_MISS": 3}),
+    (51, False): ("optimal", 53003, 208, {"BOUND": 42, "BUFFER_OVERFLOW": 51,
                                           "PATTERN_VIOLATION": 24}),
     (51, True): ("infeasible", None, 110, {"BUFFER_OVERFLOW": 31,
                                            "PATTERN_VIOLATION": 26}),
-    (54, True): ("optimal", 46048, 119, {"BOUND": 22, "BUFFER_OVERFLOW": 6,
-                                         "PATTERN_VIOLATION": 25}),
-    (66, True): ("optimal", 34749, 169, {"BOUND": 6, "BUFFER_OVERFLOW": 25,
-                                         "DEADLINE_MISS": 41,
-                                         "PATTERN_VIOLATION": 53}),
-    (100, False): ("infeasible", None, 199, {"BUFFER_OVERFLOW": 72,
-                                             "PATTERN_VIOLATION": 45}),
+    (54, True): ("optimal", 47048, 213, {"BOUND": 46, "BUFFER_OVERFLOW": 6,
+                                         "DEADLINE_MISS": 4,
+                                         "PATTERN_VIOLATION": 50}),
+    (66, True): ("infeasible", None, 5, {"DEADLINE_MISS": 2}),
+    (100, False): ("infeasible", None, 41, {"BUFFER_OVERFLOW": 4,
+                                            "DEADLINE_MISS": 14,
+                                            "PATTERN_VIOLATION": 15}),
 }
 
 
@@ -308,7 +307,6 @@ def test_interchangeable_tasks_enter_the_frontier_in_id_order():
 @pytest.mark.parametrize("variant", [
     b_task(runtime=101),
     b_task(internalsize=501),
-    b_task(min_start_lag=5),
     b_task(allowed_cores=frozenset({0})),
     b_reads_spare,
     b_task(external_inputs=(ExternalInput("port_b", 201),)),
@@ -319,7 +317,7 @@ def test_interchangeable_tasks_enter_the_frontier_in_id_order():
     b_output(release=11),
     b_output(avail_deadline=90_001),
     b_output(labels=("late",)),
-], ids=["runtime", "internalsize", "min_start_lag", "allowed_cores", "inputs",
+], ids=["runtime", "internalsize", "allowed_cores", "inputs",
         "external_release", "external_count", "size", "patterns", "observers",
         "release", "avail_deadline", "labels"])
 def test_one_differing_attribute_keeps_tasks_apart(variant):
@@ -703,7 +701,6 @@ def full_bound(search, state, root):
                 est = max(est, est_fin[definer] + search.min_dur[buf_id])
         for ext in task.external_inputs:
             est = max(est, ext.release)
-        est += task.min_start_lag
         est_fin[t] = est + task.runtime
         path = max(path, est + search.down[t])
 
