@@ -22,10 +22,11 @@ value, a bad mode or a stray argument prints the usage line and
 ``ddtwin: error: ...`` to stderr and exits 2.
 
 ``scenarios`` runs ``scenarios.run_scenarios`` on the scenario files'
-specs and the enumerated families.  Every refusal is reported (exit 1)
-before any solve, even where the baseline would be infeasible.  The
-baseline is gated once, and a note names the scenario whose seed its
-search started from, if any.
+specs, which adds the enumerated families.  Every refusal is reported
+(exit 1) before any solve, even where the baseline would be infeasible;
+``validate`` refuses every spec ``scenarios`` would, enumerated families
+included.  The baseline is gated once, and a note names the scenario
+whose seed its search started from, if any.
 """
 
 from __future__ import annotations
@@ -52,9 +53,8 @@ from .manifests import FunctionMetadata, parse_constraint_stream
 from .patterns import PatternCatalog, generate_patterns_from_topology, \
     parse_pattern_catalog
 from .scenarios import PIN_TASKS, ScenarioSpec, apply_scenarios, \
-    enumerate_scenarios, parse_scenario_csv, parse_scenario_stream, \
-    rank_scenarios, render_scenario_csv, render_scenario_table, \
-    run_scenarios
+    parse_scenario_csv, parse_scenario_stream, rank_scenarios, \
+    render_scenario_csv, render_scenario_table, run_scenarios
 from .schedule import Schedule
 from .solver import SolveOpts, SolveOutcome, no_verdict, solve_best_case
 
@@ -344,10 +344,9 @@ def cmd_scenarios(manifest: RunManifest) -> int:
     loaded = load_run(manifest)
     graph = build_graph(loaded)
     baseline_opts = _solve_opts(manifest)
-    run = run_scenarios(
-        loaded.scenario_specs + enumerate_scenarios(graph, loaded.catalog),
-        graph, loaded.topology, loaded.catalog, baseline_opts,
-        _solve_opts(manifest, scenario=True))
+    run = run_scenarios(loaded.scenario_specs, graph, loaded.topology,
+                        loaded.catalog, baseline_opts,
+                        _solve_opts(manifest, scenario=True))
     if run.baseline.status == "infeasible":
         print(f"baseline infeasible: {run.baseline.witness}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -402,7 +401,7 @@ def cmd_report(manifest: RunManifest) -> int:
 
 # one row per command: its function and its help string
 _COMMANDS = {
-    "validate": (cmd_validate, "parse all inputs and run static checks"),
+    "validate": (cmd_validate, "check inputs and refuse every spec scenarios would"),
     "elaborate": (cmd_elaborate,
                   "expand the entry flow into a task graph dump"),
     "solve": (cmd_solve, "compute a best-case schedule and summary"),

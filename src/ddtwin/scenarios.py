@@ -14,12 +14,12 @@ way left to a negative delta is a schedule that a scenario's *search*
 finds and the baseline's search misses.  A cloned flow adds work, and no
 such bound holds for it.
 
-``run_scenarios`` carries out a whole run, in this order: it
-refuses the bad specs all at once, seeds the baseline and every spec
-with injections, folds the best checked narrowing seed into the
-baseline's incumbent, solves the baseline from it, stops unless the
-baseline has a schedule, and grades each spec with ``evaluate_scenario``
-from the spec's own seed.
+``run_scenarios`` takes the scenario files' specs and carries out a whole
+run, in this order: it enumerates the families, refuses the bad specs
+all at once, seeds the baseline and every spec with injections, folds
+the best checked narrowing seed into the baseline's incumbent, solves
+the baseline from it, stops unless it has a schedule, and grades each
+spec with ``evaluate_scenario`` from the spec's own seed.
 """
 
 from __future__ import annotations
@@ -155,7 +155,8 @@ def resolve_task_targets(graph: TaskGraph,
 
 def apply_injections(graph: TaskGraph, injections: tuple[Injection, ...],
                      catalog: PatternCatalog) -> TaskGraph:
-    """A copy of ``graph`` with every injection applied, in order."""
+    """A copy of ``graph`` with every injection applied, in order; the
+    reader has checked each kind and the fields it requires."""
     for inj in injections:
         if inj.kind == EVICT_BUFFER:
             graph = _apply_evict(graph, inj, catalog)
@@ -167,24 +168,23 @@ def apply_injections(graph: TaskGraph, injections: tuple[Injection, ...],
             graph = _apply_add_flow(graph, inj)
         elif inj.kind == TIGHTEN_DEADLINE:
             graph = _apply_tighten_deadline(graph, inj)
-        else:
-            raise fail(1, 1, f"unknown injection kind {inj.kind!r}")
     return graph
 
 
-def apply_scenarios(specs: list[ScenarioSpec], graph: TaskGraph,
+def apply_scenarios(file_specs: list[ScenarioSpec], graph: TaskGraph,
                     catalog: PatternCatalog
                     ) -> list[tuple[ScenarioSpec, TaskGraph]]:
-    """Each spec paired with ``graph`` under its injections, keeping only
-    the first spec of each injection set.  Two kept specs may not share a
-    name, since a row is known by its name alone.
+    """``file_specs`` and then the families of ``graph``, each paired with
+    ``graph`` under its injections, keeping only the first spec of each
+    injection set.  Two kept specs may not share a name, since a row is
+    known by its name alone.
 
     Every spec is applied before any refusal is raised, so one
     DiagnosticError reports them all; each of its diagnostics names its
     scenario.
     """
     applied, refused, names = [], [], set()
-    for spec in _unique_specs(specs):
+    for spec in _unique_specs(file_specs + enumerate_scenarios(graph, catalog)):
         if spec.name in names:
             refused.append(Diagnostic(1, 1, f"scenario {spec.name!r}: an "
                                             f"earlier scenario has this name"))
@@ -215,9 +215,9 @@ def _apply_evict(graph: TaskGraph, inj: Injection,
 
 
 def _apply_pin(graph: TaskGraph, inj: Injection) -> TaskGraph:
-    if inj.cores is None or not inj.cores:
+    pin = inj.cores
+    if not pin:
         raise fail(1, 1, "PIN_TASKS requires a non-empty core set")
-    pin = frozenset(inj.cores)
     for tid in resolve_task_targets(graph, inj.targets):
         task = graph.tasks[tid]
         allowed = pin if task.allowed_cores is None else task.allowed_cores & pin
@@ -227,7 +227,7 @@ def _apply_pin(graph: TaskGraph, inj: Injection) -> TaskGraph:
 
 
 def _apply_start_lag(graph: TaskGraph, inj: Injection) -> TaskGraph:
-    if inj.value is None or inj.value < 0:
+    if inj.value < 0:
         raise fail(1, 1, "START_LAG requires a non-negative cycle cap")
     cap = inj.value
     if graph.max_start_lag is not None:
@@ -236,7 +236,7 @@ def _apply_start_lag(graph: TaskGraph, inj: Injection) -> TaskGraph:
 
 
 def _apply_tighten_deadline(graph: TaskGraph, inj: Injection) -> TaskGraph:
-    if inj.value is None or inj.value <= 0:
+    if inj.value <= 0:
         raise fail(1, 1, "TIGHTEN_DEADLINE requires a positive cycle count")
     return replace(graph, deadline=min(graph.deadline, inj.value))
 
@@ -257,8 +257,6 @@ def _apply_add_flow(graph: TaskGraph, inj: Injection) -> TaskGraph:
     copies = 1 if inj.value is None else inj.value
     if copies < 1:
         raise fail(1, 1, "ADD_FLOW requires a copy count of at least 1")
-    if not inj.targets:
-        raise fail(1, 1, "ADD_FLOW requires an instance prefix target")
     for prefix in inj.targets:
         graph = _clone_subgraph(graph, prefix, copies)
     return graph
@@ -333,12 +331,13 @@ class ScenarioRun:
     own: int | None
 
 
-def run_scenarios(specs: list[ScenarioSpec], graph: TaskGraph,
+def run_scenarios(file_specs: list[ScenarioSpec], graph: TaskGraph,
                   topology: HardwareTopology, catalog: PatternCatalog,
                   baseline_opts: SolveOpts, opts: SolveOpts) -> ScenarioRun:
-    """Grade ``specs`` against the best case of ``graph``, which carries
-    the start-lag cap: the baseline under ``baseline_opts``, each row
-    under ``opts``; the two may differ only in the node budget.
+    """Grade the specs ``apply_scenarios`` makes of ``file_specs`` against
+    the best case of ``graph``, which carries the start-lag cap: the
+    baseline under ``baseline_opts``, each row under ``opts``; the two
+    may differ only in the node budget.
 
     Every graph the run solves is seeded once, on the run's one plan
     narrowed to it, before any search.  A floor only stops a portfolio
@@ -350,7 +349,7 @@ def run_scenarios(specs: list[ScenarioSpec], graph: TaskGraph,
     becomes the baseline's incumbent.  A flow clone's tasks are not the
     baseline's, so its seed is never folded.
     """
-    applied = apply_scenarios(specs, graph, catalog)
+    applied = apply_scenarios(file_specs, graph, catalog)
     plan = SearchPlan(graph, topology, catalog)
     own = seed_best_case(graph, topology, catalog, baseline_opts, plan)
     rows = []
@@ -534,11 +533,12 @@ def parse_scenario_csv(text: str, baseline_latency: int
     The CSV does not store the baseline, so callers supply it; the value
     only fills each row's ``ScenarioResult.baseline_latency``.
     """
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != CSV_HEADER.split(","):
+    reader = csv.reader(io.StringIO(text))
+    if next(reader, None) != CSV_HEADER.split(","):
         raise fail(1, 1, f"scenario CSV must start with header {CSV_HEADER!r}")
-    out = []
-    for i, row in enumerate(rows[1:], start=2):
+    out, start = [], reader.line_num + 1
+    for row in reader:         # a quoted field may span lines
+        i, start = start, reader.line_num + 1
         if not row:
             continue
         if len(row) != 4:

@@ -109,3 +109,6 @@ def test_the_seed_lattice_keeps_one_solve_per_row_and_no_negative_delta(
     assert solves == ["baseline"] + [r for r in rows if r != "baseline"]
     assert all(row["delta_pct"] >= 0 for row in result["rows"])
     assert {row["baseline"] for row in result["rows"]} == {226_676}
+    # the families are enumerated once per run, and each is counted once
+    assert result["counts"]["scenarios.specs"] == 12
+    assert result["span_calls"]["scenarios.enumerate"] == 1

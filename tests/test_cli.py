@@ -412,6 +412,7 @@ def test_scenarios_refuses_every_bad_spec_before_any_solve(
         "non-negative cycle cap\n")
     assert not (tmp_path / "out" / "scenarios.csv").exists()
     assert solves == []
+    assert run(["validate", "--manifest", str(manifest)]) == (code, out, err)
 
 
 _PAIR_FLOW = textwrap.dedent("""\
@@ -470,7 +471,24 @@ def test_scenarios_refuses_a_name_two_specs_share(trivial_dir, tmp_path,
         "1:1: error: scenario 'baseline': an earlier scenario has this name\n")
     assert not (tmp_path / "out" / "scenarios.csv").exists()
     assert solves == []
-    assert run(["validate", "--manifest", str(manifest)])[0] == 1
+    assert run(["validate", "--manifest", str(manifest)]) == (code, out, err)
+
+
+@pytest.mark.parametrize("command", ["validate", "scenarios"])
+def test_a_file_spec_named_like_a_family_is_refused_by_both_commands(
+        trivial_dir, tmp_path, command):
+    # validate checks the file specs together with the enumerated families
+    shutil.copytree(trivial_dir, tmp_path / "trivial",
+                    ignore=shutil.ignore_patterns("out*"))
+    manifest = tmp_path / "trivial" / "manifest.yaml"
+    add_scenario_file(
+        manifest, ("baseline", [{"kind": "TIGHTEN_DEADLINE", "value": 7000}]))
+    code, out, err = run([command, "--manifest", str(manifest),
+                          "--out", str(tmp_path / "out")])
+    assert (code, out) == (1, "")
+    assert err == ("1:1: error: scenario 'baseline': an earlier scenario "
+                   "has this name\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_scenarios_rerun_is_byte_identical(du_runs):

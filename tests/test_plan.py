@@ -125,9 +125,7 @@ def test_a_scenarios_run_resolves_each_key_once(du_dir, tmp_path,
     assert cmd_scenarios(manifest) == 0
     loaded = load_run(manifest)
     graph = build_graph(loaded)
-    applied = apply_scenarios(
-        loaded.scenario_specs + enumerate_scenarios(graph, loaded.catalog),
-        graph, loaded.catalog)
+    applied = apply_scenarios(loaded.scenario_specs, graph, loaded.catalog)
     distinct = {(b.allowed_patterns, b.size)
                 for g in [graph, *(injected for _, injected in applied)]
                 for b in g.buffers.values()}

@@ -194,18 +194,18 @@ leafA[t_out = r3]
             g, (Injection(kind="ADD_FLOW", targets=("mid/deep",)),), CATALOG)
 
 
+# a missing kind, target, core set or value is refused where the scenario
+# file is read (test_scenario_stream_validation); these need the graph or
+# a value's range
 @pytest.mark.parametrize("inj,msg", [
-    (Injection(kind="FLOOD"), "unknown injection kind"),
     (Injection(kind="EVICT_BUFFER", targets=("nope",)),
      "matches no buffer or function"),
-    (Injection(kind="PIN_TASKS", targets=("t0",)),
+    (Injection(kind="PIN_TASKS", targets=("t0",), cores=frozenset()),
      "non-empty core set"),
-    (Injection(kind="START_LAG"), "non-negative cycle cap"),
     (Injection(kind="START_LAG", value=-1), "non-negative cycle cap"),
     (Injection(kind="TIGHTEN_DEADLINE", value=0), "positive cycle count"),
     (Injection(kind="ADD_FLOW", targets=("t0",), value=0),
      "copy count of at least 1"),
-    (Injection(kind="ADD_FLOW", value=1), "instance prefix target"),
     (Injection(kind="ADD_FLOW", targets=("ghost",), value=1),
      "matches no task-id prefix"),
 ])
@@ -239,9 +239,10 @@ def test_task_selectors_take_ids_functions_then_prefixes():
 # -- evaluation ------------------------------------------------------------------
 
 def evaluate_all(specs, g, opts=SolveOpts()):
-    """Every row of ``specs`` against one baseline solve of ``g``: apply,
-    solve, evaluate.  Unlike ``run_scenarios`` it seeds and folds nothing
-    first, so each solve seeds itself."""
+    """Every row of a run on ``specs``, its enumerated families included,
+    against one baseline solve of ``g``: apply, solve, evaluate.  Unlike
+    ``run_scenarios`` it seeds and folds nothing first, so each solve
+    seeds itself."""
     applied = apply_scenarios(specs, g, CATALOG)
     baseline = scenarios.solve_best_case(g, TOPO, CATALOG, opts)
     return [evaluate_scenario(spec, injected, TOPO, CATALOG, opts, baseline)
@@ -249,8 +250,7 @@ def evaluate_all(specs, g, opts=SolveOpts()):
 
 
 def evaluate(spec, g, opts=SolveOpts()):
-    [result] = evaluate_all([spec], g, opts)
-    return result
+    return evaluate_all([spec], g, opts)[0]
 
 
 def test_injection_free_scenario_reports_the_baseline():
@@ -275,7 +275,7 @@ def test_shared_baseline_matches_a_fresh_solve():
     spec = ScenarioSpec(name="evict-b0", injections=(
         Injection(kind="EVICT_BUFFER", targets=("b0",)),))
     base = solve_best_case(g, TOPO, CATALOG)
-    [(spec, injected)] = apply_scenarios([spec], g, CATALOG)
+    injected = apply_injections(g, spec.injections, CATALOG)
     assert evaluate_scenario(spec, injected, TOPO, CATALOG, SolveOpts(),
                              base) == evaluate(spec, g)
 
@@ -321,7 +321,8 @@ def test_batch_evaluation_shares_one_baseline():
              ScenarioSpec(name="evict-b0", injections=(
                  Injection(kind="EVICT_BUFFER", targets=("b0",)),))]
     results = evaluate_all(specs, g)
-    assert [r.name for r in results] == ["baseline", "evict-b0"]
+    assert [r.name for r in results] == [
+        "baseline", "evict-b0", "evict-fn-fn1", "evict-small"]
     assert {r.baseline_latency for r in results} == {300}
 
 
@@ -341,7 +342,7 @@ def test_batch_evaluation_solves_a_shared_injection_set_once(monkeypatch):
         return solve_best_case(graph, *args, **kwargs)
 
     monkeypatch.setattr(scenarios, "solve_best_case", counting_solve)
-    results = evaluate_all(from_file + enumerated, g)
+    results = evaluate_all(from_file, g)
     assert [r.name for r in results] == [
         "evict-things", "baseline", "evict-fn-fn1", "evict-small"]
     assert results[0].latency == 1363
@@ -404,7 +405,7 @@ def test_a_proven_baseline_floors_narrowing_scenarios_without_moving_them(
             for spec in narrowing_specs(graph, topology, catalog,
                                         baseline.makespan):
                 solves.clear()
-                [(spec, injected)] = apply_scenarios([spec], graph, catalog)
+                injected = apply_injections(graph, spec.injections, catalog)
                 evaluate_scenario(spec, injected, topology, catalog,
                                   SolveOpts(), baseline)
                 [(floor, floored)] = solves
@@ -431,7 +432,8 @@ def test_added_flows_and_unproven_baselines_get_no_floor(monkeypatch):
     solves = recording_solve(monkeypatch)
     baseline = solve_best_case(g, TOPO, CATALOG)
     assert baseline.status == "optimal"
-    (_, cloned), (_, evicted) = apply_scenarios([add_flow, evict], g, CATALOG)
+    cloned, evicted = (apply_injections(g, s.injections, CATALOG)
+                       for s in (add_flow, evict))
     evaluate_scenario(add_flow, cloned, TOPO, CATALOG, SolveOpts(), baseline)
     evaluate_scenario(evict, evicted, TOPO, CATALOG, SolveOpts(), baseline)
     unproven = dataclasses.replace(baseline, status="feasible")
@@ -463,7 +465,7 @@ def test_a_proven_baseline_closes_paper_scenarios_in_one_level(
     baseline = solve_best_case(graph, loaded.topology, loaded.catalog, opts)
     assert (baseline.status, baseline.makespan) == ("optimal", 10_476)
     [spec] = parse_scenario_stream(scenario_doc(injections=[injection]))
-    [(spec, injected)] = apply_scenarios([spec], graph, loaded.catalog)
+    injected = apply_injections(graph, spec.injections, loaded.catalog)
     solves = recording_solve(monkeypatch)
     result = evaluate_scenario(spec, injected, loaded.topology,
                                loaded.catalog, opts, baseline)
@@ -514,8 +516,8 @@ def test_a_run_folds_checked_seeds_and_moves_no_row(monkeypatch):
             where = f"seed {seed}, {len(graph.tasks)} tasks"
             solves.clear()
             graded.clear()
-            run = scenarios.run_scenarios(enumerate_scenarios(graph, catalog),
-                                          graph, topology, catalog, opts, opts)
+            run = scenarios.run_scenarios([], graph, topology, catalog, opts,
+                                          opts)
             fired += run.donor is not None
             baseline = run.baseline
             assert solves[0][1] is baseline, where
@@ -781,6 +783,11 @@ def test_infeasible_csv_rows_carry_certain_failure():
      "must carry risk CERTAIN_FAILURE"),
     ("strategy,latency_cycles,delta_pct,risk\nx,100,0\n",
      exactly(2, 1, "expected 4 fields, got 3")),
+    # a quoted name may span lines: each refusal is at its row's first line
+    ('strategy,latency_cycles,delta_pct,risk\n"a\nb",300,0,LOW\n'
+     "c,300,0,WILD\n", exactly(4, 1, "unknown risk level 'WILD'")),
+    ('strategy,latency_cycles,delta_pct,risk\n"a\nb",x,0,LOW\n',
+     exactly(2, 1, "latency and delta must be integers, got 'x' / '0'")),
 ])
 def test_csv_parse_validation(text, msg):
     with pytest.raises(DiagnosticError, match=msg):
