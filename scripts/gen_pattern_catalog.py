@@ -3,7 +3,9 @@
 
 Emits the same catalog the toolchain synthesizes internally when a run
 manifest names no pattern file, so the output is a starting point for
-hand-edited catalogs.
+hand-edited catalogs.  A run that names the output gets the same search
+as one that names no pattern file: the search derives its classes of
+interchangeable cores from whichever catalog it is given.
 
     python3 scripts/gen_pattern_catalog.py topology.yaml > patterns.xml
 """

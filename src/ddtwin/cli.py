@@ -2,10 +2,13 @@
 
 Every command takes a run manifest naming the input files; all outputs
 land in one directory and are byte-stable across runs with the same
-manifest, so they can serve as regression fixtures.  Exit codes:
+manifest, so they can serve as regression fixtures; each is written
+with the mode a new file gets under the process umask.  Exit codes:
 0 success, 1 validation or configuration failure (including a search
-budget too small to reach a verdict), 2 proven-infeasible baseline,
-3 internal error.
+budget too small to reach a verdict) or a standard output closed before
+all of it was written (``ddtwin scenarios ... | head -1``; the output
+files are complete, and nothing more is printed), 2 proven-infeasible
+baseline, 3 internal error.
 
 Command grammar::
 
@@ -244,8 +247,13 @@ def write_atomic(path: Path, text: str) -> None:
     half-written artifact."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as handle:
+            # mkstemp makes the file private; give it what open(path, "w")
+            # would
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -476,7 +484,15 @@ def main(argv: list[str] | None = None) -> int:
         sys.argv[1:] if argv is None else argv)
     try:
         manifest = load_run_manifest(path, out=out, mode=mode)
-        return _COMMANDS[command][0](manifest)
+        code = _COMMANDS[command][0](manifest)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull,
+        # so that the flush at exit does not fail again, and exit 1 as
+        # Python does on a closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INVALID
     except DiagnosticError as exc:
         for diag in exc.diagnostics:
             print(diag.render(), file=sys.stderr)

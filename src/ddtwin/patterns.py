@@ -68,12 +68,16 @@ def pattern_class(name: str) -> str:
     raise fail(1, 1, f"unknown pattern class in name {name!r}")
 
 
-def _core_hint(tokens: tuple[str, ...]) -> int | None:
-    for tok in tokens:
-        digits = tok[1:]
-        if tok[:1] == "c" and digits.isascii() and digits.isdigit():
-            return int(digits)
+def _core_of(token: str) -> int | None:
+    """The core a canonical token such as ``c0`` names, if it names one."""
+    digits = token[1:]
+    if token[:1] == "c" and digits.isascii() and digits.isdigit():
+        return int(digits)
     return None
+
+
+def _core_hint(tokens: tuple[str, ...]) -> int | None:
+    return next((c for c in map(_core_of, tokens) if c is not None), None)
 
 
 @dataclass
@@ -96,17 +100,18 @@ class Pattern:
 class PatternCatalog:
     """Ordered pattern collection that resolves any spelling of a name to
     its position, with a precomputed symmetric contention relation and the
-    anchors derived from it, the same for parsed and generated catalogs."""
+    anchors derived from it, the same for parsed and generated catalogs.
+    It declares no interchangeable cores: the search derives those, by one
+    rule for every catalog (``solver.SearchPlan._core_groups``)."""
 
     def __init__(self, patterns: list[Pattern]):
         self.patterns = list(patterns)
-        # cores whose pattern sets are isomorphic under relabeling; only the
-        # topology generator can certify this, parsed catalogs leave it empty
-        self.symmetric_core_groups: tuple[frozenset[int], ...] = ()
         # spelling -> catalog position (None: no such pattern), grown by
         # position; resolving each pattern's own name seeds it and finds
         # duplicates
         self._ids: dict[str, int | None] = {}
+        # (a, b, L2 of a, L2 of b) -> what ``swapped`` returns for it
+        self._swaps: dict[tuple, tuple[int, ...] | None] = {}
         diags = [Diagnostic(1, 1, f"duplicate pattern name {p.name!r}")
                  for i, p in enumerate(self.patterns) if self.position(p.name) != i]
 
@@ -167,6 +172,36 @@ class PatternCatalog:
 
     def contends(self, a: str, b: str) -> bool:
         return bool(self.contention[self.index(a)] >> self.index(b) & 1)
+
+    def swapped(self, a: int, b: int, l2a: str, l2b: str
+                ) -> tuple[int, ...] | None:
+        """Position -> the position of its pattern's role once cores ``a``
+        and ``b``, whose L2s are ``l2a`` and ``l2b``, swap, or ``None`` when
+        that map is not an automorphism of the catalog.  A pattern's role is
+        its canonical name with each token that names ``a`` or ``b``
+        renamed to name the other (so its core hint swaps too), and its
+        memories with the two L2s swapped.  The map is an automorphism when
+        every role names a pattern, one to one since names are unique, and
+        it keeps every contention bit.  Remembered per argument tuple."""
+        key = a, b, l2a, l2b
+        if key not in self._swaps:
+            roles = {(p.canonical, p.defining_memory, p.observing_memory): i
+                     for i, p in enumerate(self.patterns)}
+            l2 = {l2a: l2b, l2b: l2a}
+
+            def role(p: Pattern) -> tuple:
+                name = tuple(f"c{a + b - c}" if (c := _core_of(t)) in (a, b)
+                             else t for t in p.canonical)
+                return (name, l2.get(p.defining_memory, p.defining_memory),
+                        l2.get(p.observing_memory, p.observing_memory))
+
+            image = tuple(roles.get(role(p)) for p in self.patterns)
+            kept = None not in image and all(
+                self.contention[image[i]] >> image[j] & 1 == mask >> j & 1
+                for i, mask in enumerate(self.contention)
+                for j in range(len(image)))
+            self._swaps[key] = image if kept else None
+        return self._swaps[key]
 
 
 def _bits(mask: int) -> list[int]:
@@ -332,6 +367,9 @@ def generate_patterns_from_topology(topology) -> PatternCatalog:
     per-slice anchor, so their transfers contend pairwise.  L2toL2 data is
     staged in the slice itself (L3 residency); big_delay data only transits
     the slice on its way to DDR, so big_delay carries no L3 anchor at all.
+
+    The catalog groups no cores, so written to XML and parsed back it is
+    the same catalog to the search too.
     """
     specs: list[dict] = []
     for core in topology.cores:
@@ -355,14 +393,7 @@ def generate_patterns_from_topology(topology) -> PatternCatalog:
             "defining_memory": l2, "observing_memory": m,
             "anchors": {"L2": (l2, l2_any), "L3": (None, m)},
         })
-    catalog = PatternCatalog(_anchor_sets(specs))
-    groups: dict[tuple, list[int]] = {}
-    for core in topology.cores:
-        key = (topology.memory(core.l2).capacity, core.l3)
-        groups.setdefault(key, []).append(core.id)
-    catalog.symmetric_core_groups = tuple(
-        frozenset(ids) for ids in groups.values() if len(ids) >= 2)
-    return catalog
+    return PatternCatalog(_anchor_sets(specs))
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,13 @@ identical class exhaustively, which is what makes the two comparable on
 small instances.
 
 Branching is (frontier task) x (candidate core) x (pattern combo), with
-never-used cores collapsed inside certified symmetry groups and pattern
-options deduplicated when two choices are behaviorally identical (equal
-cost, contention set, and residency memories).  Pruning uses a critical
-path bound, per-anchor serialization bounds, three terms taken once at
-the root (one a core load bound), and a buffer-occupancy check; every
-completed leaf is re-validated with the independent constraint checker
-before it may become the incumbent.
+never-used cores collapsed inside classes of interchangeable cores and
+pattern options deduplicated when two choices are behaviorally
+identical (equal cost, contention set, and residency memories).
+Pruning uses a critical path bound, per-anchor serialization bounds,
+three terms taken once at the root (one a core load bound), and a
+buffer-occupancy check; every completed leaf is re-validated with the
+independent constraint checker before it may become the incumbent.
 
 The occupancy check reads totals.  A memory whose worst-case demand
 (every buffer that may reside there, plus every task's scratch space for
@@ -160,6 +160,36 @@ longer than the costliest choice of any buffer, so the scan skips the
 intervals that start more than that before the candidate: they have
 ended by then.
 
+Interchangeable cores are opened least first.  Two cores are
+interchangeable when swapping them maps the instance onto itself, and
+``SearchPlan._core_groups`` tests that by one rule for every catalog,
+parsed or generated.  The two cores share an L3, and their L2s have equal
+capacity.  A pattern's role key is its canonical name with the tokens
+naming the two cores swapped, and its defining and observing memories
+with the two L2s swapped; every key names a pattern of the catalog, so
+the swap maps the catalog onto itself one to one
+(``PatternCatalog.swapped``).  That map keeps every contention bit, and
+with it the anchors, which contention defines.  It maps every buffer's
+set of allowed positions onto itself.  Every task's allowed cores hold
+both cores or neither.  The search and the checker
+read of cores and patterns only these: a pattern's ``core_hint`` (the
+first core token of its name), its memories, its contention and its
+class cost (the class is read from its name's leading tokens), a core's
+L3, each memory's capacity, a buffer's allowed patterns and a task's
+allowed cores, and each test keeps one of them.  So the swap, applied to
+every placement's core and every transfer's pattern, keeps every start,
+and maps each schedule the checker accepts onto one it accepts with the
+same makespan, each schedule it rejects onto one with the same
+violations, and each schedule of the greedy class onto one of the class.
+Swaps compose, so the cores any two of which swap part the cores into
+classes, found by comparing each core with the first core of each class
+found so far, and any relabelling within a class is such a map.  For any
+path the search could take, relabelling each class's cores in the order
+the path first uses them gives a path that opens the least never-used
+core of a class whenever it opens one, so a task is tried on a never-used
+core only when that core is the least never-used one of its class.  A pin
+cuts a class only into the cores it names and the others.
+
 Interchangeable tasks are placed in id order.  Two tasks are
 interchangeable when they agree on runtime, scratch size, allowed
 cores, the set of input buffers and the multiset of external releases,
@@ -173,7 +203,7 @@ one with the same makespan and the same violations, and for any order
 the search could take some relabelling of a class places its members in
 id order.  The frontier therefore offers a member only once the member
 before it is placed.  This composes with collapsing never-used cores in a
-group: relabelling cores never reorders tasks, and the task order never
+class: relabelling cores never reorders tasks, and the task order never
 names a core, so the two reductions keep one representative of each
 combined relabelling.
 
@@ -182,7 +212,7 @@ search derives from a graph before any solve is a ``SearchPlan``, whose
 tables each solve binds onto itself.  Every plan is built by one rule.
 It derives each graph-wide table from its own graph, and takes what it
 derives from a buffer alone (``_Resolved``: its choices, static options,
-and its parts of the anchor, join, symmetry and memory tables) from a
+and its parts of the anchor, join and memory tables) from a
 memo that a run's plans share, keyed by the buffer's allowed names and
 size: with the catalog and the topology, that is all the part reads.  So
 buffers that agree on both share one, within a graph or across a run,
@@ -289,7 +319,6 @@ class _Resolved(NamedTuple):
     # positions contending with all of them, and their least cycles
     paying: tuple[int, int, int] | None
     memories: frozenset[str]         # the memories the choices name
-    splits: frozenset[int]           # the core groups the choices tell apart
     options: tuple                   # per core, in id order: static options
 
 
@@ -397,11 +426,11 @@ class SearchPlan:
     """What the search derives from a graph's task and buffer records, the
     topology and the catalog, before any solve: the resolved choices and
     static options, the ranks, the anchor tables, the propagation plans,
-    the frontier gates, the symmetry groups, and the root's estimates and
-    bound.  Nothing here reads the deadline, the start-lag cap or a
-    solve's options, and no solve changes a table, so one plan serves
-    every solve of a graph, and its memo of resolved buffers every plan
-    narrowed from it."""
+    the frontier gates, the classes of interchangeable cores, and the
+    root's estimates and bound.  Nothing here reads the deadline, the
+    start-lag cap or a solve's options, and no solve changes a table, so
+    one plan serves every solve of a graph, and its memo of resolved
+    buffers every plan narrowed from it."""
 
     def __init__(self, graph: TaskGraph, topology: HardwareTopology,
                  catalog: PatternCatalog,
@@ -440,7 +469,6 @@ class SearchPlan:
         self.anchor_base, self.anchor_extra = self._anchor_tables()
         self.plans = {t: self._propagation(t, self._descendants(i))
                       for i, t in enumerate(self.topo_order)}
-        self.group_of = self._validated_symmetry()
         self.gates = self._frontier_gates()
         # task -> each task gated on it, with all that task's gates
         self.unlocks: dict[str, list[tuple[str, frozenset[str]]]] = {
@@ -453,6 +481,7 @@ class SearchPlan:
                              for c, options in zip(self.cores, r.options)}
         self.l3_of = {c.id: c.l3 for c in topology.cores}
         self.capacity = {m.id: m.capacity for m in topology.memories}
+        self.group_of = self._core_groups()
         self.tracked = self._tracked_memories()
         # catalog index -> the tracked memories a transfer of it claims
         self.claimed = [tuple(m for m in dict.fromkeys((p.defining_memory,
@@ -497,11 +526,6 @@ class SearchPlan:
         rivals = (1 << len(catalog)) - 1
         for c in paying:
             rivals &= catalog.contention[c.index]
-        splits = frozenset(
-            gi for gi, group in enumerate(catalog.symmetric_core_groups)
-            if len({frozenset(c.pattern.klass for c in choices
-                              if c.pattern.core_hint in (None, core))
-                    for core in group}) > 1)
         return _Resolved(
             choices,
             frozenset.intersection(*anchors) if anchors else frozenset(),
@@ -510,7 +534,6 @@ class SearchPlan:
             frozenset(m for c in choices
                       for m in (c.pattern.defining_memory,
                                 c.pattern.observing_memory)),
-            splits,
             tuple(self._static_options(choices, core) for core in self.cores))
 
     def _ranks(self) -> dict[str, int]:
@@ -677,18 +700,34 @@ class SearchPlan:
             term = max(term, ready + self.down[t])
         return term
 
-    def _validated_symmetry(self) -> dict[int, int]:
-        """core id -> symmetry group index, for groups nothing distinguishes."""
-        group_of: dict[int, int] = {}
-        for gi, group in enumerate(self.catalog.symmetric_core_groups):
-            if any(t.allowed_cores is not None
-                   and 0 < len(group & t.allowed_cores) < len(group)
-                   for t in self.graph.tasks.values()):
-                continue
-            if any(gi in r.splits for r in self.resolved.values()):
-                continue
-            group_of.update(dict.fromkeys(group, gi))
-        return group_of
+    def _core_groups(self) -> dict[int, int]:
+        """core id -> the least core of its class, for every class of two or
+        more interchangeable cores: cores whose swap maps the instance onto
+        itself, by the tests the module docstring lists."""
+        allowed = {frozenset(c.index for c in r.choices)
+                   for r in self.resolved.values()}
+        pins = {t.allowed_cores for t in self.graph.tasks.values()
+                if t.allowed_cores is not None}
+
+        def swaps(a: int, b: int) -> bool:
+            ca, cb = self.topology.core(a), self.topology.core(b)
+            if (ca.l3 != cb.l3
+                    or self.capacity.get(ca.l2) != self.capacity.get(cb.l2)
+                    or any((a in s) != (b in s) for s in pins)):
+                return False
+            image = self.catalog.swapped(a, b, ca.l2, cb.l2)
+            return image is not None and all({image[i] for i in s} == s
+                                             for s in allowed)
+
+        classes: list[list[int]] = []
+        for core in self.cores:
+            for cls in classes:
+                if swaps(cls[0], core):
+                    cls.append(core)
+                    break
+            else:
+                classes.append([core])
+        return {core: cls[0] for cls in classes if len(cls) > 1 for core in cls}
 
     def _signature(self, task: TaskInstance) -> tuple:
         """What a swap of ``task`` with another task, and of their output
@@ -1001,7 +1040,7 @@ class _Search:
         outputs = self.graph.tasks[task_id].outputs
         groups: set[int] = set()
         for core in cores:
-            # never-used cores of one symmetry group are interchangeable,
+            # never-used cores of one class are interchangeable,
             # so keep the first (least) of them
             group = self.group_of.get(core)
             if core not in state.core_free and group is not None:

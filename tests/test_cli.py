@@ -698,6 +698,46 @@ def test_a_run_imports_nothing_after_the_cli_module(trivial_dir, tmp_path):
     assert (proc.stdout, proc.stderr) == ("0 []\n", "")
 
 
+def test_outputs_take_the_mode_the_umask_gives_a_new_file(trivial_dir,
+                                                           tmp_path):
+    for umask, mode in ((0o022, 0o644), (0o027, 0o640)):
+        out = tmp_path / oct(umask)
+        old = os.umask(umask)
+        try:
+            code, _, _ = run(["scenarios", "--manifest",
+                              str(trivial_dir / "manifest.yaml"),
+                              "--out", str(out)])
+        finally:
+            os.umask(old)
+        assert code == 0
+        for name in ("scenarios.csv", "scenarios.txt"):
+            assert (out / name).stat().st_mode & 0o777 == mode, (umask, name)
+
+
+def test_a_closed_stdout_exits_1_once_every_output_is_written(trivial_dir,
+                                                              tmp_path):
+    manifest = str(trivial_dir / "manifest.yaml")
+    assert run(["scenarios", "--manifest", manifest,
+                "--out", str(tmp_path / "open")])[0] == 0
+    # a pipe whose read end is closed before the run starts
+    read, write = os.pipe()
+    os.close(read)
+    src = Path(cli.__file__).resolve().parents[1]
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ddtwin.cli", "scenarios", "--manifest",
+             manifest, "--out", str(tmp_path / "closed")], stdout=write,
+            stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(src)},
+            text=True, timeout=120)
+    finally:
+        os.close(write)
+    # no "internal error" line, and no "Exception ignored" one at exit
+    assert (proc.returncode, proc.stderr) == (1, "")
+    for name in ("scenarios.csv", "scenarios.txt"):
+        assert ((tmp_path / "closed" / name).read_text()
+                == (tmp_path / "open" / name).read_text())
+
+
 # -- manifest loading -------------------------------------------------------
 
 _RUN_SPEC = ("apiVersion: rdsl/v0\nkind: run\nspec:\n  flows: [f]\n"

@@ -70,11 +70,6 @@ def test_bundled_dotted_element_relations(paper_dir):
     assert len(p.can_observe) == 8
 
 
-def test_parsed_catalog_has_no_symmetry_certificate(paper_dir):
-    cat = parse_pattern_catalog((paper_dir / "patterns.xml").read_text())
-    assert cat.symmetric_core_groups == ()
-
-
 def test_generation_counts_match_core_count():
     assert len(generate_patterns_from_topology(make_topology(1))) == 4
     cat = generate_patterns_from_topology(make_topology(4))
@@ -92,9 +87,16 @@ def test_generated_names_match_bundled_catalog_names(paper_dir):
         == [canonical_name(n) for n in FIG6_NAMES]
 
 
-def test_generator_certifies_symmetric_cores():
+def test_swapping_two_cores_maps_each_pattern_to_its_counterpart():
     cat = generate_patterns_from_topology(make_topology(4))
-    assert cat.symmetric_core_groups == (frozenset({0, 1, 2, 3}),)
+    image = cat.swapped(0, 1, "L2_0", "L2_1")
+    names = [p.name for p in cat]
+    for i, name in enumerate(names):
+        swapped = name.replace("c_0", "c_x").replace("c_1", "c_0")
+        assert names[image[i]] == swapped.replace("c_x", "c_1")
+    assert cat.swapped(0, 1, "L2_0", "L2_1") is image        # remembered
+    # given another L2 for core 1, pipeline.c_0.L3_0's role has no pattern
+    assert cat.swapped(0, 1, "L2_0", "L2_9") is None
 
 
 def test_contention_is_symmetric():

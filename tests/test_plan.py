@@ -1,6 +1,7 @@
 """One search plan per run: narrowing a plan to an injected graph gives the
 plan a fresh build would, and a scenarios run resolves each buffer key
-once."""
+once.  A plan's classes of interchangeable cores follow one rule for
+every catalog, and whatever tells two cores apart splits them."""
 
 from __future__ import annotations
 
@@ -9,11 +10,16 @@ import dataclasses
 import pytest
 
 from ddtwin.graph import Buffer, TaskGraph, TaskInstance
+from ddtwin.hardware import Memory
 from ddtwin.instances import random_instance, replicated_instance
+from ddtwin.patterns import (PatternCatalog, canonical_name,
+                             generate_patterns_from_topology,
+                             parse_pattern_catalog, serialize_pattern_catalog)
 from ddtwin.scenarios import (ADD_FLOW, EVICT_BUFFER, PIN_TASKS, START_LAG,
                               TIGHTEN_DEADLINE, Injection, apply_injections,
                               enumerate_scenarios)
 from ddtwin.solver import SearchPlan, SolveOpts, _Search, solve_best_case
+from conftest import chain_graph, make_topology
 
 
 def narrowings(graph, catalog):
@@ -175,3 +181,105 @@ def test_a_shared_plan_keeps_each_solves_own_floor():
             outcomes.append(got.stats["lower_bound"])
         raised += outcomes[0] > outcomes[1]
     assert raised == 40
+
+
+# -- interchangeable cores ---------------------------------------------------
+
+def core_classes(graph, topology, catalog):
+    """The plan's classes of interchangeable cores, least core first."""
+    classes: dict[int, set[int]] = {}
+    for core, least in SearchPlan(graph, topology, catalog).group_of.items():
+        classes.setdefault(least, set()).add(core)
+    return [classes[least] for least in sorted(classes)]
+
+
+@pytest.fixture(scope="module")
+def paper(paper_dir):
+    from ddtwin.cli import build_graph, load_run, load_run_manifest
+
+    loaded = load_run(load_run_manifest(paper_dir / "manifest.yaml"))
+    return build_graph(loaded), loaded.topology, loaded.catalog
+
+
+def without(catalog, drop, unrelate=()):
+    """``catalog``'s patterns less those named in ``drop``, and with no
+    relation declared between the two patterns of each pair in
+    ``unrelate``, as a new catalog."""
+    gone = {canonical_name(n) for n in drop}
+    cut = {frozenset(map(canonical_name, pair)) for pair in unrelate}
+
+    def kept(owner, names):
+        return tuple(n for n in names if canonical_name(n) not in gone
+                     and frozenset((owner.canonical, canonical_name(n))) not in cut)
+
+    return PatternCatalog([dataclasses.replace(
+        p, exclusive_define_with=kept(p, p.exclusive_define_with),
+        shares={key: kept(p, names) for key, names in p.shares.items()},
+        can_observe=kept(p, p.can_observe))
+        for p in catalog if p.canonical not in gone])
+
+
+def test_the_parsed_paper_catalog_makes_its_four_cores_one_class(paper):
+    assert core_classes(*paper) == [{0, 1, 2, 3}]
+
+
+def test_a_catalog_written_to_xml_and_parsed_back_keeps_its_classes():
+    one_slice = make_topology(4)
+    two_slices = dataclasses.replace(
+        one_slice, memories=[*one_slice.memories, Memory("L3_1", "L3", 1 << 23)],
+        cores=[dataclasses.replace(c, l3="L3_1") if c.id >= 2 else c
+               for c in one_slice.cores])
+    for topology, want in ((one_slice, [{0, 1, 2, 3}]),
+                           (two_slices, [{0, 1}, {2, 3}])):
+        generated = generate_patterns_from_topology(topology)
+        parsed = parse_pattern_catalog(serialize_pattern_catalog(generated))
+        for catalog in (generated, parsed):
+            assert core_classes(chain_graph(catalog), topology,
+                                catalog) == want
+
+
+def test_a_core_the_catalog_tells_apart_leaves_its_class(paper):
+    graph, topology, catalog = paper
+    # core 3 without its pipeline pattern
+    assert core_classes(graph, topology, without(
+        catalog, ["pipeline.c_3.L3_0"])) == [{0, 1, 2}]
+    # one contention bit of a core-3 pattern cleared
+    pair = ("pipeline.c_3.L3_0", "L2toL2.c_3.L3_0.accL3_0")
+    assert catalog.contends(*pair)
+    broken = without(catalog, [], [pair])
+    assert not broken.contends(*pair)
+    assert core_classes(graph, topology, broken) == [{0, 1, 2}]
+
+
+def test_a_core_whose_l2_holds_less_or_whose_l3_differs_leaves_its_class(
+        paper):
+    graph, topology, catalog = paper
+    core3 = topology.core(3)
+    smaller = dataclasses.replace(topology, memories=[
+        dataclasses.replace(m, capacity=m.capacity // 2) if m.id == core3.l2
+        else m for m in topology.memories])
+    # a slice that no pattern names, so that only the L3 test tells
+    elsewhere = dataclasses.replace(
+        topology, memories=[*topology.memories, Memory("L3_9", "L3", 1 << 30)],
+        cores=[dataclasses.replace(c, l3="L3_9") if c is core3 else c
+               for c in topology.cores])
+    for changed in (smaller, elsewhere):
+        assert core_classes(graph, changed, catalog) == [{0, 1, 2}]
+
+
+def test_a_pin_splits_off_only_the_cores_it_names(paper):
+    graph, topology, catalog = paper
+    target = sorted(graph.tasks)[0]
+    for cores, want in (({3}, [{0, 1, 2}]), ({0, 1}, [{0, 1}, {2, 3}]),
+                        ({0, 1, 2, 3}, [{0, 1, 2, 3}])):
+        pinned = apply_injections(graph, (Injection(
+            PIN_TASKS, (target,), frozenset(cores)),), catalog)
+        assert core_classes(pinned, topology, catalog) == want, cores
+
+
+def test_a_buffer_allowed_one_cores_pattern_keeps_that_core_apart(paper):
+    graph, topology, catalog = paper
+    buf = graph.buffers[sorted(graph.buffers)[0]]
+    only = graph.with_buffer(dataclasses.replace(
+        buf, allowed_patterns=("L2toL2.c_0.L3_0.accL3_0",)))
+    assert core_classes(only, topology, catalog) == [{1, 2, 3}]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 from itertools import islice, product
 from types import SimpleNamespace
 
@@ -13,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from ddtwin.graph import Buffer, ExternalInput, TaskGraph, TaskInstance
 from ddtwin.instances import random_instance, tighten_instance
 from ddtwin.patterns import (Pattern, PatternCatalog,
-                             generate_patterns_from_topology)
+                             generate_patterns_from_topology,
+                             parse_pattern_catalog, serialize_pattern_catalog)
 from ddtwin.schedule import (BUFFER_OVERFLOW, DEADLINE_MISS, LAG_VIOLATION,
                              check_schedule)
 from ddtwin.solver import (Incumbent, SearchPlan, SolveOpts, _earliest_fit,
@@ -1210,3 +1212,59 @@ def test_a_fit_given_the_longest_interval_lands_where_the_full_scan_does(
     longest = max((length for _, length, _ in intervals), default=0) + slack
     assert (_earliest_fit(busy, mask, u, duration, longest)
             == _earliest_fit(busy, mask, u, duration))
+
+
+# -- interchangeable cores ---------------------------------------------------
+
+def four_core_instances(seeds):
+    """(label, graph, topology, catalog) for small instances on four cores
+    that share an L3: each ``random_instance`` graph, each pattern its
+    buffers name (one of core 0 or 1) allowed on every core or, per core,
+    core 1's on core 0 alone and core 0's on the other three; its tasks
+    unpinned, or one pinned to a few cores; on the generated catalog and
+    on its XML round trip."""
+    for seed in seeds:
+        inst = random_instance(seed)
+        rng = random.Random(f"four-cores-{seed}")
+        topology = make_topology(4, inst.topology.memories[0].capacity,
+                                 inst.topology.memories[2].capacity)
+        generated = generate_patterns_from_topology(topology)
+        parsed = parse_pattern_catalog(serialize_pattern_catalog(generated))
+        first = sorted(inst.graph.tasks)[0]
+        pin = frozenset(rng.sample(range(4), rng.randint(1, 3)))
+        spreads = {"every core": {"c_0": range(4), "c_1": range(4)},
+                   "per core": {"c_0": (1, 2, 3), "c_1": (0,)}}
+        for spread, pinned in product(spreads, (False, True)):
+            graph = inst.graph
+            for b in graph.buffers.values():
+                names = sorted({re.sub(r"c_\d", f"c_{k}", n)
+                                for n in b.allowed_patterns
+                                for k in spreads[spread][re.search(r"c_\d", n)[0]]})
+                graph = graph.with_buffer(dataclasses.replace(
+                    b, allowed_patterns=tuple(names)))
+            for t in graph.tasks.values():
+                cores = pin if pinned and t.id == first else None
+                graph = graph.with_task(dataclasses.replace(t, allowed_cores=cores))
+            for catalog in (generated, parsed):
+                yield (seed, spread, pinned), graph, topology, catalog
+
+
+def test_collapsing_interchangeable_cores_keeps_every_verdict(monkeypatch):
+    """Every solve is exact with the plan's classes and without any, and
+    the two agree."""
+    opts = SolveOpts(budget_nodes=1_000_000)
+    cases = list(four_core_instances(range(40)))
+    collapsed = [(SearchPlan(*case[1:]).group_of,
+                  solve_best_case(*case[1:], opts)) for case in cases]
+    monkeypatch.setattr(SearchPlan, "_core_groups", lambda self: {})
+    classes, saved = set(), 0
+    for (label, *case), (group_of, got) in zip(cases, collapsed):
+        want = solve_best_case(*case, opts)
+        assert want.status in ("optimal", "infeasible"), label
+        assert (got.status, got.makespan) == (want.status, want.makespan), label
+        assert got.stats["nodes"] <= want.stats["nodes"], label
+        classes.add(len(set(group_of.values())))
+        saved += got.stats["nodes"] < want.stats["nodes"]
+    # one class, or two where a pin cuts one, and the classes cut nodes
+    assert classes == {1, 2}
+    assert saved >= len(cases) // 4
